@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "src/ckpt/shared_warmup_cache.h"
 #include "src/ckpt/warmup_cache.h"
 #include "src/common/log.h"
 #include "src/runner/trace_cache.h"
@@ -56,34 +55,23 @@ executeJob(const SweepJob &job, const JobContext &ctx,
                 fatal("executeJob: reuseWarmup requires a warm-up cache");
             // One functional warm-up per key serves every machine config
             // of the benchmark; the blob stays alive for the duration of
-            // this run. With a shared disk layer, the first process to
-            // need a key builds and publishes it for every other worker.
-            const std::uint64_t key = sim::warmupKeyHash(job.profile, cfg);
-            bool builderRan = false;
-            bool builtLocally = false;
-            const auto build = [&] {
-                builtLocally = true;
-                return sim::buildWarmupSnapshot(job.profile, cfg);
-            };
+            // this run. With a cache directory, the first process to need
+            // a key builds and publishes it for every other worker.
             const std::int64_t warmupStartUs =
                 jobStartUs ? obs::monotonicMicros() : 0;
-            blob = ctx.warmups->getOrBuild(key, [&]() -> std::string {
-                builderRan = true;
-                if (ctx.sharedWarmups)
-                    return ctx.sharedWarmups->getOrBuild(key, build);
-                return build();
-            });
+            using Source = ckpt::WarmupCache::Source;
+            Source source = Source::Built;
+            blob = ctx.warmups->getOrBuild(
+                sim::warmupKeyHash(job.profile, cfg),
+                [&] { return sim::buildWarmupSnapshot(job.profile, cfg); },
+                &source);
             cfg.warmupBlob = blob.get();
             if (jobStartUs) {
                 const std::int64_t warmupEndUs = obs::monotonicMicros();
-                // In-memory hit: the outer builder never ran. Disk hit:
-                // it ran but the shared layer satisfied it.
-                const char *outcome = !builderRan ? "hit"
-                                      : builtLocally ? "build"
-                                                     : "shared-hit";
+                const bool built = source == Source::Built;
                 if (ctx.metrics) {
-                    (builderRan && builtLocally ? ctx.metrics->warmupBuilds
-                                                : ctx.metrics->warmupHits)
+                    (built ? ctx.metrics->warmupBuilds
+                           : ctx.metrics->warmupHits)
                         .add();
                     ctx.metrics->warmupMs.observe(static_cast<std::uint64_t>(
                         (warmupEndUs - warmupStartUs) / 1000));
@@ -92,7 +80,10 @@ executeJob(const SweepJob &job, const JobContext &ctx,
                     ctx.spans->complete("warmup", tele.job, tele.attempt,
                                         tele.worker, warmupStartUs,
                                         warmupEndUs - warmupStartUs,
-                                        outcome);
+                                        built ? "build"
+                                        : source == Source::Disk
+                                            ? "shared-hit"
+                                            : "hit");
             }
         }
         const std::int64_t simStartUs =

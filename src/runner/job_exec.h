@@ -21,7 +21,6 @@
 
 namespace wsrs::ckpt {
 class WarmupCache;
-class SharedWarmupCache;
 } // namespace wsrs::ckpt
 
 namespace wsrs::runner {
@@ -60,10 +59,8 @@ struct JobContext
 {
     /** Per-profile recorded trace cache; null regenerates per run. */
     TraceCache *traces = nullptr;
-    /** In-memory warm-up snapshot cache (required when reuseWarmup). */
+    /** Warm-up snapshot cache (required when reuseWarmup). */
     ckpt::WarmupCache *warmups = nullptr;
-    /** Optional cross-process disk layer behind the in-memory cache. */
-    ckpt::SharedWarmupCache *sharedWarmups = nullptr;
     /** Restore one functional warm-up snapshot per benchmark instead of
      *  core-timed warm-up (see SweepRunner::Options::reuseWarmup). */
     bool reuseWarmup = false;

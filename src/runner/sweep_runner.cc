@@ -1,20 +1,14 @@
 #include "sweep_runner.h"
 
 #include <atomic>
-#include <exception>
 #include <memory>
-#include <mutex>
 #include <thread>
 
 #include "src/ckpt/warmup_cache.h"
-#include "src/common/log.h"
-#include "src/obs/metrics_registry.h"
-#include "src/obs/span_log.h"
 #include "src/runner/job_exec.h"
-#include "src/runner/resume_journal.h"
+#include "src/runner/sweep_merge.h"
 #include "src/runner/trace_cache.h"
 #include "src/sim/presets.h"
-#include "src/sim/warmup.h"
 
 namespace wsrs::runner {
 
@@ -79,116 +73,42 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
 {
     telemetry_ = Telemetry{};
     telemetry_.warmupReuse = options_.reuseWarmup;
-    std::vector<SweepOutcome> outcomes(jobs.size());
     if (jobs.empty())
-        return outcomes;
+        return {};
 
-    // Crash-resume journal: recovered jobs land in their outcome slots up
-    // front and are never handed to a worker.
-    std::unique_ptr<ResumeJournal> journal;
-    std::vector<bool> recovered(jobs.size(), false);
-    if (!options_.journalPath.empty()) {
-        journal = std::make_unique<ResumeJournal>(
-            options_.journalPath, sweepKeyHash(jobs), jobs.size(),
-            options_.resume);
-        telemetry_.resumed = journal->resumed();
-        telemetry_.skippedRuns = journal->recoveredCount();
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            if (!journal->recoveredMask()[i])
-                continue;
-            outcomes[i] = journal->recovered()[i];
-            recovered[i] = true;
-        }
-    }
+    SweepMerge merge(jobs, options_.journalPath, options_.resume,
+                     options_.onEvent, options_.spans);
+    telemetry_.resumed = merge.resumed();
+    telemetry_.skippedRuns = merge.recoveredCount();
 
     TraceCache cache;
     ckpt::WarmupCache warmups;
-    std::atomic<std::size_t> nextJob{0};
-    std::size_t completed = 0;  ///< Guarded by eventMutex.
-    std::mutex eventMutex;
-
-    // Recovered jobs complete "instantly": deliver their events first so
-    // progress consumers see every job exactly once, in a sane order.
-    if (options_.onEvent) {
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            if (!recovered[i])
-                continue;
-            SweepEvent ev;
-            ev.index = i;
-            ev.completed = ++completed;
-            ev.total = jobs.size();
-            ev.outcome = &outcomes[i];
-            options_.onEvent(ev);
-        }
-    } else {
-        completed = telemetry_.skippedRuns;
-    }
-
     JobContext ctx;
     ctx.traces = options_.shareTraces ? &cache : nullptr;
     ctx.warmups = &warmups;
     ctx.reuseWarmup = options_.reuseWarmup;
-
     std::unique_ptr<RunnerMetrics> metrics;
     if (options_.metrics) {
         metrics = std::make_unique<RunnerMetrics>(*options_.metrics);
         ctx.metrics = metrics.get();
     }
-    obs::SpanLog *const spans = options_.spans;
-    ctx.spans = spans;
-    std::vector<std::int64_t> jobSpanStart(jobs.size(), 0);
-    if (spans) {
-        // Root span per job: enqueued at sweep submission, closed at
-        // completion — the local-run analogue of the distributed
-        // enqueue -> merge timeline (there is no lease layer, so the
-        // warmup/simulate children clamp straight into the root).
-        const std::int64_t now = obs::monotonicMicros();
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            if (recovered[i])
-                continue;
-            jobSpanStart[i] = now;
-            spans->nameJob(i, jobs[i].profile.name);
-        }
-    }
+    // No lease layer here: warmup/simulate spans nest straight into the
+    // job root span the merge opened.
+    ctx.spans = options_.spans;
 
+    const std::vector<std::uint64_t> &pending = merge.pending();
+    std::atomic<std::size_t> next{0};
     const auto worker = [&]() {
         for (;;) {
-            const std::size_t i =
-                nextJob.fetch_add(1, std::memory_order_relaxed);
-            if (i >= jobs.size())
+            const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+            if (k >= pending.size())
                 return;
-            if (recovered[i])
-                continue;
-            SweepOutcome &out = outcomes[i];
-            out = executeJob(jobs[i], ctx, JobTelemetry{i, 0, 0});
-            if (journal)
-                journal->record(i, out);
-            if (spans) {
-                const std::int64_t now = obs::monotonicMicros();
-                if (out.ok)
-                    spans->nameJob(i, out.results.benchmark + "@" +
-                                          out.results.machine);
-                spans->complete("job", i, 0, 0, jobSpanStart[i],
-                                now - jobSpanStart[i],
-                                out.ok ? "" : "failed");
-                spans->instant("merged", i, 0, 0, now);
-            }
-            if (options_.onEvent) {
-                // The count is advanced under the same lock that serializes
-                // delivery, so callbacks observe completed = 1, 2, ... N
-                // even when workers finish back to back.
-                std::lock_guard<std::mutex> lock(eventMutex);
-                SweepEvent ev;
-                ev.index = i;
-                ev.completed = ++completed;
-                ev.total = jobs.size();
-                ev.outcome = &out;
-                options_.onEvent(ev);
-            }
+            const std::size_t i = pending[k];
+            merge.accept(i, executeJob(jobs[i], ctx, JobTelemetry{i, 0, 0}));
         }
     };
 
-    const unsigned threads = effectiveThreads(jobs.size());
+    const unsigned threads = effectiveThreads(pending.size());
     if (threads <= 1) {
         worker();
     } else {
@@ -201,7 +121,7 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
     }
     telemetry_.warmupHits = warmups.hits();
     telemetry_.warmupMisses = warmups.misses();
-    return outcomes;
+    return merge.take();
 }
 
 } // namespace wsrs::runner

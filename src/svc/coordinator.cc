@@ -8,6 +8,7 @@
 
 #include "src/common/log.h"
 #include "src/runner/resume_journal.h"
+#include "src/runner/sweep_merge.h"
 #include "src/svc/frame.h"
 #include "src/svc/proto.h"
 #include "src/svc/shard.h"
@@ -103,44 +104,16 @@ Coordinator::run()
               : 0;
 
     const std::size_t total = jobs_.size();
-    std::vector<runner::SweepOutcome> outcomes(total);
-    std::vector<bool> have(total, false);
-    std::size_t completed = 0;
-    std::vector<std::int64_t> jobSpanStart(total, 0);
-
     // The resume journal doubles as the authoritative work queue: jobs
     // already journaled are delivered as recovered events and never
     // sharded out.
-    std::unique_ptr<runner::ResumeJournal> journal;
-    if (!options_.journalPath.empty()) {
-        journal = std::make_unique<runner::ResumeJournal>(
-            options_.journalPath, sweepKey_, total, options_.resume);
-        telemetry_.resumed = journal->resumed();
-        telemetry_.skippedRuns = journal->recoveredCount();
-        for (std::size_t i = 0; i < total; ++i) {
-            if (!journal->recoveredMask()[i])
-                continue;
-            outcomes[i] = journal->recovered()[i];
-            have[i] = true;
-            ++completed;
-            if (options_.onEvent) {
-                runner::SweepEvent ev;
-                ev.index = i;
-                ev.completed = completed;
-                ev.total = total;
-                ev.outcome = &outcomes[i];
-                options_.onEvent(ev);
-            }
-        }
-    }
-
-    std::vector<std::uint64_t> pending;
-    for (std::size_t i = 0; i < total; ++i)
-        if (!have[i])
-            pending.push_back(i);
+    runner::SweepMerge merge(jobs_, options_.journalPath, options_.resume,
+                             options_.onEvent, spans);
+    telemetry_.resumed = merge.resumed();
+    telemetry_.skippedRuns = merge.recoveredCount();
 
     std::vector<ShardState> shards;
-    for (Shard &s : planShards(pending, options_.shardSize)) {
+    for (Shard &s : planShards(merge.pending(), options_.shardSize)) {
         ShardState st;
         st.shard = std::move(s);
         shards.push_back(std::move(st));
@@ -149,67 +122,17 @@ Coordinator::run()
     ctr.shardSize.set(static_cast<std::int64_t>(
         options_.shardSize == 0 ? 1 : options_.shardSize));
 
-    if (spans) {
-        // Every not-yet-recovered job's root span opens now: enqueued at
-        // sweep submission, closed when its outcome merges.
-        const std::int64_t now = obs::monotonicMicros();
-        for (const std::uint64_t i : pending) {
-            jobSpanStart[i] = now;
-            spans->nameJob(i, jobs_[i].profile.name);
-        }
-    }
-
     std::vector<std::unique_ptr<Conn>> conns;
     std::uint64_t nextWorkerId = 1;
     std::int64_t drainDeadline = -1; ///< Set once the sweep completes.
 
     // --- helpers over the mutable state above ---------------------------
 
-    const auto allDone = [&] { return completed == total; };
-
-    const auto acceptOutcome = [&](std::uint64_t index,
-                                   runner::SweepOutcome out) {
-        if (index >= total || have[index]) {
-            if (index < total) {
-                ctr.duplicateResults.add();
-                if (spans)
-                    spans->instant("duplicate-dropped", index, 0, 0,
-                                   obs::monotonicMicros());
-            }
-            return;
-        }
-        outcomes[index] = std::move(out);
-        have[index] = true;
-        ++completed;
-        if (journal)
-            journal->record(index, outcomes[index]);
-        if (spans) {
-            const std::int64_t now = obs::monotonicMicros();
-            const runner::SweepOutcome &o = outcomes[index];
-            if (o.ok)
-                spans->nameJob(index, o.results.benchmark + "@" +
-                                          o.results.machine);
-            if (jobSpanStart[index])
-                spans->complete("job", index, 0, 0, jobSpanStart[index],
-                                now - jobSpanStart[index],
-                                o.ok ? "" : "failed");
-            spans->instant("merged", index, 0, 0, now);
-        }
-        if (options_.onEvent) {
-            runner::SweepEvent ev;
-            ev.index = index;
-            ev.completed = completed;
-            ev.total = total;
-            ev.outcome = &outcomes[index];
-            options_.onEvent(ev);
-        }
-    };
-
     /** Remaining (un-arrived) jobs of a shard. */
     const auto missingJobs = [&](const ShardState &st) {
         std::vector<std::uint64_t> missing;
         for (const std::uint64_t j : st.shard.jobs)
-            if (!have[j])
+            if (!merge.has(j))
                 missing.push_back(j);
         return missing;
     };
@@ -258,7 +181,7 @@ Coordinator::run()
                     "(workers kept dying or timing out)",
                     static_cast<unsigned long long>(st.shard.id),
                     options_.maxLeaseRetries);
-                acceptOutcome(j, std::move(out));
+                merge.accept(j, std::move(out));
             }
             return;
         }
@@ -306,7 +229,7 @@ Coordinator::run()
             Conn *conn = cptr.get();
             if (!conn->waitingClaim)
                 continue;
-            if (allDone()) {
+            if (merge.complete()) {
                 conn->waitingClaim = false;
                 conn->retired = true;
                 sendFrame(*conn->stream, FrameType::NoWork, "{}", traceId);
@@ -380,8 +303,12 @@ Coordinator::run()
             conn->waitingClaim = true;
             return true;
           case FrameType::JobDone: {
-            const JobDone done = decodeJobDone(frame.payload);
-            acceptOutcome(done.index, done.outcome);
+            JobDone done = decodeJobDone(frame.payload);
+            // A refused in-range result is a re-leased shard's original
+            // owner limping home.
+            if (!merge.accept(done.index, std::move(done.outcome)) &&
+                done.index < total)
+                ctr.duplicateResults.add();
             ++conn->jobsDone;
             for (obs::WorkerLiveness &w : svcReport_.workers)
                 if (w.id == conn->workerId)
@@ -418,12 +345,8 @@ Coordinator::run()
           }
           case FrameType::WorkerStats: {
             const WorkerStatsInfo stats = parseWorkerStats(frame.payload);
-            // An in-memory miss satisfied by the shared disk cache is a
-            // hit sweep-wide, not a rebuild.
-            telemetry_.warmupHits += stats.warmupHits + stats.sharedHits;
-            telemetry_.warmupMisses +=
-                stats.warmupMisses -
-                std::min(stats.warmupMisses, stats.sharedHits);
+            telemetry_.warmupHits += stats.warmupHits;
+            telemetry_.warmupMisses += stats.warmupMisses;
             return true;
           }
           default:
@@ -438,11 +361,11 @@ Coordinator::run()
     // --- event loop -----------------------------------------------------
 
     while (true) {
-        if (allDone() && drainDeadline < 0)
+        if (merge.complete() && drainDeadline < 0)
             drainDeadline = nowMs() + static_cast<std::int64_t>(
                                           options_.drainGraceMs);
         satisfyClaims(); // Leases while running, NoWork once drained.
-        if (allDone() && (conns.empty() || nowMs() >= drainDeadline))
+        if (merge.complete() && (conns.empty() || nowMs() >= drainDeadline))
             break;
 
         // Poll timeout: nearest lease deadline, backoff expiry or drain
@@ -530,7 +453,7 @@ Coordinator::run()
     listener_->close();
 
     svcReport_.counters = ctr.snapshot();
-    return outcomes;
+    return merge.take();
 }
 
 } // namespace wsrs::svc

@@ -1,6 +1,5 @@
 #include "json_min.h"
 
-#include <cstdio>
 #include <cstdlib>
 
 #include "src/common/log.h"
@@ -431,34 +430,6 @@ JsonValue
 parseJson(std::string_view text, const std::string &what)
 {
     return Parser(text, what).parse();
-}
-
-std::string
-jsonEscapeMin(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char ch : s) {
-        const unsigned char c = static_cast<unsigned char>(ch);
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out.push_back(ch);
-            }
-        }
-    }
-    return out;
 }
 
 } // namespace wsrs::svc

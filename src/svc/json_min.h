@@ -78,7 +78,4 @@ class JsonValue
  */
 JsonValue parseJson(std::string_view text, const std::string &what);
 
-/** Escape @p s for embedding in a JSON string literal (no quotes). */
-std::string jsonEscapeMin(std::string_view s);
-
 } // namespace wsrs::svc

@@ -5,6 +5,7 @@
 
 #include "src/ckpt/io.h"
 #include "src/common/log.h"
+#include "src/common/stats.h"
 #include "src/runner/resume_journal.h"
 #include "src/svc/json_min.h"
 
@@ -70,7 +71,7 @@ helloAckPayload(bool ok, const std::string &error)
     std::ostringstream os;
     os << "{\"ok\": " << (ok ? "true" : "false");
     if (!error.empty())
-        os << ", \"error\": \"" << jsonEscapeMin(error) << "\"";
+        os << ", \"error\": \"" << jsonEscape(error) << "\"";
     os << "}";
     return os.str();
 }
@@ -158,10 +159,7 @@ workerStatsPayload(const WorkerStatsInfo &stats)
     std::ostringstream os;
     os << "{\"jobs_run\": " << stats.jobsRun
        << ", \"warmup_hits\": " << stats.warmupHits
-       << ", \"warmup_misses\": " << stats.warmupMisses
-       << ", \"shared_hits\": " << stats.sharedHits
-       << ", \"shared_misses\": " << stats.sharedMisses
-       << ", \"shared_rebuilds\": " << stats.sharedRebuilds << "}";
+       << ", \"warmup_misses\": " << stats.warmupMisses << "}";
     return os.str();
 }
 
@@ -175,12 +173,6 @@ parseWorkerStats(const std::string &payload)
         static_cast<std::uint64_t>(doc.getInt("warmup_hits", 0));
     stats.warmupMisses =
         static_cast<std::uint64_t>(doc.getInt("warmup_misses", 0));
-    stats.sharedHits =
-        static_cast<std::uint64_t>(doc.getInt("shared_hits", 0));
-    stats.sharedMisses =
-        static_cast<std::uint64_t>(doc.getInt("shared_misses", 0));
-    stats.sharedRebuilds =
-        static_cast<std::uint64_t>(doc.getInt("shared_rebuilds", 0));
     return stats;
 }
 
@@ -232,7 +224,7 @@ parseSpanBatch(const std::string &payload)
 std::string
 errorPayload(const std::string &message)
 {
-    return "{\"error\": \"" + jsonEscapeMin(message) + "\"}";
+    return "{\"error\": \"" + jsonEscape(message) + "\"}";
 }
 
 std::string

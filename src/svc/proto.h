@@ -77,11 +77,8 @@ JobDone decodeJobDone(const std::string &payload);
 struct WorkerStatsInfo
 {
     std::uint64_t jobsRun = 0;
-    std::uint64_t warmupHits = 0;
-    std::uint64_t warmupMisses = 0;
-    std::uint64_t sharedHits = 0;     ///< Cross-process disk-cache hits.
-    std::uint64_t sharedMisses = 0;
-    std::uint64_t sharedRebuilds = 0; ///< Corrupt entries quarantined.
+    std::uint64_t warmupHits = 0;   ///< Memory or cache-directory hits.
+    std::uint64_t warmupMisses = 0; ///< Snapshots this worker built.
 };
 
 std::string workerStatsPayload(const WorkerStatsInfo &stats);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/common/log.h"
+#include "src/common/stats.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/span_log.h"
 #include "src/obs/svc_counters.h"
@@ -333,7 +334,7 @@ SweepService::Impl::handleHttpGet(std::uint64_t conn,
     }
     if (frameLog)
         frameLog->append(conn, "rx", "http_get",
-                         "{\"path\": \"" + jsonEscapeMin(path) + "\"}",
+                         "{\"path\": \"" + jsonEscape(path) + "\"}",
                          static_cast<std::uint64_t>(n));
 
     int code = 200;
@@ -477,8 +478,7 @@ SweepService::Impl::buildStatusJson() const
     std::lock_guard<std::mutex> lock(mu);
     std::ostringstream os;
     os << "{\"schema\": \"wsrs-svc-status-v1\", \"endpoint\": \""
-       << jsonEscapeMin(listener ? listener->endpoint() :
-                                   options.endpoint)
+       << jsonEscape(listener ? listener->endpoint() : options.endpoint)
        << "\", \"queue_depth\": " << options.queueDepth
        << ", \"executors\": " << options.executors
        << ", \"queued\": " << queue.size()

@@ -4,7 +4,6 @@
 
 #include <memory>
 
-#include "src/ckpt/shared_warmup_cache.h"
 #include "src/ckpt/warmup_cache.h"
 #include "src/common/log.h"
 #include "src/obs/metrics_registry.h"
@@ -46,11 +45,7 @@ runWorker(const std::vector<runner::SweepJob> &jobs,
     const std::uint64_t traceId = frame.traceId;
 
     runner::TraceCache traces;
-    ckpt::WarmupCache warmups;
-    std::unique_ptr<ckpt::SharedWarmupCache> shared;
-    if (!options.warmupCacheDir.empty())
-        shared =
-            std::make_unique<ckpt::SharedWarmupCache>(options.warmupCacheDir);
+    ckpt::WarmupCache warmups(options.warmupCacheDir);
 
     // Runner metrics always land in the process registry (exported only
     // on demand); span events are only recorded when the coordinator
@@ -61,7 +56,6 @@ runWorker(const std::vector<runner::SweepJob> &jobs,
     runner::JobContext ctx;
     ctx.traces = options.shareTraces ? &traces : nullptr;
     ctx.warmups = &warmups;
-    ctx.sharedWarmups = shared.get();
     ctx.reuseWarmup = options.reuseWarmup;
     ctx.metrics = &metrics;
     ctx.spans = traceId ? &spanLog : nullptr;
@@ -122,11 +116,6 @@ runWorker(const std::vector<runner::SweepJob> &jobs,
 
     stats.warmupHits = warmups.hits();
     stats.warmupMisses = warmups.misses();
-    if (shared) {
-        stats.sharedHits = shared->hits();
-        stats.sharedMisses = shared->misses();
-        stats.sharedRebuilds = shared->corruptRebuilds();
-    }
     // Best-effort: the sweep result is already delivered; a hung-up
     // coordinator here only loses telemetry.
     if (ctx.spans && ctx.spans->size() > 0)

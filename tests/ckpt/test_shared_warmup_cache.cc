@@ -1,8 +1,9 @@
 /**
  * @file
- * Cross-process warm-up cache contract: build-once sharing between
- * instances (standing in for processes), atomic publish, and corrupt
- * entries being diagnosed with byte offsets, quarantined and rebuilt.
+ * Warm-up cache shared through a directory: build-once sharing between
+ * instances (standing in for processes), atomic publish, corrupt entries
+ * being diagnosed with byte offsets, quarantined and rebuilt, and the
+ * memory / disk / built answer getOrBuild reports.
  */
 #include <gtest/gtest.h>
 
@@ -11,7 +12,7 @@
 #include <sstream>
 
 #include "src/ckpt/io.h"
-#include "src/ckpt/shared_warmup_cache.h"
+#include "src/ckpt/warmup_cache.h"
 #include "src/common/log.h"
 
 namespace wsrs::ckpt {
@@ -43,21 +44,21 @@ TEST(SharedWarmupCache, BuildsOnceAndSharesAcrossInstances)
     const std::string dir = cacheDir("share");
     const std::string blob = containerBlob("snapshot-bytes");
 
-    SharedWarmupCache first(dir);
+    WarmupCache first(dir);
     int builds = 0;
     const auto builder = [&] {
         ++builds;
         return blob;
     };
-    EXPECT_EQ(first.getOrBuild(42, builder), blob);
+    EXPECT_EQ(*first.getOrBuild(42, builder), blob);
     EXPECT_EQ(builds, 1);
     EXPECT_EQ(first.misses(), 1u);
     EXPECT_TRUE(first.contains(42));
 
     // A second instance over the same directory models another worker
     // process: it must hit the published entry, never its builder.
-    SharedWarmupCache second(dir);
-    EXPECT_EQ(second.getOrBuild(42, [&]() -> std::string {
+    WarmupCache second(dir);
+    EXPECT_EQ(*second.getOrBuild(42, [&]() -> std::string {
         ADD_FAILURE() << "builder ran despite a published entry";
         return blob;
     }),
@@ -65,19 +66,19 @@ TEST(SharedWarmupCache, BuildsOnceAndSharesAcrossInstances)
     EXPECT_EQ(second.hits(), 1u);
     EXPECT_EQ(second.misses(), 0u);
 
-    // Same instance, same key: served from disk again.
-    EXPECT_EQ(first.getOrBuild(42, builder), blob);
+    // Same instance, same key: served again without building.
+    EXPECT_EQ(*first.getOrBuild(42, builder), blob);
     EXPECT_EQ(builds, 1);
     EXPECT_EQ(first.hits(), 1u);
 }
 
 TEST(SharedWarmupCache, DistinctKeysGetDistinctEntries)
 {
-    SharedWarmupCache cache(cacheDir("keys"));
+    WarmupCache cache(cacheDir("keys"));
     const std::string a = containerBlob("alpha");
     const std::string b = containerBlob("beta");
-    EXPECT_EQ(cache.getOrBuild(1, [&] { return a; }), a);
-    EXPECT_EQ(cache.getOrBuild(2, [&] { return b; }), b);
+    EXPECT_EQ(*cache.getOrBuild(1, [&] { return a; }), a);
+    EXPECT_EQ(*cache.getOrBuild(2, [&] { return b; }), b);
     EXPECT_NE(cache.entryPath(1), cache.entryPath(2));
     EXPECT_TRUE(cache.contains(1));
     EXPECT_TRUE(cache.contains(2));
@@ -87,7 +88,7 @@ TEST(SharedWarmupCache, DistinctKeysGetDistinctEntries)
 
 TEST(SharedWarmupCache, TruncatedEntryFailsWithByteOffset)
 {
-    SharedWarmupCache cache(cacheDir("trunc"));
+    WarmupCache cache(cacheDir("trunc"));
     const std::string blob = containerBlob("will-be-torn");
     cache.getOrBuild(7, [&] { return blob; });
 
@@ -104,9 +105,11 @@ TEST(SharedWarmupCache, TruncatedEntryFailsWithByteOffset)
 
 TEST(SharedWarmupCache, CorruptEntryIsQuarantinedAndRebuilt)
 {
-    SharedWarmupCache cache(cacheDir("corrupt"));
+    const std::string dir = cacheDir("corrupt");
     const std::string blob = containerBlob("poisoned-then-rebuilt");
-    cache.getOrBuild(9, [&] { return blob; });
+    WarmupCache(dir).getOrBuild(9, [&] { return blob; });
+    // A fresh instance, so the blob is not already in its memory.
+    WarmupCache cache(dir);
 
     // Flip one payload byte; the section CRC must catch it.
     const std::string path = cache.entryPath(9);
@@ -119,7 +122,7 @@ TEST(SharedWarmupCache, CorruptEntryIsQuarantinedAndRebuilt)
     EXPECT_THROW(cache.load(9), IoError);
 
     int rebuilds = 0;
-    const std::string fresh = cache.getOrBuild(9, [&] {
+    const std::string fresh = *cache.getOrBuild(9, [&] {
         ++rebuilds;
         return blob;
     });
@@ -134,8 +137,36 @@ TEST(SharedWarmupCache, CorruptEntryIsQuarantinedAndRebuilt)
 
 TEST(SharedWarmupCache, LoadOfMissingEntryIsAnIoError)
 {
-    SharedWarmupCache cache(cacheDir("missing"));
+    WarmupCache cache(cacheDir("missing"));
     EXPECT_THROW(cache.load(1234), IoError);
+}
+
+TEST(SharedWarmupCache, ReportsWhetherMemoryDiskOrBuilderAnswered)
+{
+    const std::string dir = cacheDir("source");
+    const std::string blob = containerBlob("source");
+    const auto builder = [&] { return blob; };
+    using Source = WarmupCache::Source;
+
+    WarmupCache first(dir);
+    Source source = Source::Memory;
+    first.getOrBuild(5, builder, &source);
+    EXPECT_EQ(source, Source::Built);
+    first.getOrBuild(5, builder, &source);
+    EXPECT_EQ(source, Source::Memory);
+
+    WarmupCache second(dir);
+    EXPECT_EQ(*second.getOrBuild(5, builder, &source), blob);
+    EXPECT_EQ(source, Source::Disk);
+    second.getOrBuild(5, builder, &source);
+    EXPECT_EQ(source, Source::Memory);
+    EXPECT_EQ(second.hits(), 2u);
+    EXPECT_EQ(second.misses(), 0u);
+
+    // Without a directory every first request builds.
+    WarmupCache memoryOnly;
+    memoryOnly.getOrBuild(5, builder, &source);
+    EXPECT_EQ(source, Source::Built);
 }
 
 } // namespace

@@ -4,11 +4,13 @@
  * unix sockets: distributed outcomes must be bit-identical to the
  * in-process SweepRunner's, the journal doubles as the work queue on
  * resume, dead and hung lease holders are re-leased with bounded retries,
- * and a mismatched worker is refused at handshake.
+ * a mismatched worker is refused at handshake, and workers sharing a
+ * warm-up cache directory report the in-process runner's warm-up counts.
  */
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -113,6 +115,51 @@ TEST(Coordinator, DistributedOutcomesAreBitIdenticalToInProcess)
     for (const obs::WorkerLiveness &w : coord.svcReport().workers)
         jobsViaWorkers += w.jobsDone;
     EXPECT_EQ(jobsViaWorkers, jobs.size());
+}
+
+TEST(Coordinator, SharedWarmupDirMatchesInProcessWarmupCounts)
+{
+    const auto jobs = smallMatrix();
+    runner::SweepRunner::Options ropt;
+    ropt.reuseWarmup = true;
+    runner::SweepRunner local(ropt);
+    const auto reference = local.run(jobs);
+
+    const std::string cacheDir = testing::TempDir() + "wsrs_coord_warmups";
+    std::filesystem::remove_all(cacheDir);
+    Coordinator::Options opt = quickOptions(endpointFor("warm"));
+    opt.reuseWarmup = true;
+    // Exits as soon as both workers retire; the grace only bounds a
+    // slow (sanitized) worker's stats report.
+    opt.drainGraceMs = 30000;
+    Coordinator coord(opt, jobs);
+    coord.bind();
+    std::vector<std::thread> workers;
+    for (int w = 0; w < 2; ++w)
+        workers.emplace_back([&, jobs] {
+            WorkerOptions wopt;
+            wopt.endpoint = coord.endpoint();
+            wopt.reuseWarmup = true;
+            wopt.warmupCacheDir = cacheDir;
+            runWorker(jobs, wopt);
+        });
+    const auto outcomes = coord.run();
+    for (auto &t : workers)
+        t.join();
+
+    ASSERT_EQ(outcomes.size(), reference.size());
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
+        EXPECT_EQ(outcomes[i].results.statsJson,
+                  reference[i].results.statsJson);
+    }
+    // Two warm-up keys (gzip, mcf), each built once sweep-wide whether
+    // the builds race in one process or across workers.
+    const runner::SweepRunner::Telemetry &want = local.telemetry();
+    EXPECT_EQ(want.warmupMisses, 2u);
+    EXPECT_EQ(want.warmupHits + want.warmupMisses, jobs.size());
+    EXPECT_EQ(coord.telemetry().warmupHits, want.warmupHits);
+    EXPECT_EQ(coord.telemetry().warmupMisses, want.warmupMisses);
 }
 
 TEST(Coordinator, RefusesAWorkerFromADifferentSweep)

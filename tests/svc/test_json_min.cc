@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/log.h"
+#include "src/common/stats.h"
 #include "src/svc/json_min.h"
 
 namespace wsrs::svc {
@@ -78,7 +79,7 @@ TEST(JsonMin, EscapeRoundTripsThroughParse)
 {
     const std::string raw = "quote\" back\\ newline\n tab\t ctrl\x01";
     const JsonValue doc = parseJson(
-        "{\"s\": \"" + jsonEscapeMin(raw) + "\"}", "test");
+        "{\"s\": \"" + jsonEscape(raw) + "\"}", "test");
     EXPECT_EQ(doc.getString("s", ""), raw);
 }
 

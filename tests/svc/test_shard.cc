@@ -132,17 +132,11 @@ TEST(Proto, WorkerStatsRoundTrip)
     stats.jobsRun = 9;
     stats.warmupHits = 7;
     stats.warmupMisses = 2;
-    stats.sharedHits = 1;
-    stats.sharedMisses = 1;
-    stats.sharedRebuilds = 1;
     const WorkerStatsInfo got =
         parseWorkerStats(workerStatsPayload(stats));
     EXPECT_EQ(got.jobsRun, 9u);
     EXPECT_EQ(got.warmupHits, 7u);
     EXPECT_EQ(got.warmupMisses, 2u);
-    EXPECT_EQ(got.sharedHits, 1u);
-    EXPECT_EQ(got.sharedMisses, 1u);
-    EXPECT_EQ(got.sharedRebuilds, 1u);
 }
 
 TEST(Proto, ErrorPayloadEscapesProperly)
