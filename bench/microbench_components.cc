@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <deque>
 #include <sstream>
 #include <string>
@@ -344,6 +345,20 @@ secondsSince(std::chrono::steady_clock::time_point start)
 }
 
 /**
+ * CPU seconds consumed so far on @p clock. The overhead A/Bs time their
+ * arms in CPU time rather than wall time: on a shared host a wall-clock
+ * arm also counts the time its thread spent descheduled, a noise term
+ * as large as the 2% effect being gated.
+ */
+double
+cpuSeconds(clockid_t clock)
+{
+    timespec ts{};
+    clock_gettime(clock, &ts);
+    return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
+}
+
+/**
  * Median of per-round arm/reference throughput ratios. The A/B gates
  * compare arms measured back-to-back within each round, so a host
  * noise spike inflates or deflates both sides of a round's ratio
@@ -405,11 +420,12 @@ emitThroughputJson(const std::string &path)
     // (b) Pipeline-trace overhead A/B on one preset. The four
     // configurations (reference, tracing off, text sink, binary sink —
     // "ref" and "off" are deliberately identical) are measured
-    // round-robin interleaved, best of 5, so slow wall-clock drift on a
-    // shared host hits all of them equally instead of biasing whichever
-    // section ran first. scripts/check_throughput.py --trace-tolerance
-    // asserts off stays within tolerance of ref: the tracing-disabled
-    // hooks (one null-pointer test per committed micro-op) must be free.
+    // round-robin interleaved, best of 8, in thread CPU time, so slow
+    // drift on a shared host hits all of them equally instead of
+    // biasing whichever section ran first.
+    // scripts/check_throughput.py --trace-tolerance asserts off stays
+    // within tolerance of ref: the tracing-disabled hooks (one
+    // null-pointer test per committed micro-op) must be free.
     {
         const char *preset = "WSRS-RC-512";
         struct TraceCfg
@@ -446,11 +462,12 @@ emitThroughputJson(const std::string &path)
                 cfg.measureUops = kAbMeasure;
                 cfg.tracePipePath = tc.text;
                 cfg.tracePipeBinPath = tc.bin;
-                const auto t0 = std::chrono::steady_clock::now();
+                // runSimulation runs on this thread: thread CPU time.
+                const double t0 = cpuSeconds(CLOCK_THREAD_CPUTIME_ID);
                 const sim::SimResults r = sim::runSimulation(profile, cfg);
                 benchmark::DoNotOptimize(r.ipc);
                 roundTput[i] = (double(kWarmup) + double(kAbMeasure)) /
-                               secondsSince(t0);
+                               (cpuSeconds(CLOCK_THREAD_CPUTIME_ID) - t0);
                 tc.best = std::max(tc.best, roundTput[i]);
             }
             offRatios.push_back(roundTput[1] / roundTput[0]);
@@ -460,7 +477,7 @@ emitThroughputJson(const std::string &path)
         const double text = cfgs[2].best, bin = cfgs[3].best;
         std::fprintf(out,
                      "  \"trace_overhead\": {\"preset\": \"%s\", "
-                     "\"best_of\": 8,\n"
+                     "\"best_of\": 8, \"clock\": \"thread_cpu\",\n"
                      "    \"ref_uops_per_second\": %.0f, "
                      "\"off_uops_per_second\": %.0f, "
                      "\"off_paired_ratio\": %.4f,\n"
@@ -488,7 +505,8 @@ emitThroughputJson(const std::string &path)
     }
 
     // (b') Sweep telemetry overhead A/B. Three arms over an identical
-    // small sweep, round-robin interleaved: reference and "off" are
+    // small sweep, round-robin interleaved and timed in process CPU
+    // time: reference and "off" are
     // deliberately identical (null metrics/span pointers in the runner
     // options — the shipped default), so their gap is the noise floor;
     // "on" wires a MetricsRegistry and SpanLog in.
@@ -533,9 +551,12 @@ emitThroughputJson(const std::string &path)
                     opt.metrics = &registry;
                     opt.spans = &spanLog;
                 }
-                const auto t0 = std::chrono::steady_clock::now();
+                // Process CPU time charges the arm for every thread the
+                // runner uses (the serial runner uses only this one).
+                const double t0 = cpuSeconds(CLOCK_PROCESS_CPUTIME_ID);
                 runner::SweepRunner(opt).run(abJobs);
-                roundTput[i] = abUops / secondsSince(t0);
+                roundTput[i] =
+                    abUops / (cpuSeconds(CLOCK_PROCESS_CPUTIME_ID) - t0);
                 arms[i].best = std::max(arms[i].best, roundTput[i]);
             }
             offRatios.push_back(roundTput[1] / roundTput[0]);
@@ -545,7 +566,7 @@ emitThroughputJson(const std::string &path)
         const double on = arms[2].best;
         std::fprintf(out,
                      "  \"metrics_overhead\": {\"jobs\": %zu, "
-                     "\"best_of\": 9,\n"
+                     "\"best_of\": 9, \"clock\": \"process_cpu\",\n"
                      "    \"ref_uops_per_second\": %.0f, "
                      "\"off_uops_per_second\": %.0f, "
                      "\"on_uops_per_second\": %.0f,\n"

@@ -118,9 +118,21 @@ AnalyticModel::estimateIpc(const core::CoreParams &core,
                            const memory::HierarchyParams &mem,
                            const WorkloadSignature &s) const
 {
+    return combine(coreTerms(core, mem.l1Latency, s), memTerms(mem, s));
+}
+
+CoreTerms
+AnalyticModel::coreTerms(const core::CoreParams &core, unsigned l1Latency,
+                         const WorkloadSignature &s) const
+{
+    CoreTerms t;
     const double C = core.numClusters;
     const double issueTot = C * core.issuePerCluster;
     const double windowTotal = C * core.clusterWindow;
+    t.clusters = C;
+    t.issuePerCluster = std::max(1u, core.issuePerCluster);
+    t.windowTotal = windowTotal;
+    t.mispredictRate = s.mispredictRate;
 
     // ---- structural throughput bound --------------------------------
     const double aluDemand =
@@ -139,14 +151,16 @@ AnalyticModel::estimateIpc(const core::CoreParams &core,
     if (fpDemand > 0)
         widthStruct =
             std::min(widthStruct, C * core.fpusPerCluster / fpDemand);
+    t.widthStruct = widthStruct;
 
     // ---- dependence-limited ILP -------------------------------------
     const double meanLat =
-        s.meanExecLat + s.fLoad * (double(mem.l1Latency) -
+        s.meanExecLat + s.fLoad * (double(l1Latency) -
                                    double(isa::opLatency(isa::OpClass::Load)));
     const double pCross = crossClusterProb(core);
     const double chainLat = meanLat + k_.bypassWeight * pCross;
-    const double ilpDep =
+    t.chainLat = chainLat;
+    t.ilpDep =
         (k_.ilpBase + k_.ilpDist * s.meanDepDist) *
         (1.0 + k_.ilpReady * s.readyFrac) *
         std::pow(k_.latRef / chainLat, k_.latExp) /
@@ -155,8 +169,46 @@ AnalyticModel::estimateIpc(const core::CoreParams &core,
     // ---- branch CPI --------------------------------------------------
     const double branchPenalty =
         double(core.minMispredictPenalty()) + k_.refillPenalty;
-    const double cpiBranch =
-        s.fBranch * s.mispredictRate * branchPenalty;
+    t.cpiBranch = s.fBranch * s.mispredictRate * branchPenalty;
+
+    // ---- register subset pressure -----------------------------------
+    const unsigned subsets =
+        core.mode == core::RegFileMode::Conventional ? 1
+        : core.mode == core::RegFileMode::WriteSpecPools
+            ? core::kNumFuPools
+            : core.numClusters;
+    const double headroom = std::max(
+        1.0, double(core.numPhysRegs) - double(isa::kNumLogRegs));
+    double imbalance = 1.0;
+    if (subsets > 1) {
+        imbalance += k_.imbInvariant * s.invariantFrac;
+        if (core.mode == core::RegFileMode::Wsrs)
+            imbalance += k_.imbWsrs;
+        if (core.policy == core::AllocPolicy::RandomMonadic)
+            imbalance += k_.imbRandomMonadic;
+    }
+    // In-flight destination values hold their registers for the chain
+    // latency, so long-latency mixes (FP codes) occupy proportionally
+    // more of the pool at the same window occupancy.
+    const double demand = s.fDest * windowTotal * k_.occFrac * imbalance *
+                          std::pow(chainLat / k_.latRef, k_.occLatExp);
+    const double u = std::min(demand / headroom, 0.98);
+    t.cpiReg = k_.regWeight * std::pow(u, k_.regExp) / (1.0 - u);
+
+    // Pair-constrained dispatch: WSRS cannot rebalance cluster load.
+    if (core.mode == core::RegFileMode::Wsrs && core.numClusters > 1) {
+        t.balanceLoss = k_.balWsrs;
+        if (core.policy == core::AllocPolicy::RandomMonadic)
+            t.balanceLoss += k_.balWsrsRm;
+    }
+    return t;
+}
+
+MemTerms
+AnalyticModel::memTerms(const memory::HierarchyParams &mem,
+                        const WorkloadSignature &s) const
+{
+    MemTerms t;
 
     // ---- cache miss rates from geometry -----------------------------
     // Half the footprint backs the strided streams, half the random
@@ -187,8 +239,8 @@ AnalyticModel::estimateIpc(const core::CoreParams &core,
     const double l2MissPerAccess =
         missPerLoad(double(mem.l2.sizeBytes), mem.l2.lineBytes,
                     l2StreamScale);
-    const double l2PerL1 =
-        l1Miss > 0 ? std::min(1.0, l2MissPerAccess / l1Miss) : 0.0;
+    t.l1Miss = l1Miss;
+    t.l2PerL1 = l1Miss > 0 ? std::min(1.0, l2MissPerAccess / l1Miss) : 0.0;
 
     // ---- L2-miss service latency (memory backend profile) -----------
     const double refill =
@@ -212,87 +264,61 @@ AnalyticModel::estimateIpc(const core::CoreParams &core,
     } else {
         l2Pen = double(mem.l2MissPenalty) + refill;
     }
+    t.l2Pen = l2Pen;
 
     // ---- memory-level parallelism -----------------------------------
-    const double overlap =
+    t.overlap =
         s.addrInvariantFrac * (1.0 - s.pointerChaseFrac) *
         (k_.mlpStride * s.strideFrac +
          k_.mlpRandom * (1.0 - s.strideFrac));
-    const double mlpCap =
-        mem.mshrs == 0 ? k_.mlpMax
-                       : std::min(k_.mlpMax, double(mem.mshrs));
-    const double missPerUop = s.fLoad * l1Miss;
-    const double mlp = std::clamp(1.0 + (mlpCap - 1.0) * overlap, 1.0,
-                                  1.0 + windowTotal * missPerUop);
-    const double cpiMem =
-        missPerUop *
-        (double(mem.l1MissPenalty) * k_.l1Expose +
-         l2PerL1 * l2Pen * k_.l2Expose) /
-        mlp;
+    t.mlpCap = mem.mshrs == 0 ? k_.mlpMax
+                              : std::min(k_.mlpMax, double(mem.mshrs));
+    t.missPerUop = s.fLoad * l1Miss;
+    t.l1MissPenalty = double(mem.l1MissPenalty);
+    return t;
+}
 
-    // ---- register subset pressure -----------------------------------
-    const unsigned subsets =
-        core.mode == core::RegFileMode::Conventional ? 1
-        : core.mode == core::RegFileMode::WriteSpecPools
-            ? core::kNumFuPools
-            : core.numClusters;
-    const double headroom = std::max(
-        1.0, double(core.numPhysRegs) - double(isa::kNumLogRegs));
-    double imbalance = 1.0;
-    if (subsets > 1) {
-        imbalance += k_.imbInvariant * s.invariantFrac;
-        if (core.mode == core::RegFileMode::Wsrs)
-            imbalance += k_.imbWsrs;
-        if (core.policy == core::AllocPolicy::RandomMonadic)
-            imbalance += k_.imbRandomMonadic;
-    }
-    // In-flight destination values hold their registers for the chain
-    // latency, so long-latency mixes (FP codes) occupy proportionally
-    // more of the pool at the same window occupancy.
-    const double demand = s.fDest * windowTotal * k_.occFrac * imbalance *
-                          std::pow(chainLat / k_.latRef, k_.occLatExp);
-    const double u = std::min(demand / headroom, 0.98);
-    const double cpiReg =
-        k_.regWeight * std::pow(u, k_.regExp) / (1.0 - u);
-
-    // Pair-constrained dispatch: WSRS cannot rebalance cluster load.
-    double balanceLoss = 0.0;
-    if (core.mode == core::RegFileMode::Wsrs && core.numClusters > 1) {
-        balanceLoss = k_.balWsrs;
-        if (core.policy == core::AllocPolicy::RandomMonadic)
-            balanceLoss += k_.balWsrsRm;
-    }
+IpcEstimate
+AnalyticModel::combine(const CoreTerms &c, const MemTerms &mt) const
+{
+    const double mlp =
+        std::clamp(1.0 + (mt.mlpCap - 1.0) * mt.overlap, 1.0,
+                   1.0 + c.windowTotal * mt.missPerUop);
+    const double cpiMem = mt.missPerUop *
+                          (mt.l1MissPenalty * k_.l1Expose +
+                           mt.l2PerL1 * mt.l2Pen * k_.l2Expose) /
+                          mlp;
 
     // ---- Little's-law window bound with M/M/m queue wait ------------
     // The queue wait depends on the achieved throughput, so solve by a
     // short damped fixed point (monotone, converges in a handful of
     // rounds).
     const double memResidence =
-        missPerUop *
-        (double(mem.l1MissPenalty) + l2PerL1 * l2Pen) / mlp;
-    const unsigned m = std::max(1u, core.issuePerCluster);
-    double x = std::min(widthStruct, ilpDep);
+        mt.missPerUop * (mt.l1MissPenalty + mt.l2PerL1 * mt.l2Pen) / mlp;
+    const double C = c.clusters;
+    const unsigned m = static_cast<unsigned>(c.issuePerCluster);
+    double x = std::min(c.widthStruct, c.ilpDep);
     double xCore = x;
     for (int iter = 0; iter < 8; ++iter) {
         const double rho = std::min(x / C / m, 0.97);
         const double wq = k_.queueWeight * mmQueueWait(rho, m);
-        const double tRes = k_.resBase + chainLat + wq + memResidence;
-        const double ipcWindow = windowTotal / tRes;
-        xCore = std::min({widthStruct, ilpDep, ipcWindow}) *
-                (1.0 - balanceLoss);
-        const double cpi = 1.0 / xCore + cpiBranch + cpiMem + cpiReg;
+        const double tRes = k_.resBase + c.chainLat + wq + memResidence;
+        const double ipcWindow = c.windowTotal / tRes;
+        xCore = std::min({c.widthStruct, c.ilpDep, ipcWindow}) *
+                (1.0 - c.balanceLoss);
+        const double cpi = 1.0 / xCore + c.cpiBranch + cpiMem + c.cpiReg;
         x = 0.5 * (x + 1.0 / cpi);
     }
 
     IpcEstimate e;
     e.cpiCore = 1.0 / xCore;
-    e.cpiBranch = cpiBranch;
+    e.cpiBranch = c.cpiBranch;
     e.cpiMem = cpiMem;
-    e.cpiReg = cpiReg;
-    e.ipc = 1.0 / (e.cpiCore + cpiBranch + cpiMem + cpiReg);
-    e.mispredictRate = s.mispredictRate;
-    e.l1MissPerLoad = l1Miss;
-    e.l2MissPerL1 = l2PerL1;
+    e.cpiReg = c.cpiReg;
+    e.ipc = 1.0 / (e.cpiCore + c.cpiBranch + cpiMem + c.cpiReg);
+    e.mispredictRate = c.mispredictRate;
+    e.l1MissPerLoad = mt.l1Miss;
+    e.l2MissPerL1 = mt.l2PerL1;
     e.mlp = mlp;
     return e;
 }

@@ -4,10 +4,17 @@
  *
  * The estimator maps a machine description (core::CoreParams +
  * memory::HierarchyParams) and a workload signature (derived from a
- * workload::BenchmarkProfile) to a sustained-IPC estimate in a few hundred
- * nanoseconds, so the full configuration space — millions of points — can
+ * workload::BenchmarkProfile) to a sustained-IPC estimate in under a
+ * microsecond, so the full configuration space — millions of points — can
  * be swept analytically and only the Pareto frontier handed to the
  * cycle-accurate simulator.
+ *
+ * The estimate is evaluated in three pure pieces: coreTerms() (everything
+ * that reads only the core and the L1 hit latency), memTerms() (everything
+ * that reads only the memory hierarchy) and combine() (the MLP clamp and
+ * the fixed point, which need both). estimateIpc() is exactly
+ * combine(coreTerms(), memTerms()); the explorer's sweep calls the pieces
+ * directly so points that share a side share its terms.
  *
  * The performance model is a CPI-components decomposition around an
  * M/M/m-style queuing core (after Carroll & Lin, arXiv:1807.08586):
@@ -169,6 +176,38 @@ struct IpcEstimate
     double mlp = 0;
 };
 
+/**
+ * The terms of one estimate that read only the core parameters (and the
+ * L1 hit latency, which stretches the dependent-chain latency). Every
+ * member is a double, so two sets of terms compare bitwise with memcmp.
+ */
+struct CoreTerms
+{
+    double clusters = 0;        ///< C.
+    double issuePerCluster = 0; ///< m >= 1 of the M/M/m queue.
+    double windowTotal = 0;
+    double widthStruct = 0;     ///< Structural throughput bound.
+    double chainLat = 0;        ///< Dependent-chain latency with bypass.
+    double ilpDep = 0;          ///< Dependence-limited ILP.
+    double cpiBranch = 0;
+    double cpiReg = 0;
+    double balanceLoss = 0;     ///< WSRS cluster-balance throughput loss.
+    double mispredictRate = 0;
+};
+
+/** The terms of one estimate that read only the memory hierarchy.
+ *  All doubles, like CoreTerms. */
+struct MemTerms
+{
+    double l1Miss = 0;        ///< L1 misses per load.
+    double l2PerL1 = 0;       ///< L2 misses per L1 miss.
+    double l2Pen = 0;         ///< L2-miss service latency, cycles.
+    double overlap = 0;       ///< Workload's miss-overlap potential.
+    double mlpCap = 0;        ///< MSHR-bounded MLP ceiling.
+    double missPerUop = 0;    ///< L1 misses per micro-op.
+    double l1MissPenalty = 0;
+};
+
 /** Workload-independent hardware cost of one machine. */
 struct HardwareEstimate
 {
@@ -191,10 +230,22 @@ class AnalyticModel
     WorkloadSignature
     characterize(const workload::BenchmarkProfile &profile) const;
 
-    /** Sustained-IPC estimate of one workload on one machine. */
+    /** Sustained-IPC estimate of one workload on one machine:
+     *  combine(coreTerms(core, mem.l1Latency, sig), memTerms(mem, sig)). */
     IpcEstimate estimateIpc(const core::CoreParams &core,
                             const memory::HierarchyParams &mem,
                             const WorkloadSignature &sig) const;
+
+    /** Core-side terms of one workload on one core. */
+    CoreTerms coreTerms(const core::CoreParams &core, unsigned l1Latency,
+                        const WorkloadSignature &sig) const;
+
+    /** Memory-side terms of one workload on one memory hierarchy. */
+    MemTerms memTerms(const memory::HierarchyParams &mem,
+                      const WorkloadSignature &sig) const;
+
+    /** The MLP clamp and the M/M/m window fixed point over both sides. */
+    IpcEstimate combine(const CoreTerms &core, const MemTerms &mem) const;
 
     /** Area/energy cost of one machine (workload-independent). */
     HardwareEstimate estimateHardware(const core::CoreParams &core) const;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -16,37 +18,163 @@ namespace wsrs::explore {
 
 namespace {
 
+/**
+ * Memory-side model terms of every combination of the space's
+ * memory-side axes, with combinations whose terms are bit-identical for
+ * every workload merged into one class. Built once, read by every sweep
+ * thread.
+ */
+struct MemoryTable
+{
+    std::vector<std::size_t> axes;      ///< Memory-side axis positions.
+    std::vector<std::uint32_t> classOf; ///< Combination -> class.
+    std::vector<MemTerms> terms;        ///< Class-major, workload-minor.
+    std::size_t classes = 0;
+};
+
+/** Row-major index of @p digits' memory-side digits. */
+std::uint64_t
+memoryCombo(const SpaceSpec &spec, const MemoryTable &table,
+            const std::uint32_t *digits)
+{
+    std::uint64_t combo = 0;
+    for (const std::size_t a : table.axes)
+        combo = combo * spec.axes[a].size() + digits[a];
+    return combo;
+}
+
+MemoryTable
+buildMemoryTable(const SpaceSpec &spec, const AnalyticModel &model,
+                 const std::vector<WorkloadSignature> &sigs)
+{
+    MemoryTable table;
+    std::uint64_t combos = 1;
+    for (std::size_t a = 0; a < spec.axes.size(); ++a)
+        if (spec.axes[a].memorySide) {
+            table.axes.push_back(a);
+            combos *= spec.axes[a].size();
+        }
+    table.classOf.resize(combos);
+
+    // Core-side digits stay 0: the memory-side terms never read them.
+    std::vector<std::uint32_t> digits(std::max<std::size_t>(
+        spec.axes.size(), 1));
+    std::vector<MemTerms> row(sigs.size());
+    std::map<std::string, std::uint32_t> classes; // term bytes -> class
+    for (std::uint64_t combo = 0; combo < combos; ++combo) {
+        std::uint64_t rest = combo;
+        for (std::size_t k = table.axes.size(); k-- > 0;) {
+            const std::uint64_t n = spec.axes[table.axes[k]].size();
+            digits[table.axes[k]] = static_cast<std::uint32_t>(rest % n);
+            rest /= n;
+        }
+        const ConfigPoint pt = materializePoint(spec, digits.data());
+        for (std::size_t w = 0; w < sigs.size(); ++w)
+            row[w] = model.memTerms(pt.mem, sigs[w]);
+        const auto [it, fresh] = classes.emplace(
+            std::string(reinterpret_cast<const char *>(row.data()),
+                        row.size() * sizeof(MemTerms)),
+            static_cast<std::uint32_t>(classes.size()));
+        if (fresh)
+            table.terms.insert(table.terms.end(), row.begin(), row.end());
+        table.classOf[combo] = it->second;
+    }
+    table.classes = classes.size();
+    return table;
+}
+
 /** One worker's share of the analytic sweep. */
 struct ChunkResult
 {
     ParetoArchive archive;
     std::uint64_t infeasible = 0;
+    std::uint64_t modelEvaluations = 0;
 };
 
+/**
+ * Score points [lo, hi). The core side (feasibility, core terms,
+ * hardware) is recomputed only when an odometer step changes a
+ * core-side digit, and the fixed point runs once per memory class for
+ * each distinct vector of core terms. Every objective is the value
+ * the per-point estimateIpc loop would produce, bit for bit, so chunk
+ * boundaries cannot change the result.
+ */
 void
 sweepChunk(const SpaceSpec &spec, const AnalyticModel &model,
-           const std::vector<WorkloadSignature> &sigs, std::uint64_t lo,
-           std::uint64_t hi, ChunkResult &out)
+           const std::vector<WorkloadSignature> &sigs,
+           const MemoryTable &mem, std::uint64_t lo, std::uint64_t hi,
+           ChunkResult &out)
 {
-    std::vector<std::uint32_t> digits(std::max<std::size_t>(
-        spec.axes.size(), 1));
+    const std::size_t n = spec.axes.size();
+    const std::size_t nsig = sigs.size();
+    // coreFrom[a]: some axis at position >= a is core-side, so a step
+    // that carries into axis a changes the core.
+    std::vector<char> coreFrom(n + 1, 0);
+    for (std::size_t a = n; a-- > 0;)
+        coreFrom[a] = coreFrom[a + 1] || !spec.axes[a].memorySide;
+
+    std::vector<std::uint32_t> digits(std::max<std::size_t>(n, 1));
+    decodePoint(spec, lo, digits.data());
+
+    // Mean IPC per memory class under the current core terms; a class
+    // is valid when its stamp equals gen (0 = no core terms yet).
+    std::vector<double> classIpc(mem.classes);
+    std::vector<std::uint64_t> classGen(mem.classes, 0);
+    std::uint64_t gen = 0;
+    std::vector<CoreTerms> cur(nsig), next(nsig);
+    bool feasible = false;
+    HardwareEstimate hw;
+    bool coreChanged = true;
     for (std::uint64_t idx = lo; idx < hi; ++idx) {
-        decodePoint(spec, idx, digits.data());
-        ConfigPoint pt = materializePoint(spec, digits.data());
-        if (!pt.feasible) {
-            ++out.infeasible;
-            continue;
+        if (coreChanged) {
+            const ConfigPoint pt = materializePoint(spec, digits.data());
+            feasible = pt.feasible;
+            if (feasible) {
+                for (std::size_t w = 0; w < nsig; ++w)
+                    next[w] = model.coreTerms(pt.core, pt.mem.l1Latency,
+                                              sigs[w]);
+                if (gen == 0 ||
+                    std::memcmp(next.data(), cur.data(),
+                                nsig * sizeof(CoreTerms)) != 0) {
+                    cur.swap(next);
+                    ++gen;
+                }
+                hw = model.estimateHardware(pt.core);
+            }
         }
-        double sum_ipc = 0;
-        for (const WorkloadSignature &sig : sigs)
-            sum_ipc += model.estimateIpc(pt.core, pt.mem, sig).ipc;
-        const HardwareEstimate hw = model.estimateHardware(pt.core);
-        FrontierPoint p;
-        p.index = idx;
-        p.obj.ipc = sigs.empty() ? 0 : sum_ipc / sigs.size();
-        p.obj.area = hw.areaRel;
-        p.obj.energy = hw.energyNJ;
-        out.archive.offer(p);
+
+        if (!feasible) {
+            ++out.infeasible;
+        } else {
+            const std::uint32_t cls =
+                mem.classOf[memoryCombo(spec, mem, digits.data())];
+            if (classGen[cls] != gen) {
+                const MemTerms *terms = mem.terms.data() + cls * nsig;
+                double sum_ipc = 0;
+                for (std::size_t w = 0; w < nsig; ++w)
+                    sum_ipc += model.combine(cur[w], terms[w]).ipc;
+                classIpc[cls] = sigs.empty() ? 0 : sum_ipc / nsig;
+                classGen[cls] = gen;
+                out.modelEvaluations += nsig;
+            }
+            FrontierPoint p;
+            p.index = idx;
+            p.obj.ipc = classIpc[cls];
+            p.obj.area = hw.areaRel;
+            p.obj.energy = hw.energyNJ;
+            out.archive.offer(p);
+        }
+
+        // Step the odometer (last axis fastest); the digits at and after
+        // the highest one that moved are the ones that changed.
+        std::size_t a = n;
+        while (a > 0) {
+            --a;
+            if (++digits[a] < spec.axes[a].size())
+                break;
+            digits[a] = 0;
+        }
+        coreChanged = coreFrom[a];
     }
 }
 
@@ -157,9 +285,10 @@ explore(const SpaceSpec &spec, const AnalyticModel &model,
     threads = static_cast<unsigned>(std::min<std::uint64_t>(
         threads, std::max<std::uint64_t>(total, 1)));
 
+    const MemoryTable mem = buildMemoryTable(spec, model, sigs);
     std::vector<ChunkResult> chunks(threads);
     if (threads <= 1) {
-        sweepChunk(spec, model, sigs, 0, total, chunks[0]);
+        sweepChunk(spec, model, sigs, mem, 0, total, chunks[0]);
     } else {
         std::vector<std::thread> pool;
         pool.reserve(threads);
@@ -167,7 +296,7 @@ explore(const SpaceSpec &spec, const AnalyticModel &model,
             const std::uint64_t lo = total * t / threads;
             const std::uint64_t hi = total * (t + 1) / threads;
             pool.emplace_back([&, lo, hi, t] {
-                sweepChunk(spec, model, sigs, lo, hi, chunks[t]);
+                sweepChunk(spec, model, sigs, mem, lo, hi, chunks[t]);
             });
         }
         for (std::thread &th : pool)
@@ -181,6 +310,7 @@ explore(const SpaceSpec &spec, const AnalyticModel &model,
     for (const ChunkResult &c : chunks) {
         merged.merge(c.archive);
         result.infeasible += c.infeasible;
+        result.modelEvaluations += c.modelEvaluations;
     }
     result.frontier = merged.sorted();
     const auto enumerate_ms =

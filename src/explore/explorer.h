@@ -6,7 +6,13 @@
  * explore() streams the space's flat indices over a thread pool, scores
  * every feasible point with the analytic model (estimated IPC averaged
  * over the spec's workloads; area and energy from the hardware model),
- * keeps one exact non-dominated archive per chunk and merges them. The
+ * keeps one exact non-dominated archive per chunk and merges them.
+ * Scoring evaluates the model in its three pieces (AnalyticModel::
+ * coreTerms, memTerms, combine): memory-side terms once per combination
+ * of the memory-side axes, core-side terms and the hardware estimate
+ * once per change of a core-side digit, and the fixed point once per
+ * distinct pair of term vectors — with the same floating-point
+ * operations as one estimateIpc call per point and workload. The
  * result — and the report bytes — are independent of the thread count:
  * points are pure functions of (spec, index), the non-dominated set is a
  * set, and every ordering in the report is deterministically tie-broken
@@ -68,6 +74,9 @@ struct ExplorerResult
 {
     std::uint64_t enumerated = 0;  ///< Points decoded (== space size).
     std::uint64_t infeasible = 0;  ///< ... of which failed validation.
+    /** Fixed-point evaluations (AnalyticModel::combine calls) of the
+     *  sweep; at most feasible points x workloads. Not in the report. */
+    std::uint64_t modelEvaluations = 0;
     std::vector<FrontierPoint> frontier;  ///< Report order.
     std::vector<ConfirmedPoint> confirmed;
     /** Spearman correlation of analytic vs. measured over the confirmed

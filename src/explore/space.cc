@@ -64,6 +64,9 @@ enum Field : unsigned {
     kNumFields
 };
 
+/** The half of the analytic model an axis feeds (AxisSpec::memorySide). */
+enum Side { kCoreSide, kMemSide };
+
 struct CatalogEntry
 {
     const char *name;
@@ -71,6 +74,7 @@ struct CatalogEntry
     bool isEnum;
     /** Enum spellings in ordinal order (nullptr-terminated), or null. */
     const char *const *enumNames;
+    Side side;
 };
 
 constexpr const char *kModeNames[] = {"conventional", "ws", "ws-pools",
@@ -82,45 +86,46 @@ constexpr const char *kMemModelNames[] = {"constant", "dram", "dram-closed",
                                           nullptr};
 
 constexpr CatalogEntry kCatalog[] = {
-    {"core.num_clusters", kNumClusters, false, nullptr},
-    {"core.fetch_width", kFetchWidth, false, nullptr},
-    {"core.commit_width", kCommitWidth, false, nullptr},
-    {"core.issue_per_cluster", kIssuePerCluster, false, nullptr},
-    {"core.lsus_per_cluster", kLsusPerCluster, false, nullptr},
-    {"core.fpus_per_cluster", kFpusPerCluster, false, nullptr},
-    {"core.alus_per_cluster", kAlusPerCluster, false, nullptr},
-    {"core.cluster_window", kClusterWindow, false, nullptr},
-    {"core.lsq_size", kLsqSize, false, nullptr},
-    {"core.fetch_queue", kFetchQueue, false, nullptr},
-    {"core.agen_width", kAgenWidth, false, nullptr},
-    {"core.num_phys_regs", kNumPhysRegs, false, nullptr},
-    {"core.front_end_depth", kFrontEndDepth, false, nullptr},
-    {"core.reg_read_stages", kRegReadStages, false, nullptr},
-    {"core.writeback_per_cluster", kWritebackPerCluster, false, nullptr},
-    {"core.recycle_delay", kRecycleDelay, false, nullptr},
-    {"core.mode", kMode, true, kModeNames},
-    {"core.policy", kPolicy, true, kPolicyNames},
-    {"core.rename_impl", kRenameImpl, true, kRenameNames},
-    {"core.ff_scope", kFfScope, true, kFfNames},
-    {"mem.l1_kb", kL1Kb, false, nullptr},
-    {"mem.l1_assoc", kL1Assoc, false, nullptr},
-    {"mem.l2_kb", kL2Kb, false, nullptr},
-    {"mem.l2_assoc", kL2Assoc, false, nullptr},
-    {"mem.line_bytes", kLineBytes, false, nullptr},
-    {"mem.l1_latency", kL1Latency, false, nullptr},
-    {"mem.l1_miss_penalty", kL1MissPenalty, false, nullptr},
-    {"mem.l2_miss_penalty", kL2MissPenalty, false, nullptr},
-    {"mem.l2_bytes_per_cycle", kL2BytesPerCycle, false, nullptr},
-    {"mem.mshrs", kMshrs, false, nullptr},
-    {"mem.prefetch_depth", kPrefetchDepth, false, nullptr},
-    {"mem.model", kMemModel, true, kMemModelNames},
-    {"mem.dram_banks", kDramBanks, false, nullptr},
-    {"mem.dram_row_bytes", kDramRowBytes, false, nullptr},
-    {"mem.dram_t_rp", kDramTRp, false, nullptr},
-    {"mem.dram_t_rcd", kDramTRcd, false, nullptr},
-    {"mem.dram_t_cas", kDramTCas, false, nullptr},
-    {"mem.dram_burst_cycles", kDramBurstCycles, false, nullptr},
-    {"mem.dram_window_depth", kDramWindowDepth, false, nullptr},
+    {"core.num_clusters", kNumClusters, false, nullptr, kCoreSide},
+    {"core.fetch_width", kFetchWidth, false, nullptr, kCoreSide},
+    {"core.commit_width", kCommitWidth, false, nullptr, kCoreSide},
+    {"core.issue_per_cluster", kIssuePerCluster, false, nullptr, kCoreSide},
+    {"core.lsus_per_cluster", kLsusPerCluster, false, nullptr, kCoreSide},
+    {"core.fpus_per_cluster", kFpusPerCluster, false, nullptr, kCoreSide},
+    {"core.alus_per_cluster", kAlusPerCluster, false, nullptr, kCoreSide},
+    {"core.cluster_window", kClusterWindow, false, nullptr, kCoreSide},
+    {"core.lsq_size", kLsqSize, false, nullptr, kCoreSide},
+    {"core.fetch_queue", kFetchQueue, false, nullptr, kCoreSide},
+    {"core.agen_width", kAgenWidth, false, nullptr, kCoreSide},
+    {"core.num_phys_regs", kNumPhysRegs, false, nullptr, kCoreSide},
+    {"core.front_end_depth", kFrontEndDepth, false, nullptr, kCoreSide},
+    {"core.reg_read_stages", kRegReadStages, false, nullptr, kCoreSide},
+    {"core.writeback_per_cluster",
+     kWritebackPerCluster, false, nullptr, kCoreSide},
+    {"core.recycle_delay", kRecycleDelay, false, nullptr, kCoreSide},
+    {"core.mode", kMode, true, kModeNames, kCoreSide},
+    {"core.policy", kPolicy, true, kPolicyNames, kCoreSide},
+    {"core.rename_impl", kRenameImpl, true, kRenameNames, kCoreSide},
+    {"core.ff_scope", kFfScope, true, kFfNames, kCoreSide},
+    {"mem.l1_kb", kL1Kb, false, nullptr, kMemSide},
+    {"mem.l1_assoc", kL1Assoc, false, nullptr, kMemSide},
+    {"mem.l2_kb", kL2Kb, false, nullptr, kMemSide},
+    {"mem.l2_assoc", kL2Assoc, false, nullptr, kMemSide},
+    {"mem.line_bytes", kLineBytes, false, nullptr, kMemSide},
+    {"mem.l1_latency", kL1Latency, false, nullptr, kCoreSide},
+    {"mem.l1_miss_penalty", kL1MissPenalty, false, nullptr, kMemSide},
+    {"mem.l2_miss_penalty", kL2MissPenalty, false, nullptr, kMemSide},
+    {"mem.l2_bytes_per_cycle", kL2BytesPerCycle, false, nullptr, kMemSide},
+    {"mem.mshrs", kMshrs, false, nullptr, kMemSide},
+    {"mem.prefetch_depth", kPrefetchDepth, false, nullptr, kMemSide},
+    {"mem.model", kMemModel, true, kMemModelNames, kMemSide},
+    {"mem.dram_banks", kDramBanks, false, nullptr, kMemSide},
+    {"mem.dram_row_bytes", kDramRowBytes, false, nullptr, kMemSide},
+    {"mem.dram_t_rp", kDramTRp, false, nullptr, kMemSide},
+    {"mem.dram_t_rcd", kDramTRcd, false, nullptr, kMemSide},
+    {"mem.dram_t_cas", kDramTCas, false, nullptr, kMemSide},
+    {"mem.dram_burst_cycles", kDramBurstCycles, false, nullptr, kMemSide},
+    {"mem.dram_window_depth", kDramWindowDepth, false, nullptr, kMemSide},
 };
 
 const CatalogEntry *
@@ -294,6 +299,7 @@ parseSpaceSpec(std::string_view text, const std::string &what)
                   what.c_str(), axis.param.c_str());
         axis.field = entry->field;
         axis.isEnum = entry->isEnum;
+        axis.memorySide = entry->side == kMemSide;
 
         if (axisDoc.has("values")) {
             for (const auto &v : axisDoc.get("values").asArray()) {

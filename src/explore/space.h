@@ -55,6 +55,10 @@ struct AxisSpec
     std::string param;       ///< Catalog name, e.g. "core.num_clusters".
     unsigned field = 0;      ///< Catalog field id (internal).
     bool isEnum = false;     ///< Enum-valued (mode, policy, ...).
+    /** Feeds only the memory-side terms of the analytic model
+     *  (AnalyticModel::memTerms): every mem.* axis but mem.l1_latency,
+     *  which stretches the core-side chain latency. */
+    bool memorySide = false;
     std::vector<double> numeric;     ///< Values of a numeric axis.
     std::vector<unsigned> ordinals;  ///< Mapped values of an enum axis.
     std::vector<std::string> labels; ///< Enum spellings, for reports.

@@ -3,8 +3,9 @@
  * End-to-end tests of explore(): thread-count determinism of the report
  * bytes (the regression test the report's design promises), report
  * well-formedness, exact axis coverage, frontier non-dominance, the
- * cycle-accurate confirmation path, and the analytic sweep's throughput
- * floor (>= 1M configurations in well under a minute single-threaded).
+ * cycle-accurate confirmation path, the analytic sweep's throughput
+ * floor (>= 1M configurations in well under a minute single-threaded)
+ * and its reuse of model evaluations across points.
  */
 #include <gtest/gtest.h>
 
@@ -184,6 +185,54 @@ TEST(Explorer, MillionConfigSweepUnderAMinute)
         EXPECT_LT(seconds, 60.0)
             << "analytic sweep too slow: " << r.enumerated
             << " configs in " << seconds << "s";
+    }
+}
+
+TEST(Explorer, SweepRunsTheFixedPointOncePerDistinctInput)
+{
+    // The explore-query space: 34,560 core x 32 memory combinations
+    // (1,105,920 points), of which 921,600 are feasible. The per-point
+    // sweep ran the fixed point feasible x workloads times; the split
+    // sweep runs it once per distinct (core terms, memory terms) pair.
+    // A deterministic count, so the gain is guarded without a clock.
+    const char *spec_text = R"({
+      "schema": "wsrs-space-v1",
+      "base": {"machine": "WSRS-RC-512", "mem": "constant"},
+      "workloads": ["gzip", "gcc", "mcf", "swim", "equake"],
+      "axes": [
+        {"param": "core.mode", "values": ["conventional", "ws", "wsrs"]},
+        {"param": "core.policy", "values": ["rr", "rc", "rm"]},
+        {"param": "core.num_clusters", "values": [2, 4]},
+        {"param": "core.issue_per_cluster", "values": [2, 4]},
+        {"param": "core.cluster_window", "from": 32, "to": 72, "step": 8},
+        {"param": "core.num_phys_regs", "from": 256, "to": 832,
+         "step": 64},
+        {"param": "core.commit_width", "values": [4, 8]},
+        {"param": "core.fetch_width", "values": [4, 8]},
+        {"param": "core.lsus_per_cluster", "values": [1, 2]},
+        {"param": "core.lsq_size", "values": [32, 64]},
+        {"param": "mem.l1_kb", "values": [32, 64]},
+        {"param": "mem.l2_kb", "values": [512, 1024]},
+        {"param": "mem.l2_assoc", "values": [4, 8]},
+        {"param": "mem.mshrs", "values": [4, 8]},
+        {"param": "mem.prefetch_depth", "values": [0, 2]}
+      ]
+    })";
+    const SpaceSpec spec = parseSpaceSpec(spec_text, "test");
+    ASSERT_EQ(spec.totalPoints(), 1105920u);
+    const AnalyticModel model;
+    for (const unsigned threads : {1u, 4u}) {
+        ExplorerOptions opt;
+        opt.threads = threads;
+        const ExplorerResult r = explore(spec, model, opt);
+        const std::uint64_t per_point =
+            (r.enumerated - r.infeasible) * spec.workloads.size();
+        EXPECT_EQ(r.enumerated - r.infeasible, 921600u);
+        EXPECT_GT(r.modelEvaluations, 0u);
+        EXPECT_LE(r.modelEvaluations, per_point / 4)
+            << "threads=" << threads << ": " << r.modelEvaluations
+            << " fixed-point evaluations for " << per_point
+            << " (point, workload) pairs";
     }
 }
 

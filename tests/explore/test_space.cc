@@ -2,11 +2,13 @@
  * @file
  * Tests of the wsrs-space-v1 parser and the streaming point codec:
  * row-major index decoding, base-preset materialization, feasibility
- * flagging, and the parse-time validation errors.
+ * flagging, the parse-time validation errors, and each axis's
+ * core-side / memory-side classification.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "src/common/log.h"
 #include "src/explore/space.h"
@@ -139,6 +141,30 @@ TEST(SpaceCodec, SupportedParamCatalog)
         EXPECT_NE(std::find(params.begin(), params.end(), must),
                   params.end())
             << must;
+}
+
+TEST(SpaceCodec, MemorySideAxesFeedOnlyTheMemoryTerms)
+{
+    // Every mem.* axis is memory-side except mem.l1_latency, which
+    // stretches the core-side chain latency; every core.* axis is
+    // core-side. The explorer's sweep reuses core terms across steps of
+    // memory-side axes, so a misfiled axis would score points wrongly.
+    const std::map<std::string, std::string> enumValue = {
+        {"core.mode", "\"ws\""},         {"core.policy", "\"rr\""},
+        {"core.rename_impl", "\"impl1\""}, {"core.ff_scope", "\"intra\""},
+        {"mem.model", "\"dram\""}};
+    for (const std::string &param : supportedParams()) {
+        const auto e = enumValue.find(param);
+        const std::string value = e == enumValue.end() ? "4" : e->second;
+        const std::string text =
+            R"({"schema": "wsrs-space-v1", "axes": [{"param": ")" + param +
+            R"(", "values": [)" + value + "]}]}";
+        const SpaceSpec spec = parseSpaceSpec(text, param);
+        ASSERT_EQ(spec.axes.size(), 1u);
+        const bool memorySide =
+            param.rfind("mem.", 0) == 0 && param != "mem.l1_latency";
+        EXPECT_EQ(spec.axes[0].memorySide, memorySide) << param;
+    }
 }
 
 } // namespace
