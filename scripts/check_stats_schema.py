@@ -21,7 +21,7 @@ and then structurally checked:
   - sweep reports merged by a coordinator carry a complete `svc` object
     (sharding/lease/worker counters plus the worker liveness array);
   - wsrs-svc-status-v1 daemon status replies and wsrs-svc-frames-v1
-    frame logs (wsrs-sim --serve) are structurally sound; JSONL frame
+    JSONL frame logs (wsrs-sim --serve) are structurally sound; frame
     logs tolerate a torn final line (the daemon flushes on queue drain,
     so a SIGKILL can cut the last record mid-write);
   - wsrs-metrics-v1 registry snapshots (wsrs-sim --metrics-out, the
@@ -260,28 +260,6 @@ def check_status_doc(doc, where):
                    f"{rwhere}: done with {r['jobs_done']}/"
                    f"{r['jobs_total']} jobs")
     return len(doc["requests"])
-
-
-def check_frames_doc(doc, where):
-    """Validate a wsrs-svc-frames-v1 serve-protocol frame log."""
-    dropped = doc.get("dropped_frames")
-    expect(isinstance(dropped, int) and dropped >= 0,
-           f"{where}: 'dropped_frames' must be a non-negative int")
-    frames = doc["frames"]
-    expect(isinstance(frames, list), f"{where}: 'frames' must be a list")
-    for i, f in enumerate(frames):
-        fwhere = f"{where}.frames[{i}]"
-        expect(f.get("dir") in ("rx", "tx"),
-               f"{fwhere}: dir {f.get('dir')!r} must be 'rx' or 'tx'")
-        expect(isinstance(f.get("type"), str) and f["type"],
-               f"{fwhere}: 'type' must be a non-empty string")
-        expect(isinstance(f.get("payload_bytes"), int)
-               and f["payload_bytes"] >= 0,
-               f"{fwhere}: 'payload_bytes' must be a non-negative int")
-        expect("body" in f, f"{fwhere}: missing 'body'")
-        expect(f["body"] is None or isinstance(f["body"], (dict, list)),
-               f"{fwhere}: 'body' must be embedded JSON or null")
-    return len(frames)
 
 
 def check_frames_jsonl(lines, where):
@@ -671,9 +649,6 @@ def check_file(path):
     elif schema == "wsrs-svc-status-v1":
         n = check_status_doc(doc, path)
         print(f"{path}: ok (daemon status, {n} requests)")
-    elif schema == "wsrs-svc-frames-v1":
-        n = check_frames_doc(doc, path)
-        print(f"{path}: ok (frame log, {n} frames)")
     elif schema == "wsrs-metrics-v1":
         n = check_metrics_doc(doc, path)
         print(f"{path}: ok (metrics snapshot, {n} instruments)")

@@ -41,8 +41,9 @@ crc32(const void *data, std::size_t len, std::uint32_t seed)
 void
 Writer::putLe(std::uint64_t v, int n)
 {
-    for (int i = 0; i < n; ++i)
-        buf_.push_back(static_cast<char>(v >> (8 * i)));
+    char b[8];
+    storeLe(b, v, n);
+    buf_.append(b, static_cast<std::size_t>(n));
 }
 
 void
@@ -91,10 +92,7 @@ std::uint64_t
 Reader::getLe(int n)
 {
     need(static_cast<std::size_t>(n));
-    std::uint64_t v = 0;
-    for (int i = 0; i < n; ++i)
-        v |= std::uint64_t{static_cast<std::uint8_t>(data_[pos_ + i])}
-             << (8 * i);
+    const std::uint64_t v = loadLe(data_.data() + pos_, n);
     pos_ += static_cast<std::size_t>(n);
     return v;
 }
@@ -139,8 +137,8 @@ CheckpointWriter::CheckpointWriter(std::ostream &os, std::string path,
     : os_(os), path_(std::move(path))
 {
     os_.write(kMagic, sizeof(kMagic));
-    rawU32(kFormatVersion);
-    rawU64(metaHash);
+    rawLe(kFormatVersion, 4);
+    rawLe(metaHash, 8);
     rawStr(kind);
 }
 
@@ -152,26 +150,16 @@ CheckpointWriter::~CheckpointWriter()
 void
 CheckpointWriter::rawStr(std::string_view s)
 {
-    rawU32(static_cast<std::uint32_t>(s.size()));
+    rawLe(s.size(), 4);
     os_.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
 void
-CheckpointWriter::rawU32(std::uint32_t v)
-{
-    char b[4];
-    for (int i = 0; i < 4; ++i)
-        b[i] = static_cast<char>(v >> (8 * i));
-    os_.write(b, 4);
-}
-
-void
-CheckpointWriter::rawU64(std::uint64_t v)
+CheckpointWriter::rawLe(std::uint64_t v, int n)
 {
     char b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = static_cast<char>(v >> (8 * i));
-    os_.write(b, 8);
+    storeLe(b, v, n);
+    os_.write(b, n);
 }
 
 void
@@ -180,8 +168,8 @@ CheckpointWriter::section(std::string_view name, const Writer &payload)
     WSRS_ASSERT(!finished_);
     os_.write(kSectionMarker, sizeof(kSectionMarker));
     rawStr(name);
-    rawU64(payload.size());
-    rawU32(crc32(payload.buffer().data(), payload.size()));
+    rawLe(payload.size(), 8);
+    rawLe(crc32(payload.buffer().data(), payload.size()), 4);
     os_.write(payload.buffer().data(),
               static_cast<std::streamsize>(payload.size()));
     ++sections_;
@@ -193,7 +181,7 @@ CheckpointWriter::finish()
     WSRS_ASSERT(!finished_);
     finished_ = true;
     os_.write(kTrailerMarker, sizeof(kTrailerMarker));
-    rawU32(sections_);
+    rawLe(sections_, 4);
     os_.flush();
     if (!os_)
         fatalIo("error writing checkpoint '%s'", path_.c_str());

@@ -46,6 +46,30 @@ std::uint32_t crc32(const void *data, std::size_t len,
                     std::uint32_t seed = 0);
 
 /**
+ * Store the low @p n bytes of @p v at @p p, least significant first. Every
+ * wsrs binary format (checkpoints, journals, frames, trace files) encodes
+ * its integers through this pair.
+ */
+inline void
+storeLe(void *p, std::uint64_t v, int n)
+{
+    auto *b = static_cast<unsigned char *>(p);
+    for (int i = 0; i < n; ++i)
+        b[i] = static_cast<unsigned char>(v >> (8 * i));
+}
+
+/** Load the @p n-byte little-endian integer at @p p. */
+inline std::uint64_t
+loadLe(const void *p, int n)
+{
+    const auto *b = static_cast<const unsigned char *>(p);
+    std::uint64_t v = 0;
+    for (int i = 0; i < n; ++i)
+        v |= std::uint64_t{b[i]} << (8 * i);
+    return v;
+}
+
+/**
  * Byte-stream encoder components serialize themselves into. Accumulates
  * into an in-memory buffer so the container can frame each section with its
  * length and CRC.
@@ -194,8 +218,7 @@ class CheckpointWriter
 
   private:
     void rawStr(std::string_view s);
-    void rawU32(std::uint32_t v);
-    void rawU64(std::uint64_t v);
+    void rawLe(std::uint64_t v, int n);
 
     std::ostream &os_;
     std::string path_;

@@ -58,7 +58,8 @@ MetricHistogram::observe(std::uint64_t v)
 
 MetricsRegistry::Entry &
 MetricsRegistry::findOrCreate(const std::string &name,
-                              const std::string &help, Kind kind)
+                              const std::string &help, Kind kind,
+                              std::vector<std::uint64_t> bounds)
 {
     WSRS_ASSERT(validMetricName(name));
     std::lock_guard<std::mutex> lock(mu_);
@@ -74,6 +75,8 @@ MetricsRegistry::findOrCreate(const std::string &name,
     entry->name = name;
     entry->help = help;
     entry->kind = kind;
+    if (kind == Kind::Histogram)
+        entry->hist = std::make_unique<MetricHistogram>(std::move(bounds));
     Entry &ref = *entry;
     byName_[name] = entry.get();
     entries_.push_back(std::move(entry));
@@ -96,10 +99,7 @@ MetricHistogram &
 MetricsRegistry::histogram(const std::string &name, const std::string &help,
                            std::vector<std::uint64_t> bounds)
 {
-    Entry &e = findOrCreate(name, help, Kind::Histogram);
-    if (!e.hist)
-        e.hist = std::make_unique<MetricHistogram>(std::move(bounds));
-    return *e.hist;
+    return *findOrCreate(name, help, Kind::Histogram, std::move(bounds)).hist;
 }
 
 std::vector<std::uint64_t>

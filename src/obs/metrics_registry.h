@@ -151,8 +151,10 @@ class MetricsRegistry
         std::unique_ptr<MetricHistogram> hist;
     };
 
+    /** @p bounds are a new histogram's buckets, built before the entry
+     *  is published so no reader sees a histogram entry without them. */
     Entry &findOrCreate(const std::string &name, const std::string &help,
-                        Kind kind);
+                        Kind kind, std::vector<std::uint64_t> bounds = {});
 
     mutable std::mutex mu_;
     std::vector<std::unique_ptr<Entry>> entries_; ///< Registration order.

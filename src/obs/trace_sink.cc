@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 
+#include "src/ckpt/io.h"
 #include "src/common/log.h"
 
 namespace wsrs::obs {
@@ -46,48 +47,12 @@ O3PipeViewSink::finish()
     os_.flush();
 }
 
-namespace {
-
-void
-put64(unsigned char *p, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-std::uint64_t
-get64(const unsigned char *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= std::uint64_t{p[i]} << (8 * i);
-    return v;
-}
-
-void
-put32(unsigned char *p, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-std::uint32_t
-get32(const unsigned char *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= std::uint32_t{p[i]} << (8 * i);
-    return v;
-}
-
-} // namespace
-
 BinaryTraceSink::BinaryTraceSink(std::ostream &os) : os_(os)
 {
     unsigned char header[16];
     std::memcpy(header, kMagic, 8);
-    put32(header + 8, kVersion);
-    put32(header + 12, kRecordBytes);
+    ckpt::storeLe(header + 8, kVersion, 4);
+    ckpt::storeLe(header + 12, kRecordBytes, 4);
     os_.write(reinterpret_cast<const char *>(header), sizeof(header));
 }
 
@@ -95,20 +60,20 @@ void
 BinaryTraceSink::record(const UopTrace &t)
 {
     unsigned char rec[kRecordBytes];
-    put64(rec + 0, t.seq);
-    put64(rec + 8, t.pc);
-    put64(rec + 16, t.fetchCycle);
-    put64(rec + 24, t.renameCycle);
-    put64(rec + 32, t.readyCycle);
-    put64(rec + 40, t.issueCycle);
-    put64(rec + 48, t.completeCycle);
-    put64(rec + 56, t.commitCycle);
+    ckpt::storeLe(rec + 0, t.seq, 8);
+    ckpt::storeLe(rec + 8, t.pc, 8);
+    ckpt::storeLe(rec + 16, t.fetchCycle, 8);
+    ckpt::storeLe(rec + 24, t.renameCycle, 8);
+    ckpt::storeLe(rec + 32, t.readyCycle, 8);
+    ckpt::storeLe(rec + 40, t.issueCycle, 8);
+    ckpt::storeLe(rec + 48, t.completeCycle, 8);
+    ckpt::storeLe(rec + 56, t.commitCycle, 8);
     rec[64] = static_cast<unsigned char>(t.op);
     rec[65] = t.cluster;
     rec[66] = t.dstSubset;
     rec[67] = t.flags;
-    put32(rec + 68, static_cast<std::uint32_t>(
-                        std::min<Cycle>(t.wakeupLatency(), 0xffffffffu)));
+    ckpt::storeLe(rec + 68, std::min<Cycle>(t.wakeupLatency(), 0xffffffffu),
+                  4);
     os_.write(reinterpret_cast<const char *>(rec), sizeof(rec));
 }
 
@@ -126,8 +91,10 @@ readBinaryTrace(std::istream &is)
     if (is.gcount() != sizeof(header) ||
         std::memcmp(header, BinaryTraceSink::kMagic, 8) != 0)
         fatal("not a wsrs binary pipeline trace (bad magic)");
-    const std::uint32_t version = get32(header + 8);
-    const std::uint32_t recBytes = get32(header + 12);
+    const auto version =
+        static_cast<std::uint32_t>(ckpt::loadLe(header + 8, 4));
+    const auto recBytes =
+        static_cast<std::uint32_t>(ckpt::loadLe(header + 12, 4));
     if (version != BinaryTraceSink::kVersion)
         fatal("unsupported pipeline-trace version %u", version);
     if (recBytes != BinaryTraceSink::kRecordBytes)
@@ -142,14 +109,14 @@ readBinaryTrace(std::istream &is)
         if (is.gcount() != static_cast<std::streamsize>(sizeof(rec)))
             fatal("truncated pipeline-trace record");
         UopTrace t;
-        t.seq = get64(rec + 0);
-        t.pc = get64(rec + 8);
-        t.fetchCycle = get64(rec + 16);
-        t.renameCycle = get64(rec + 24);
-        t.readyCycle = get64(rec + 32);
-        t.issueCycle = get64(rec + 40);
-        t.completeCycle = get64(rec + 48);
-        t.commitCycle = get64(rec + 56);
+        t.seq = ckpt::loadLe(rec + 0, 8);
+        t.pc = ckpt::loadLe(rec + 8, 8);
+        t.fetchCycle = ckpt::loadLe(rec + 16, 8);
+        t.renameCycle = ckpt::loadLe(rec + 24, 8);
+        t.readyCycle = ckpt::loadLe(rec + 32, 8);
+        t.issueCycle = ckpt::loadLe(rec + 40, 8);
+        t.completeCycle = ckpt::loadLe(rec + 48, 8);
+        t.commitCycle = ckpt::loadLe(rec + 56, 8);
         t.op = static_cast<isa::OpClass>(rec[64]);
         t.cluster = rec[65];
         t.dstSubset = rec[66];

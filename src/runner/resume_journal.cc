@@ -17,24 +17,6 @@ constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8;
 /** Marker + index + payload length (CRC follows the payload). */
 constexpr std::size_t kRecordHeadBytes = 4 + 8 + 8;
 
-std::uint64_t
-readLe64(const char *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | static_cast<unsigned char>(p[i]);
-    return v;
-}
-
-std::uint32_t
-readLe32(const char *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-        v = (v << 8) | static_cast<unsigned char>(p[i]);
-    return v;
-}
-
 } // namespace
 
 std::uint64_t
@@ -185,19 +167,20 @@ ResumeJournal::replay()
               path_.c_str(), data.size(), kHeaderBytes);
     if (std::memcmp(data.data(), kJournalMagic, sizeof(kJournalMagic)) != 0)
         fatalIo("'%s' is not a wsrs sweep journal (bad magic)", path_.c_str());
-    const std::uint32_t version = readLe32(data.data() + 8);
+    const auto version =
+        static_cast<std::uint32_t>(ckpt::loadLe(data.data() + 8, 4));
     if (version != kJournalVersion)
         fatalMismatch("resume journal '%s' has format version %u, this build "
               "reads version %u",
               path_.c_str(), version, kJournalVersion);
-    const std::uint64_t key = readLe64(data.data() + 12);
+    const std::uint64_t key = ckpt::loadLe(data.data() + 12, 8);
     if (key != sweepKey_)
         fatalMismatch("resume journal '%s' belongs to a different sweep "
               "(journal key %016llx, this sweep %016llx); refusing to mix "
               "results — delete the journal or rerun the original sweep",
               path_.c_str(), static_cast<unsigned long long>(key),
               static_cast<unsigned long long>(sweepKey_));
-    const std::uint64_t jobs = readLe64(data.data() + 20);
+    const std::uint64_t jobs = ckpt::loadLe(data.data() + 20, 8);
     if (jobs != numJobs_)
         fatalMismatch("resume journal '%s' records a %llu-job sweep, this sweep "
               "has %llu jobs",
@@ -214,15 +197,16 @@ ResumeJournal::replay()
         if (std::memcmp(data.data() + pos, kRecordMarker,
                         sizeof(kRecordMarker)) != 0)
             break;
-        const std::uint64_t index = readLe64(data.data() + pos + 4);
-        const std::uint64_t len = readLe64(data.data() + pos + 12);
+        const std::uint64_t index = ckpt::loadLe(data.data() + pos + 4, 8);
+        const std::uint64_t len = ckpt::loadLe(data.data() + pos + 12, 8);
         if (index >= numJobs_ || len > data.size() - pos - kRecordHeadBytes)
             break;
         const std::size_t crcPos = pos + kRecordHeadBytes +
                                    static_cast<std::size_t>(len);
         if (data.size() - crcPos < 4)
             break;
-        const std::uint32_t stored = readLe32(data.data() + crcPos);
+        const auto stored =
+            static_cast<std::uint32_t>(ckpt::loadLe(data.data() + crcPos, 4));
         const std::uint32_t computed = ckpt::crc32(
             data.data() + pos + 4, kRecordHeadBytes - 4 +
                                        static_cast<std::size_t>(len));
@@ -252,23 +236,19 @@ ResumeJournal::replay()
 void
 ResumeJournal::record(std::uint64_t index, const SweepOutcome &out)
 {
-    ckpt::Writer body;
-    body.u64(index);
     ckpt::Writer payload;
     encodeOutcome(payload, out);
-    body.u64(payload.size());
-    body.bytes(payload.buffer().data(), payload.size());
-    const std::uint32_t crc =
-        ckpt::crc32(body.buffer().data(), body.size());
+    ckpt::Writer rec;
+    rec.bytes(kRecordMarker, sizeof(kRecordMarker));
+    rec.u64(index);
+    rec.u64(payload.size());
+    rec.bytes(payload.buffer().data(), payload.size());
+    // The CRC covers everything after the marker.
+    rec.u32(ckpt::crc32(rec.buffer().data() + sizeof(kRecordMarker),
+                        rec.size() - sizeof(kRecordMarker)));
 
     std::lock_guard<std::mutex> lock(mutex_);
-    out_.write(kRecordMarker, sizeof(kRecordMarker));
-    out_.write(body.buffer().data(),
-               static_cast<std::streamsize>(body.size()));
-    ckpt::Writer tail;
-    tail.u32(crc);
-    out_.write(tail.buffer().data(),
-               static_cast<std::streamsize>(tail.size()));
+    out_.write(rec.buffer().data(), static_cast<std::streamsize>(rec.size()));
     out_.flush();
     if (!out_)
         fatalIo("write error on resume journal '%s'", path_.c_str());

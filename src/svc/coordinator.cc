@@ -71,7 +71,7 @@ Coordinator::bind()
         return;
     if (options_.endpoint.empty())
         fatal("coordinator needs a listen endpoint (e.g. unix:/tmp/x.sock)");
-    listener_ = makeTransport(options_.endpoint)->listen(options_.endpoint);
+    listener_ = listen(options_.endpoint);
 }
 
 std::string

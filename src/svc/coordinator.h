@@ -120,8 +120,6 @@ class Coordinator
     std::uint64_t sweepKey() const { return sweepKey_; }
 
   private:
-    struct Impl;
-
     Options options_;
     std::vector<runner::SweepJob> jobs_;
     std::uint64_t sweepKey_ = 0;

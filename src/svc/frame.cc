@@ -13,38 +13,6 @@ constexpr char kFrameMagic[4] = {'W', 'S', 'V', 'F'};
 // magic, type, traceId, length.
 constexpr std::size_t kHeadBytes = 4 + 4 + 8 + 8;
 
-void
-putLe32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void
-putLe64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-std::uint32_t
-getLe32(const char *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-        v = (v << 8) | static_cast<unsigned char>(p[i]);
-    return v;
-}
-
-std::uint64_t
-getLe64(const char *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | static_cast<unsigned char>(p[i]);
-    return v;
-}
-
 /** Read exactly @p len bytes. 1 = ok, 0 = EOF at a frame boundary
  *  (nothing read), throws on EOF mid-frame or stream error. */
 int
@@ -67,14 +35,14 @@ readExact(Stream &stream, char *buf, std::size_t len, bool atBoundary)
     return 1;
 }
 
+/** CRC over the encoded type, traceId and length fields of @p head,
+ *  chained over @p payload. */
 std::uint32_t
-frameCrc(FrameType type, std::uint64_t traceId, std::string_view payload)
+frameCrc(const char *head, std::string_view payload)
 {
-    std::string head;
-    putLe32(head, static_cast<std::uint32_t>(type));
-    putLe64(head, traceId);
-    putLe64(head, payload.size());
-    std::uint32_t crc = ckpt::crc32(head.data(), head.size());
+    const std::uint32_t crc =
+        ckpt::crc32(head + sizeof(kFrameMagic),
+                    kHeadBytes - sizeof(kFrameMagic));
     return ckpt::crc32(payload.data(), payload.size(), crc);
 }
 
@@ -112,14 +80,18 @@ encodeFrame(FrameType type, std::string_view payload,
         fatal("frame payload of %zu bytes exceeds the %llu-byte limit",
               payload.size(),
               static_cast<unsigned long long>(kMaxFramePayload));
+    char head[kHeadBytes];
+    std::memcpy(head, kFrameMagic, sizeof(kFrameMagic));
+    ckpt::storeLe(head + 4, static_cast<std::uint32_t>(type), 4);
+    ckpt::storeLe(head + 8, traceId, 8);
+    ckpt::storeLe(head + 16, payload.size(), 8);
+    char crc[4];
+    ckpt::storeLe(crc, frameCrc(head, payload), 4);
     std::string out;
-    out.reserve(kHeadBytes + payload.size() + 4);
-    out.append(kFrameMagic, sizeof(kFrameMagic));
-    putLe32(out, static_cast<std::uint32_t>(type));
-    putLe64(out, traceId);
-    putLe64(out, payload.size());
+    out.reserve(kHeadBytes + payload.size() + sizeof(crc));
+    out.append(head, kHeadBytes);
     out.append(payload.data(), payload.size());
-    putLe32(out, frameCrc(type, traceId, payload));
+    out.append(crc, sizeof(crc));
     return out;
 }
 
@@ -144,9 +116,9 @@ recvFrame(Stream &stream, Frame &out)
                 static_cast<unsigned char>(head[1]),
                 static_cast<unsigned char>(head[2]),
                 static_cast<unsigned char>(head[3]));
-    const std::uint32_t type = getLe32(head + 4);
-    const std::uint64_t traceId = getLe64(head + 8);
-    const std::uint64_t len = getLe64(head + 16);
+    const auto type = static_cast<std::uint32_t>(ckpt::loadLe(head + 4, 4));
+    const std::uint64_t traceId = ckpt::loadLe(head + 8, 8);
+    const std::uint64_t len = ckpt::loadLe(head + 16, 8);
     if (len > kMaxFramePayload)
         fatalIo("service frame of type %u declares %llu payload bytes, "
                 "limit is %llu — refusing to buffer",
@@ -160,9 +132,8 @@ recvFrame(Stream &stream, Frame &out)
                   static_cast<std::size_t>(len), false);
     char crcBuf[4];
     readExact(stream, crcBuf, sizeof(crcBuf), false);
-    const std::uint32_t stored = getLe32(crcBuf);
-    const std::uint32_t computed =
-        frameCrc(out.type, out.traceId, out.payload);
+    const auto stored = static_cast<std::uint32_t>(ckpt::loadLe(crcBuf, 4));
+    const std::uint32_t computed = frameCrc(head, out.payload);
     if (stored != computed)
         fatalIo("service frame CRC mismatch on %s frame (stored %08x, "
                 "computed %08x over %llu payload bytes)",

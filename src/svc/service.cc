@@ -145,6 +145,8 @@ struct SweepService::Impl
 
     void logFrame(std::uint64_t conn, const char *dir, FrameType type,
                   std::string_view body, std::uint64_t payload_bytes);
+    void reply(std::uint64_t conn, Stream &stream, FrameType type,
+               std::string_view body);
     RequestView *findView(std::uint64_t id);
     void ioLoop();
     void handleConnection(std::uint64_t conn,
@@ -164,6 +166,19 @@ SweepService::Impl::logFrame(std::uint64_t conn, const char *dir,
     if (frameLog)
         frameLog->append(conn, dir, frameTypeName(type), body,
                          payload_bytes);
+}
+
+/** Send one reply frame and log it. Status replies and sweep results are
+ *  whole documents: the log records only their size. */
+void
+SweepService::Impl::reply(std::uint64_t conn, Stream &stream,
+                          FrameType type, std::string_view body)
+{
+    sendFrame(stream, type, body);
+    const bool sizeOnly =
+        type == FrameType::StatusReply || type == FrameType::SweepResult;
+    logFrame(conn, "tx", type, sizeOnly ? std::string_view() : body,
+             body.size());
 }
 
 RequestView *
@@ -232,9 +247,7 @@ SweepService::Impl::handleConnection(std::uint64_t conn,
       case FrameType::StatusRequest: {
         logFrame(conn, "rx", frame.type, frame.payload,
                  frame.payload.size());
-        const std::string status = buildStatusJson();
-        sendFrame(*stream, FrameType::StatusReply, status);
-        logFrame(conn, "tx", FrameType::StatusReply, "", status.size());
+        reply(conn, *stream, FrameType::StatusReply, buildStatusJson());
         stream->close();
         return;
       }
@@ -246,9 +259,7 @@ SweepService::Impl::handleConnection(std::uint64_t conn,
             req = std::make_unique<Request>(
                 parseSweepRequest(frame.payload));
         } catch (const FatalError &e) {
-            const std::string body = errorPayload(e.what());
-            sendFrame(*stream, FrameType::Error, body);
-            logFrame(conn, "tx", FrameType::Error, body, body.size());
+            reply(conn, *stream, FrameType::Error, errorPayload(e.what()));
             metrics.requestsFailed.add();
             return;
         }
@@ -265,10 +276,7 @@ SweepService::Impl::handleConnection(std::uint64_t conn,
             os << "{\"retry_after_ms\": " << hint
                << ", \"reason\": \"admission queue full (depth "
                << options.queueDepth << ")\"}";
-            const std::string body = os.str();
-            sendFrame(*stream, FrameType::SweepRejected, body);
-            logFrame(conn, "tx", FrameType::SweepRejected, body,
-                     body.size());
+            reply(conn, *stream, FrameType::SweepRejected, os.str());
             return;
         }
         req->id = nextRequestId++;
@@ -289,8 +297,7 @@ SweepService::Impl::handleConnection(std::uint64_t conn,
         lock.unlock();
         // Ack before enqueueing: once queued, an executor owns the
         // stream and this thread must not touch it again.
-        sendFrame(*req->stream, FrameType::SweepAccepted, body);
-        logFrame(conn, "tx", FrameType::SweepAccepted, body, body.size());
+        reply(conn, *req->stream, FrameType::SweepAccepted, body);
         lock.lock();
         queue.push_back(std::move(req));
         queuedGauge.set(static_cast<std::int64_t>(queue.size()));
@@ -299,12 +306,10 @@ SweepService::Impl::handleConnection(std::uint64_t conn,
         return;
       }
       default: {
-        const std::string body = errorPayload(
-            strprintf("unexpected %s frame; expected sweep_request or "
-                      "status_request",
-                      frameTypeName(frame.type)));
-        sendFrame(*stream, FrameType::Error, body);
-        logFrame(conn, "tx", FrameType::Error, body, body.size());
+        reply(conn, *stream, FrameType::Error,
+              errorPayload(strprintf("unexpected %s frame; expected "
+                                     "sweep_request or status_request",
+                                     frameTypeName(frame.type))));
         return;
       }
     }
@@ -461,11 +466,7 @@ SweepService::Impl::runRequest(Request &req)
         if (RequestView *v = findView(req.id))
             v->state = ok ? "done" : "failed";
     }
-    sendFrame(*req.stream, replyType, body);
-    logFrame(req.conn, "tx", replyType,
-             replyType == FrameType::SweepResult ? std::string_view() :
-                                                   std::string_view(body),
-             body.size());
+    reply(req.conn, *req.stream, replyType, body);
     req.stream->close();
     requestMs.observe(
         static_cast<std::uint64_t>((obs::monotonicMicros() - startUs) /
@@ -528,8 +529,7 @@ SweepService::start()
                          "wsrs-sim: serve: cannot write frame log '%s'\n",
                          im.options.frameLogPath.c_str());
     }
-    im.listener =
-        makeTransport(im.options.endpoint)->listen(im.options.endpoint);
+    im.listener = listen(im.options.endpoint);
     im.started = true;
     im.ioThread = std::thread([&im] { im.ioLoop(); });
     for (unsigned i = 0; i < im.options.executors; ++i)
@@ -589,8 +589,7 @@ SweepService::statusJson() const
 SubmitResult
 submitSweep(const std::string &endpoint, const std::string &request_json)
 {
-    std::unique_ptr<Stream> stream =
-        makeTransport(endpoint)->connect(endpoint);
+    std::unique_ptr<Stream> stream = connect(endpoint);
     if (!sendFrame(*stream, FrameType::SweepRequest, request_json))
         fatalIo("sweep daemon at %s hung up on the request",
                 endpoint.c_str());
@@ -635,8 +634,7 @@ submitSweep(const std::string &endpoint, const std::string &request_json)
 std::string
 queryStatus(const std::string &endpoint)
 {
-    std::unique_ptr<Stream> stream =
-        makeTransport(endpoint)->connect(endpoint);
+    std::unique_ptr<Stream> stream = connect(endpoint);
     if (!sendFrame(*stream, FrameType::StatusRequest, "{}"))
         fatalIo("sweep daemon at %s hung up on the status request",
                 endpoint.c_str());

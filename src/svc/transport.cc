@@ -14,147 +14,126 @@ namespace wsrs::svc {
 
 namespace {
 
-/** Stream over one connected socket/pipe fd (owning). */
-class FdStream : public Stream
+/** Filesystem path of @p endpoint; fatal on any scheme but unix. */
+std::string
+socketPath(const std::string &endpoint)
 {
-  public:
-    explicit FdStream(int fd) : fd_(fd) {}
-    ~FdStream() override { close(); }
+    const auto colon = endpoint.find(':');
+    const std::string scheme =
+        colon == std::string::npos ? "unix" : endpoint.substr(0, colon);
+    if (scheme != "unix" && !scheme.empty() && endpoint.rfind('/', 0) != 0)
+        fatal("unknown transport scheme '%s' in endpoint '%s' (supported: "
+              "unix:<path>)",
+              scheme.c_str(), endpoint.c_str());
+    return endpointPath(endpoint);
+}
 
-    long
-    read(void *buf, std::size_t len) override
-    {
-        if (fd_ < 0)
-            return -1;
-        for (;;) {
-            const ssize_t n = ::read(fd_, buf, len);
-            if (n >= 0)
-                return static_cast<long>(n);
-            if (errno == EINTR)
-                continue;
-            return -1;
-        }
-    }
-
-    bool
-    writeAll(const void *buf, std::size_t len) override
-    {
-        const char *p = static_cast<const char *>(buf);
-        while (len > 0) {
-            if (fd_ < 0)
-                return false;
-            const ssize_t n = ::send(fd_, p, len, MSG_NOSIGNAL);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                if (errno == ENOTSOCK) {
-                    // Plain pipe fds (tests): fall back to write(2).
-                    const ssize_t w = ::write(fd_, p, len);
-                    if (w < 0) {
-                        if (errno == EINTR)
-                            continue;
-                        return false;
-                    }
-                    p += w;
-                    len -= static_cast<std::size_t>(w);
-                    continue;
-                }
-                return false;
-            }
-            p += n;
-            len -= static_cast<std::size_t>(n);
-        }
-        return true;
-    }
-
-    int pollFd() const override { return fd_; }
-
-    void
-    close() override
-    {
-        if (fd_ >= 0) {
-            ::close(fd_);
-            fd_ = -1;
-        }
-    }
-
-  private:
-    int fd_ = -1;
-};
-
-class UnixListener : public Listener
+sockaddr_un
+unixAddr(const std::string &path)
 {
-  public:
-    UnixListener(int fd, std::string path)
-        : fd_(fd), path_(std::move(path))
-    {
-    }
-
-    ~UnixListener() override { close(); }
-
-    std::unique_ptr<Stream>
-    accept() override
-    {
-        for (;;) {
-            if (fd_ < 0)
-                return nullptr;
-            const int conn = ::accept(fd_, nullptr, nullptr);
-            if (conn >= 0)
-                return std::make_unique<FdStream>(conn);
-            if (errno == EINTR)
-                continue;
-            return nullptr;
-        }
-    }
-
-    int pollFd() const override { return fd_; }
-
-    std::string endpoint() const override { return "unix:" + path_; }
-
-    void
-    close() override
-    {
-        if (fd_ >= 0) {
-            ::close(fd_);
-            fd_ = -1;
-            std::error_code ec;
-            std::filesystem::remove(path_, ec);
-        }
-    }
-
-  private:
-    int fd_ = -1;
-    std::string path_;
-};
-
-void
-fillAddr(sockaddr_un &addr, const std::string &path)
-{
+    sockaddr_un addr;
     std::memset(&addr, 0, sizeof(addr));
     addr.sun_family = AF_UNIX;
     if (path.size() >= sizeof(addr.sun_path))
         fatal("unix socket path '%s' exceeds the %zu-byte limit",
               path.c_str(), sizeof(addr.sun_path) - 1);
     std::memcpy(addr.sun_path, path.c_str(), path.size());
+    return addr;
+}
+
+int
+unixSocket()
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0)
+        fatalIo("cannot create unix socket: %s", std::strerror(errno));
+    return fd;
 }
 
 } // namespace
 
-std::unique_ptr<Listener>
-UnixSocketTransport::listen(const std::string &endpoint)
+long
+Stream::read(void *buf, std::size_t len)
 {
-    const std::string path = endpointPath(endpoint);
-    sockaddr_un addr;
-    fillAddr(addr, path);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0)
-        fatalIo("cannot create unix socket: %s", std::strerror(errno));
+    if (fd_ < 0)
+        return -1;
+    for (;;) {
+        const ssize_t n = ::read(fd_, buf, len);
+        if (n >= 0)
+            return static_cast<long>(n);
+        if (errno == EINTR)
+            continue;
+        return -1;
+    }
+}
+
+bool
+Stream::writeAll(const void *buf, std::size_t len)
+{
+    const char *p = static_cast<const char *>(buf);
+    while (len > 0) {
+        if (fd_ < 0)
+            return false;
+        const ssize_t n = ::send(fd_, p, len, MSG_NOSIGNAL);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        p += n;
+        len -= static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
+void
+Stream::close()
+{
+    if (fd_ >= 0) {
+        ::close(fd_);
+        fd_ = -1;
+    }
+}
+
+std::unique_ptr<Stream>
+Listener::accept()
+{
+    for (;;) {
+        if (fd_ < 0)
+            return nullptr;
+        const int conn = ::accept(fd_, nullptr, nullptr);
+        if (conn >= 0)
+            return std::make_unique<Stream>(conn);
+        if (errno == EINTR)
+            continue;
+        return nullptr;
+    }
+}
+
+void
+Listener::close()
+{
+    if (fd_ >= 0) {
+        ::close(fd_);
+        fd_ = -1;
+        std::error_code ec;
+        std::filesystem::remove(path_, ec);
+    }
+}
+
+std::unique_ptr<Listener>
+listen(const std::string &endpoint)
+{
+    const std::string path = socketPath(endpoint);
+    const sockaddr_un addr = unixAddr(path);
+    const int fd = unixSocket();
     // A stale socket file from a killed coordinator blocks bind; remove
     // it (connect() to a dead socket fails, so this cannot hijack a live
     // endpoint accidentally — deployments use per-run socket paths).
     std::error_code ec;
     std::filesystem::remove(path, ec);
-    if (::bind(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)) != 0) {
+    if (::bind(fd, reinterpret_cast<const sockaddr *>(&addr),
+               sizeof(addr)) != 0) {
         const int err = errno;
         ::close(fd);
         fatalIo("cannot bind unix socket '%s': %s", path.c_str(),
@@ -166,26 +145,23 @@ UnixSocketTransport::listen(const std::string &endpoint)
         fatalIo("cannot listen on unix socket '%s': %s", path.c_str(),
                 std::strerror(err));
     }
-    return std::make_unique<UnixListener>(fd, path);
+    return std::make_unique<Listener>(fd, path);
 }
 
 std::unique_ptr<Stream>
-UnixSocketTransport::connect(const std::string &endpoint)
+connect(const std::string &endpoint)
 {
-    const std::string path = endpointPath(endpoint);
-    sockaddr_un addr;
-    fillAddr(addr, path);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0)
-        fatalIo("cannot create unix socket: %s", std::strerror(errno));
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)) !=
-        0) {
+    const std::string path = socketPath(endpoint);
+    const sockaddr_un addr = unixAddr(path);
+    const int fd = unixSocket();
+    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
         const int err = errno;
         ::close(fd);
         fatalIo("cannot connect to '%s': %s", path.c_str(),
                 std::strerror(err));
     }
-    return std::make_unique<FdStream>(fd);
+    return std::make_unique<Stream>(fd);
 }
 
 std::string
@@ -196,27 +172,14 @@ endpointPath(const std::string &endpoint)
     return endpoint;
 }
 
-std::unique_ptr<Transport>
-makeTransport(const std::string &endpoint)
-{
-    const auto colon = endpoint.find(':');
-    const std::string scheme =
-        colon == std::string::npos ? "unix" : endpoint.substr(0, colon);
-    if (scheme == "unix" || scheme.empty() || endpoint.rfind('/', 0) == 0)
-        return std::make_unique<UnixSocketTransport>();
-    fatal("unknown transport scheme '%s' in endpoint '%s' (supported: "
-          "unix:<path>)",
-          scheme.c_str(), endpoint.c_str());
-}
-
 std::pair<std::unique_ptr<Stream>, std::unique_ptr<Stream>>
 localPair()
 {
     int fds[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0)
         fatalIo("socketpair failed: %s", std::strerror(errno));
-    return {std::make_unique<FdStream>(fds[0]),
-            std::make_unique<FdStream>(fds[1])};
+    return {std::make_unique<Stream>(fds[0]),
+            std::make_unique<Stream>(fds[1])};
 }
 
 } // namespace wsrs::svc

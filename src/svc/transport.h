@@ -1,16 +1,13 @@
 /**
  * @file
- * Byte-stream transport abstraction for the sweep service.
+ * The sweep service's byte stream: one connected AF_UNIX stream socket.
  *
  * The coordinator/worker and serve protocols are framed byte streams (see
- * frame.h) over a pluggable transport. The first backend is a local
- * AF_UNIX stream socket — the deployment unit is "several worker
- * processes on one host" — but the interface is deliberately narrow
- * (blocking read/write, a pollable readiness fd, an acceptor) so a TCP or
- * filesystem-spool backend slots in without touching the protocol layers.
- *
- * Endpoint strings select the backend: "unix:/path/sock" (bare paths are
- * shorthand for unix). makeTransport() is the registry.
+ * frame.h) between processes on one host. A Stream owns one connected
+ * socket fd (blocking read/write, pollable for readiness); a Listener
+ * owns one bound, listening socket. listen() and connect() create them
+ * from an endpoint string: "unix:/path/sock", or a bare path as
+ * shorthand. Any other scheme is a configuration error.
  */
 #pragma once
 
@@ -21,77 +18,81 @@
 
 namespace wsrs::svc {
 
-/** Connected, blocking, bidirectional byte stream. */
+/** Connected, blocking, bidirectional byte stream over a unix socket. */
 class Stream
 {
   public:
-    virtual ~Stream() = default;
+    /** Take ownership of the connected socket @p fd. */
+    explicit Stream(int fd) : fd_(fd) {}
+    ~Stream() { close(); }
+
+    Stream(const Stream &) = delete;
+    Stream &operator=(const Stream &) = delete;
 
     /** Read up to @p len bytes; 0 = orderly EOF, negative = error. */
-    virtual long read(void *buf, std::size_t len) = 0;
+    long read(void *buf, std::size_t len);
 
     /** Write the whole buffer; false on any error (peer gone, ...). */
-    virtual bool writeAll(const void *buf, std::size_t len) = 0;
+    bool writeAll(const void *buf, std::size_t len);
 
-    /** Fd to poll(2) for read-readiness; -1 when unpollable. */
-    virtual int pollFd() const = 0;
+    /** The socket fd, to poll(2) for read-readiness; -1 once closed. */
+    int pollFd() const { return fd_; }
 
     /** Shut the stream down; further I/O fails. Idempotent. */
-    virtual void close() = 0;
+    void close();
+
+  private:
+    int fd_ = -1;
 };
 
-/** Accepting side of a transport endpoint. */
+/** Listening unix socket; removes its socket file on close. */
 class Listener
 {
   public:
-    virtual ~Listener() = default;
+    /** Take ownership of the listening socket @p fd bound at @p path. */
+    Listener(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
+    ~Listener() { close(); }
+
+    Listener(const Listener &) = delete;
+    Listener &operator=(const Listener &) = delete;
 
     /** Block until a peer connects; null once closed. */
-    virtual std::unique_ptr<Stream> accept() = 0;
+    std::unique_ptr<Stream> accept();
 
-    /** Fd to poll(2) for accept-readiness; -1 when unpollable. */
-    virtual int pollFd() const = 0;
+    /** The socket fd, to poll(2) for accept-readiness; -1 once closed. */
+    int pollFd() const { return fd_; }
 
     /** The endpoint peers connect() to. */
-    virtual std::string endpoint() const = 0;
+    std::string endpoint() const { return "unix:" + path_; }
 
-    virtual void close() = 0;
-};
+    void close();
 
-/** A transport backend: endpoint factory for listeners and connections. */
-class Transport
-{
-  public:
-    virtual ~Transport() = default;
-
-    virtual std::unique_ptr<Listener>
-    listen(const std::string &endpoint) = 0;
-
-    virtual std::unique_ptr<Stream>
-    connect(const std::string &endpoint) = 0;
-};
-
-/** AF_UNIX stream-socket backend ("unix:<path>" endpoints). */
-class UnixSocketTransport : public Transport
-{
-  public:
-    std::unique_ptr<Listener> listen(const std::string &endpoint) override;
-    std::unique_ptr<Stream> connect(const std::string &endpoint) override;
+  private:
+    int fd_ = -1;
+    std::string path_;
 };
 
 /**
- * Backend for @p endpoint ("unix:/path" or a bare filesystem path).
- * @throws wsrs::FatalError for unknown schemes.
+ * Bind and listen on @p endpoint ("unix:/path" or a bare path). A stale
+ * socket file at the path is replaced.
+ * @throws wsrs::FatalError for unknown schemes or an over-long path.
+ * @throws wsrs::IoError when the socket cannot be bound.
  */
-std::unique_ptr<Transport> makeTransport(const std::string &endpoint);
+std::unique_ptr<Listener> listen(const std::string &endpoint);
+
+/**
+ * Connect to @p endpoint ("unix:/path" or a bare path).
+ * @throws wsrs::FatalError for unknown schemes or an over-long path.
+ * @throws wsrs::IoError when nothing listens there.
+ */
+std::unique_ptr<Stream> connect(const std::string &endpoint);
 
 /** Strip a scheme prefix ("unix:") from an endpoint, if present. */
 std::string endpointPath(const std::string &endpoint);
 
 /**
- * In-process connected stream pair (socketpair(2)) — the loopback
- * "transport" used by tests and by same-process coordinator/worker
- * wiring.
+ * In-process connected stream pair (socketpair(2)), used by tests and by
+ * same-process coordinator/worker wiring.
  */
 std::pair<std::unique_ptr<Stream>, std::unique_ptr<Stream>> localPair();
 

@@ -22,8 +22,7 @@ runWorker(const std::vector<runner::SweepJob> &jobs,
 {
     const std::uint64_t sweepKey = runner::sweepKeyHash(jobs);
 
-    std::unique_ptr<Stream> stream =
-        makeTransport(options.endpoint)->connect(options.endpoint);
+    std::unique_ptr<Stream> stream = connect(options.endpoint);
 
     // The Hello carries this worker's monotonic clock so the coordinator
     // can skew-normalize span timestamps shipped later in SpanBatch

@@ -11,6 +11,7 @@
 #include <unistd.h>
 #endif
 
+#include "src/ckpt/io.h"
 #include "src/common/log.h"
 
 namespace wsrs::workload {
@@ -21,29 +22,13 @@ constexpr char kMagic[8] = {'W', 'S', 'R', 'S', 'T', 'R', 'C', '1'};
 constexpr std::size_t kHeaderBytes = 16;
 constexpr std::size_t kRecordBytes = 30;
 
-void
-encodeU64(std::uint8_t *p, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint64_t
-decodeU64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= std::uint64_t{p[i]} << (8 * i);
-    return v;
-}
-
 std::array<std::uint8_t, kRecordBytes>
 encodeRecord(const isa::MicroOp &op)
 {
     std::array<std::uint8_t, kRecordBytes> rec{};
-    encodeU64(&rec[0], op.pc);
-    encodeU64(&rec[8], op.effAddr);
-    encodeU64(&rec[16], op.target);
+    ckpt::storeLe(&rec[0], op.pc, 8);
+    ckpt::storeLe(&rec[8], op.effAddr, 8);
+    ckpt::storeLe(&rec[16], op.target, 8);
     rec[24] = static_cast<std::uint8_t>(op.op);
     rec[25] = op.src1;
     rec[26] = op.src2;
@@ -59,9 +44,9 @@ decodeRecord(const std::array<std::uint8_t, kRecordBytes> &rec,
              const std::string &path, std::uint64_t byte_offset)
 {
     isa::MicroOp op;
-    op.pc = decodeU64(&rec[0]);
-    op.effAddr = decodeU64(&rec[8]);
-    op.target = decodeU64(&rec[16]);
+    op.pc = ckpt::loadLe(&rec[0], 8);
+    op.effAddr = ckpt::loadLe(&rec[8], 8);
+    op.target = ckpt::loadLe(&rec[16], 8);
     if (rec[24] >= isa::kNumOpClasses)
         fatalIo("trace file '%s' is corrupt: invalid op class %u at byte "
               "offset %llu",
@@ -85,7 +70,7 @@ TraceWriter::TraceWriter(const std::string &path)
         fatalIo("cannot open trace file '%s' for writing", path.c_str());
     std::uint8_t header[kHeaderBytes] = {};
     std::memcpy(header, kMagic, sizeof(kMagic));
-    encodeU64(header + 8, 0);  // patched in close()
+    // The record count at header + 8 stays zero until close() patches it.
     out_.write(reinterpret_cast<const char *>(header), kHeaderBytes);
 }
 
@@ -111,9 +96,9 @@ TraceWriter::close()
         return;
     closed_ = true;
     out_.seekp(8);
-    std::uint8_t buf[8];
-    encodeU64(buf, count_);
-    out_.write(reinterpret_cast<const char *>(buf), 8);
+    char buf[8];
+    ckpt::storeLe(buf, count_, 8);
+    out_.write(buf, 8);
     out_.flush();
     if (!out_)
         fatalIo("error writing trace file '%s'", path_.c_str());
@@ -160,7 +145,7 @@ TraceReader::TraceReader(const std::string &path, bool wrap)
     in_.read(reinterpret_cast<char *>(header), kHeaderBytes);
     if (!in_ || std::memcmp(header, kMagic, sizeof(kMagic)) != 0)
         fatalIo("'%s' is not a wsrs trace file (bad magic)", path.c_str());
-    count_ = decodeU64(header + 8);
+    count_ = ckpt::loadLe(header + 8, 8);
     if (count_ == 0)
         fatalIo("trace file '%s' contains no records", path.c_str());
 

@@ -17,6 +17,7 @@
 #include "src/sim/simulator.h"
 #include "src/sim/warmup.h"
 #include "src/workload/profiles.h"
+#include "tests/support/fnv.h"
 
 namespace wsrs::sim {
 namespace {
@@ -207,6 +208,16 @@ TEST(WarmupSnapshot, IncompatibleWithVerifyDataflow)
     bad.verifyDataflow = true;
     bad.warmupBlob = &blob;
     EXPECT_THROW(runSimulation(profile, bad), FatalError);
+}
+
+// Locks the wsrs-ckpt-v1 bytes of a gzip warm-up snapshot; the hash was
+// taken before ckpt::Writer moved onto the shared little-endian helpers.
+TEST(WarmupSnapshot, BlobBytesAreGolden)
+{
+    const std::string blob = buildWarmupSnapshot(
+        workload::findProfile("gzip"), smallConfig("WSRS-RC-512"));
+    const std::uint64_t hash = test::fnv1a(blob);
+    EXPECT_EQ(hash, 0xa9653aeb8c196639ull) << std::hex << hash;
 }
 
 } // namespace

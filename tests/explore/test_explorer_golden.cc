@@ -37,20 +37,12 @@
 #include "src/explore/pareto.h"
 #include "src/explore/space.h"
 #include "src/workload/profiles.h"
+#include "tests/support/fnv.h"
 
 namespace wsrs::explore {
 namespace {
 
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (const unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
+using test::fnv1a;
 
 std::string
 hex64(std::uint64_t v)

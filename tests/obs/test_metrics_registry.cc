@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -115,6 +116,27 @@ TEST(MetricsRegistry, ConcurrentUpdatesFold)
     EXPECT_EQ(c.value(), kThreads * kPerThread);
     EXPECT_EQ(h.count(), kThreads * kPerThread);
     EXPECT_EQ(h.bucketCount(0), kThreads * kPerThread);
+}
+
+TEST(MetricsRegistry, ConcurrentFirstRegistrationSharesOneHistogram)
+{
+    // Every thread registers the same new histogram at once; each must
+    // get the one instrument, with its buckets already built.
+    MetricsRegistry reg;
+    constexpr int kThreads = 8;
+    std::atomic<int> waiting{kThreads};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&] {
+            waiting.fetch_sub(1);
+            while (waiting.load() > 0)
+                std::this_thread::yield();
+            reg.histogram("wsrs_test_first_ms", "", {1}).observe(0);
+        });
+    for (auto &th : threads)
+        th.join();
+    EXPECT_EQ(reg.histogram("wsrs_test_first_ms", "", {1}).count(),
+              static_cast<std::uint64_t>(kThreads));
 }
 
 } // namespace

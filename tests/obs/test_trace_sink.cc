@@ -7,6 +7,7 @@
 
 #include "src/common/log.h"
 #include "src/obs/trace_sink.h"
+#include "tests/support/fnv.h"
 
 namespace wsrs::obs {
 namespace {
@@ -150,6 +151,30 @@ TEST(UopTrace, WakeupLatencyIsClampedAtZero)
     EXPECT_EQ(t.wakeupLatency(), 4u);
     t.issueCycle = 8;  // ready recorded after issue (never-ready fallback)
     EXPECT_EQ(t.wakeupLatency(), 0u);
+}
+
+// Locks the WSRSPTR1 bytes; the hash was taken before the sink moved onto
+// the shared little-endian helpers. The last record sets the high byte of
+// every 64-bit field and saturates the 32-bit wake-up latency.
+TEST(BinaryTrace, OutputBytesAreGolden)
+{
+    std::ostringstream os(std::ios::out | std::ios::binary);
+    BinaryTraceSink sink(os);
+    for (std::uint64_t i = 0; i < 16; ++i)
+        sink.record(sampleTrace(i));
+    UopTrace wide = sampleTrace(5);
+    wide.seq = 0xf0e1d2c3b4a59687ull;
+    wide.pc = 0x8899aabbccddeeffull;
+    wide.readyCycle = 1;
+    wide.issueCycle = 0x8000000000000000ull;
+    wide.completeCycle = 0x8000000000000001ull;
+    wide.commitCycle = 0xfffffffffffffffeull;
+    sink.record(wide);
+    sink.finish();
+    const std::string bytes = os.str();
+    EXPECT_EQ(bytes.size(), 16u + 17 * BinaryTraceSink::kRecordBytes);
+    const std::uint64_t hash = test::fnv1a(bytes);
+    EXPECT_EQ(hash, 0x56b0fba27148849bull) << std::hex << hash;
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include "src/runner/sweep_runner.h"
 #include "src/sim/presets.h"
 #include "src/workload/profiles.h"
+#include "tests/support/fnv.h"
 
 namespace wsrs::runner {
 namespace {
@@ -246,6 +247,24 @@ TEST(SweepRunnerResume, WarmupReuseProducesDeterministicSweep)
         EXPECT_EQ(a[i].results.statsJson, b[i].results.statsJson)
             << "job " << i;
     }
+}
+
+// Locks the WSRSJRN1 file bytes (header plus two records); the hash was
+// taken before the journal codec moved onto the shared little-endian
+// helpers.
+TEST(ResumeJournal, FileBytesAreGolden)
+{
+    TempFile tmp;
+    {
+        ResumeJournal j(tmp.path, 0x0123456789abcdefull, 6, false);
+        j.record(0, fakeOutcome(0));
+        j.record(4, fakeOutcome(4));
+    }
+    std::ifstream is(tmp.path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(is)),
+                            std::istreambuf_iterator<char>());
+    const std::uint64_t hash = test::fnv1a(bytes);
+    EXPECT_EQ(hash, 0x391c6a3ff7980505ull) << std::hex << hash;
 }
 
 } // namespace

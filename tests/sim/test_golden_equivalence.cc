@@ -27,21 +27,13 @@
 #include "src/sim/presets.h"
 #include "src/sim/simulator.h"
 #include "src/workload/profiles.h"
+#include "tests/support/fnv.h"
 
 namespace {
 
 using namespace wsrs;
 
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (const unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
+using test::fnv1a;
 
 struct GoldenRow
 {

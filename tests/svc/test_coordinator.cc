@@ -61,7 +61,7 @@ std::unique_ptr<Stream>
 handshake(const std::string &endpoint,
           const std::vector<runner::SweepJob> &jobs)
 {
-    auto stream = makeTransport(endpoint)->connect(endpoint);
+    auto stream = connect(endpoint);
     EXPECT_TRUE(sendFrame(*stream, FrameType::Hello,
                           helloPayload(1, runner::sweepKeyHash(jobs),
                                        jobs.size())));

@@ -11,6 +11,7 @@
 #include "src/common/log.h"
 #include "src/svc/frame.h"
 #include "src/svc/transport.h"
+#include "tests/support/fnv.h"
 
 namespace wsrs::svc {
 namespace {
@@ -139,6 +140,19 @@ TEST(Frame, EncodeRefusesOversizedPayloadUpFront)
     // wire damage).
     std::string big(kMaxFramePayload + 1, 'x');
     EXPECT_THROW(encodeFrame(FrameType::SweepResult, big), FatalError);
+}
+
+// Locks the WSVF wire bytes: the hash was taken from the encoder before
+// the frame codec moved onto the shared little-endian helpers, so an
+// encoder and decoder that drift together still fail here.
+TEST(Frame, WireBytesAreGolden)
+{
+    const std::string wire =
+        encodeFrame(FrameType::Lease, "{\"shard\": 7, \"jobs\": [1, 2, 3]}",
+                    0x1122334455667788ull);
+    EXPECT_EQ(wire.size(), 4u + 4 + 8 + 8 + 31 + 4);
+    const std::uint64_t hash = test::fnv1a(wire);
+    EXPECT_EQ(hash, 0xaba6f495c2071cd7ull) << std::hex << hash;
 }
 
 } // namespace

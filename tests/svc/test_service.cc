@@ -182,8 +182,7 @@ TEST(Service, AnswersHttpGetOnTheSameEndpoint)
     submitSweep(service.endpoint(), kTinyRequest);
 
     const auto get = [&](const std::string &path) {
-        auto stream = makeTransport(service.endpoint())
-                          ->connect(service.endpoint());
+        auto stream = connect(service.endpoint());
         const std::string req = "GET " + path + " HTTP/1.0\r\n\r\n";
         EXPECT_TRUE(stream->writeAll(req.data(), req.size()));
         std::string out;

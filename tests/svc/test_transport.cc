@@ -1,7 +1,7 @@
 /**
  * @file
- * Transport-layer contract: unix-socket listen/connect round trips,
- * endpoint parsing, stale-socket-file recovery, unknown-scheme refusal.
+ * Unix-socket stream contract: listen/connect round trips, endpoint
+ * parsing, stale-socket-file recovery, unknown-scheme refusal.
  */
 #include <gtest/gtest.h>
 
@@ -23,11 +23,10 @@ socketPath(const char *name)
 TEST(Transport, UnixListenConnectRoundTrip)
 {
     const std::string endpoint = "unix:" + socketPath("rt");
-    auto transport = makeTransport(endpoint);
-    auto listener = transport->listen(endpoint);
+    auto listener = listen(endpoint);
 
     std::thread client([&] {
-        auto stream = makeTransport(endpoint)->connect(endpoint);
+        auto stream = connect(endpoint);
         ASSERT_TRUE(stream->writeAll("ping", 4));
         char buf[4];
         ASSERT_EQ(stream->read(buf, 4), 4);
@@ -69,15 +68,17 @@ TEST(Transport, RebindsOverAStaleSocketFile)
     const std::string path = socketPath("stale");
     { std::ofstream(path) << "stale"; } // Leftover from a dead process.
     const std::string endpoint = "unix:" + path;
-    auto listener = makeTransport(endpoint)->listen(endpoint);
+    auto listener = listen(endpoint);
     EXPECT_EQ(listener->endpoint(), endpoint);
     listener->close();
 }
 
 TEST(Transport, UnknownSchemeIsAConfigError)
 {
-    EXPECT_THROW(makeTransport("tcp://127.0.0.1:9"), FatalError);
-    EXPECT_THROW(makeTransport("spool:/var/tmp/q"), FatalError);
+    EXPECT_THROW(listen("tcp://127.0.0.1:9"), FatalError);
+    EXPECT_THROW(connect("tcp://127.0.0.1:9"), FatalError);
+    EXPECT_THROW(listen("spool:/var/tmp/q"), FatalError);
+    EXPECT_THROW(connect("spool:/var/tmp/q"), FatalError);
 }
 
 TEST(Transport, EndpointPathStripsTheScheme)
@@ -88,10 +89,7 @@ TEST(Transport, EndpointPathStripsTheScheme)
 
 TEST(Transport, ConnectToMissingSocketIsAnIoError)
 {
-    EXPECT_THROW(
-        makeTransport("unix:/tmp/definitely-missing-wsrs.sock")
-            ->connect("unix:/tmp/definitely-missing-wsrs.sock"),
-        IoError);
+    EXPECT_THROW(connect("unix:/tmp/definitely-missing-wsrs.sock"), IoError);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include "src/workload/profiles.h"
 #include "src/workload/trace_generator.h"
 #include "src/workload/trace_io.h"
+#include "tests/support/fnv.h"
 
 namespace wsrs::workload {
 namespace {
@@ -234,6 +235,26 @@ TEST(TraceIo, RecordedTraceDrivesTheCoreIdentically)
     TraceGenerator live(profile, 0);
     TraceReader recorded(tmp.path);
     EXPECT_EQ(simulate(live), simulate(recorded));
+}
+
+// Locks the WSRSTRC1 file bytes for 64 generated gzip micro-ops; the hash
+// was taken before the trace codec moved onto the shared little-endian
+// helpers.
+TEST(TraceIo, FileBytesAreGolden)
+{
+    TempFile tmp;
+    {
+        TraceGenerator gen(findProfile("gzip"), 0);
+        TraceWriter writer(tmp.path);
+        for (int i = 0; i < 64; ++i)
+            writer.append(gen.next());
+    }
+    std::ifstream is(tmp.path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(is)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes.size(), 16u + 64 * 30);
+    const std::uint64_t hash = test::fnv1a(bytes);
+    EXPECT_EQ(hash, 0x86d821993be57c48ull) << std::hex << hash;
 }
 
 } // namespace

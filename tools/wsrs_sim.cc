@@ -65,6 +65,22 @@ ffScopeFromName(const std::string &name)
           name.c_str());
 }
 
+/** Run @p write on stdout when @p path is "-", else on a fresh file at
+ *  @p path; @p kind names the document in the open error. */
+template <typename Write>
+void
+writeDocument(const std::string &path, const char *kind, Write &&write)
+{
+    if (path == "-") {
+        write(std::cout);
+        return;
+    }
+    std::ofstream os(path);
+    if (!os)
+        fatalIo("cannot open %s file '%s'", kind, path.c_str());
+    write(os);
+}
+
 void
 printText(const sim::SimResults &r)
 {
@@ -309,27 +325,10 @@ main(int argc, char **argv)
             return cfg;
         };
 
-        const auto writeStatsFile = [](const std::string &path,
-                                       const std::string &doc) {
-            if (path == "-") {
-                std::printf("%s\n", doc.c_str());
-                return;
-            }
-            std::ofstream os(path);
-            if (!os)
-                fatalIo("cannot open stats file '%s'", path.c_str());
-            os << doc << "\n";
-        };
-
         const auto writeMetricsFile = [](const std::string &path) {
-            if (path == "-") {
-                obs::MetricsRegistry::process().writeJson(std::cout);
-                return;
-            }
-            std::ofstream os(path);
-            if (!os)
-                fatalIo("cannot open metrics file '%s'", path.c_str());
-            obs::MetricsRegistry::process().writeJson(os);
+            writeDocument(path, "metrics", [](std::ostream &os) {
+                obs::MetricsRegistry::process().writeJson(os);
+            });
         };
 
         // The full Figure-4/5 matrix, built identically by --all, by the
@@ -564,35 +563,22 @@ main(int argc, char **argv)
                 telemetry = sweep.telemetry();
             }
 
-            if (args.has("stats-json")) {
-                const std::string path = args.get("stats-json");
-                if (path == "-") {
-                    std::ostringstream os;
-                    runner::writeSweepReport(os, jobs, outcomes,
-                                             telemetry, svcPtr);
-                    std::printf("%s\n", os.str().c_str());
-                } else {
-                    std::ofstream os(path);
-                    if (!os)
-                        fatalIo("cannot open stats file '%s'", path.c_str());
-                    runner::writeSweepReport(os, jobs, outcomes,
-                                             telemetry, svcPtr);
-                    os << "\n";
-                }
-            }
+            if (args.has("stats-json"))
+                writeDocument(args.get("stats-json"), "stats",
+                              [&](std::ostream &os) {
+                                  runner::writeSweepReport(
+                                      os, jobs, outcomes, telemetry,
+                                      svcPtr);
+                                  os << "\n";
+                              });
             if (spans) {
-                const std::string path = args.get("spans-out");
-                std::ostringstream label;
-                label << "wsrs-sim --all (" << jobs.size() << " jobs)";
-                if (path == "-") {
-                    spanLog.writeChromeTrace(std::cout, label.str());
-                } else {
-                    std::ofstream os(path);
-                    if (!os)
-                        fatalIo("cannot open spans file '%s'",
-                                path.c_str());
-                    spanLog.writeChromeTrace(os, label.str());
-                }
+                const std::string label =
+                    "wsrs-sim --all (" + std::to_string(jobs.size()) +
+                    " jobs)";
+                writeDocument(args.get("spans-out"), "spans",
+                              [&](std::ostream &os) {
+                                  spanLog.writeChromeTrace(os, label);
+                              });
             }
             if (metrics)
                 writeMetricsFile(args.get("metrics-out"));
@@ -616,7 +602,10 @@ main(int argc, char **argv)
         const sim::SimResults r =
             sim::runSimulation(workload::findProfile(bench), cfg);
         if (args.has("stats-json"))
-            writeStatsFile(args.get("stats-json"), r.statsJson);
+            writeDocument(args.get("stats-json"), "stats",
+                          [&](std::ostream &os) {
+                              os << r.statsJson << "\n";
+                          });
         if (args.has("metrics-out")) {
             // Single runs bump sim-level instruments here at the tool
             // layer, from the results — the simulator core itself stays
