@@ -395,32 +395,48 @@ emitThroughputJson(const std::string &path)
     std::fprintf(out, "  \"host_threads\": %u,\n",
                  std::thread::hardware_concurrency());
 
-    // (a) Single-run simulator throughput per machine preset.
-    std::fprintf(out, "  \"single_run\": {\n");
+    // (a) Single-run simulator throughput per machine preset, in thread
+    // CPU time like the trace_overhead arms: the 10% floors must not
+    // trip on time this thread spent descheduled on a shared host. Each
+    // preset reports its best of three rounds, the presets interleaved
+    // within a round: co-tenant load on a shared host swings a single
+    // 220k-uop run by +-30% even in CPU time, while a code regression
+    // slows every round alike.
+    const int kSingleRounds = 3;
     const auto presets = sim::figure4Presets();
     const auto &profile = workload::findProfile("gzip");
+    std::vector<double> bestSecs(presets.size(), 0.0);
+    for (int rep = 0; rep < kSingleRounds; ++rep) {
+        for (std::size_t i = 0; i < presets.size(); ++i) {
+            sim::SimConfig cfg;
+            cfg.core = sim::findPreset(presets[i]);
+            cfg.warmupUops = kWarmup;
+            cfg.measureUops = kMeasure;
+            const double t0 = cpuSeconds(CLOCK_THREAD_CPUTIME_ID);
+            const sim::SimResults r = sim::runSimulation(profile, cfg);
+            const double secs = cpuSeconds(CLOCK_THREAD_CPUTIME_ID) - t0;
+            benchmark::DoNotOptimize(r.ipc);
+            if (rep == 0 || secs < bestSecs[i])
+                bestSecs[i] = secs;
+        }
+    }
+    std::fprintf(out, "  \"single_run\": {\n");
     for (std::size_t i = 0; i < presets.size(); ++i) {
-        sim::SimConfig cfg;
-        cfg.core = sim::findPreset(presets[i]);
-        cfg.warmupUops = kWarmup;
-        cfg.measureUops = kMeasure;
-        const auto t0 = std::chrono::steady_clock::now();
-        const sim::SimResults r = sim::runSimulation(profile, cfg);
-        const double secs = secondsSince(t0);
         const double uops = double(kWarmup) + double(kMeasure);
         std::fprintf(out,
                      "    \"%s\": {\"uops\": %.0f, \"seconds\": %.4f, "
-                     "\"uops_per_second\": %.0f}%s\n",
-                     presets[i].c_str(), uops, secs, uops / secs,
+                     "\"uops_per_second\": %.0f, \"best_of\": %d, "
+                     "\"clock\": \"thread_cpu\"}%s\n",
+                     presets[i].c_str(), uops, bestSecs[i],
+                     uops / bestSecs[i], kSingleRounds,
                      i + 1 < presets.size() ? "," : "");
-        benchmark::DoNotOptimize(r.ipc);
     }
     std::fprintf(out, "  },\n");
 
     // (b) Pipeline-trace overhead A/B on one preset. The four
     // configurations (reference, tracing off, text sink, binary sink —
     // "ref" and "off" are deliberately identical) are measured
-    // round-robin interleaved, best of 8, in thread CPU time, so slow
+    // round-robin interleaved, best of 64, in thread CPU time, so slow
     // drift on a shared host hits all of them equally instead of
     // biasing whichever section ran first.
     // scripts/check_throughput.py --trace-tolerance asserts off stays
@@ -436,16 +452,21 @@ emitThroughputJson(const std::string &path)
         };
         TraceCfg cfgs[4] = {
             {"", ""}, {"", ""}, {"/dev/null", ""}, {"", "/dev/null"}};
-        // Longer slices than the single_run section: ref and off are
-        // identical code paths, so their measured gap is pure noise,
-        // which must sit well under the 2% assertion threshold. The
-        // gate compares the median of within-round off/ref ratios
-        // (medianPairedRatio) rather than each arm's independent
-        // best-of; best_of throughputs are still emitted for the
-        // human-readable report.
-        const std::uint64_t kAbMeasure = 800000;
+        // ref and off are identical code paths, so their measured gap
+        // is pure noise, which must sit well under the 2% assertion
+        // threshold. The gate compares the median of within-round
+        // off/ref ratios (medianPairedRatio) rather than each arm's
+        // independent best-of; best_of throughputs are still emitted
+        // for the human-readable report. Many short rounds rather than
+        // a few long ones: co-tenant load on a shared host swings a
+        // single round's ratio by +-20% or more, and eight rounds of
+        // 800k uops let the median land 5% off parity; 64 rounds of
+        // 100k keep the two arms of a pair closer in time and give the
+        // median eight times the samples in about the same host time.
+        const int kAbRounds = 64;
+        const std::uint64_t kAbMeasure = 100000;
         std::vector<double> offRatios;
-        for (int rep = 0; rep < 8; ++rep) {
+        for (int rep = 0; rep < kAbRounds; ++rep) {
             double roundTput[4] = {};
             for (int slot = 0; slot < 4; ++slot) {
                 // Alternate which of ref/off runs first: the first arm
@@ -477,7 +498,7 @@ emitThroughputJson(const std::string &path)
         const double text = cfgs[2].best, bin = cfgs[3].best;
         std::fprintf(out,
                      "  \"trace_overhead\": {\"preset\": \"%s\", "
-                     "\"best_of\": 8, \"clock\": \"thread_cpu\",\n"
+                     "\"best_of\": %d, \"clock\": \"thread_cpu\",\n"
                      "    \"ref_uops_per_second\": %.0f, "
                      "\"off_uops_per_second\": %.0f, "
                      "\"off_paired_ratio\": %.4f,\n"
@@ -485,7 +506,8 @@ emitThroughputJson(const std::string &path)
                      "\"binary_uops_per_second\": %.0f,\n"
                      "    \"text_slowdown\": %.4f, "
                      "\"binary_slowdown\": %.4f},\n",
-                     preset, ref, off, medianPairedRatio(offRatios),
+                     preset, kAbRounds, ref, off,
+                     medianPairedRatio(offRatios),
                      text, bin,
                      text > 0 ? ref / text : 0.0,
                      bin > 0 ? ref / bin : 0.0);
@@ -505,8 +527,7 @@ emitThroughputJson(const std::string &path)
     }
 
     // (b') Sweep telemetry overhead A/B. Three arms over an identical
-    // small sweep, round-robin interleaved and timed in process CPU
-    // time: reference and "off" are
+    // small sweep, timed in process CPU time: reference and "off" are
     // deliberately identical (null metrics/span pointers in the runner
     // options — the shipped default), so their gap is the noise floor;
     // "on" wires a MetricsRegistry and SpanLog in.
@@ -520,15 +541,32 @@ emitThroughputJson(const std::string &path)
     // thread count, and the parallel runner's scheduling jitter
     // (several percent between identical arms on a shared host) would
     // drown the effect being gated.
+    //
+    // Each round runs the sweep one benchmark at a time (its two jobs,
+    // which share one recorded trace as in the full sweep), all three
+    // arms back to back, and sums each arm's time over the benchmarks.
+    // Interleaving whole 24-job sweeps instead leaves half a second
+    // between the arms of a pair, long enough for co-tenant load on a
+    // shared host to swing identical arms by +-20% per round and the
+    // paired median past the 2% gate. Each arm still runs the same
+    // jobs with the same trace sharing; it pays the per-sweep setup
+    // (for "on", the registry binding and span bookkeeping) twelve
+    // times per round instead of once.
     {
         sim::SimConfig abBase;
         abBase.warmupUops = 5000;
         abBase.measureUops = 45000;
-        const auto abJobs = runner::SweepRunner::crossProduct(
-            workload::allProfiles(), {"RR-256", "WSRS-RC-512"}, abBase);
+        std::vector<std::vector<runner::SweepJob>> abSweeps;
+        std::size_t abJobCount = 0;
+        for (const auto &p : workload::allProfiles()) {
+            abSweeps.push_back(runner::SweepRunner::crossProduct(
+                {p}, {"RR-256", "WSRS-RC-512"}, abBase));
+            abJobCount += abSweeps.back().size();
+        }
         const double abUops =
-            double(abJobs.size()) * double(abBase.warmupUops +
-                                           abBase.measureUops);
+            double(abJobCount) * double(abBase.warmupUops +
+                                        abBase.measureUops);
+        const int kTelemetryRounds = 15;
         obs::MetricsRegistry registry;
         struct TelemetryArm
         {
@@ -537,26 +575,32 @@ emitThroughputJson(const std::string &path)
         };
         TelemetryArm arms[3] = {{false}, {false}, {true}};
         std::vector<double> offRatios, onRatios;
-        for (int rep = 0; rep < 9; ++rep) {
-            double roundTput[3] = {};
-            for (int slot = 0; slot < 3; ++slot) {
-                // Rotate the arm order per round (9 reps = each arm in
-                // each position 3 times) so run-position bias cancels
-                // out of the paired ratios, as in the trace A/B above.
-                const int i = (slot + rep) % 3;
-                obs::SpanLog spanLog;
-                runner::SweepRunner::Options opt;
-                opt.threads = 1;
-                if (arms[i].enabled) {
-                    opt.metrics = &registry;
-                    opt.spans = &spanLog;
+        for (int rep = 0; rep < kTelemetryRounds; ++rep) {
+            double roundSecs[3] = {};
+            for (std::size_t b = 0; b < abSweeps.size(); ++b) {
+                for (int slot = 0; slot < 3; ++slot) {
+                    // Rotate the arm order per benchmark and round so
+                    // run-position bias cancels out of the paired ratios,
+                    // as in the trace A/B above.
+                    const int i = int((slot + rep + b) % 3);
+                    obs::SpanLog spanLog;
+                    runner::SweepRunner::Options opt;
+                    opt.threads = 1;
+                    if (arms[i].enabled) {
+                        opt.metrics = &registry;
+                        opt.spans = &spanLog;
+                    }
+                    // Process CPU time charges the arm for every thread
+                    // the runner uses (the serial runner uses only this
+                    // one).
+                    const double t0 = cpuSeconds(CLOCK_PROCESS_CPUTIME_ID);
+                    runner::SweepRunner(opt).run(abSweeps[b]);
+                    roundSecs[i] += cpuSeconds(CLOCK_PROCESS_CPUTIME_ID) - t0;
                 }
-                // Process CPU time charges the arm for every thread the
-                // runner uses (the serial runner uses only this one).
-                const double t0 = cpuSeconds(CLOCK_PROCESS_CPUTIME_ID);
-                runner::SweepRunner(opt).run(abJobs);
-                roundTput[i] =
-                    abUops / (cpuSeconds(CLOCK_PROCESS_CPUTIME_ID) - t0);
+            }
+            double roundTput[3];
+            for (int i = 0; i < 3; ++i) {
+                roundTput[i] = abUops / roundSecs[i];
                 arms[i].best = std::max(arms[i].best, roundTput[i]);
             }
             offRatios.push_back(roundTput[1] / roundTput[0]);
@@ -566,13 +610,13 @@ emitThroughputJson(const std::string &path)
         const double on = arms[2].best;
         std::fprintf(out,
                      "  \"metrics_overhead\": {\"jobs\": %zu, "
-                     "\"best_of\": 9, \"clock\": \"process_cpu\",\n"
+                     "\"best_of\": %d, \"clock\": \"process_cpu\",\n"
                      "    \"ref_uops_per_second\": %.0f, "
                      "\"off_uops_per_second\": %.0f, "
                      "\"on_uops_per_second\": %.0f,\n"
                      "    \"off_paired_ratio\": %.4f, "
                      "\"on_paired_ratio\": %.4f},\n",
-                     abJobs.size(), ref, off, on,
+                     abJobCount, kTelemetryRounds, ref, off, on,
                      medianPairedRatio(offRatios),
                      medianPairedRatio(onRatios));
     }

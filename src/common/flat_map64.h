@@ -2,16 +2,16 @@
  * @file
  * Open-addressing u64 -> u64 hash map for simulator-hot lookups.
  *
- * The committed-memory image is probed once per load and updated once per
- * store; std::unordered_map's node allocation and pointer chasing made it
- * one of the largest single costs in the issue stage. This map keeps
- * {occupied, key, value} together in one flat slot array with linear
- * probing (power-of-two capacity, mix64 hash), so a probe touches a
- * single cache line instead of one line per parallel array.
+ * The LSQ's store-forwarding chain heads and the memory image's page index
+ * are probed on every memory access; std::unordered_map's node allocation
+ * and pointer chasing made such lookups one of the largest single costs in
+ * the issue stage. This map keeps {occupied, key, value} together in one
+ * flat slot array with linear probing (power-of-two capacity, mix64 hash),
+ * so a probe touches a single cache line instead of one line per parallel
+ * array.
  *
- * Supports exactly what that use needs: insert-or-assign, find, clear,
- * reserve and iteration (no erase). Iteration order is unspecified;
- * callers that serialize must sort (the core's snapshot already does).
+ * Supports exactly what those uses need: insert-or-assign, find and clear
+ * (no erase, no iteration).
  */
 #pragma once
 
@@ -40,17 +40,6 @@ class FlatMap64
         for (Slot &s : slots_)
             s.used = 0;
         size_ = 0;
-    }
-
-    /** Pre-size the table for @p n entries without rehashing later. */
-    void
-    reserve(std::size_t n)
-    {
-        std::size_t cap = kMinCapacity;
-        while (cap < 2 * n)
-            cap <<= 1;
-        if (cap > slots_.size())
-            rehash(cap);
     }
 
     /** Pointer to the value for @p key, or nullptr when absent. */
@@ -86,16 +75,6 @@ class FlatMap64
             if (s.key == key)
                 return s.val;
         }
-    }
-
-    /** Invoke @p fn(key, value) for every entry, in unspecified order. */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (const Slot &s : slots_)
-            if (s.used)
-                fn(s.key, s.val);
     }
 
   private:

@@ -335,13 +335,6 @@ Core::reserveWriteback(ClusterId c, Cycle nominal)
     }
 }
 
-std::uint64_t
-Core::committedMemValue(Addr a) const
-{
-    const std::uint64_t *v = committedMem_.find(a);
-    return v != nullptr ? *v : workload::memInitValue(a);
-}
-
 void
 Core::assertWsrsConstraints(std::size_t i) const
 {
@@ -431,7 +424,7 @@ Core::tryIssue(std::uint64_t rob_num)
         } else {
             const memory::TimedAccess ta = mem_.access(effAddr, false, now_);
             eff_lat = ta.latency;
-            mem_val = committedMemValue(effAddr);
+            mem_val = committedMem_.load(effAddr);
         }
         result = workload::execValue(cls, rob_.pc[i],
                                      flags & kFlagCommutative, s1, 0,
@@ -947,7 +940,7 @@ Core::commitStage()
                 lsq_.setStoreData(mo,
                                   workload::storeValue(rob_.pc[i], s1, s2));
             }
-            committedMem_[rob_.effAddr[i]] = lsq_.storeData(mo);
+            committedMem_.store(rob_.effAddr[i], lsq_.storeData(mo));
             lsq_.popFront();
         } else if (cls == isa::OpClass::Load) {
             lsq_.popFront();
@@ -1356,17 +1349,7 @@ Core::snapshot(ckpt::Writer &w) const
 
     ckpt::writeVec(w, pendingStoreData_);
 
-    // Committed memory image, sorted for deterministic snapshot bytes.
-    std::vector<std::pair<Addr, std::uint64_t>> img;
-    img.reserve(committedMem_.size());
-    committedMem_.forEach(
-        [&](Addr a, std::uint64_t v) { img.emplace_back(a, v); });
-    std::sort(img.begin(), img.end());
-    w.u64(img.size());
-    for (const auto &[a, v] : img) {
-        w.u64(a);
-        w.u64(v);
-    }
+    committedMem_.snapshot(w);
 
     for (const std::uint64_t g : groupCount_)
         w.u64(g);
@@ -1555,13 +1538,7 @@ Core::restore(ckpt::Reader &r)
 
     ckpt::readVec(r, pendingStoreData_);
 
-    committedMem_.clear();
-    const std::uint64_t mem = r.u64();
-    committedMem_.reserve(mem);
-    for (std::uint64_t i = 0; i < mem; ++i) {
-        const Addr a = r.u64();
-        committedMem_[a] = r.u64();
-    }
+    committedMem_.restore(r);
 
     for (std::uint64_t &g : groupCount_)
         g = r.u64();

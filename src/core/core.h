@@ -32,8 +32,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/flat_map64.h"
-
 #include "src/bpred/predictor.h"
 #include "src/ckpt/snapshotter.h"
 #include "src/common/rng.h"
@@ -48,6 +46,7 @@
 #include "src/core/rename.h"
 #include "src/isa/micro_op.h"
 #include "src/memory/hierarchy.h"
+#include "src/workload/memory_image.h"
 #include "src/workload/oracle.h"
 #include "src/workload/source.h"
 
@@ -158,18 +157,6 @@ class Core
     /** Render the recorded timeline as a gem5-pipeview-style text chart. */
     void dumpTimeline(std::ostream &os, std::size_t max_rows = 64) const;
 
-    /**
-     * Pre-size the committed-memory oracle map for a workload expected to
-     * touch roughly @p working_set_bytes of distinct data, so the map never
-     * rehashes mid-run. Purely a host-side optimization; the image is
-     * keyed by 8-byte double-words.
-     */
-    void
-    reserveMemoryFootprint(std::size_t working_set_bytes)
-    {
-        committedMem_.reserve(working_set_bytes / 8);
-    }
-
     /** Physical-register accounting snapshot (conservation checking). */
     struct RegAccounting
     {
@@ -267,7 +254,6 @@ class Core
     std::array<unsigned, kMaxClusters> cycInts_{};
     std::array<unsigned, kMaxClusters> cycMems_{};
     std::array<unsigned, kMaxClusters> cycFps_{};
-    std::uint64_t committedMemValue(Addr a) const;
     bool tryInjectMove(SubsetId blocked_subset);
     void recordAllocation(ClusterId cluster);
     SubsetId targetSubset(ClusterId cluster) const;
@@ -432,7 +418,7 @@ class Core
     std::vector<std::uint64_t> pendingStoreData_;
 
     // Committed memory image (dataflow values); probed once per load.
-    FlatMap64 committedMem_;
+    workload::MemoryImage committedMem_;
 
     // Figure-5 unbalancing metric state.
     std::array<std::uint64_t, kMaxClusters> groupCount_{};

@@ -155,9 +155,6 @@ runSimulationImpl(const workload::BenchmarkProfile &profile,
     core::CoreParams cp = config.core;
     cp.verifyDataflow = config.verifyDataflow;
     core::Core machine(cp, source, *predictor, mem);
-    // Pre-size the committed-memory oracle from the profile's footprint
-    // hint so the map never rehashes inside the measured loop.
-    machine.reserveMemoryFootprint(profile.workingSetBytes);
 
     // ---- warm-up phase: run it, restore it, or skip past it ----
     if (!config.checkpointLoadPath.empty()) {

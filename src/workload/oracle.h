@@ -9,15 +9,13 @@
  */
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
 #include "src/ckpt/snapshotter.h"
 #include "src/isa/micro_op.h"
 #include "src/workload/dataflow.h"
+#include "src/workload/memory_image.h"
 
 namespace wsrs::workload {
 
@@ -45,7 +43,7 @@ class OracleExecutor : public ckpt::Snapshotter
         const std::uint64_t s2 =
             op.src2 != kNoLogReg ? regs_[op.src2] : 0;
         if (op.isStore()) {
-            mem_[op.effAddr] = storeValue(op, s1, s2);
+            mem_.store(op.effAddr, storeValue(op, s1, s2));
             return 0;
         }
         std::uint64_t result = 0;
@@ -61,28 +59,14 @@ class OracleExecutor : public ckpt::Snapshotter
     std::uint64_t reg(LogReg r) const { return regs_[r]; }
 
     /** Current memory value at an address (init pattern if never stored). */
-    std::uint64_t
-    loadMem(Addr a) const
-    {
-        const auto it = mem_.find(a);
-        return it != mem_.end() ? it->second : memInitValue(a);
-    }
+    std::uint64_t loadMem(Addr a) const { return mem_.load(a); }
 
     void
     snapshot(ckpt::Writer &w) const override
     {
         for (const std::uint64_t v : regs_)
             w.u64(v);
-        // Sort the sparse memory image so snapshot bytes are deterministic
-        // regardless of the hash table's iteration order.
-        std::vector<std::pair<Addr, std::uint64_t>> img(mem_.begin(),
-                                                        mem_.end());
-        std::sort(img.begin(), img.end());
-        w.u64(img.size());
-        for (const auto &[a, v] : img) {
-            w.u64(a);
-            w.u64(v);
-        }
+        mem_.snapshot(w);
     }
 
     void
@@ -90,18 +74,12 @@ class OracleExecutor : public ckpt::Snapshotter
     {
         for (std::uint64_t &v : regs_)
             v = r.u64();
-        mem_.clear();
-        const std::uint64_t n = r.u64();
-        mem_.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const Addr a = r.u64();
-            mem_[a] = r.u64();
-        }
+        mem_.restore(r);
     }
 
   private:
     std::array<std::uint64_t, isa::kNumLogRegs> regs_{};
-    std::unordered_map<Addr, std::uint64_t> mem_;
+    MemoryImage mem_;
 };
 
 } // namespace wsrs::workload

@@ -10,6 +10,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "src/common/log.h"
@@ -218,6 +220,40 @@ TEST(WarmupSnapshot, BlobBytesAreGolden)
         workload::findProfile("gzip"), smallConfig("WSRS-RC-512"));
     const std::uint64_t hash = test::fnv1a(blob);
     EXPECT_EQ(hash, 0xa9653aeb8c196639ull) << std::hex << hash;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// Locks the bytes of a full-sim checkpoint file, which carry the core's
+// committed-memory image: mcf's stores at the warm-up boundary already
+// span about 150 4 KiB pages, gzip's about 10. The hashes were taken
+// while the image was still a hash table whose snapshot sorted its
+// pairs, before the paged MemoryImage replaced it.
+TEST(FullSimCheckpoint, FileBytesAreGolden)
+{
+    const struct
+    {
+        const char *bench;
+        const char *machine;
+        std::uint64_t hash;
+    } cases[] = {
+        {"mcf", "WSRS-RC-512", 0x63d1c980ac926ca3ull},
+        {"gzip", "RR-256", 0x48c812cb6318ef35ull},
+    };
+    for (const auto &c : cases) {
+        TempFile ckpt;
+        SimConfig cfg = smallConfig(c.machine);
+        cfg.checkpointSavePath = ckpt.path;
+        (void)runSimulation(workload::findProfile(c.bench), cfg);
+        const std::uint64_t hash = test::fnv1a(slurp(ckpt.path));
+        EXPECT_EQ(hash, c.hash)
+            << c.bench << " on " << c.machine << ": " << std::hex << hash;
+    }
 }
 
 } // namespace
