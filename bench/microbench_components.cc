@@ -542,16 +542,14 @@ emitThroughputJson(const std::string &path)
     // (several percent between identical arms on a shared host) would
     // drown the effect being gated.
     //
-    // Each round runs the sweep one benchmark at a time (its two jobs,
-    // which share one recorded trace as in the full sweep), all three
-    // arms back to back, and sums each arm's time over the benchmarks.
-    // Interleaving whole 24-job sweeps instead leaves half a second
-    // between the arms of a pair, long enough for co-tenant load on a
-    // shared host to swing identical arms by +-20% per round and the
-    // paired median past the 2% gate. Each arm still runs the same
-    // jobs with the same trace sharing; it pays the per-sweep setup
-    // (for "on", the registry binding and span bookkeeping) twelve
-    // times per round instead of once.
+    // Each round runs the sweep one benchmark at a time (its two jobs),
+    // all three arms back to back, and sums each arm's time over the
+    // benchmarks. Interleaving whole 24-job sweeps instead leaves half a
+    // second between the arms of a pair, long enough for co-tenant load
+    // on a shared host to swing identical arms by +-20% per round and the
+    // paired median past the 2% gate. Each arm still runs the same jobs;
+    // it pays the per-sweep setup (for "on", the registry binding and
+    // span bookkeeping) twelve times per round instead of once.
     {
         sim::SimConfig abBase;
         abBase.warmupUops = 5000;
@@ -630,12 +628,11 @@ emitThroughputJson(const std::string &path)
 
     runner::SweepRunner::Options serial;
     serial.threads = 1;
-    serial.shareTraces = false;  // The pre-runner, regenerate-always path.
     const auto t_serial = std::chrono::steady_clock::now();
     runner::SweepRunner(serial).run(jobs);
     const double serialSecs = secondsSince(t_serial);
 
-    runner::SweepRunner::Options parallel;  // Defaults: all cores, cache.
+    runner::SweepRunner::Options parallel;  // Default: all cores.
     const auto t_par = std::chrono::steady_clock::now();
     runner::SweepRunner(parallel).run(jobs);
     const double parSecs = secondsSince(t_par);

@@ -24,7 +24,6 @@ calibrate(const AnalyticModel &model, const CalibrationOptions &options)
 
     runner::SweepRunner::Options ropts;
     ropts.threads = options.threads;
-    ropts.shareTraces = true;
     ropts.metrics = options.metrics;
     runner::SweepRunner sweeper(ropts);
     const std::vector<runner::SweepJob> jobs =

@@ -344,7 +344,6 @@ explore(const SpaceSpec &spec, const AnalyticModel &model,
 
         runner::SweepRunner::Options ropts;
         ropts.threads = options.confirmThreads;
-        ropts.shareTraces = true;
         ropts.metrics = options.metrics;
         runner::SweepRunner sweeper(ropts);
         const std::vector<runner::SweepJob> jobs =

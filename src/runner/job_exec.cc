@@ -4,7 +4,6 @@
 
 #include "src/ckpt/warmup_cache.h"
 #include "src/common/log.h"
-#include "src/runner/trace_cache.h"
 #include "src/sim/warmup.h"
 
 namespace wsrs::runner {
@@ -88,17 +87,7 @@ executeJob(const SweepJob &job, const JobContext &ctx,
         }
         const std::int64_t simStartUs =
             jobStartUs ? obs::monotonicMicros() : 0;
-        if (ctx.traces) {
-            // Hold the shared trace only for the duration of the run: it
-            // stays recorded while any sibling job needs it and is
-            // released when the profile's jobs drain.
-            const std::shared_ptr<CachedTrace> trace =
-                ctx.traces->acquire(job.profile, cfg.seed);
-            const auto cursor = trace->openCursor();
-            out.results = sim::runSimulation(job.profile, cfg, *cursor);
-        } else {
-            out.results = sim::runSimulation(job.profile, cfg);
-        }
+        out.results = sim::runSimulation(job.profile, cfg);
         out.ok = true;
         if (jobStartUs) {
             const std::int64_t simEndUs = obs::monotonicMicros();

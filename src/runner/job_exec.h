@@ -25,8 +25,6 @@ class WarmupCache;
 
 namespace wsrs::runner {
 
-class TraceCache;
-
 /**
  * Registry handles for the runner-layer instruments (job counts, warm-up
  * cache behaviour, per-stage host latencies). Constructing one binds (or
@@ -57,8 +55,6 @@ struct RunnerMetrics
  *  borrowed and may be shared between concurrent calls. */
 struct JobContext
 {
-    /** Per-profile recorded trace cache; null regenerates per run. */
-    TraceCache *traces = nullptr;
     /** Warm-up snapshot cache (required when reuseWarmup). */
     ckpt::WarmupCache *warmups = nullptr;
     /** Restore one functional warm-up snapshot per benchmark instead of

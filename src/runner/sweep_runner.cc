@@ -7,7 +7,6 @@
 #include "src/ckpt/warmup_cache.h"
 #include "src/runner/job_exec.h"
 #include "src/runner/sweep_merge.h"
-#include "src/runner/trace_cache.h"
 #include "src/sim/presets.h"
 
 namespace wsrs::runner {
@@ -81,10 +80,8 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
     telemetry_.resumed = merge.resumed();
     telemetry_.skippedRuns = merge.recoveredCount();
 
-    TraceCache cache;
     ckpt::WarmupCache warmups;
     JobContext ctx;
-    ctx.traces = options_.shareTraces ? &cache : nullptr;
     ctx.warmups = &warmups;
     ctx.reuseWarmup = options_.reuseWarmup;
     std::unique_ptr<RunnerMetrics> metrics;

@@ -5,17 +5,16 @@
  * A sweep is an ordered list of {benchmark profile, machine config} jobs —
  * typically the full benchmarks x presets matrix behind Figure 4/Figure 5.
  * SweepRunner executes the jobs on a thread pool and returns outcomes in
- * submission order, with three determinism guarantees:
+ * submission order, with two determinism guarantees:
  *
  *  - every job runs in a fully independent simulation (own core, memory
- *    hierarchy, predictor and trace source), seeded only by its SimConfig,
- *    so results are bit-identical regardless of thread count or schedule;
+ *    hierarchy, predictor and TraceGenerator), seeded only by its
+ *    SimConfig, so results are bit-identical regardless of thread count
+ *    or schedule. Every machine of a profile reads the same micro-op
+ *    stream because TraceGenerator is deterministic; generating it costs
+ *    a few percent of a run, so no job shares another's stream;
  *  - outcomes land at the job's submission index, never in completion
- *    order;
- *  - with trace sharing enabled, each profile's micro-op stream is
- *    recorded once (TraceCache) and replayed for every machine, which is
- *    stream-identical to per-run generation by TraceGenerator's
- *    determinism contract.
+ *    order.
  *
  * Errors (wsrs::FatalError and other exceptions) are captured per job
  * instead of tearing the sweep down. Progress is reported through a
@@ -71,7 +70,9 @@ class SweepRunner
         /** Worker threads; 0 picks the hardware concurrency, 1 runs the
          *  sweep inline on the calling thread. */
         unsigned threads = 0;
-        /** Record each profile's trace once and replay it per machine. */
+        /** Ignored: every job generates its own trace. Its only writer
+         *  is ledger/ledger_bench.cc, which the benchmark freezes; delete
+         *  it in the next change to ledger/. */
         bool shareTraces = true;
         /**
          * Warm each benchmark once (functional warm-up snapshot of the

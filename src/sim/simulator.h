@@ -104,9 +104,10 @@ SimResults runSimulation(const workload::BenchmarkProfile &profile,
 
 /**
  * Run one benchmark on one machine, drawing micro-ops from @p source
- * instead of constructing a fresh TraceGenerator. The source must produce
- * the same stream a TraceGenerator(profile, config.seed) would for the
- * results to be comparable across machines (see runner::TraceCache).
+ * (for example a TraceReader over a recorded trace file) instead of
+ * constructing a fresh TraceGenerator. Full-sim checkpoints need the
+ * generator overload. The sweep runner never takes this path: each of its
+ * jobs generates its own stream.
  */
 SimResults runSimulation(const workload::BenchmarkProfile &profile,
                          const SimConfig &config,

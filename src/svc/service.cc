@@ -46,7 +46,6 @@ struct Request
     std::uint64_t conn = 0; ///< Frame-log connection id.
     std::unique_ptr<Stream> stream;
     std::vector<runner::SweepJob> jobs;
-    bool shareTraces = true;
     bool reuseWarmup = false;
 };
 
@@ -96,7 +95,6 @@ parseSweepRequest(const std::string &payload)
     base.seed = static_cast<std::uint64_t>(doc.getInt("seed", 0));
 
     req.jobs = runner::SweepRunner::crossProduct(profiles, machines, base);
-    req.shareTraces = doc.getBool("share_traces", true);
     req.reuseWarmup = doc.getBool("reuse_warmup", false);
     return req;
 }
@@ -431,7 +429,6 @@ SweepService::Impl::runRequest(Request &req)
     const std::int64_t startUs = obs::monotonicMicros();
     runner::SweepRunner::Options opt;
     opt.threads = options.sweepThreads;
-    opt.shareTraces = req.shareTraces;
     opt.reuseWarmup = req.reuseWarmup;
     opt.metrics = &registry; ///< Runner instruments join `/metrics`.
     opt.onEvent = [&](const runner::SweepEvent &ev) {

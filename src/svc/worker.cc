@@ -10,7 +10,6 @@
 #include "src/obs/span_log.h"
 #include "src/runner/job_exec.h"
 #include "src/runner/resume_journal.h"
-#include "src/runner/trace_cache.h"
 #include "src/svc/frame.h"
 #include "src/svc/transport.h"
 
@@ -43,7 +42,6 @@ runWorker(const std::vector<runner::SweepJob> &jobs,
         fatalMismatch("worker: %s", refusal.c_str());
     const std::uint64_t traceId = frame.traceId;
 
-    runner::TraceCache traces;
     ckpt::WarmupCache warmups(options.warmupCacheDir);
 
     // Runner metrics always land in the process registry (exported only
@@ -53,7 +51,6 @@ runWorker(const std::vector<runner::SweepJob> &jobs,
     obs::SpanLog spanLog;
 
     runner::JobContext ctx;
-    ctx.traces = options.shareTraces ? &traces : nullptr;
     ctx.warmups = &warmups;
     ctx.reuseWarmup = options.reuseWarmup;
     ctx.metrics = &metrics;

@@ -30,8 +30,6 @@ struct WorkerOptions
 {
     /** Coordinator endpoint to connect to. */
     std::string endpoint;
-    /** Record each profile's trace once and replay it per machine. */
-    bool shareTraces = true;
     /** Restore functional warm-up snapshots (must match coordinator). */
     bool reuseWarmup = false;
     /** Shared on-disk warm-up cache directory (empty = in-memory only). */

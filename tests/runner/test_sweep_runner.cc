@@ -2,8 +2,7 @@
  * @file
  * Determinism contract of the parallel sweep runner: a {profile x config}
  * matrix must produce bit-identical SimResults regardless of worker-thread
- * count, job scheduling, or whether micro-ops come from a fresh
- * TraceGenerator or a shared cached trace.
+ * count or job scheduling.
  */
 #include <gtest/gtest.h>
 
@@ -91,7 +90,6 @@ TEST(SweepRunner, SerialAndThreadedAreBitIdentical)
 
     SweepRunner::Options serial;
     serial.threads = 1;
-    serial.shareTraces = false;
     const auto ref = SweepRunner(serial).run(jobs);
 
     for (unsigned threads : {2u, 4u, 8u}) {
@@ -105,24 +103,6 @@ TEST(SweepRunner, SerialAndThreadedAreBitIdentical)
             ASSERT_TRUE(out[i].ok) << out[i].error;
             expectIdentical(out[i].results, ref[i].results);
         }
-    }
-}
-
-TEST(SweepRunner, CachedAndGeneratedTracesAreBitIdentical)
-{
-    const auto jobs = smallMatrix(13);
-
-    SweepRunner::Options fresh;
-    fresh.shareTraces = false;
-    const auto generated = SweepRunner(fresh).run(jobs);
-
-    SweepRunner::Options cached;
-    cached.shareTraces = true;
-    const auto replayed = SweepRunner(cached).run(jobs);
-
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        ASSERT_TRUE(generated[i].ok && replayed[i].ok);
-        expectIdentical(replayed[i].results, generated[i].results);
     }
 }
 

@@ -4,9 +4,11 @@
  *
  * The `constant` preset is the identity: selecting it explicitly must
  * produce the byte-exact stats document of the default configuration, so
- * the golden fingerprints in test_golden_equivalence.cc lock the DRAM
- * work out of the paper-reproduction path. The `dram` preset must emit a
- * schema-shaped, deterministic document of its own.
+ * the constant-memory golden fingerprints in test_golden_equivalence.cc
+ * keep the DRAM work out of the paper-reproduction path. The `dram` preset
+ * must emit a schema-shaped, deterministic document of its own; its bytes
+ * (and `dram-closed`'s) are locked by the DRAM rows of the same golden
+ * table.
  */
 #include <string>
 

@@ -47,6 +47,27 @@ TEST(Service, RunsARequestAndStreamsTheReportBack)
     service.stop();
 }
 
+TEST(Service, AdmitsOldRequestsThatStillCarryShareTraces)
+{
+    ServiceOptions opt;
+    opt.endpoint = endpointFor("oldreq");
+    SweepService service(opt);
+    service.start();
+
+    // Clients written before every job streamed its own trace may still
+    // send the old trace-sharing key; the daemon ignores it, and the
+    // report is the one the same request gets without it.
+    const SubmitResult old = submitSweep(
+        service.endpoint(),
+        R"({"benchmarks": ["gzip"], "machines": ["RR-256"],
+            "uops": 2000, "warmup": 500, "share_traces": false})");
+    ASSERT_TRUE(old.accepted) << old.reason;
+    const SubmitResult plain = submitSweep(service.endpoint(), kTinyRequest);
+    ASSERT_TRUE(plain.accepted) << plain.reason;
+    EXPECT_EQ(old.report, plain.report);
+    service.stop();
+}
+
 TEST(Service, IsolatesConcurrentRequests)
 {
     ServiceOptions opt;

@@ -204,9 +204,6 @@ main(int argc, char **argv)
     args.addOption("all", "run all benchmarks x Figure-4 machines", true);
     args.addOption("jobs",
                    "worker threads for --all (0 = all cores, 1 = serial)");
-    args.addOption("no-trace-cache",
-                   "regenerate each run's trace instead of replaying the "
-                   "per-benchmark recording", true);
     args.addOption("csv", "emit one CSV row per run", true);
     args.addOption("json", "emit JSON (single run only)", true);
     args.addOption("trace-pipe",
@@ -348,7 +345,6 @@ main(int argc, char **argv)
             wopt.endpoint = args.get("connect", "");
             if (wopt.endpoint.empty())
                 fatal("--worker needs --connect=ENDPOINT");
-            wopt.shareTraces = !args.has("no-trace-cache");
             wopt.reuseWarmup = args.has("reuse-warmup");
             wopt.warmupCacheDir = args.get("warmup-cache-dir", "");
             svc::runWorker(matrixJobs(), wopt);
@@ -521,8 +517,7 @@ main(int argc, char **argv)
                         if (args.has(o))
                             cmd.push_back(std::string("--") + o + "=" +
                                           args.get(o));
-                    for (const char *f :
-                         {"verify", "no-trace-cache", "reuse-warmup"})
+                    for (const char *f : {"verify", "reuse-warmup"})
                         if (args.has(f))
                             cmd.push_back(std::string("--") + f);
                     std::vector<char *> cargv;
@@ -551,7 +546,6 @@ main(int argc, char **argv)
             } else {
                 runner::SweepRunner::Options opt;
                 opt.threads = unsigned(args.getUint("jobs", 0));
-                opt.shareTraces = !args.has("no-trace-cache");
                 opt.reuseWarmup = args.has("reuse-warmup");
                 opt.journalPath = args.get("resume-journal", "");
                 opt.resume = args.has("resume");
