@@ -6,14 +6,12 @@ Usage: check_exit_codes.py /path/to/wsrs-sim
 The CLI contract (docs/sweep_service.md):
 
   0  success
-  1  configuration error (bad flag value, unknown benchmark/machine,
-     unsupported transport scheme)
+  1  configuration error (bad flag value, unknown option,
+     unknown benchmark/machine, unsupported transport scheme)
   2  I/O or corruption error (unreadable/damaged checkpoint or socket)
   3  journal/sweep binding mismatch (a journal or checkpoint that
      belongs to a different sweep or machine configuration)
   4  sweep completed but some jobs failed
-  75 daemon admission-queue backpressure (EX_TEMPFAIL, --request only;
-     covered by serve_smoke_test.py)
 
 Every probe below must hit its exact code — a collapse of two classes
 into one (e.g. everything exiting 1) is a regression in scriptability.
@@ -53,6 +51,12 @@ def main():
               [binary, "--bench=nonesuch", "--machine=RR-256", *TINY], 1)
         probe("unsupported transport scheme is a config error",
               [binary, "--all", *TINY, "--coordinator=tcp://1.2.3.4:1"],
+              1)
+        # The sweep daemon and its flags are gone: a script that still
+        # starts it fails fast with the config code instead of hanging.
+        retired = "serve"
+        probe(f"retired --{retired} is an unknown option",
+              [binary, f"--{retired}=unix:{os.path.join(tmp, 'x.sock')}"],
               1)
 
         # Class 2: I/O / corruption errors.

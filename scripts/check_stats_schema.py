@@ -20,13 +20,9 @@ and then structurally checked:
     counters (wsrs-ckpt warm-up reuse);
   - sweep reports merged by a coordinator carry a complete `svc` object
     (sharding/lease/worker counters plus the worker liveness array);
-  - wsrs-svc-status-v1 daemon status replies and wsrs-svc-frames-v1
-    JSONL frame logs (wsrs-sim --serve) are structurally sound; frame
-    logs tolerate a torn final line (the daemon flushes on queue drain,
-    so a SIGKILL can cut the last record mid-write);
-  - wsrs-metrics-v1 registry snapshots (wsrs-sim --metrics-out, the
-    daemon's /metrics.json) follow the metric naming scheme and their
-    histogram bucket counts fold up to the sample count;
+  - wsrs-metrics-v1 registry snapshots (wsrs-sim --metrics-out) follow
+    the metric naming scheme and their histogram bucket counts fold up
+    to the sample count;
   - wsrs-spans-v1 span timelines (wsrs-sim --spans-out) are valid Chrome
     trace-event JSON with exactly one "job" root span per job, no
     negative durations, and every child event nested inside its parent
@@ -196,12 +192,11 @@ def check_resume_metadata(doc, where):
 SVC_COUNTER_KEYS = (
     "shards", "shard_size", "leases_granted", "lease_retries",
     "lease_timeouts", "shards_failed", "duplicate_results",
-    "workers_seen", "workers_lost", "requests_admitted",
-    "requests_completed", "requests_failed", "backpressure_rejects")
+    "workers_seen", "workers_lost")
 
 
 def check_svc_object(svc, where, total_jobs=None):
-    """Validate the sweep-service counter object (report or status)."""
+    """Validate the sweep-service counter object of a merged report."""
     expect(isinstance(svc, dict), f"{where}: must be an object")
     for key in SVC_COUNTER_KEYS:
         expect(isinstance(svc.get(key), int) and svc[key] >= 0,
@@ -212,8 +207,6 @@ def check_svc_object(svc, where, total_jobs=None):
     expect(svc["workers_lost"] <= svc["workers_seen"],
            f"{where}: workers_lost {svc['workers_lost']} exceeds "
            f"workers_seen {svc['workers_seen']}")
-    expect(svc["requests_completed"] <= svc["requests_admitted"],
-           f"{where}: requests_completed exceeds requests_admitted")
     workers = svc["workers"]
     expect(isinstance(workers, list), f"{where}: 'workers' must be a list")
     done = 0
@@ -228,93 +221,6 @@ def check_svc_object(svc, where, total_jobs=None):
         expect(done <= total_jobs,
                f"{where}: workers report {done} jobs done for a "
                f"{total_jobs}-job sweep")
-
-
-def check_status_doc(doc, where):
-    """Validate a wsrs-svc-status-v1 daemon status reply."""
-    for key in ("endpoint", "queue_depth", "executors", "queued",
-                "running", "svc", "requests"):
-        expect(key in doc, f"{where}: missing '{key}'")
-    expect(isinstance(doc["endpoint"], str) and doc["endpoint"],
-           f"{where}: 'endpoint' must be a non-empty string")
-    for key in ("queue_depth", "executors", "queued", "running"):
-        expect(isinstance(doc[key], int) and doc[key] >= 0,
-               f"{where}: '{key}' must be a non-negative int")
-    expect(doc["queued"] <= doc["queue_depth"],
-           f"{where}: queued {doc['queued']} exceeds queue_depth "
-           f"{doc['queue_depth']}")
-    check_svc_object(doc["svc"], f"{where}.svc")
-    states = {"queued", "running", "done", "failed"}
-    for i, r in enumerate(doc["requests"]):
-        rwhere = f"{where}.requests[{i}]"
-        for key in ("id", "jobs_total", "jobs_done"):
-            expect(isinstance(r.get(key), int) and r[key] >= 0,
-                   f"{rwhere}: '{key}' must be a non-negative int")
-        expect(r.get("state") in states,
-               f"{rwhere}: state {r.get('state')!r} not in {states}")
-        expect(r["jobs_done"] <= r["jobs_total"],
-               f"{rwhere}: jobs_done {r['jobs_done']} exceeds "
-               f"jobs_total {r['jobs_total']}")
-        if r["state"] == "done":
-            expect(r["jobs_done"] == r["jobs_total"],
-                   f"{rwhere}: done with {r['jobs_done']}/"
-                   f"{r['jobs_total']} jobs")
-    return len(doc["requests"])
-
-
-def check_frames_jsonl(lines, where):
-    """Validate a JSONL wsrs-svc-frames-v1 log (streaming daemon log).
-
-    The final line may be torn (daemon killed between flushes): a parse
-    failure there is tolerated, anywhere else it is a hard failure. The
-    trailer line ({"frames": N, ...}) is likewise optional.
-    """
-    frames = 0
-    trailer = None
-    last_t = 0
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            expect(i == len(lines) - 1,
-                   f"{where}:{i + 2}: unparseable line before the tail")
-            break
-        if "dir" not in rec:
-            expect(trailer is None,
-                   f"{where}:{i + 2}: more than one trailer line")
-            trailer = (i, rec)
-            continue
-        expect(trailer is None,
-               f"{where}:{i + 2}: frame record after the trailer")
-        fwhere = f"{where}:{i + 2}"
-        expect(rec.get("dir") in ("rx", "tx"),
-               f"{fwhere}: dir {rec.get('dir')!r} must be 'rx' or 'tx'")
-        expect(isinstance(rec.get("type"), str) and rec["type"],
-               f"{fwhere}: 'type' must be a non-empty string")
-        for key in ("t_ms", "conn", "payload_bytes"):
-            expect(isinstance(rec.get(key), int) and rec[key] >= 0,
-                   f"{fwhere}: '{key}' must be a non-negative int")
-        expect(rec["t_ms"] >= last_t,
-               f"{fwhere}: t_ms went backwards ({rec['t_ms']} after "
-               f"{last_t})")
-        last_t = rec["t_ms"]
-        expect("body" in rec, f"{fwhere}: missing 'body'")
-        expect(rec["body"] is None
-               or isinstance(rec["body"], (dict, list)),
-               f"{fwhere}: 'body' must be embedded JSON or null")
-        frames += 1
-    if trailer is not None:
-        i, rec = trailer
-        expect(rec.get("frames") == frames,
-               f"{where}:{i + 2}: trailer counts {rec.get('frames')} "
-               f"frames, log holds {frames}")
-        expect(isinstance(rec.get("dropped_frames"), int)
-               and rec["dropped_frames"] >= 0,
-               f"{where}:{i + 2}: 'dropped_frames' must be a "
-               "non-negative int")
-    return frames
 
 
 METRIC_NAME_RE = re.compile(r"^wsrs_[a-z0-9_]+$")
@@ -629,26 +535,11 @@ def check_explore_report(doc, where):
 
 def check_file(path):
     with open(path) as f:
-        text = f.read()
-    first_line = text.split("\n", 1)[0]
-    try:
-        header = json.loads(first_line)
-    except json.JSONDecodeError:
-        header = None
-    if (isinstance(header, dict)
-            and header.get("schema") == "wsrs-svc-frames-v1"
-            and header.get("format") == "jsonl"):
-        n = check_frames_jsonl(text.split("\n")[1:], path)
-        print(f"{path}: ok (jsonl frame log, {n} frames)")
-        return
-    doc = json.loads(text)  # strict: rejects NaN-producing output
+        doc = json.load(f)  # strict: rejects NaN-producing output
     schema = doc.get("schema")
     if schema == "wsrs-sweep-report-v1":
         n = check_sweep_report(doc, path)
         print(f"{path}: ok (sweep report, {n} jobs)")
-    elif schema == "wsrs-svc-status-v1":
-        n = check_status_doc(doc, path)
-        print(f"{path}: ok (daemon status, {n} requests)")
     elif schema == "wsrs-metrics-v1":
         n = check_metrics_doc(doc, path)
         print(f"{path}: ok (metrics snapshot, {n} instruments)")

@@ -168,7 +168,11 @@ template <typename T>
 void
 readVec(Reader &r, std::vector<T> &v)
 {
+    constexpr std::size_t kWireBytes = sizeof(T) < 8 ? sizeof(T) : 8;
     const std::uint64_t n = r.u64();
+    if (n > r.remaining() / kWireBytes)
+        r.fail("vector count " + std::to_string(n) + " exceeds the " +
+               std::to_string(r.remaining()) + " bytes remaining");
     v.clear();
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {

@@ -7,7 +7,7 @@
  * service's: how many configuration points were enumerated, how many were
  * feasible, the size of the non-dominated frontier, and how the
  * cycle-accurate confirmation sweep went. Exported through the usual
- * `wsrs-metrics-v1` / Prometheus surfaces (`wsrs-explore --metrics-out`).
+ * `wsrs-metrics-v1` document (`wsrs-explore --metrics-out`).
  */
 #pragma once
 

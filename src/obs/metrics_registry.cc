@@ -143,39 +143,6 @@ MetricsRegistry::writeJson(std::ostream &os) const
     os << "]}\n";
 }
 
-void
-MetricsRegistry::writePrometheus(std::ostream &os) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto &e : entries_) {
-        if (!e->help.empty())
-            os << "# HELP " << e->name << ' ' << e->help << '\n';
-        os << "# TYPE " << e->name << ' '
-           << kindName(static_cast<int>(e->kind)) << '\n';
-        switch (e->kind) {
-          case Kind::Counter:
-            os << e->name << ' ' << e->counter.value() << '\n';
-            break;
-          case Kind::Gauge:
-            os << e->name << ' ' << e->gauge.value() << '\n';
-            break;
-          case Kind::Histogram: {
-            const MetricHistogram &h = *e->hist;
-            std::uint64_t cum = 0;
-            for (std::size_t i = 0; i < h.bounds().size(); ++i) {
-                cum += h.bucketCount(i);
-                os << e->name << "_bucket{le=\"" << h.bounds()[i]
-                   << "\"} " << cum << '\n';
-            }
-            os << e->name << "_bucket{le=\"+Inf\"} " << h.count() << '\n'
-               << e->name << "_sum " << h.sum() << '\n'
-               << e->name << "_count " << h.count() << '\n';
-            break;
-          }
-        }
-    }
-}
-
 MetricsRegistry &
 MetricsRegistry::process()
 {

@@ -5,11 +5,10 @@
  *
  * The registry is the service-telemetry counterpart of the per-run
  * StatGroup tree (src/common/stats.h). StatGroup describes *one simulated
- * machine*; the registry describes *the process serving sweeps* — lease
- * churn, admission backpressure, warm-up cache behaviour, per-stage host
- * latencies — and is exported on demand as either a `wsrs-metrics-v1`
- * JSON document or Prometheus text exposition (the daemon's `/metrics`
- * endpoint, `wsrs-sim --metrics-out`).
+ * machine*; the registry describes *the process running sweeps* — lease
+ * churn, warm-up cache behaviour, per-stage host latencies — and is
+ * exported on demand as a `wsrs-metrics-v1` JSON document
+ * (`wsrs-sim --metrics-out`, `wsrs-explore --metrics-out`).
  *
  * Concurrency contract (mirrors PipelineStats' hot/cold split): metric
  * *updates* are relaxed atomics — no locks, safe from any thread, cheap
@@ -105,7 +104,7 @@ class MetricHistogram
     std::atomic<std::uint64_t> sum_{0};
 };
 
-/** Named instrument directory with JSON and Prometheus exporters. */
+/** Named instrument directory with a JSON exporter. */
 class MetricsRegistry
 {
   public:
@@ -133,10 +132,8 @@ class MetricsRegistry
 
     /** Write the wsrs-metrics-v1 JSON document (trailing newline). */
     void writeJson(std::ostream &os) const;
-    /** Write Prometheus text exposition (text/plain; version 0.0.4). */
-    void writePrometheus(std::ostream &os) const;
 
-    /** The process-wide registry (the daemon's `/metrics` source). */
+    /** The process-wide registry (what `--metrics-out` writes). */
     static MetricsRegistry &process();
 
   private:

@@ -17,10 +17,6 @@ writeSvcJson(std::ostream &os, const SvcCounters &c,
        << ", \"duplicate_results\": " << c.duplicateResults
        << ", \"workers_seen\": " << c.workersSeen
        << ", \"workers_lost\": " << c.workersLost
-       << ", \"requests_admitted\": " << c.requestsAdmitted
-       << ", \"requests_completed\": " << c.requestsCompleted
-       << ", \"requests_failed\": " << c.requestsFailed
-       << ", \"backpressure_rejects\": " << c.backpressureRejects
        << ", \"workers\": [";
     for (std::size_t i = 0; i < workers.size(); ++i) {
         const WorkerLiveness &w = workers[i];
@@ -49,15 +45,7 @@ SvcMetrics::SvcMetrics(MetricsRegistry &r)
       workersSeen(r.counter("wsrs_svc_workers_seen_total",
                             "Workers that completed the handshake")),
       workersLost(r.counter("wsrs_svc_workers_lost_total",
-                            "Workers that died mid-sweep")),
-      requestsAdmitted(r.counter("wsrs_svc_requests_admitted_total",
-                                 "Sweep requests admitted by the daemon")),
-      requestsCompleted(r.counter("wsrs_svc_requests_completed_total",
-                                  "Admitted requests that completed")),
-      requestsFailed(r.counter("wsrs_svc_requests_failed_total",
-                               "Admitted requests that failed")),
-      backpressureRejects(r.counter("wsrs_svc_backpressure_rejects_total",
-                                    "Admission-queue overflow rejections"))
+                            "Workers that died mid-sweep"))
 {
 }
 
@@ -74,10 +62,6 @@ SvcMetrics::snapshot() const
     c.duplicateResults = duplicateResults.value();
     c.workersSeen = workersSeen.value();
     c.workersLost = workersLost.value();
-    c.requestsAdmitted = requestsAdmitted.value();
-    c.requestsCompleted = requestsCompleted.value();
-    c.requestsFailed = requestsFailed.value();
-    c.backpressureRejects = backpressureRejects.value();
     return c;
 }
 

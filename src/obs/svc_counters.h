@@ -2,12 +2,11 @@
  * @file
  * Observability counters of the distributed sweep service (src/svc).
  *
- * The coordinator and the `--serve` daemon both expose what happened
- * around a sweep — sharding, lease churn, worker liveness, admission
- * backpressure — through one machine-readable object. It appears as the
- * `svc` member of a wsrs-sweep-report-v1 document produced by a
- * coordinator merge, and (live) inside the daemon's status replies.
- * scripts/check_stats_schema.py validates the shape.
+ * The coordinator exposes what happened around a sweep — sharding, lease
+ * churn, worker liveness — through one machine-readable object. It
+ * appears as the `svc` member of a wsrs-sweep-report-v1 document produced
+ * by a coordinator merge. scripts/check_stats_schema.py validates the
+ * shape.
  */
 #pragma once
 
@@ -21,7 +20,7 @@
 namespace wsrs::obs {
 
 /** Liveness snapshot of one worker connection, as the coordinator saw
- *  it when the report was merged (or the status reply was built). */
+ *  it when the report was merged. */
 struct WorkerLiveness
 {
     std::uint64_t id = 0;       ///< Coordinator-assigned worker id.
@@ -30,10 +29,9 @@ struct WorkerLiveness
     bool alive = false;         ///< Connection still open at snapshot.
 };
 
-/** Counters of one distributed sweep / one daemon lifetime. */
+/** Counters of one distributed sweep. */
 struct SvcCounters
 {
-    // Sharded work-queue behaviour (coordinator).
     std::uint64_t shards = 0;        ///< Shards the sweep was split into.
     std::uint64_t shardSize = 0;     ///< Configured jobs per shard.
     std::uint64_t leasesGranted = 0; ///< Lease grants, re-leases included.
@@ -43,12 +41,6 @@ struct SvcCounters
     std::uint64_t duplicateResults = 0; ///< Dropped double-reported jobs.
     std::uint64_t workersSeen = 0;   ///< Workers that completed handshake.
     std::uint64_t workersLost = 0;   ///< Workers that died mid-sweep.
-
-    // Admission behaviour (daemon mode).
-    std::uint64_t requestsAdmitted = 0;
-    std::uint64_t requestsCompleted = 0;
-    std::uint64_t requestsFailed = 0;
-    std::uint64_t backpressureRejects = 0; ///< Admission-queue overflows.
 };
 
 /**
@@ -59,12 +51,11 @@ void writeSvcJson(std::ostream &os, const SvcCounters &counters,
                   const std::vector<WorkerLiveness> &workers);
 
 /**
- * The service counters as registry instruments. The coordinator and the
- * daemon bump these handles instead of ad-hoc struct fields, which makes
- * every count visible through the registry exporters (`/metrics`,
- * `--metrics-out`) for free; snapshot() rebuilds the SvcCounters struct
- * that writeSvcJson and the status reply serialize, so the report bytes
- * are unchanged. Construct one per registry; re-construction re-binds to
+ * The service counters as registry instruments. The coordinator bumps
+ * these handles instead of ad-hoc struct fields, which makes every count
+ * visible through the registry's `--metrics-out` export for free;
+ * snapshot() rebuilds the SvcCounters struct that writeSvcJson
+ * serializes. Construct one per registry; re-construction re-binds to
  * the same instruments.
  */
 struct SvcMetrics
@@ -80,12 +71,8 @@ struct SvcMetrics
     MetricCounter &duplicateResults;
     MetricCounter &workersSeen;
     MetricCounter &workersLost;
-    MetricCounter &requestsAdmitted;
-    MetricCounter &requestsCompleted;
-    MetricCounter &requestsFailed;
-    MetricCounter &backpressureRejects;
 
-    /** Rebuild the report/status struct from the live instruments. */
+    /** Rebuild the report struct from the live instruments. */
     SvcCounters snapshot() const;
 };
 

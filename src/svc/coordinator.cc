@@ -91,7 +91,7 @@ Coordinator::run()
 
     // The service counters live as registry instruments (absorbing the
     // old ad-hoc struct): bound to the caller's registry when one is
-    // supplied (live `/metrics` visibility), else to a fresh per-run one.
+    // supplied (`--metrics-out` visibility), else to a fresh per-run one.
     // svcReport_.counters is snapshotted from them at merge.
     obs::MetricsRegistry localRegistry;
     obs::SvcMetrics ctr(options_.metrics ? *options_.metrics

@@ -82,7 +82,7 @@ class Coordinator
         obs::SpanLog *spans = nullptr;
         /** Registry the service counters bind to. Defaults to a fresh
          *  per-run registry; supply the process registry to expose the
-         *  counters through `/metrics` (they then accumulate across
+         *  counters through `--metrics-out` (they then accumulate across
          *  runs, while the report still snapshots at merge time). */
         obs::MetricsRegistry *metrics = nullptr;
     };

@@ -61,12 +61,6 @@ frameTypeName(FrameType type)
       case FrameType::ShardDone: return "shard_done";
       case FrameType::WorkerStats: return "worker_stats";
       case FrameType::SpanBatch: return "span_batch";
-      case FrameType::SweepRequest: return "sweep_request";
-      case FrameType::SweepAccepted: return "sweep_accepted";
-      case FrameType::SweepRejected: return "sweep_rejected";
-      case FrameType::SweepResult: return "sweep_result";
-      case FrameType::StatusRequest: return "status_request";
-      case FrameType::StatusReply: return "status_reply";
       case FrameType::Error: return "error";
     }
     return "unknown";

@@ -13,7 +13,7 @@
  * the process boundary without touching any payload codec (see
  * docs/observability.md, "service telemetry").
  *
- * Control frames (handshakes, leases, requests, status) carry JSON
+ * Control frames (handshakes, leases, errors) carry JSON
  * payloads; JobDone carries the binary ckpt::Writer encoding of a
  * SweepOutcome (the journal codec, reused verbatim so a streamed result
  * and a journaled one are the same bytes). Payloads are bounded
@@ -43,18 +43,11 @@ enum class FrameType : std::uint32_t {
     ShardDone = 7,   ///< worker->coord JSON {shard}.
     WorkerStats = 8, ///< worker->coord JSON warm-up cache counters.
     SpanBatch = 9,   ///< worker->coord binary span events (proto.h).
-
-    // Client <-> serve daemon.
-    SweepRequest = 16,  ///< client->daemon JSON sweep spec.
-    SweepAccepted = 17, ///< daemon->client JSON {request, queued_ahead}.
-    SweepRejected = 18, ///< daemon->client JSON {retry_after_ms, reason}.
-    SweepResult = 19,   ///< daemon->client JSON: wsrs-sweep-report-v1.
-    StatusRequest = 20, ///< client->daemon JSON {}.
-    StatusReply = 21,   ///< daemon->client JSON wsrs-svc-status-v1.
-    Error = 22,         ///< either way JSON {error}.
+    // 16-21 are retired wire values; never reuse them.
+    Error = 22,      ///< either way JSON {error}.
 };
 
-/** Human-readable frame-type name (diagnostics, frame logs). */
+/** Human-readable frame-type name (diagnostics). */
 const char *frameTypeName(FrameType type);
 
 /** Hard upper bound on a frame payload (64 MiB). */

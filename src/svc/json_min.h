@@ -2,9 +2,10 @@
  * @file
  * Minimal strict JSON value parser for the service protocol.
  *
- * The sweep service's control frames (handshakes, leases, sweep requests,
- * status replies) carry small JSON bodies. This parser builds a value tree
- * for exactly one RFC 8259 document — same strictness contract as
+ * The sweep service's control frames (handshakes, leases, worker stats,
+ * errors) carry small JSON bodies, and wsrs-space-v1 design-space specs
+ * (src/explore/space.cc) are JSON documents. This parser builds a value
+ * tree for exactly one RFC 8259 document — same strictness contract as
  * tests/support/json_lint.h and Python's json.load — with integer
  * preservation: numbers without fraction/exponent that fit an int64 are
  * kept exact (job indices and 2^53-unfriendly counters survive).

@@ -197,11 +197,17 @@ spanBatchPayload(const std::vector<obs::SpanEvent> &events)
 std::vector<obs::SpanEvent>
 parseSpanBatch(const std::string &payload)
 {
+    // Smallest encoded event: two empty strings (u32 length each), the
+    // phase byte, the u32 attempt and five u64 fields.
+    constexpr std::size_t kMinEventBytes = 4 + 1 + 8 + 4 + 8 + 8 + 8 + 4;
     ckpt::Reader r(payload, "span_batch frame");
     const std::uint64_t count = r.u64();
     if (count > 1u << 20)
         fatalIo("span_batch frame declares %llu events — refusing",
                 static_cast<unsigned long long>(count));
+    if (count > r.remaining() / kMinEventBytes)
+        r.fail("declares " + std::to_string(count) + " events but only " +
+               std::to_string(r.remaining()) + " bytes remain");
     std::vector<obs::SpanEvent> events;
     events.reserve(static_cast<std::size_t>(count));
     for (std::uint64_t i = 0; i < count; ++i) {

@@ -2,8 +2,8 @@
  * @file
  * The sweep service's byte stream: one connected AF_UNIX stream socket.
  *
- * The coordinator/worker and serve protocols are framed byte streams (see
- * frame.h) between processes on one host. A Stream owns one connected
+ * The coordinator/worker protocol is a framed byte stream (see frame.h)
+ * between processes on one host. A Stream owns one connected
  * socket fd (blocking read/write, pollable for readiness); a Listener
  * owns one bound, listening socket. listen() and connect() create them
  * from an endpoint string: "unix:/path/sock", or a bare path as

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/ckpt/io.h"
 #include "src/ckpt/warmup_cache.h"
@@ -83,6 +84,25 @@ TEST(CkptIo, ReaderReportsTruncationWithOffset)
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find("104"), std::string::npos)
             << e.what();
+    }
+}
+
+TEST(CkptIo, ReadVecRejectsACountTheBytesCannotHold)
+{
+    // A crafted count must be a FatalError naming the count and the room
+    // left, not a std::length_error out of vector::reserve.
+    Writer w;
+    w.u64(1ull << 62);
+    w.u32(1);
+    Reader r(w.buffer(), "<mem>");
+    std::vector<std::uint32_t> v;
+    try {
+        readVec(r, v);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("4611686018427387904"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("4 bytes remaining"), std::string::npos) << msg;
     }
 }
 

@@ -67,30 +67,6 @@ TEST(MetricsRegistry, JsonExportShape)
     EXPECT_EQ(doc.back(), '\n');
 }
 
-TEST(MetricsRegistry, PrometheusExposition)
-{
-    MetricsRegistry reg;
-    reg.counter("wsrs_test_a_total", "a events").add(3);
-    reg.histogram("wsrs_test_c_ms", "c", {5, 50}).observe(7);
-    std::ostringstream os;
-    reg.writePrometheus(os);
-    const std::string text = os.str();
-    EXPECT_NE(text.find("# HELP wsrs_test_a_total a events\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("# TYPE wsrs_test_a_total counter\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("wsrs_test_a_total 3\n"), std::string::npos);
-    // Histogram buckets are cumulative and end with +Inf == count.
-    EXPECT_NE(text.find("wsrs_test_c_ms_bucket{le=\"5\"} 0\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("wsrs_test_c_ms_bucket{le=\"50\"} 1\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("wsrs_test_c_ms_bucket{le=\"+Inf\"} 1\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("wsrs_test_c_ms_sum 7\n"), std::string::npos);
-    EXPECT_NE(text.find("wsrs_test_c_ms_count 1\n"), std::string::npos);
-}
-
 TEST(MetricsRegistry, ConcurrentUpdatesFold)
 {
     MetricsRegistry reg;

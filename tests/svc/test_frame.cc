@@ -139,7 +139,7 @@ TEST(Frame, EncodeRefusesOversizedPayloadUpFront)
     // The send side enforces the same bound (FatalError: caller bug, not
     // wire damage).
     std::string big(kMaxFramePayload + 1, 'x');
-    EXPECT_THROW(encodeFrame(FrameType::SweepResult, big), FatalError);
+    EXPECT_THROW(encodeFrame(FrameType::JobDone, big), FatalError);
 }
 
 // Locks the WSVF wire bytes: the hash was taken from the encoder before

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "src/ckpt/io.h"
 #include "src/common/log.h"
 #include "src/sim/presets.h"
 #include "src/svc/proto.h"
@@ -137,6 +138,30 @@ TEST(Proto, WorkerStatsRoundTrip)
     EXPECT_EQ(got.jobsRun, 9u);
     EXPECT_EQ(got.warmupHits, 7u);
     EXPECT_EQ(got.warmupMisses, 2u);
+}
+
+TEST(Proto, SpanBatchRejectsACountTheBytesCannotHold)
+{
+    // One empty-string event is the smallest encoding: 45 bytes.
+    obs::SpanEvent e;
+    e.job = 4;
+    const std::string one = spanBatchPayload({e});
+    ASSERT_EQ(one.size(), 8u + 45u);
+    EXPECT_EQ(parseSpanBatch(one).at(0).job, 4u);
+
+    // A count under the 2^20 cap but far beyond an 8-byte payload must
+    // be refused before any event is allocated.
+    ckpt::Writer w;
+    w.u64(1u << 20);
+    try {
+        (void)parseSpanBatch(w.buffer());
+        FAIL() << "oversized span count accepted";
+    } catch (const IoError &err) {
+        EXPECT_NE(std::string(err.what()).find(
+                      "declares 1048576 events but only 0 bytes remain"),
+                  std::string::npos)
+            << err.what();
+    }
 }
 
 TEST(Proto, ErrorPayloadEscapesProperly)

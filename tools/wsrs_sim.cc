@@ -10,11 +10,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,7 +25,6 @@
 #include "src/sim/presets.h"
 #include "src/sim/simulator.h"
 #include "src/svc/coordinator.h"
-#include "src/svc/service.h"
 #include "src/svc/worker.h"
 #include "src/workload/profiles.h"
 
@@ -172,10 +169,6 @@ printJson(const sim::SimResults &r)
     std::printf("}\n");
 }
 
-/** Daemon instance reachable from the signal handler (static storage so
- *  the captureless handler lambda may use it). */
-svc::SweepService *gService = nullptr;
-
 } // namespace
 
 int
@@ -243,8 +236,7 @@ main(int argc, char **argv)
                    "run as a sweep worker: claim shard leases from the "
                    "coordinator at --connect", true);
     args.addOption("connect",
-                   "endpoint of the coordinator (--worker) or daemon "
-                   "(--request/--status)");
+                   "endpoint of the coordinator (--worker)");
     args.addOption("shard-size",
                    "with --coordinator: jobs per shard lease (default 4)");
     args.addOption("lease-timeout-ms",
@@ -259,23 +251,6 @@ main(int argc, char **argv)
     args.addOption("warmup-cache-dir",
                    "shared on-disk warm-up snapshot cache directory "
                    "(cross-process, flock-serialized)");
-    args.addOption("serve",
-                   "run as a sweep daemon on this endpoint, accepting "
-                   "JSON sweep requests until SIGTERM");
-    args.addOption("queue-depth",
-                   "with --serve: max queued requests before rejects "
-                   "(default 4)");
-    args.addOption("serve-threads",
-                   "with --serve: concurrent sweep executors (default 1)");
-    args.addOption("frame-log",
-                   "with --serve: write a wsrs-svc-frames-v1 protocol "
-                   "log to FILE on shutdown");
-    args.addOption("request",
-                   "submit the JSON sweep request in FILE ('-' = stdin) "
-                   "to the daemon at --connect; prints the report");
-    args.addOption("status",
-                   "print the daemon's wsrs-svc-status-v1 document "
-                   "(needs --connect)", true);
     args.addOption("metrics-out",
                    "write the process metrics snapshot (wsrs-metrics-v1 "
                    "JSON) to FILE after the run ('-' = stdout)");
@@ -348,73 +323,6 @@ main(int argc, char **argv)
             wopt.reuseWarmup = args.has("reuse-warmup");
             wopt.warmupCacheDir = args.get("warmup-cache-dir", "");
             svc::runWorker(matrixJobs(), wopt);
-            return 0;
-        }
-
-        if (args.has("serve")) {
-            svc::ServiceOptions sopt;
-            sopt.endpoint = args.get("serve");
-            sopt.queueDepth =
-                std::size_t(args.getUint("queue-depth", 4));
-            sopt.executors = unsigned(args.getUint("serve-threads", 1));
-            sopt.sweepThreads = unsigned(args.getUint("jobs", 1));
-            sopt.frameLogPath = args.get("frame-log", "");
-            svc::SweepService service(sopt);
-            gService = &service;
-            std::signal(SIGTERM, [](int) {
-                if (gService)
-                    gService->requestStop();
-            });
-            std::signal(SIGINT, [](int) {
-                if (gService)
-                    gService->requestStop();
-            });
-            service.start();
-            std::fprintf(stderr, "wsrs-sim: serving on %s\n",
-                         service.endpoint().c_str());
-            service.wait();
-            gService = nullptr;
-            return 0;
-        }
-
-        if (args.has("request")) {
-            const std::string endpoint = args.get("connect", "");
-            if (endpoint.empty())
-                fatal("--request needs --connect=ENDPOINT");
-            const std::string spec = args.get("request");
-            std::string json;
-            if (spec == "-") {
-                std::ostringstream buf;
-                buf << std::cin.rdbuf();
-                json = buf.str();
-            } else {
-                std::ifstream is(spec);
-                if (!is)
-                    fatalIo("cannot read sweep request file '%s'",
-                            spec.c_str());
-                std::ostringstream buf;
-                buf << is.rdbuf();
-                json = buf.str();
-            }
-            const svc::SubmitResult res =
-                svc::submitSweep(endpoint, json);
-            if (!res.accepted) {
-                std::fprintf(stderr,
-                             "wsrs-sim: request rejected: %s (retry "
-                             "after %llu ms)\n",
-                             res.reason.c_str(),
-                             (unsigned long long)res.retryAfterMs);
-                return 75; // EX_TEMPFAIL: back off and retry.
-            }
-            std::printf("%s\n", res.report.c_str());
-            return 0;
-        }
-
-        if (args.has("status")) {
-            const std::string endpoint = args.get("connect", "");
-            if (endpoint.empty())
-                fatal("--status needs --connect=ENDPOINT");
-            std::printf("%s\n", svc::queryStatus(endpoint).c_str());
             return 0;
         }
 
