@@ -1,0 +1,108 @@
+/**
+ * @file
+ * JSON syntax, both ways: escaping and number spelling for the hand-written
+ * emitters, and one strict parser for everything the repo reads back
+ * (wsrs-space-v1 design-space specs, the sweep service's control frames,
+ * and the tests that check every emitted document).
+ *
+ * The parser builds a value tree for exactly one RFC 8259 document, the
+ * same documents Python's json.load accepts, with integer preservation:
+ * numbers without fraction/exponent that fit an int64 are kept exact (job
+ * indices and 2^53-unfriendly counters survive). A number that overflows a
+ * double is rejected rather than read as infinity, and nesting deeper than
+ * kJsonMaxDepth levels is rejected, so every emitter must stay below it.
+ *
+ * It is deliberately tiny: no streaming, no comments, no relaxed mode.
+ * Parse errors throw wsrs::FatalError naming the byte offset.
+ */
+#pragma once
+
+#include <cstdint>
+#include <iosfwd>
+#include <map>
+#include <string>
+#include <string_view>
+#include <vector>
+
+namespace wsrs {
+
+/** Escape a string for inclusion inside a JSON string literal. */
+std::string jsonEscape(std::string_view s);
+
+/**
+ * Write a double as a legal JSON value: nan/inf have no JSON spelling and
+ * are clamped to null.
+ */
+void dumpJsonDouble(std::ostream &os, double v);
+
+/** Deepest value nesting parseJson accepts: the top-level value is at
+ *  depth 1, and the members of an array or object one deeper than it. */
+inline constexpr int kJsonMaxDepth = 48;
+
+/** One parsed JSON value (tree-owning). */
+class JsonValue
+{
+  public:
+    /** A null value. */
+    JsonValue() = default;
+
+    bool isNull() const { return kind_ == Kind::Null; }
+
+    bool asBool() const;
+    /** Int value; a Double that is integral converts, others throw. */
+    std::int64_t asInt() const;
+    double asDouble() const;
+    const std::string &asString() const;
+    const std::vector<JsonValue> &asArray() const;
+    const std::map<std::string, JsonValue> &asObject() const;
+
+    /** Object member or null-kind sentinel when absent. */
+    const JsonValue &get(const std::string &key) const;
+    bool has(const std::string &key) const;
+
+    /** Typed object accessors with defaults (absent -> default). */
+    std::int64_t getInt(const std::string &key, std::int64_t def) const;
+    bool getBool(const std::string &key, bool def) const;
+    std::string getString(const std::string &key,
+                          const std::string &def) const;
+
+  private:
+    friend class JsonParser;
+
+    enum class Kind : std::uint8_t {
+        Null, Bool, Int, Double, String, Array, Object
+    };
+
+    explicit JsonValue(bool v) : kind_(Kind::Bool), b_(v) {}
+    explicit JsonValue(std::int64_t v) : kind_(Kind::Int), i_(v) {}
+    explicit JsonValue(double v) : kind_(Kind::Double), d_(v) {}
+    explicit JsonValue(std::string v)
+        : kind_(Kind::String), s_(std::move(v))
+    {
+    }
+    explicit JsonValue(std::vector<JsonValue> v)
+        : kind_(Kind::Array), arr_(std::move(v))
+    {
+    }
+    explicit JsonValue(std::map<std::string, JsonValue> v)
+        : kind_(Kind::Object), obj_(std::move(v))
+    {
+    }
+
+    Kind kind_ = Kind::Null;
+    bool b_ = false;
+    std::int64_t i_ = 0;
+    double d_ = 0;
+    std::string s_;
+    std::vector<JsonValue> arr_;
+    std::map<std::string, JsonValue> obj_;
+};
+
+/**
+ * Parse exactly one JSON document (trailing garbage is an error).
+ * @param what names the document in error messages (e.g. a frame type).
+ * @throws wsrs::FatalError on malformed input.
+ */
+JsonValue parseJson(std::string_view text, const std::string &what);
+
+} // namespace wsrs

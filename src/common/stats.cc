@@ -1,51 +1,8 @@
 #include "stats.h"
 
-#include <cmath>
-#include <cstdio>
-#include <iomanip>
-
 #include "src/common/log.h"
 
 namespace wsrs {
-
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-void
-dumpJsonDouble(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    os << v;
-}
 
 StatBase::StatBase(StatGroup &group, std::string name, std::string desc)
     : name_(group.name() + "." + std::move(name)), desc_(std::move(desc))
@@ -53,44 +10,10 @@ StatBase::StatBase(StatGroup &group, std::string name, std::string desc)
     group.add(this);
 }
 
-void
-Counter::dump(std::ostream &os) const
-{
-    os << std::left << std::setw(44) << name() << std::right << std::setw(16)
-       << value_ << "  # " << desc() << "\n";
-}
-
-void
-Average::dump(std::ostream &os) const
-{
-    os << std::left << std::setw(44) << name() << std::right << std::setw(16)
-       << std::fixed << std::setprecision(4) << mean() << "  # " << desc()
-       << "\n";
-}
-
 Histogram::Histogram(StatGroup &group, std::string name, std::string desc,
                      std::size_t buckets)
     : StatBase(group, std::move(name), std::move(desc)), buckets_(buckets, 0)
 {
-}
-
-void
-Histogram::dump(std::ostream &os) const
-{
-    os << std::left << std::setw(44) << name() << std::right << std::setw(16)
-       << samples_ << "  # " << desc() << " (mean " << std::fixed
-       << std::setprecision(3) << mean() << ")\n";
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        if (buckets_[i] == 0)
-            continue;
-        os << "  " << std::left << std::setw(42)
-           << (name() + "[" + std::to_string(i) + "]") << std::right
-           << std::setw(16) << buckets_[i] << "\n";
-    }
-    if (overflow_ != 0) {
-        os << "  " << std::left << std::setw(42) << (name() + "[overflow]")
-           << std::right << std::setw(16) << overflow_ << "\n";
-    }
 }
 
 void
@@ -123,13 +46,6 @@ Counter::dumpJson(std::ostream &os) const
 }
 
 void
-Average::dumpJson(std::ostream &os) const
-{
-    os << "\"" << jsonEscape(name()) << "\": ";
-    dumpJsonDouble(os, mean());
-}
-
-void
 Histogram::dumpJson(std::ostream &os) const
 {
     os << "\"" << jsonEscape(name()) << "\": {\"buckets\": [";
@@ -139,28 +55,6 @@ Histogram::dumpJson(std::ostream &os) const
        << ", \"mean\": ";
     dumpJsonDouble(os, mean());
     os << "}";
-}
-
-void
-Formula::dump(std::ostream &os) const
-{
-    os << std::left << std::setw(44) << name() << std::right << std::setw(16)
-       << std::fixed << std::setprecision(4) << value() << "  # " << desc()
-       << "\n";
-}
-
-void
-Formula::dumpJson(std::ostream &os) const
-{
-    os << "\"" << jsonEscape(name()) << "\": ";
-    dumpJsonDouble(os, value());
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const StatBase *s : stats_)
-        s->dump(os);
 }
 
 void
@@ -174,13 +68,6 @@ StatGroup::dumpJson(std::ostream &os) const
         first = false;
     }
     os << "}";
-}
-
-void
-StatGroup::resetAll()
-{
-    for (StatBase *s : stats_)
-        s->reset();
 }
 
 } // namespace wsrs

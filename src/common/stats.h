@@ -1,19 +1,17 @@
 /**
  * @file
- * Lightweight statistics package: named scalar counters, averages and
- * histograms that register themselves with a StatGroup and can be dumped as
- * text. Modeled (loosely) on the gem5 stats package, sized for this
- * simulator.
+ * Lightweight statistics package: named counters and histograms that
+ * register themselves with a StatGroup and are dumped as one JSON object.
+ * Modeled (loosely) on the gem5 stats package, sized for this simulator.
  */
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <ostream>
 #include <string>
-#include <string_view>
 #include <vector>
+
+#include "src/common/json.h"
 
 namespace wsrs {
 
@@ -26,15 +24,6 @@ class StatGroup;
  * validation on this string; bump it when the shape of the JSON changes.
  */
 inline constexpr const char *kStatsJsonSchema = "wsrs-stats-v1";
-
-/** Escape a string for inclusion inside a JSON string literal. */
-std::string jsonEscape(std::string_view s);
-
-/**
- * Write a double as a legal JSON value: nan/inf have no JSON spelling and
- * are clamped to null.
- */
-void dumpJsonDouble(std::ostream &os, double v);
 
 /** Base class for every named statistic. */
 class StatBase
@@ -49,12 +38,8 @@ class StatBase
     const std::string &name() const { return name_; }
     const std::string &desc() const { return desc_; }
 
-    /** Write "name value # desc" style line(s). */
-    virtual void dump(std::ostream &os) const = 0;
     /** Append this statistic as a JSON object member (no trailing comma). */
     virtual void dumpJson(std::ostream &os) const = 0;
-    /** Reset to the freshly-constructed state. */
-    virtual void reset() = 0;
 
   private:
     std::string name_;
@@ -75,45 +60,17 @@ class Counter : public StatBase
     /** Checkpoint restore: overwrite the count. */
     void restore(std::uint64_t v) { value_ = v; }
 
-    void dump(std::ostream &os) const override;
     void dumpJson(std::ostream &os) const override;
-    void reset() override { value_ = 0; }
+    void reset() { value_ = 0; }
 
   private:
     std::uint64_t value_ = 0;
 };
 
-/** Running average of submitted samples. */
-class Average : public StatBase
-{
-  public:
-    using StatBase::StatBase;
-
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        ++count_;
-    }
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    /** Mean of all samples, 0 if none. */
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-
-    void dump(std::ostream &os) const override;
-    void dumpJson(std::ostream &os) const override;
-    void reset() override { sum_ = 0.0; count_ = 0; }
-
-  private:
-    double sum_ = 0.0;
-    std::uint64_t count_ = 0;
-};
-
 /**
  * Fixed-bucket histogram over [0, buckets); samples at or beyond the top
  * land in an explicit overflow bucket (counted in samples() and mean(),
- * reported separately by dump/dumpJson so saturation is detectable).
+ * reported separately by dumpJson so saturation is detectable).
  */
 class Histogram : public StatBase
 {
@@ -148,39 +105,15 @@ class Histogram : public StatBase
     double sum() const { return sum_; }
     double mean() const { return samples_ ? sum_ / samples_ : 0.0; }
 
-    void dump(std::ostream &os) const override;
     void dumpJson(std::ostream &os) const override;
-    void reset() override;
+    /** Reset to the freshly-constructed state. */
+    void reset();
 
   private:
     std::vector<std::uint64_t> buckets_;
     std::uint64_t overflow_ = 0;
     std::uint64_t samples_ = 0;
     double sum_ = 0.0;
-};
-
-/**
- * Derived statistic: a value computed from other statistics at dump time
- * (e.g. IPC = commits / cycles), in the spirit of gem5's Formula stats.
- */
-class Formula : public StatBase
-{
-  public:
-    Formula(StatGroup &group, std::string name, std::string desc,
-            std::function<double()> fn)
-        : StatBase(group, std::move(name), std::move(desc)),
-          fn_(std::move(fn))
-    {
-    }
-
-    double value() const { return fn_(); }
-
-    void dump(std::ostream &os) const override;
-    void dumpJson(std::ostream &os) const override;
-    void reset() override {}
-
-  private:
-    std::function<double()> fn_;
 };
 
 /**
@@ -197,12 +130,8 @@ class StatGroup
     /** Called by StatBase's constructor. */
     void add(StatBase *stat) { stats_.push_back(stat); }
 
-    /** Dump all registered statistics. */
-    void dump(std::ostream &os) const;
     /** Dump all registered statistics as one JSON object. */
     void dumpJson(std::ostream &os) const;
-    /** Reset all registered statistics. */
-    void resetAll();
 
     const std::string &name() const { return name_; }
 

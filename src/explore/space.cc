@@ -4,12 +4,11 @@
 #include <cmath>
 #include <sstream>
 
+#include "src/common/json.h"
 #include "src/common/log.h"
-#include "src/common/stats.h"
 #include "src/core/cluster_alloc.h"
 #include "src/isa/micro_op.h"
 #include "src/sim/presets.h"
-#include "src/svc/json_min.h"
 #include "src/workload/profiles.h"
 
 namespace wsrs::explore {
@@ -257,7 +256,7 @@ SpaceSpec::totalPoints() const
 SpaceSpec
 parseSpaceSpec(std::string_view text, const std::string &what)
 {
-    const svc::JsonValue doc = svc::parseJson(text, what);
+    const JsonValue doc = parseJson(text, what);
     const std::string schema = doc.getString("schema", "");
     if (schema != kSpaceSchema)
         fatal("%s: schema '%s' is not %s", what.c_str(), schema.c_str(),
@@ -267,7 +266,7 @@ parseSpaceSpec(std::string_view text, const std::string &what)
     spec.baseMachineLabel = "WSRS-RC-512";
     spec.baseMemLabel = "constant";
     if (doc.has("base")) {
-        const svc::JsonValue &base = doc.get("base");
+        const JsonValue &base = doc.get("base");
         spec.baseMachineLabel =
             base.getString("machine", spec.baseMachineLabel);
         spec.baseMemLabel = base.getString("mem", spec.baseMemLabel);
@@ -324,7 +323,16 @@ parseSpaceSpec(std::string_view text, const std::string &what)
             if (step <= 0 || to < from)
                 fatal("%s: axis '%s' has an empty or descending range",
                       what.c_str(), axis.param.c_str());
-            for (double v = from; v <= to + 1e-9; v += step)
+            // Count before expanding, so a huge range fails here instead
+            // of filling memory. The size guard also ends a range whose
+            // step is lost to rounding (the check below then rejects it).
+            const double count = std::floor((to - from) / step) + 1;
+            if (!std::isfinite(count) || count > double(kMaxAxisValues))
+                fatal("%s: axis '%s' has more than %zu values",
+                      what.c_str(), axis.param.c_str(), kMaxAxisValues);
+            for (double v = from;
+                 v <= to + 1e-9 && axis.numeric.size() <= kMaxAxisValues;
+                 v += step)
                 axis.numeric.push_back(v);
         } else {
             fatal("%s: axis '%s' needs 'values' or 'from'/'to'",
@@ -333,6 +341,9 @@ parseSpaceSpec(std::string_view text, const std::string &what)
         if (axis.size() == 0)
             fatal("%s: axis '%s' has no values", what.c_str(),
                   axis.param.c_str());
+        if (axis.size() > kMaxAxisValues)
+            fatal("%s: axis '%s' has more than %zu values", what.c_str(),
+                  axis.param.c_str(), kMaxAxisValues);
         for (const auto &other : spec.axes)
             if (other.field == axis.field)
                 fatal("%s: axis '%s' appears twice", what.c_str(),

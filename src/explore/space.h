@@ -49,6 +49,10 @@ namespace wsrs::explore {
 /** Schema tag accepted in a space specification document. */
 inline constexpr const char *kSpaceSchema = "wsrs-space-v1";
 
+/** Most values one axis may take; parseSpaceSpec rejects a longer axis
+ *  before expanding its range. */
+inline constexpr std::size_t kMaxAxisValues = 4096;
+
 /** One enumerable parameter, parse-validated against the catalog. */
 struct AxisSpec
 {

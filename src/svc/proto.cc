@@ -4,10 +4,9 @@
 #include <sstream>
 
 #include "src/ckpt/io.h"
+#include "src/common/json.h"
 #include "src/common/log.h"
-#include "src/common/stats.h"
 #include "src/runner/resume_journal.h"
-#include "src/svc/json_min.h"
 
 namespace wsrs::svc {
 

@@ -2,11 +2,11 @@
  * @file
  * Payload codecs for the coordinator/worker protocol.
  *
- * Control frames carry small JSON bodies (parsed strictly by json_min);
- * JobDone carries binary journal-codec bytes so a streamed outcome and a
- * journaled one are the same payload. Sweep keys travel as 16-digit
- * lower-case hex strings — JSON numbers are doubles on many readers and
- * would silently round a 64-bit hash.
+ * Control frames carry small JSON bodies (parsed strictly by
+ * src/common/json.h); JobDone carries binary journal-codec bytes so a
+ * streamed outcome and a journaled one are the same payload. Sweep keys
+ * travel as 16-digit lower-case hex strings — JSON numbers are doubles on
+ * many readers and would silently round a 64-bit hash.
  */
 #pragma once
 

@@ -16,7 +16,7 @@
 #include "src/explore/explorer.h"
 #include "src/explore/pareto.h"
 #include "src/explore/space.h"
-#include "tests/support/json_lint.h"
+#include "tests/support/json_error.h"
 
 namespace wsrs::explore {
 namespace {
@@ -63,7 +63,7 @@ TEST(Explorer, ReportIsStrictJsonWithExactCoverage)
     EXPECT_LT(r.infeasible, r.enumerated);
     EXPECT_FALSE(r.frontier.empty());
 
-    EXPECT_EQ(test::jsonLint(r.reportJson), "");
+    EXPECT_EQ(test::jsonError(r.reportJson), "");
     EXPECT_NE(r.reportJson.find("\"schema\":\"wsrs-explore-v1\""),
               std::string::npos);
     EXPECT_NE(r.reportJson.find("\"total_configs\":18"),
@@ -116,7 +116,7 @@ TEST(Explorer, ConfirmationPairsEstimateWithMeasurement)
         ASSERT_EQ(cp.perWorkload.size(), 1u);
         EXPECT_GT(cp.perWorkload[0], 0.0);
     }
-    EXPECT_EQ(test::jsonLint(r.reportJson), "");
+    EXPECT_EQ(test::jsonError(r.reportJson), "");
     EXPECT_NE(r.reportJson.find("\"measured\":{"), std::string::npos);
     EXPECT_NE(r.reportJson.find("\"confirm\":{"), std::string::npos);
 

@@ -13,7 +13,7 @@
 #include "src/common/log.h"
 #include "src/explore/space.h"
 #include "src/sim/presets.h"
-#include "tests/support/json_lint.h"
+#include "tests/support/json_error.h"
 
 namespace wsrs::explore {
 namespace {
@@ -69,6 +69,35 @@ TEST(SpaceSpecParse, RejectsMalformedSpecs)
                "workloads": ["gzip"],
                "axes": [{"param": "core.fetch_width",
                          "from": 8, "to": 4, "step": 1}]})");
+
+    // Ranges are counted before they are expanded: none of these may
+    // loop or allocate without bound.
+    const auto range = [](const std::string &bounds) {
+        return R"({"schema": "wsrs-space-v1", "base": {"machine": "RR-256"},
+                   "workloads": ["gzip"],
+                   "axes": [{"param": "core.num_phys_regs", )" +
+               bounds + "}]}";
+    };
+    for (const char *bounds :
+         {R"("from": 256, "to": 1e400)",            // not a double
+          R"("from": 256, "to": 1e12, "step": 1)",  // 10^12 values
+          R"("from": -1e308, "to": 1e308)",         // count overflows
+          R"("from": 1e20, "to": 1e20, "step": 1)", // step lost to rounding
+          R"("from": 0, "to": 4096)"})              // one past the cap
+        reject(range(bounds).c_str());
+    try {
+        parseSpaceSpec(range(R"("from": 256, "to": 1e12, "step": 1)"),
+                       "test");
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "axis 'core.num_phys_regs' has more than 4096 values"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(parseSpaceSpec(range(R"("from": 1, "to": 4096)"), "test")
+                  .axes[0]
+                  .size(),
+              kMaxAxisValues);
 }
 
 TEST(SpaceCodec, RowMajorDecode)
@@ -124,7 +153,7 @@ TEST(SpaceCodec, PointNamesAndConfigJson)
                               std::uint64_t(17)}) {
         decodePoint(spec, idx, digits);
         const std::string json = pointConfigJson(spec, digits);
-        EXPECT_EQ(test::jsonLint(json), "") << json;
+        EXPECT_EQ(test::jsonError(json), "") << json;
         for (const auto &ax : spec.axes)
             EXPECT_NE(json.find('"' + ax.param + '"'), std::string::npos)
                 << json;

@@ -15,7 +15,7 @@
 #include "src/sim/presets.h"
 #include "src/sim/simulator.h"
 #include "src/workload/profiles.h"
-#include "tests/support/json_lint.h"
+#include "tests/support/json_error.h"
 
 namespace wsrs {
 namespace {
@@ -46,7 +46,7 @@ TEST(ObsIntegration, TracedRunExportsConsistentArtifacts)
         sim::runSimulation(workload::findProfile("gzip"), cfg);
 
     // The stats document parses strictly and carries the pipeline section.
-    EXPECT_EQ(test::jsonLint(r.statsJson), "");
+    EXPECT_EQ(test::jsonError(r.statsJson), "");
     EXPECT_NE(r.statsJson.find("\"schema\": \"wsrs-stats-v1\""),
               std::string::npos);
     EXPECT_NE(r.statsJson.find("\"issue_stall\""), std::string::npos);
@@ -90,7 +90,7 @@ TEST(ObsIntegration, UntracedRunStillExportsStatsJson)
     cfg.measureUops = 3000;
     const sim::SimResults r =
         sim::runSimulation(workload::findProfile("applu"), cfg);
-    EXPECT_EQ(test::jsonLint(r.statsJson), "");
+    EXPECT_EQ(test::jsonError(r.statsJson), "");
     EXPECT_NE(r.statsJson.find("\"schema\": \"wsrs-stats-v1\""),
               std::string::npos);
     // Interval sampling off: the series must be empty, not absent.

@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "src/obs/pipeline_stats.h"
-#include "tests/support/json_lint.h"
+#include "tests/support/json_error.h"
 
 namespace wsrs::obs {
 namespace {
@@ -120,7 +120,7 @@ TEST(PipelineStats, DumpJsonIsStrictlyParseable)
     std::ostringstream os;
     ps.dumpJson(os);
     const std::string j = os.str();
-    EXPECT_EQ(test::jsonLint(j), "");
+    EXPECT_EQ(test::jsonError(j), "");
     EXPECT_NE(j.find("\"stall_causes\""), std::string::npos);
     EXPECT_NE(j.find("\"intercluster-forward-wait\""), std::string::npos);
     EXPECT_NE(j.find("\"intervals\""), std::string::npos);
@@ -135,7 +135,7 @@ TEST(PipelineStats, StatsRegisterInTheOwningGroup)
     std::ostringstream os;
     g.dumpJson(os);
     const std::string j = os.str();
-    EXPECT_EQ(test::jsonLint(j), "");
+    EXPECT_EQ(test::jsonError(j), "");
     EXPECT_NE(j.find("\"core.issue_stall_c0\""), std::string::npos);
     EXPECT_NE(j.find("\"core.issue_stall_c1\""), std::string::npos);
     EXPECT_NE(j.find("\"core.rename_stall\""), std::string::npos);

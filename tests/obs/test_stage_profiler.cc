@@ -5,7 +5,7 @@
 #include <string>
 
 #include "src/obs/stage_profiler.h"
-#include "tests/support/json_lint.h"
+#include "tests/support/json_error.h"
 
 namespace wsrs::obs {
 namespace {
@@ -43,7 +43,7 @@ TEST(StageProfiler, DumpJsonIsStrictlyParseable)
     std::ostringstream os;
     prof.dumpJson(os);
     const std::string j = os.str();
-    EXPECT_EQ(test::jsonLint(j), "");
+    EXPECT_EQ(test::jsonError(j), "");
     for (int s = 0; s < StageProfiler::kNumStages; ++s)
         EXPECT_NE(j.find(std::string{"\""} +
                          StageProfiler::stageName(

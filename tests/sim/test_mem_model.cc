@@ -17,7 +17,7 @@
 #include "src/sim/presets.h"
 #include "src/sim/simulator.h"
 #include "src/workload/profiles.h"
-#include "tests/support/json_lint.h"
+#include "tests/support/json_error.h"
 
 namespace {
 
@@ -53,7 +53,7 @@ TEST(MemModel, ConstantPresetIsByteIdenticalToDefault)
 TEST(MemModel, DramPresetEmitsValidDeterministicStats)
 {
     const sim::SimResults a = run("gzip", "WSRS-RC-512", "dram");
-    EXPECT_EQ(test::jsonLint(a.statsJson), "");
+    EXPECT_EQ(test::jsonError(a.statsJson), "");
     EXPECT_NE(a.statsJson.find("\"model\": \"dram\""), std::string::npos);
     EXPECT_NE(a.statsJson.find("\"stall\""), std::string::npos);
     EXPECT_GT(a.mem.dramRequests, 0u);

@@ -166,6 +166,31 @@ TEST(TraceGenerator, StoresAreDyadicWithoutDest)
     }
 }
 
+TEST(Expand, IndexedStoreSplitsIntoAgenPlusStore)
+{
+    // Section 5.1.1: an indexed store (base + index + data) is split at
+    // decode into an address-generation micro-op and a store consuming
+    // its result, so no micro-op has more than two register sources.
+    BenchmarkProfile p = testProfile();
+    p.fracIndexedStore = 1.0;
+    TraceGenerator gen(p, 7);
+    const std::vector<StaticOp> &prog = gen.program();
+    unsigned stores = 0;
+    for (std::size_t i = 0; i < prog.size(); ++i) {
+        if (prog[i].op != isa::OpClass::Store)
+            continue;
+        ++stores;
+        ASSERT_GT(i, 0u);
+        const StaticOp &ag = prog[i - 1];
+        EXPECT_EQ(ag.op, isa::OpClass::IntAlu);
+        EXPECT_NE(ag.src2, kNoLogReg);
+        EXPECT_EQ(prog[i].src1, ag.dst);  // consumes the agen result
+    }
+    EXPECT_GT(stores, 10u);
+    for (int i = 0; i < 20000; ++i)
+        EXPECT_LE(gen.next().numSrcs(), 2u);
+}
+
 TEST(TraceGenerator, CommutativeOnlyOnDyadic)
 {
     TraceGenerator gen(testProfile());
