@@ -77,25 +77,24 @@ class SatCounter
     std::uint8_t value_;
 };
 
-/** Serialize a saturating-counter table (checkpoint helper). */
-inline void
-snapshotTable(ckpt::Writer &w, const std::vector<SatCounter> &t)
+/** Save or load a saturating-counter table; its size is configuration. */
+template <typename Io, typename Table>
+void
+transferTable(Io &io, Table &t, const char *what)
 {
-    w.u64(t.size());
-    for (const SatCounter &c : t)
-        w.u8(c.value());
-}
-
-/** Restore a saturating-counter table; the size must match. */
-inline void
-restoreTable(ckpt::Reader &r, std::vector<SatCounter> &t, const char *what)
-{
-    const std::uint64_t n = r.u64();
-    if (n != t.size())
-        r.fail(std::string(what) + ": table size " + std::to_string(n) +
-               " != configured " + std::to_string(t.size()));
-    for (SatCounter &c : t)
-        c.set(r.u8());
+    std::uint64_t n = t.size();
+    io.u64(n);
+    if constexpr (Io::kLoading) {
+        if (n != t.size())
+            io.fail(std::string(what) + ": table size " + std::to_string(n) +
+                    " != configured " + std::to_string(t.size()));
+    }
+    for (auto &c : t) {
+        std::uint8_t v = c.value();
+        io.u8(v);
+        if constexpr (Io::kLoading)
+            c.set(v);
+    }
 }
 
 } // namespace wsrs::bpred

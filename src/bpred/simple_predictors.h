@@ -48,19 +48,17 @@ class BimodalPredictor : public BranchPredictor
     std::uint64_t storageBits() const override { return table_.size() * 2; }
     std::string name() const override { return "bimodal"; }
 
-    void
-    snapshot(ckpt::Writer &w) const override
-    {
-        snapshotTable(w, table_);
-    }
-
-    void
-    restore(ckpt::Reader &r) override
-    {
-        restoreTable(r, table_, "bimodal");
-    }
+    void snapshot(ckpt::Writer &w) const override { transfer(*this, w); }
+    void restore(ckpt::Reader &r) override { transfer(*this, r); }
 
   private:
+    template <typename Self, typename Io>
+    static void
+    transfer(Self &self, Io &io)
+    {
+        transferTable(io, self.table_, "bimodal");
+    }
+
     std::size_t index(Addr pc) const { return (pc >> 2) & mask_; }
 
     std::size_t mask_;
@@ -95,21 +93,18 @@ class GsharePredictor : public BranchPredictor
     std::uint64_t storageBits() const override { return table_.size() * 2; }
     std::string name() const override { return "gshare"; }
 
-    void
-    snapshot(ckpt::Writer &w) const override
-    {
-        w.u64(history_);
-        snapshotTable(w, table_);
-    }
-
-    void
-    restore(ckpt::Reader &r) override
-    {
-        history_ = r.u64();
-        restoreTable(r, table_, "gshare");
-    }
+    void snapshot(ckpt::Writer &w) const override { transfer(*this, w); }
+    void restore(ckpt::Reader &r) override { transfer(*this, r); }
 
   private:
+    template <typename Self, typename Io>
+    static void
+    transfer(Self &self, Io &io)
+    {
+        io.u64(self.history_);
+        transferTable(io, self.table_, "gshare");
+    }
+
     std::size_t
     index(Addr pc) const
     {

@@ -36,28 +36,21 @@ class TournamentPredictor : public BranchPredictor
     std::uint64_t storageBits() const override;
     std::string name() const override { return "tournament"; }
 
-    void
-    snapshot(ckpt::Writer &w) const override
-    {
-        w.u64(history_);
-        ckpt::writeVec(w, localHist_);
-        snapshotTable(w, localPht_);
-        snapshotTable(w, global_);
-        snapshotTable(w, chooser_);
-    }
-
-    void
-    restore(ckpt::Reader &r) override
-    {
-        history_ = r.u64();
-        ckpt::readVecExact(r, localHist_, localHist_.size(),
-                           "tournament local history");
-        restoreTable(r, localPht_, "tournament local pht");
-        restoreTable(r, global_, "tournament global");
-        restoreTable(r, chooser_, "tournament chooser");
-    }
+    void snapshot(ckpt::Writer &w) const override { transfer(*this, w); }
+    void restore(ckpt::Reader &r) override { transfer(*this, r); }
 
   private:
+    template <typename Self, typename Io>
+    static void
+    transfer(Self &self, Io &io)
+    {
+        io.u64(self.history_);
+        ckpt::vecExact(io, self.localHist_, "tournament local history");
+        transferTable(io, self.localPht_, "tournament local pht");
+        transferTable(io, self.global_, "tournament global");
+        transferTable(io, self.chooser_, "tournament chooser");
+    }
+
     std::size_t localHistIndex(Addr pc) const;
     std::size_t globalIndex() const;
 

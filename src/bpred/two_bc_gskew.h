@@ -59,27 +59,21 @@ class TwoBcGskew : public BranchPredictor
     /** Current global history register value (testing hook). */
     std::uint64_t history() const { return history_; }
 
-    void
-    snapshot(ckpt::Writer &w) const override
-    {
-        w.u64(history_);
-        snapshotTable(w, bim_);
-        snapshotTable(w, g0_);
-        snapshotTable(w, g1_);
-        snapshotTable(w, meta_);
-    }
-
-    void
-    restore(ckpt::Reader &r) override
-    {
-        history_ = r.u64();
-        restoreTable(r, bim_, "2bc-gskew bim");
-        restoreTable(r, g0_, "2bc-gskew g0");
-        restoreTable(r, g1_, "2bc-gskew g1");
-        restoreTable(r, meta_, "2bc-gskew meta");
-    }
+    void snapshot(ckpt::Writer &w) const override { transfer(*this, w); }
+    void restore(ckpt::Reader &r) override { transfer(*this, r); }
 
   private:
+    template <typename Self, typename Io>
+    static void
+    transfer(Self &self, Io &io)
+    {
+        io.u64(self.history_);
+        transferTable(io, self.bim_, "2bc-gskew bim");
+        transferTable(io, self.g0_, "2bc-gskew g0");
+        transferTable(io, self.g1_, "2bc-gskew g1");
+        transferTable(io, self.meta_, "2bc-gskew meta");
+    }
+
     std::size_t indexBim(Addr pc) const;
     std::size_t indexG0(Addr pc) const;
     std::size_t indexG1(Addr pc) const;

@@ -17,6 +17,13 @@
  * Components serialize themselves through the byte-oriented Writer/Reader
  * pair (see snapshotter.h); the Checkpoint{Writer,Reader} classes handle
  * framing, integrity checks and error reporting with exact byte offsets.
+ *
+ * Each component lists its fields once, in a `transfer(self, io)` template
+ * that runs over either a Writer (saving) or a Reader (loading): the same
+ * call, e.g. `io.u64(self.now_)`, writes the field or reads into it. The
+ * direction tag `Io::kLoading` selects the few steps that really differ,
+ * and the free helpers below (expect, check, count, vec, part, ...) cover
+ * the shared patterns in both directions.
  */
 #pragma once
 
@@ -26,6 +33,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace wsrs::ckpt {
@@ -77,7 +85,14 @@ loadLe(const void *p, int n)
 class Writer
 {
   public:
+    /** Direction tag for `transfer`: a Writer saves. */
+    static constexpr bool kLoading = false;
+
     void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
+    /** An enum whose values fit one byte. */
+    template <typename E>
+        requires std::is_enum_v<E>
+    void u8(E v) { u8(static_cast<std::uint8_t>(v)); }
     void u16(std::uint16_t v) { putLe(v, 2); }
     void u32(std::uint32_t v) { putLe(v, 4); }
     void u64(std::uint64_t v) { putLe(v, 8); }
@@ -89,12 +104,13 @@ class Writer
     void str(std::string_view s);
     void bytes(const void *p, std::size_t n);
 
+    /** The low @p n bytes of @p v, little-endian. */
+    void putLe(std::uint64_t v, int n);
+
     const std::string &buffer() const { return buf_; }
     std::size_t size() const { return buf_.size(); }
 
   private:
-    void putLe(std::uint64_t v, int n);
-
     std::string buf_;
 };
 
@@ -117,6 +133,9 @@ class Reader
     {
     }
 
+    /** Direction tag for `transfer`: a Reader loads. */
+    static constexpr bool kLoading = true;
+
     std::uint8_t u8();
     std::uint16_t u16() { return static_cast<std::uint16_t>(getLe(2)); }
     std::uint32_t u32() { return static_cast<std::uint32_t>(getLe(4)); }
@@ -125,6 +144,17 @@ class Reader
     bool b() { return u8() != 0; }
     std::string str();
     void bytes(void *p, std::size_t n);
+    /** The @p n-byte little-endian integer at the cursor. */
+    std::uint64_t getLe(int n);
+
+    /* Read-into forms: the loading side of each Writer call. */
+    template <typename T> void u8(T &v) { v = static_cast<T>(u8()); }
+    template <typename T> void u16(T &v) { v = static_cast<T>(u16()); }
+    template <typename T> void u32(T &v) { v = static_cast<T>(u32()); }
+    template <typename T> void u64(T &v) { v = static_cast<T>(u64()); }
+    void b(bool &v) { v = b(); }
+    void d64(double &v) { v = d64(); }
+    void str(std::string &s) { s = str(); }
 
     std::size_t remaining() const { return data_.size() - pos_; }
     bool atEnd() const { return pos_ == data_.size(); }
@@ -136,7 +166,6 @@ class Reader
     [[noreturn]] void fail(const std::string &what) const;
 
   private:
-    std::uint64_t getLe(int n);
     void need(std::size_t n) const;
 
     std::string_view data_;
@@ -164,15 +193,33 @@ writeVec(Writer &w, const std::vector<T> &v)
     }
 }
 
+/**
+ * Element count of a variable-length list whose entries take @p wireBytes
+ * each. Saving writes @p n; loading reads the count and rejects, naming
+ * @p what, one the bytes left cannot hold, so nothing is ever sized from
+ * an unchecked count.
+ */
+template <typename Io>
+std::uint64_t
+count(Io &io, std::uint64_t n, std::size_t wireBytes,
+      const char *what = "vector")
+{
+    io.u64(n);
+    if constexpr (Io::kLoading) {
+        if (n > io.remaining() / wireBytes)
+            io.fail(std::string(what) + " count " + std::to_string(n) +
+                    " exceeds the " + std::to_string(io.remaining()) +
+                    " bytes remaining");
+    }
+    return n;
+}
+
 template <typename T>
 void
 readVec(Reader &r, std::vector<T> &v)
 {
     constexpr std::size_t kWireBytes = sizeof(T) < 8 ? sizeof(T) : 8;
-    const std::uint64_t n = r.u64();
-    if (n > r.remaining() / kWireBytes)
-        r.fail("vector count " + std::to_string(n) + " exceeds the " +
-               std::to_string(r.remaining()) + " bytes remaining");
+    const std::uint64_t n = count(r, 0, kWireBytes);
     v.clear();
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -200,6 +247,103 @@ readVecExact(Reader &r, std::vector<T> &v, std::size_t expect,
     if (v.size() != expect)
         r.fail(std::string(what) + ": size " + std::to_string(v.size()) +
                " != expected " + std::to_string(expect));
+}
+
+/* Helpers shared by the components' `transfer` lists. */
+
+/** A length-prefixed vector of integers (writeVec/readVec). */
+template <typename Io, typename V>
+void
+vec(Io &io, V &v)
+{
+    if constexpr (Io::kLoading)
+        readVec(io, v);
+    else
+        writeVec(io, v);
+}
+
+/** A vector whose size is configuration: loading must find that size. */
+template <typename Io, typename V>
+void
+vecExact(Io &io, V &v, const char *what)
+{
+    if constexpr (Io::kLoading)
+        readVecExact(io, v, v.size(), what);
+    else
+        writeVec(io, v);
+}
+
+/**
+ * Configuration guard: saving writes @p v in @p width bytes; loading fails
+ * with @p what unless the stored value equals @p v.
+ */
+template <typename Io>
+void
+expect(Io &io, std::uint64_t v, int width, const char *what)
+{
+    if constexpr (Io::kLoading) {
+        if (io.getLe(width) != v)
+            io.fail(what);
+    } else {
+        io.putLe(v, width);
+    }
+}
+
+/** Restore-side validation: loading fails with @p what unless @p ok. */
+template <typename Io>
+void
+check(Io &io, bool ok, const char *what)
+{
+    if constexpr (Io::kLoading) {
+        if (!ok)
+            io.fail(what);
+    }
+}
+
+/** Loading fails with @p what unless the whole payload was consumed. */
+template <typename Io>
+void
+expectEnd(Io &io, const char *what)
+{
+    if constexpr (Io::kLoading) {
+        if (!io.atEnd())
+            io.fail(what);
+    }
+}
+
+/** A nested component with its own snapshot/restore pair. */
+template <typename Io, typename S>
+void
+part(Io &io, S &s)
+{
+    if constexpr (Io::kLoading)
+        s.restore(io);
+    else
+        s.snapshot(io);
+}
+
+/** A statistics counter: value() saved, restore(v) on load. */
+template <typename Io, typename C>
+void
+counter(Io &io, C &c)
+{
+    if constexpr (Io::kLoading)
+        c.restore(io.u64());
+    else
+        io.u64(c.value());
+}
+
+/** An XorShiftRng's two state words. */
+template <typename Io, typename Rng>
+void
+rng(Io &io, Rng &g)
+{
+    std::uint64_t s0 = g.stateWord(0);
+    std::uint64_t s1 = g.stateWord(1);
+    io.u64(s0);
+    io.u64(s1);
+    if constexpr (Io::kLoading)
+        g.setState(s0, s1);
 }
 
 /** Writes the container framing around per-component sections. */
@@ -265,5 +409,23 @@ class CheckpointReader
     std::uint64_t metaHash_ = 0;
     std::map<std::string, Section, std::less<>> sections_;
 };
+
+/** One component as the named section @p name, saved or loaded. */
+template <typename S>
+void
+section(CheckpointWriter &cw, std::string_view name, const S &s)
+{
+    Writer w;
+    s.snapshot(w);
+    cw.section(name, w);
+}
+
+template <typename S>
+void
+section(const CheckpointReader &cr, std::string_view name, S &s)
+{
+    Reader r = cr.section(name);
+    s.restore(r);
+}
 
 } // namespace wsrs::ckpt

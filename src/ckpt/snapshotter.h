@@ -9,6 +9,10 @@
  * original object's. Configuration itself (geometries, sizes, policies) is
  * NOT part of a snapshot — components write just enough of it to validate
  * that the restore target matches, and fail loudly when it does not.
+ *
+ * Implementations list their fields once, in a private static
+ * `transfer(self, io)` template that both hooks call in one line (see
+ * io.h for the helpers it uses).
  */
 #pragma once
 

@@ -97,6 +97,7 @@ class Histogram : public StatBase
                  std::uint64_t samples, double sum);
 
     std::uint64_t bucket(std::size_t i) const { return buckets_.at(i); }
+    const std::vector<std::uint64_t> &buckets() const { return buckets_; }
     std::size_t numBuckets() const { return buckets_.size(); }
     /** Samples that fell at or beyond numBuckets(). */
     std::uint64_t overflow() const { return overflow_; }

@@ -119,24 +119,18 @@ class ClusterAllocator : public ckpt::Snapshotter
         return computeWsrsOptions(op, ctx, count);
     }
 
-    void
-    snapshot(ckpt::Writer &w) const override
-    {
-        w.u64(rng_.stateWord(0));
-        w.u64(rng_.stateWord(1));
-        w.u32(rrCounter_);
-    }
-
-    void
-    restore(ckpt::Reader &r) override
-    {
-        const std::uint64_t s0 = r.u64();
-        const std::uint64_t s1 = r.u64();
-        rng_.setState(s0, s1);
-        rrCounter_ = r.u32();
-    }
+    void snapshot(ckpt::Writer &w) const override { transfer(*this, w); }
+    void restore(ckpt::Reader &r) override { transfer(*this, r); }
 
   private:
+    template <typename Self, typename Io>
+    static void
+    transfer(Self &self, Io &io)
+    {
+        ckpt::rng(io, self.rng_);
+        io.u32(self.rrCounter_);
+    }
+
     AllocDecision allocateWsrs(const isa::MicroOp &op,
                                const AllocContext &ctx);
     AllocDecision allocateUnconstrained(const isa::MicroOp &op,

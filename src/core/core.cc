@@ -1189,408 +1189,271 @@ Core::dumpStatsJson(std::ostream &os) const
 
 namespace {
 
+/** One micro-op, in wsrs-ckpt-v1 field order. */
+template <typename Op, typename Io>
 void
-snapshotMicroOp(ckpt::Writer &w, const isa::MicroOp &op)
+transferMicroOp(Op &op, Io &io)
 {
-    w.u64(op.seq);
-    w.u64(op.pc);
-    w.u8(static_cast<std::uint8_t>(op.op));
-    w.u8(op.src1);
-    w.u8(op.src2);
-    w.u8(op.dst);
-    w.b(op.commutative);
-    w.b(op.taken);
-    w.u64(op.target);
-    w.u64(op.effAddr);
-}
-
-isa::MicroOp
-restoreMicroOp(ckpt::Reader &r)
-{
-    isa::MicroOp op;
-    op.seq = r.u64();
-    op.pc = r.u64();
-    const std::uint8_t cls = r.u8();
-    if (cls >= isa::kNumOpClasses)
-        r.fail("invalid op class in checkpointed micro-op");
-    op.op = static_cast<isa::OpClass>(cls);
-    op.src1 = r.u8();
-    op.src2 = r.u8();
-    op.dst = r.u8();
-    op.commutative = r.b();
-    op.taken = r.b();
-    op.target = r.u64();
-    op.effAddr = r.u64();
-    return op;
+    io.u64(op.seq);
+    io.u64(op.pc);
+    io.u8(op.op);
+    ckpt::check(io, static_cast<std::size_t>(op.op) < isa::kNumOpClasses,
+                "invalid op class in checkpointed micro-op");
+    io.u8(op.src1);
+    io.u8(op.src2);
+    io.u8(op.dst);
+    io.b(op.commutative);
+    io.b(op.taken);
+    io.u64(op.target);
+    io.u64(op.effAddr);
 }
 
 } // namespace
 
+template <typename Self, typename Io>
 void
-Core::snapshot(ckpt::Writer &w) const
+Core::transfer(Self &self, Io &io)
 {
     // Geometry guard: restore targets must be configured identically.
     // The window capacity (not the power-of-two ring size) is what defines
     // the machine, and matches the pre-SoA stream bytes.
-    w.u32(params_.numClusters);
-    w.u32(params_.numPhysRegs);
-    w.u64(windowCap_);
-    w.u64(now_);
+    const char *geometry = "core geometry mismatch: checkpoint was taken on "
+                           "a differently configured machine";
+    ckpt::expect(io, self.params_.numClusters, 4, geometry);
+    ckpt::expect(io, self.params_.numPhysRegs, 4, geometry);
+    ckpt::expect(io, self.windowCap_, 8, geometry);
+    io.u64(self.now_);
 
-    prf_.snapshot(w);
-    renamer_.snapshot(w);
-    alloc_.snapshot(w);
-    lsq_.snapshot(w);
-    w.u64(rng_.stateWord(0));
-    w.u64(rng_.stateWord(1));
-    oracle_.snapshot(w);
+    ckpt::part(io, self.prf_);
+    ckpt::part(io, self.renamer_);
+    ckpt::part(io, self.alloc_);
+    ckpt::part(io, self.lsq_);
+    ckpt::rng(io, self.rng_);
+    ckpt::part(io, self.oracle_);
 
     // ROB: live window only, re-assembled per entry in the original
-    // (array-of-structs) wsrs-ckpt-v1 field order.
-    w.u64(robHead_);
-    w.u64(robTail_);
-    for (std::uint64_t n = robHead_; n != robTail_; ++n) {
-        const std::size_t i = robIx(n);
-        const RobCold &cold = rob_.cold[i];
-        snapshotMicroOp(w, cold.op);
-        w.u64(cold.expected);
-        w.u64(cold.result);
-        w.u64(rob_.memOrdinal[i]);
-        w.u64(cold.fetchCycle);
-        w.u64(cold.renameCycle);
-        w.u64(rob_.readyCycle[i]);
-        w.u64(cold.issueCycle);
-        w.u64(rob_.completeCycle[i]);
-        w.u16(rob_.meta[i].psrc1);
-        w.u16(rob_.meta[i].psrc2);
-        w.u16(rob_.meta[i].pdst);
-        w.u16(cold.oldPdst);
-        w.u8(rob_.meta[i].cluster);
-        w.b(rob_.meta[i].flags & kFlagSwapped);
-        w.b(rob_.meta[i].flags & kFlagInjectedMove);
-        w.b(rob_.meta[i].flags & kFlagMispredicted);
-        w.u8(rob_.meta[i].state);
-        w.u8(rob_.meta[i].waitClass);
+    // (array-of-structs) wsrs-ckpt-v1 field order. A load clears every
+    // slot first and rebuilds the derived fields of each live entry.
+    io.u64(self.robHead_);
+    io.u64(self.robTail_);
+    ckpt::check(io,
+                self.robTail_ >= self.robHead_ &&
+                    self.robTail_ - self.robHead_ <= self.windowCap_,
+                "ROB window out of range");
+    if constexpr (Io::kLoading) {
+        for (std::size_t i = 0; i <= self.robMask_; ++i)
+            self.clearRobSlot(i);
+    }
+    for (std::uint64_t n = self.robHead_; n != self.robTail_; ++n) {
+        const std::size_t i = self.robIx(n);
+        auto &cold = self.rob_.cold[i];
+        auto &meta = self.rob_.meta[i];
+        transferMicroOp(cold.op, io);
+        io.u64(cold.expected);
+        io.u64(cold.result);
+        io.u64(self.rob_.memOrdinal[i]);
+        io.u64(cold.fetchCycle);
+        io.u64(cold.renameCycle);
+        io.u64(self.rob_.readyCycle[i]);
+        io.u64(cold.issueCycle);
+        io.u64(self.rob_.completeCycle[i]);
+        io.u16(meta.psrc1);
+        io.u16(meta.psrc2);
+        io.u16(meta.pdst);
+        io.u16(cold.oldPdst);
+        io.u8(meta.cluster);
+        ckpt::check(io, meta.cluster < self.params_.numClusters,
+                    "in-flight micro-op cluster out of range");
+        bool swapped = meta.flags & kFlagSwapped;
+        bool injected = meta.flags & kFlagInjectedMove;
+        bool mispredicted = meta.flags & kFlagMispredicted;
+        io.b(swapped);
+        io.b(injected);
+        io.b(mispredicted);
+        io.u8(meta.state);
+        ckpt::check(io, meta.state <= 1, "invalid in-flight micro-op state");
+        io.u8(meta.waitClass);
+        if constexpr (Io::kLoading) {
+            meta.cls = cold.op.op;
+            self.rob_.pc[i] = cold.op.pc;
+            self.rob_.effAddr[i] = cold.op.effAddr;
+            meta.flags = static_cast<std::uint8_t>(
+                (swapped ? kFlagSwapped : 0) |
+                (injected ? kFlagInjectedMove : 0) |
+                (mispredicted ? kFlagMispredicted : 0) |
+                (cold.op.hasDest() ? kFlagHasDest : 0) |
+                (cold.op.commutative ? kFlagCommutative : 0) |
+                (cold.op.numSrcs() << kFlagNumSrcsShift));
+        }
     }
 
     // Only the live range [head, end) of each ready list is state; the
     // dead prefix is a transient compaction artifact. The byte layout
     // matches writeVec over a head-free list.
     for (ClusterId c = 0; c < kMaxClusters; ++c) {
-        const auto &q = readyQ_[c];
-        const std::size_t head = readyHead_[c];
-        w.u64(q.size() - head);
-        for (std::size_t k = head; k < q.size(); ++k)
-            w.u64(q[k]);
+        auto &q = self.readyQ_[c];
+        if constexpr (Io::kLoading) {
+            ckpt::vec(io, q);
+            self.readyHead_[c] = 0;
+        } else {
+            io.u64(q.size() - self.readyHead_[c]);
+            for (std::size_t k = self.readyHead_[c]; k < q.size(); ++k)
+                io.u64(q[k]);
+        }
     }
-    for (const unsigned v : inflight_)
-        w.u32(v);
-    w.u64(regWaiters_.size());
-    for (const auto &waiters : regWaiters_)
-        ckpt::writeVec(w, waiters);
+    for (auto &v : self.inflight_)
+        io.u32(v);
+    ckpt::expect(io, self.regWaiters_.size(), 8,
+                 "register-waiter table size mismatch");
+    for (auto &waiters : self.regWaiters_)
+        ckpt::vec(io, waiters);
 
     // Wake wheel: only buckets scheduled at or after `now_` are live
     // (scheduleWake lazily reclaims stale slots by overwriting them).
-    std::uint64_t live = 0;
-    for (const WakeBucket &b : wakeWheel_)
-        if (b.cycle != kNeverCycle && b.cycle >= now_ && !b.robs.empty())
-            ++live;
-    w.u64(live);
-    for (const WakeBucket &b : wakeWheel_) {
-        if (b.cycle != kNeverCycle && b.cycle >= now_ && !b.robs.empty()) {
-            w.u64(b.cycle);
-            ckpt::writeVec(w, b.robs);
+    if constexpr (Io::kLoading) {
+        for (WakeBucket &b : self.wakeWheel_) {
+            b.cycle = kNeverCycle;
+            b.robs.clear();
+        }
+        const std::uint64_t live = io.u64();
+        for (std::uint64_t k = 0; k < live; ++k) {
+            const Cycle cycle = io.u64();
+            ckpt::check(io, cycle >= self.now_,
+                        "wake-wheel bucket in the past");
+            WakeBucket &b = self.wakeWheel_[cycle % kWakeRing];
+            b.cycle = cycle;
+            ckpt::vec(io, b.robs);
+        }
+    } else {
+        const auto isLive = [&](const WakeBucket &b) {
+            return b.cycle != kNeverCycle && b.cycle >= self.now_ &&
+                   !b.robs.empty();
+        };
+        io.u64(std::count_if(self.wakeWheel_.begin(), self.wakeWheel_.end(),
+                             isLive));
+        for (const WakeBucket &b : self.wakeWheel_) {
+            if (isLive(b)) {
+                io.u64(b.cycle);
+                ckpt::vec(io, b.robs);
+            }
         }
     }
-    w.u64(farWakes_.size());
-    for (const auto &[cycle, rob_num] : farWakes_) {
-        w.u64(cycle);
-        w.u64(rob_num);
+    const std::uint64_t far =
+        ckpt::count(io, self.farWakes_.size(), 16, "far wake");
+    if constexpr (Io::kLoading)
+        self.farWakes_.assign(far, {});
+    for (auto &[cycle, rob_num] : self.farWakes_) {
+        io.u64(cycle);
+        io.u64(rob_num);
     }
 
-    w.u64(prod_.size());
-    for (const Producer &p : prod_) {
-        w.u64(p.readyBase);
-        w.u8(p.cluster);
+    ckpt::expect(io, self.prod_.size(), 8, "producer table size mismatch");
+    for (auto &p : self.prod_) {
+        io.u64(p.readyBase);
+        io.u8(p.cluster);
     }
 
-    for (const Cycle c : complexBusyUntil_)
-        w.u64(c);
-    for (const Cycle c : fpDivBusyUntil_)
-        w.u64(c);
+    for (auto &c : self.complexBusyUntil_)
+        io.u64(c);
+    for (auto &c : self.fpDivBusyUntil_)
+        io.u64(c);
 
     // Write-back rings: only future reservations matter.
-    w.u64(wbSlots_.size());
-    for (const auto &ring : wbSlots_) {
-        std::uint64_t active = 0;
-        for (const WbSlot &s : ring)
-            if (s.cycle != kNeverCycle && s.cycle >= now_ && s.count > 0)
-                ++active;
-        w.u64(active);
-        for (const WbSlot &s : ring) {
-            if (s.cycle != kNeverCycle && s.cycle >= now_ && s.count > 0) {
-                w.u64(s.cycle);
-                w.u8(s.count);
+    ckpt::expect(io, self.wbSlots_.size(), 8,
+                 "write-back ring count mismatch");
+    for (auto &ring : self.wbSlots_) {
+        if constexpr (Io::kLoading) {
+            ring.fill(WbSlot{});
+            const std::uint64_t active = io.u64();
+            for (std::uint64_t k = 0; k < active; ++k) {
+                const Cycle cycle = io.u64();
+                ckpt::check(io, cycle >= self.now_,
+                            "write-back reservation in the past");
+                WbSlot &s = ring[cycle % kWbRing];
+                s.cycle = cycle;
+                io.u8(s.count);
+            }
+        } else {
+            const auto isActive = [&](const WbSlot &s) {
+                return s.cycle != kNeverCycle && s.cycle >= self.now_ &&
+                       s.count > 0;
+            };
+            io.u64(std::count_if(ring.begin(), ring.end(), isActive));
+            for (const WbSlot &s : ring) {
+                if (isActive(s)) {
+                    io.u64(s.cycle);
+                    io.u8(s.count);
+                }
             }
         }
     }
 
-    w.u64(fetchCount_);
-    for (std::size_t k = 0; k < fetchCount_; ++k) {
-        const Fetched &f = fetchBuf_[(fetchHead_ + k) & fetchMask_];
-        snapshotMicroOp(w, f.op);
-        w.u64(f.expected);
-        w.u64(f.readyAt);
-        w.u64(f.fetchCycle);
-        w.b(f.mispredicted);
+    // Fetch queue, oldest first; a load re-bases the ring at slot 0.
+    std::uint64_t fq = self.fetchCount_;
+    io.u64(fq);
+    ckpt::check(io, fq <= self.fetchBuf_.size(),
+                "fetch queue occupancy out of range");
+    if constexpr (Io::kLoading) {
+        self.fetchHead_ = 0;
+        self.fetchCount_ = static_cast<std::size_t>(fq);
     }
-    w.b(fetchStalled_);
-    w.u64(fetchResumeAt_);
+    for (std::size_t k = 0; k < fq; ++k) {
+        auto &f = self.fetchBuf_[(self.fetchHead_ + k) & self.fetchMask_];
+        transferMicroOp(f.op, io);
+        io.u64(f.expected);
+        io.u64(f.readyAt);
+        io.u64(f.fetchCycle);
+        io.b(f.mispredicted);
+    }
+    io.b(self.fetchStalled_);
+    io.u64(self.fetchResumeAt_);
 
-    ckpt::writeVec(w, pendingStoreData_);
+    ckpt::vec(io, self.pendingStoreData_);
 
-    committedMem_.snapshot(w);
+    ckpt::part(io, self.committedMem_);
 
-    for (const std::uint64_t g : groupCount_)
-        w.u64(g);
-    w.u32(groupFill_);
+    for (auto &g : self.groupCount_)
+        io.u64(g);
+    io.u32(self.groupFill_);
 
-    w.u64(timelineCapacity_);
-    w.u64(timelineSize_);
-    for (std::size_t k = 0; k < timelineSize_; ++k) {
-        const TimelineEntry &e =
-            timeline_[(timelineHead_ + k) % timelineCapacity_];
-        w.u64(e.seq);
-        w.u64(e.pc);
-        w.u8(static_cast<std::uint8_t>(e.op));
-        w.u8(e.cluster);
-        w.b(e.mispredicted);
-        w.u64(e.renameCycle);
-        w.u64(e.issueCycle);
-        w.u64(e.completeCycle);
-        w.u64(e.commitCycle);
+    // The timeline's capacity is configuration (enableTimeline), not
+    // state: a load validates it and never sizes the ring from the file.
+    ckpt::expect(io, self.timelineCapacity_, 8, "timeline capacity mismatch");
+    std::uint64_t tl = self.timelineSize_;
+    io.u64(tl);
+    ckpt::check(io, tl <= self.timelineCapacity_,
+                "timeline occupancy out of range");
+    if constexpr (Io::kLoading) {
+        std::fill(self.timeline_.begin(), self.timeline_.end(),
+                  TimelineEntry{});
+        self.timelineHead_ = 0;
+        self.timelineSize_ = static_cast<std::size_t>(tl);
+    }
+    for (std::size_t k = 0; k < tl; ++k) {
+        auto &e = self.timeline_[(self.timelineHead_ + k) %
+                                 self.timelineCapacity_];
+        io.u64(e.seq);
+        io.u64(e.pc);
+        io.u8(e.op);
+        io.u8(e.cluster);
+        io.b(e.mispredicted);
+        io.u64(e.renameCycle);
+        io.u64(e.issueCycle);
+        io.u64(e.completeCycle);
+        io.u64(e.commitCycle);
     }
 
     // Measurement state.
-    w.u64(stats_.cycles);
-    w.u64(stats_.committed);
-    w.u64(stats_.injectedMoves);
-    w.u64(stats_.branches);
-    w.u64(stats_.mispredicts);
-    w.u64(stats_.loadForwards);
-    w.u64(stats_.renameStallFreeReg);
-    w.u64(stats_.renameStallWindow);
-    w.u64(stats_.renameStallRob);
-    w.u64(stats_.renameStallLsq);
-    w.u64(stats_.unbalancedGroups);
-    w.u64(stats_.totalGroups);
-    w.u64(stats_.valueMismatches);
-    for (const std::uint64_t v : stats_.perCluster)
-        w.u64(v);
-    for (const std::uint64_t v : stats_.issueWidthHist)
-        w.u64(v);
-    w.u64(stats_.windowOccupancySum);
-
-    for (const unsigned v : waitLocal_)
-        w.u32(v);
-    for (const unsigned v : waitRemote_)
-        w.u32(v);
-    obs_.snapshot(w);
+    CoreStats::transfer(self.stats_, io);
+    for (auto &v : self.waitLocal_)
+        io.u32(v);
+    for (auto &v : self.waitRemote_)
+        io.u32(v);
+    ckpt::part(io, self.obs_);
+    ckpt::expectEnd(io, "trailing bytes after core state");
 }
 
-void
-Core::restore(ckpt::Reader &r)
-{
-    if (r.u32() != params_.numClusters || r.u32() != params_.numPhysRegs ||
-        r.u64() != windowCap_)
-        r.fail("core geometry mismatch: checkpoint was taken on a "
-               "differently configured machine");
-    now_ = r.u64();
-
-    prf_.restore(r);
-    renamer_.restore(r);
-    alloc_.restore(r);
-    lsq_.restore(r);
-    const std::uint64_t s0 = r.u64();
-    const std::uint64_t s1 = r.u64();
-    rng_.setState(s0, s1);
-    oracle_.restore(r);
-
-    robHead_ = r.u64();
-    robTail_ = r.u64();
-    if (robTail_ < robHead_ || robTail_ - robHead_ > windowCap_)
-        r.fail("ROB window out of range");
-    for (std::size_t i = 0; i <= robMask_; ++i)
-        clearRobSlot(i);
-    for (std::uint64_t n = robHead_; n != robTail_; ++n) {
-        const std::size_t i = robIx(n);
-        RobCold &cold = rob_.cold[i];
-        cold.op = restoreMicroOp(r);
-        cold.expected = r.u64();
-        cold.result = r.u64();
-        rob_.memOrdinal[i] = r.u64();
-        cold.fetchCycle = r.u64();
-        cold.renameCycle = r.u64();
-        rob_.readyCycle[i] = r.u64();
-        cold.issueCycle = r.u64();
-        rob_.completeCycle[i] = r.u64();
-        rob_.meta[i].psrc1 = r.u16();
-        rob_.meta[i].psrc2 = r.u16();
-        rob_.meta[i].pdst = r.u16();
-        cold.oldPdst = r.u16();
-        rob_.meta[i].cluster = r.u8();
-        if (rob_.meta[i].cluster >= params_.numClusters)
-            r.fail("in-flight micro-op cluster out of range");
-        const bool swapped = r.b();
-        const bool injected = r.b();
-        const bool mispredicted = r.b();
-        const std::uint8_t st = r.u8();
-        if (st > 1)
-            r.fail("invalid in-flight micro-op state");
-        rob_.meta[i].state = st;
-        rob_.meta[i].waitClass = r.u8();
-        rob_.meta[i].cls = cold.op.op;
-        rob_.pc[i] = cold.op.pc;
-        rob_.effAddr[i] = cold.op.effAddr;
-        rob_.meta[i].flags = static_cast<std::uint8_t>(
-            (swapped ? kFlagSwapped : 0) |
-            (injected ? kFlagInjectedMove : 0) |
-            (mispredicted ? kFlagMispredicted : 0) |
-            (cold.op.hasDest() ? kFlagHasDest : 0) |
-            (cold.op.commutative ? kFlagCommutative : 0) |
-            (cold.op.numSrcs() << kFlagNumSrcsShift));
-    }
-
-    for (auto &q : readyQ_)
-        ckpt::readVec(r, q);
-    readyHead_.fill(0);
-    for (unsigned &v : inflight_)
-        v = r.u32();
-    if (r.u64() != regWaiters_.size())
-        r.fail("register-waiter table size mismatch");
-    for (auto &waiters : regWaiters_)
-        ckpt::readVec(r, waiters);
-
-    for (WakeBucket &b : wakeWheel_) {
-        b.cycle = kNeverCycle;
-        b.robs.clear();
-    }
-    const std::uint64_t live = r.u64();
-    for (std::uint64_t i = 0; i < live; ++i) {
-        const Cycle cycle = r.u64();
-        if (cycle < now_)
-            r.fail("wake-wheel bucket in the past");
-        WakeBucket &b = wakeWheel_[cycle % kWakeRing];
-        b.cycle = cycle;
-        ckpt::readVec(r, b.robs);
-    }
-    farWakes_.clear();
-    const std::uint64_t far = r.u64();
-    for (std::uint64_t i = 0; i < far; ++i) {
-        const Cycle cycle = r.u64();
-        const std::uint64_t rob_num = r.u64();
-        farWakes_.emplace_back(cycle, rob_num);
-    }
-
-    if (r.u64() != prod_.size())
-        r.fail("producer table size mismatch");
-    for (Producer &p : prod_) {
-        p.readyBase = r.u64();
-        p.cluster = r.u8();
-    }
-
-    for (Cycle &c : complexBusyUntil_)
-        c = r.u64();
-    for (Cycle &c : fpDivBusyUntil_)
-        c = r.u64();
-
-    if (r.u64() != wbSlots_.size())
-        r.fail("write-back ring count mismatch");
-    for (auto &ring : wbSlots_) {
-        for (WbSlot &s : ring)
-            s = WbSlot{};
-        const std::uint64_t active = r.u64();
-        for (std::uint64_t i = 0; i < active; ++i) {
-            const Cycle cycle = r.u64();
-            if (cycle < now_)
-                r.fail("write-back reservation in the past");
-            WbSlot &s = ring[cycle % kWbRing];
-            s.cycle = cycle;
-            s.count = r.u8();
-        }
-    }
-
-    fetchHead_ = 0;
-    const std::uint64_t fq = r.u64();
-    if (fq > fetchBuf_.size())
-        r.fail("fetch queue occupancy out of range");
-    fetchCount_ = static_cast<std::size_t>(fq);
-    for (std::size_t k = 0; k < fetchCount_; ++k) {
-        Fetched &f = fetchBuf_[k];
-        f.op = restoreMicroOp(r);
-        f.expected = r.u64();
-        f.readyAt = r.u64();
-        f.fetchCycle = r.u64();
-        f.mispredicted = r.b();
-    }
-    fetchStalled_ = r.b();
-    fetchResumeAt_ = r.u64();
-
-    ckpt::readVec(r, pendingStoreData_);
-
-    committedMem_.restore(r);
-
-    for (std::uint64_t &g : groupCount_)
-        g = r.u64();
-    groupFill_ = r.u32();
-
-    timelineCapacity_ = static_cast<std::size_t>(r.u64());
-    timeline_.assign(timelineCapacity_, TimelineEntry{});
-    timelineHead_ = 0;
-    const std::uint64_t tl = r.u64();
-    if (tl > timelineCapacity_)
-        r.fail("timeline occupancy out of range");
-    timelineSize_ = static_cast<std::size_t>(tl);
-    for (std::size_t k = 0; k < timelineSize_; ++k) {
-        TimelineEntry &e = timeline_[k];
-        e.seq = r.u64();
-        e.pc = r.u64();
-        e.op = static_cast<isa::OpClass>(r.u8());
-        e.cluster = r.u8();
-        e.mispredicted = r.b();
-        e.renameCycle = r.u64();
-        e.issueCycle = r.u64();
-        e.completeCycle = r.u64();
-        e.commitCycle = r.u64();
-    }
-
-    stats_.cycles = r.u64();
-    stats_.committed = r.u64();
-    stats_.injectedMoves = r.u64();
-    stats_.branches = r.u64();
-    stats_.mispredicts = r.u64();
-    stats_.loadForwards = r.u64();
-    stats_.renameStallFreeReg = r.u64();
-    stats_.renameStallWindow = r.u64();
-    stats_.renameStallRob = r.u64();
-    stats_.renameStallLsq = r.u64();
-    stats_.unbalancedGroups = r.u64();
-    stats_.totalGroups = r.u64();
-    stats_.valueMismatches = r.u64();
-    for (std::uint64_t &v : stats_.perCluster)
-        v = r.u64();
-    for (std::uint64_t &v : stats_.issueWidthHist)
-        v = r.u64();
-    stats_.windowOccupancySum = r.u64();
-
-    for (unsigned &v : waitLocal_)
-        v = r.u32();
-    for (unsigned &v : waitRemote_)
-        v = r.u32();
-    obs_.restore(r);
-
-    if (!r.atEnd())
-        r.fail("trailing bytes after core state");
-}
+void Core::snapshot(ckpt::Writer &w) const { transfer(*this, w); }
+void Core::restore(ckpt::Reader &r) { transfer(*this, r); }
 
 } // namespace wsrs::core

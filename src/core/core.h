@@ -76,6 +76,34 @@ struct CoreStats
     std::array<std::uint64_t, 17> issueWidthHist{};
     std::uint64_t windowOccupancySum = 0;  ///< Summed over cycles.
 
+    /**
+     * The one field list of the core's checkpoint and the sweep journal:
+     * saves through a ckpt::Writer, loads through a ckpt::Reader.
+     */
+    template <typename Self, typename Io>
+    static void
+    transfer(Self &s, Io &io)
+    {
+        io.u64(s.cycles);
+        io.u64(s.committed);
+        io.u64(s.injectedMoves);
+        io.u64(s.branches);
+        io.u64(s.mispredicts);
+        io.u64(s.loadForwards);
+        io.u64(s.renameStallFreeReg);
+        io.u64(s.renameStallWindow);
+        io.u64(s.renameStallRob);
+        io.u64(s.renameStallLsq);
+        io.u64(s.unbalancedGroups);
+        io.u64(s.totalGroups);
+        io.u64(s.valueMismatches);
+        for (auto &v : s.perCluster)
+            io.u64(v);
+        for (auto &v : s.issueWidthHist)
+            io.u64(v);
+        io.u64(s.windowOccupancySum);
+    }
+
     double
     meanIssueWidth() const
     {
@@ -219,6 +247,9 @@ class Core
     void restore(ckpt::Reader &r);
 
   private:
+    template <typename Self, typename Io>
+    static void transfer(Self &self, Io &io);
+
     // ---- pipeline stages (called in tick() order) ----
     void tick();
     void commitStage();

@@ -166,55 +166,44 @@ class LoadStoreQueue : public ckpt::Snapshotter
         --agenCount_;
     }
 
-    void
-    snapshot(ckpt::Writer &w) const override
-    {
-        w.u32(capacity_);
-        w.u64(frontOrdinal_);
-        w.u64(agenCount_);
-        w.u64(size_);
-        for (std::uint64_t o = frontOrdinal_; o != frontOrdinal_ + size_;
-             ++o) {
-            const Entry &e = entries_[o & mask_];
-            w.u64(e.addr);
-            w.u64(e.storeValue);
-            w.u64(e.robNum);
-            w.b(e.isStore);
-            w.b(e.dataReady);
-            w.b(e.addrComputedFlag);
-        }
-    }
-
-    void
-    restore(ckpt::Reader &r) override
-    {
-        if (r.u32() != capacity_)
-            r.fail("LSQ capacity mismatch");
-        frontOrdinal_ = r.u64();
-        agenCount_ = r.u64();
-        const std::uint64_t n = r.u64();
-        if (n > capacity_ || agenCount_ > n)
-            r.fail("LSQ occupancy out of range");
-        size_ = n;
-        lastStore_.clear();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const std::uint64_t ordinal = frontOrdinal_ + i;
-            Entry &e = entries_[ordinal & mask_];
-            e.addr = r.u64();
-            e.storeValue = r.u64();
-            e.robNum = r.u64();
-            e.isStore = r.b();
-            e.dataReady = r.b();
-            e.addrComputedFlag = r.b();
-            e.prevStore = 0;
-            // The forwarding chains are derived state: rebuild them in
-            // ordinal order rather than serializing them.
-            if (e.isStore)
-                linkStore(e, ordinal);
-        }
-    }
+    void snapshot(ckpt::Writer &w) const override { transfer(*this, w); }
+    void restore(ckpt::Reader &r) override { transfer(*this, r); }
 
   private:
+    template <typename Self, typename Io>
+    static void
+    transfer(Self &self, Io &io)
+    {
+        ckpt::expect(io, self.capacity_, 4, "LSQ capacity mismatch");
+        io.u64(self.frontOrdinal_);
+        io.u64(self.agenCount_);
+        std::uint64_t n = self.size_;
+        io.u64(n);
+        ckpt::check(io, n <= self.capacity_ && self.agenCount_ <= n,
+                    "LSQ occupancy out of range");
+        if constexpr (Io::kLoading) {
+            self.size_ = n;
+            self.lastStore_.clear();
+        }
+        for (std::uint64_t o = self.frontOrdinal_; o != self.frontOrdinal_ + n;
+             ++o) {
+            auto &e = self.entries_[o & self.mask_];
+            io.u64(e.addr);
+            io.u64(e.storeValue);
+            io.u64(e.robNum);
+            io.b(e.isStore);
+            io.b(e.dataReady);
+            io.b(e.addrComputedFlag);
+            // The forwarding chains are derived state: rebuild them in
+            // ordinal order rather than serializing them.
+            if constexpr (Io::kLoading) {
+                e.prevStore = 0;
+                if (e.isStore)
+                    self.linkStore(e, o);
+            }
+        }
+    }
+
     struct Entry
     {
         Addr addr;

@@ -67,45 +67,37 @@ PhysRegFile::drainRecycler(Cycle now)
     }
 }
 
+template <typename Self, typename Io>
 void
-PhysRegFile::snapshot(ckpt::Writer &w) const
+PhysRegFile::transfer(Self &self, Io &io)
 {
-    w.u32(numRegs());
-    w.u32(numSubsets_);
-    for (const std::uint64_t v : values_)
-        w.u64(v);
-    for (const auto &list : freeLists_)
-        ckpt::writeVec(w, list);
-    w.u64(recyclerSize_);
-    for (std::size_t k = 0; k < recyclerSize_; ++k) {
-        const RecycleEntry &e = recycler_[(recyclerHead_ + k) & recyclerMask_];
-        w.u64(e.availableAt);
-        w.u32(e.reg);
+    const char *geometry = "physical register file geometry mismatch";
+    ckpt::expect(io, self.numRegs(), 4, geometry);
+    ckpt::expect(io, self.numSubsets_, 4, geometry);
+    for (auto &v : self.values_)
+        io.u64(v);
+    for (auto &list : self.freeLists_) {
+        ckpt::vec(io, list);
+        ckpt::check(io, list.size() <= self.subsetSize_,
+                    "free list larger than its subset");
+    }
+    // Live recycler entries only, oldest first; a load re-bases the ring.
+    std::uint64_t n = self.recyclerSize_;
+    io.u64(n);
+    ckpt::check(io, n <= self.recyclerMask_,
+                "recycler occupancy exceeds register count");
+    if constexpr (Io::kLoading) {
+        self.recyclerHead_ = 0;
+        self.recyclerSize_ = static_cast<std::size_t>(n);
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+        auto &e = self.recycler_[(self.recyclerHead_ + k) & self.recyclerMask_];
+        io.u64(e.availableAt);
+        io.u32(e.reg);
     }
 }
 
-void
-PhysRegFile::restore(ckpt::Reader &r)
-{
-    if (r.u32() != numRegs() || r.u32() != numSubsets_)
-        r.fail("physical register file geometry mismatch");
-    for (std::uint64_t &v : values_)
-        v = r.u64();
-    for (auto &list : freeLists_) {
-        ckpt::readVec(r, list);
-        if (list.size() > subsetSize_)
-            r.fail("free list larger than its subset");
-    }
-    recyclerHead_ = 0;
-    const std::uint64_t n = r.u64();
-    if (n > recyclerMask_)
-        r.fail("recycler occupancy exceeds register count");
-    recyclerSize_ = static_cast<std::size_t>(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        RecycleEntry &e = recycler_[i];
-        e.availableAt = r.u64();
-        e.reg = static_cast<PhysReg>(r.u32());
-    }
-}
+void PhysRegFile::snapshot(ckpt::Writer &w) const { transfer(*this, w); }
+void PhysRegFile::restore(ckpt::Reader &r) { transfer(*this, r); }
 
 } // namespace wsrs::core

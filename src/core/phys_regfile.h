@@ -99,6 +99,9 @@ class PhysRegFile : public ckpt::Snapshotter
     void restore(ckpt::Reader &r) override;
 
   private:
+    template <typename Self, typename Io>
+    static void transfer(Self &self, Io &io);
+
     unsigned numSubsets_;
     unsigned subsetSize_;
     std::vector<std::uint64_t> values_;

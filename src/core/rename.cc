@@ -118,31 +118,22 @@ Renamer::commitFree(PhysReg old_pdst, Cycle now)
         prf_.release(old_pdst);
 }
 
+template <typename Self, typename Io>
 void
-Renamer::snapshot(ckpt::Writer &w) const
+Renamer::transfer(Self &self, Io &io)
 {
-    for (const PhysReg p : map_)
-        w.u32(p);
-    ckpt::writeVec(w, archCount_);
-    w.u64(staged_.size());
-    for (const auto &stage : staged_)
-        ckpt::writeVec(w, stage);
+    for (auto &p : self.map_) {
+        io.u32(p);
+        ckpt::check(io, p < self.prf_.numRegs(),
+                    "rename map entry out of range");
+    }
+    ckpt::vecExact(io, self.archCount_, "subset occupancy counts");
+    ckpt::expect(io, self.staged_.size(), 8, "staging-buffer count mismatch");
+    for (auto &stage : self.staged_)
+        ckpt::vec(io, stage);
 }
 
-void
-Renamer::restore(ckpt::Reader &r)
-{
-    for (PhysReg &p : map_) {
-        p = static_cast<PhysReg>(r.u32());
-        if (p >= prf_.numRegs())
-            r.fail("rename map entry out of range");
-    }
-    ckpt::readVecExact(r, archCount_, archCount_.size(),
-                       "subset occupancy counts");
-    if (r.u64() != staged_.size())
-        r.fail("staging-buffer count mismatch");
-    for (auto &stage : staged_)
-        ckpt::readVec(r, stage);
-}
+void Renamer::snapshot(ckpt::Writer &w) const { transfer(*this, w); }
+void Renamer::restore(ckpt::Reader &r) { transfer(*this, r); }
 
 } // namespace wsrs::core

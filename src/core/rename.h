@@ -115,6 +115,9 @@ class Renamer : public ckpt::Snapshotter
     void restore(ckpt::Reader &r) override;
 
   private:
+    template <typename Self, typename Io>
+    static void transfer(Self &self, Io &io);
+
     PhysRegFile &prf_;
     RenameImpl impl_;
     unsigned groupWidth_;

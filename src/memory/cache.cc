@@ -147,43 +147,31 @@ Cache::probe(Addr addr) const
     return false;
 }
 
+template <typename Self, typename Io>
 void
-Cache::snapshot(ckpt::Writer &w) const
+Cache::transfer(Self &self, Io &io)
 {
     // Geometry header lets restore() reject a mismatched target.
-    w.u64(numSets_);
-    w.u32(params_.assoc);
-    w.u32(params_.lineBytes);
-    w.u8(static_cast<std::uint8_t>(params_.replacement));
-    w.u64(stamp_);
-    w.u64(rngState_);
-    for (const Line &line : lines_) {
-        w.u64(line.tag);
-        w.b(line.valid);
-        w.b(line.dirty);
-        w.u64(line.lruStamp);
+    const char *geometry =
+        "cache geometry mismatch between checkpoint and restore target";
+    ckpt::expect(io, self.numSets_, 8, geometry);
+    ckpt::expect(io, self.params_.assoc, 4, geometry);
+    ckpt::expect(io, self.params_.lineBytes, 4, geometry);
+    ckpt::expect(io, static_cast<std::uint8_t>(self.params_.replacement), 1,
+                 geometry);
+    io.u64(self.stamp_);
+    io.u64(self.rngState_);
+    for (auto &line : self.lines_) {
+        io.u64(line.tag);
+        io.b(line.valid);
+        io.b(line.dirty);
+        io.u64(line.lruStamp);
     }
-    ckpt::writeVec(w, plruBits_);
+    ckpt::vecExact(io, self.plruBits_, "cache PLRU bits");
 }
 
-void
-Cache::restore(ckpt::Reader &r)
-{
-    if (r.u64() != numSets_ || r.u32() != params_.assoc ||
-        r.u32() != params_.lineBytes ||
-        r.u8() != static_cast<std::uint8_t>(params_.replacement))
-        r.fail("cache geometry mismatch between checkpoint and restore "
-               "target");
-    stamp_ = r.u64();
-    rngState_ = r.u64();
-    for (Line &line : lines_) {
-        line.tag = r.u64();
-        line.valid = r.b();
-        line.dirty = r.b();
-        line.lruStamp = r.u64();
-    }
-    ckpt::readVecExact(r, plruBits_, numSets_, "cache PLRU bits");
-}
+void Cache::snapshot(ckpt::Writer &w) const { transfer(*this, w); }
+void Cache::restore(ckpt::Reader &r) { transfer(*this, r); }
 
 void
 Cache::flush()

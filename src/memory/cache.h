@@ -68,6 +68,9 @@ class Cache : public ckpt::Snapshotter
     void restore(ckpt::Reader &r) override;
 
   private:
+    template <typename Self, typename Io>
+    static void transfer(Self &self, Io &io);
+
     struct Line
     {
         Addr tag = 0;

@@ -235,72 +235,44 @@ DramController::dumpJson(std::ostream &os, const StatGroup &counters,
     os << "}}}";
 }
 
+template <typename Self, typename Io>
 void
-DramController::snapshot(ckpt::Writer &w) const
+DramController::transfer(Self &self, Io &io)
 {
-    w.u64(banks_.size());
-    for (const Bank &b : banks_) {
-        w.u64(b.readyAt);
-        w.u64(b.openRow);
+    ckpt::expect(io, self.banks_.size(), 8, "DRAM bank count mismatch");
+    for (auto &b : self.banks_) {
+        io.u64(b.readyAt);
+        io.u64(b.openRow);
     }
-    events_.snapshot(w);
-    w.u64(busFreeAt_);
-    w.u64(epoch_);
-    w.u64(attrUntil_);
-    for (const std::uint64_t s : stall_)
-        w.u64(s);
-    w.u64(pending_.size());
-    for (const AttrSeg &s : pending_) {
-        w.u64(s.from);
-        w.u64(s.to);
-        w.u64(s.bucket);
+    ckpt::part(io, self.events_);
+    io.u64(self.busFreeAt_);
+    io.u64(self.epoch_);
+    io.u64(self.attrUntil_);
+    for (auto &s : self.stall_)
+        io.u64(s);
+    const std::uint64_t npend =
+        ckpt::count(io, self.pending_.size(), 24, "DRAM stall segment");
+    if constexpr (Io::kLoading)
+        self.pending_.assign(npend, AttrSeg{});
+    for (auto &s : self.pending_) {
+        io.u64(s.from);
+        io.u64(s.to);
+        io.u64(s.bucket);
+        ckpt::check(io, s.bucket < kNumStallBuckets,
+                    "DRAM stall segment bucket out of range");
     }
-    w.u64(requests_.value());
-    w.u64(reads_.value());
-    w.u64(writes_.value());
-    w.u64(rowHits_.value());
-    w.u64(rowEmpties_.value());
-    w.u64(rowConflicts_.value());
-    w.u64(queueFullWaits_.value());
-    w.u64(prefetchIssued_.value());
-    w.u64(prefetchDrops_.value());
+    ckpt::counter(io, self.requests_);
+    ckpt::counter(io, self.reads_);
+    ckpt::counter(io, self.writes_);
+    ckpt::counter(io, self.rowHits_);
+    ckpt::counter(io, self.rowEmpties_);
+    ckpt::counter(io, self.rowConflicts_);
+    ckpt::counter(io, self.queueFullWaits_);
+    ckpt::counter(io, self.prefetchIssued_);
+    ckpt::counter(io, self.prefetchDrops_);
 }
 
-void
-DramController::restore(ckpt::Reader &r)
-{
-    if (r.u64() != banks_.size())
-        r.fail("DRAM bank count mismatch");
-    for (Bank &b : banks_) {
-        b.readyAt = r.u64();
-        b.openRow = r.u64();
-    }
-    events_.restore(r);
-    busFreeAt_ = r.u64();
-    epoch_ = r.u64();
-    attrUntil_ = r.u64();
-    for (std::uint64_t &s : stall_)
-        s = r.u64();
-    const std::uint64_t npend = r.u64();
-    pending_.clear();
-    for (std::uint64_t i = 0; i < npend; ++i) {
-        AttrSeg s;
-        s.from = r.u64();
-        s.to = r.u64();
-        s.bucket = static_cast<std::uint8_t>(r.u64());
-        if (s.bucket >= kNumStallBuckets)
-            r.fail("DRAM stall segment bucket out of range");
-        pending_.push_back(s);
-    }
-    requests_.restore(r.u64());
-    reads_.restore(r.u64());
-    writes_.restore(r.u64());
-    rowHits_.restore(r.u64());
-    rowEmpties_.restore(r.u64());
-    rowConflicts_.restore(r.u64());
-    queueFullWaits_.restore(r.u64());
-    prefetchIssued_.restore(r.u64());
-    prefetchDrops_.restore(r.u64());
-}
+void DramController::snapshot(ckpt::Writer &w) const { transfer(*this, w); }
+void DramController::restore(ckpt::Reader &r) { transfer(*this, r); }
 
 } // namespace wsrs::memory

@@ -127,6 +127,9 @@ class DramController : public ckpt::Snapshotter
     void restore(ckpt::Reader &r) override;
 
   private:
+    template <typename Self, typename Io>
+    static void transfer(Self &self, Io &io);
+
     static constexpr std::uint64_t kNoRow = ~std::uint64_t{0};
 
     struct Bank

@@ -61,37 +61,29 @@ class EventQueue
      * function of the schedule/pop history, so writing it verbatim and
      * reading it back reproduces the queue bit-exactly.
      */
-    void
-    snapshot(ckpt::Writer &w) const
-    {
-        w.u64(nextSeq_);
-        w.u64(heap_.size());
-        for (const MemEvent &e : heap_) {
-            w.u64(e.at);
-            w.u64(e.seq);
-            w.u64(e.bank);
-        }
-    }
-
-    void
-    restore(ckpt::Reader &r)
-    {
-        nextSeq_ = r.u64();
-        const std::uint64_t n = r.u64();
-        heap_.clear();
-        heap_.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i) {
-            MemEvent e;
-            e.at = r.u64();
-            e.seq = r.u64();
-            e.bank = static_cast<std::uint32_t>(r.u64());
-            heap_.push_back(e);
-        }
-        if (!std::is_heap(heap_.begin(), heap_.end(), later))
-            r.fail("memory event queue is not a heap");
-    }
+    void snapshot(ckpt::Writer &w) const { transfer(*this, w); }
+    void restore(ckpt::Reader &r) { transfer(*this, r); }
 
   private:
+    template <typename Self, typename Io>
+    static void
+    transfer(Self &self, Io &io)
+    {
+        io.u64(self.nextSeq_);
+        const std::uint64_t n =
+            ckpt::count(io, self.heap_.size(), 24, "memory event");
+        if constexpr (Io::kLoading)
+            self.heap_.assign(n, MemEvent{});
+        for (auto &e : self.heap_) {
+            io.u64(e.at);
+            io.u64(e.seq);
+            io.u64(e.bank);
+        }
+        ckpt::check(io,
+                    std::is_heap(self.heap_.begin(), self.heap_.end(), later),
+                    "memory event queue is not a heap");
+    }
+
     /** True when @p a fires after @p b (max-heap comparator inversion). */
     static bool
     later(const MemEvent &a, const MemEvent &b)

@@ -94,43 +94,31 @@ MemoryHierarchy::access(Addr addr, bool is_store, Cycle now)
     return out;
 }
 
+template <typename Self, typename Io>
 void
-MemoryHierarchy::snapshot(ckpt::Writer &w) const
+MemoryHierarchy::transfer(Self &self, Io &io)
 {
-    l1_.snapshot(w);
-    l2_.snapshot(w);
-    w.u64(l2PortFree_);
-    ckpt::writeVec(w, missDone_);
-    w.u64(missDonePos_);
-    w.u64(accesses_.value());
-    w.u64(l1Misses_.value());
-    w.u64(l2Misses_.value());
-    w.u64(writebacks_.value());
-    w.u64(mshrStalls_.value());
-    w.u64(prefetches_.value());
-    if (dram_)
-        dram_->snapshot(w);
+    ckpt::part(io, self.l1_);
+    ckpt::part(io, self.l2_);
+    io.u64(self.l2PortFree_);
+    ckpt::vecExact(io, self.missDone_, "MSHR miss slots");
+    io.u64(self.missDonePos_);
+    ckpt::check(io,
+                self.missDone_.empty() ||
+                    self.missDonePos_ < self.missDone_.size(),
+                "MSHR cursor out of range");
+    ckpt::counter(io, self.accesses_);
+    ckpt::counter(io, self.l1Misses_);
+    ckpt::counter(io, self.l2Misses_);
+    ckpt::counter(io, self.writebacks_);
+    ckpt::counter(io, self.mshrStalls_);
+    ckpt::counter(io, self.prefetches_);
+    if (self.dram_)
+        ckpt::part(io, *self.dram_);
 }
 
-void
-MemoryHierarchy::restore(ckpt::Reader &r)
-{
-    l1_.restore(r);
-    l2_.restore(r);
-    l2PortFree_ = r.u64();
-    ckpt::readVecExact(r, missDone_, missDone_.size(), "MSHR miss slots");
-    missDonePos_ = static_cast<std::size_t>(r.u64());
-    if (!missDone_.empty() && missDonePos_ >= missDone_.size())
-        r.fail("MSHR cursor out of range");
-    accesses_.restore(r.u64());
-    l1Misses_.restore(r.u64());
-    l2Misses_.restore(r.u64());
-    writebacks_.restore(r.u64());
-    mshrStalls_.restore(r.u64());
-    prefetches_.restore(r.u64());
-    if (dram_)
-        dram_->restore(r);
-}
+void MemoryHierarchy::snapshot(ckpt::Writer &w) const { transfer(*this, w); }
+void MemoryHierarchy::restore(ckpt::Reader &r) { transfer(*this, r); }
 
 void
 MemoryHierarchy::flush()

@@ -111,6 +111,9 @@ class MemoryHierarchy : public ckpt::Snapshotter
     void restore(ckpt::Reader &r) override;
 
   private:
+    template <typename Self, typename Io>
+    static void transfer(Self &self, Io &io);
+
     HierarchyParams params_;
     Cache l1_;
     Cache l2_;

@@ -209,77 +209,56 @@ PipelineStats::dumpJson(std::ostream &os) const
 
 namespace {
 
+template <typename Io>
 void
-snapshotHist(ckpt::Writer &w, const Histogram &h)
+transferHist(Io &io, Histogram &h)
 {
-    w.u64(h.numBuckets());
-    for (std::size_t i = 0; i < h.numBuckets(); ++i)
-        w.u64(h.bucket(i));
-    w.u64(h.overflow());
-    w.u64(h.samples());
-    w.d64(h.sum());
-}
-
-void
-restoreHist(ckpt::Reader &r, Histogram &h)
-{
-    std::vector<std::uint64_t> buckets;
-    ckpt::readVecExact(r, buckets, h.numBuckets(), "histogram buckets");
-    const std::uint64_t overflow = r.u64();
-    const std::uint64_t samples = r.u64();
-    const double sum = r.d64();
-    h.restore(std::move(buckets), overflow, samples, sum);
+    std::vector<std::uint64_t> buckets = h.buckets();
+    std::uint64_t overflow = h.overflow();
+    std::uint64_t samples = h.samples();
+    double sum = h.sum();
+    ckpt::vecExact(io, buckets, "histogram buckets");
+    io.u64(overflow);
+    io.u64(samples);
+    io.d64(sum);
+    if constexpr (Io::kLoading)
+        h.restore(std::move(buckets), overflow, samples, sum);
 }
 
 } // namespace
 
+template <typename Self, typename Io>
 void
-PipelineStats::snapshot(ckpt::Writer &w) const
+PipelineStats::transfer(Self &self, Io &io)
 {
-    flush();
-    w.u32(numClusters_);
-    for (const auto &h : issueStall_)
-        snapshotHist(w, *h);
-    snapshotHist(w, *renameStall_);
-    snapshotHist(w, *commitStall_);
-    snapshotHist(w, *wakeupLatency_);
-    for (const std::uint64_t s : occupancySum_)
-        w.u64(s);
-    w.u64(intervalCountdown_);
-    w.u64(intervals_.size());
-    for (const IntervalSample &s : intervals_) {
-        w.u64(s.cycle);
-        w.u64(s.committed);
-        for (const std::uint32_t o : s.occupancy)
-            w.u32(o);
+    if constexpr (Io::kLoading)
+        self.discardPending();
+    else
+        self.flush();
+    ckpt::expect(io, self.numClusters_, 4,
+                 "pipeline-stats cluster count mismatch");
+    for (auto &h : self.issueStall_)
+        transferHist(io, *h);
+    transferHist(io, *self.renameStall_);
+    transferHist(io, *self.commitStall_);
+    transferHist(io, *self.wakeupLatency_);
+    for (auto &s : self.occupancySum_)
+        io.u64(s);
+    io.u64(self.intervalCountdown_);
+    const std::uint64_t n = ckpt::count(io, self.intervals_.size(),
+                                        16 + 4 * kClusterCap,
+                                        "interval sample");
+    if constexpr (Io::kLoading)
+        self.intervals_.assign(n, IntervalSample{});
+    for (auto &s : self.intervals_) {
+        io.u64(s.cycle);
+        io.u64(s.committed);
+        for (auto &o : s.occupancy)
+            io.u32(o);
     }
 }
 
-void
-PipelineStats::restore(ckpt::Reader &r)
-{
-    discardPending();
-    if (r.u32() != numClusters_)
-        r.fail("pipeline-stats cluster count mismatch");
-    for (auto &h : issueStall_)
-        restoreHist(r, *h);
-    restoreHist(r, *renameStall_);
-    restoreHist(r, *commitStall_);
-    restoreHist(r, *wakeupLatency_);
-    for (std::uint64_t &s : occupancySum_)
-        s = r.u64();
-    intervalCountdown_ = r.u64();
-    intervals_.clear();
-    const std::uint64_t n = r.u64();
-    intervals_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        IntervalSample s;
-        s.cycle = r.u64();
-        s.committed = r.u64();
-        for (std::uint32_t &o : s.occupancy)
-            o = r.u32();
-        intervals_.push_back(s);
-    }
-}
+void PipelineStats::snapshot(ckpt::Writer &w) const { transfer(*this, w); }
+void PipelineStats::restore(ckpt::Reader &r) { transfer(*this, r); }
 
 } // namespace wsrs::obs

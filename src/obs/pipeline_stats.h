@@ -226,6 +226,9 @@ class PipelineStats : public ckpt::Snapshotter
     void restore(ckpt::Reader &r) override;
 
   private:
+    template <typename Self, typename Io>
+    static void transfer(Self &self, Io &io);
+
     /** Fold the batched attribution counters into the histograms. */
     void flush() const;
 

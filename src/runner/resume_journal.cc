@@ -35,87 +35,46 @@ sweepKeyHash(const std::vector<SweepJob> &jobs)
     return h;
 }
 
+namespace {
+
+/** The outcome's one field list, shared by the journal and svc frames. */
+template <typename Out, typename Io>
+void
+transferOutcome(Out &out, Io &io)
+{
+    io.b(out.ok);
+    io.str(out.error);
+    auto &r = out.results;
+    io.str(r.benchmark);
+    io.str(r.machine);
+    io.str(r.statsJson);
+    io.str(r.timelineText);
+    io.d64(r.ipc);
+    io.d64(r.unbalancingDegree);
+    io.d64(r.branchMispredictRate);
+    io.d64(r.l1MissRate);
+    io.d64(r.l2MissRate);
+    core::CoreStats::transfer(r.stats, io);
+    io.u64(r.mem.dramRequests);
+    io.u64(r.mem.dramRowHits);
+    io.u64(r.mem.dramRowConflicts);
+    io.u64(r.mem.dramQueueFullWaits);
+}
+
+} // namespace
+
 void
 encodeOutcome(ckpt::Writer &w, const SweepOutcome &out)
 {
-    w.b(out.ok);
-    w.str(out.error);
-    const sim::SimResults &r = out.results;
-    w.str(r.benchmark);
-    w.str(r.machine);
-    w.str(r.statsJson);
-    w.str(r.timelineText);
-    w.d64(r.ipc);
-    w.d64(r.unbalancingDegree);
-    w.d64(r.branchMispredictRate);
-    w.d64(r.l1MissRate);
-    w.d64(r.l2MissRate);
-    const core::CoreStats &s = r.stats;
-    w.u64(s.cycles);
-    w.u64(s.committed);
-    w.u64(s.injectedMoves);
-    w.u64(s.branches);
-    w.u64(s.mispredicts);
-    w.u64(s.loadForwards);
-    w.u64(s.renameStallFreeReg);
-    w.u64(s.renameStallWindow);
-    w.u64(s.renameStallRob);
-    w.u64(s.renameStallLsq);
-    w.u64(s.unbalancedGroups);
-    w.u64(s.totalGroups);
-    w.u64(s.valueMismatches);
-    for (const std::uint64_t c : s.perCluster)
-        w.u64(c);
-    for (const std::uint64_t c : s.issueWidthHist)
-        w.u64(c);
-    w.u64(s.windowOccupancySum);
-    w.u64(r.mem.dramRequests);
-    w.u64(r.mem.dramRowHits);
-    w.u64(r.mem.dramRowConflicts);
-    w.u64(r.mem.dramQueueFullWaits);
+    transferOutcome(out, w);
 }
 
 SweepOutcome
 decodeOutcome(ckpt::Reader &r)
 {
     SweepOutcome out;
-    out.ok = r.b();
-    out.error = r.str();
-    sim::SimResults &res = out.results;
-    res.benchmark = r.str();
-    res.machine = r.str();
-    res.statsJson = r.str();
-    res.timelineText = r.str();
-    res.ipc = r.d64();
-    res.unbalancingDegree = r.d64();
-    res.branchMispredictRate = r.d64();
-    res.l1MissRate = r.d64();
-    res.l2MissRate = r.d64();
-    core::CoreStats &s = res.stats;
-    s.cycles = r.u64();
-    s.committed = r.u64();
-    s.injectedMoves = r.u64();
-    s.branches = r.u64();
-    s.mispredicts = r.u64();
-    s.loadForwards = r.u64();
-    s.renameStallFreeReg = r.u64();
-    s.renameStallWindow = r.u64();
-    s.renameStallRob = r.u64();
-    s.renameStallLsq = r.u64();
-    s.unbalancedGroups = r.u64();
-    s.totalGroups = r.u64();
-    s.valueMismatches = r.u64();
-    for (std::uint64_t &c : s.perCluster)
-        c = r.u64();
-    for (std::uint64_t &c : s.issueWidthHist)
-        c = r.u64();
-    s.windowOccupancySum = r.u64();
-    res.mem.dramRequests = r.u64();
-    res.mem.dramRowHits = r.u64();
-    res.mem.dramRowConflicts = r.u64();
-    res.mem.dramQueueFullWaits = r.u64();
-    if (!r.atEnd())
-        r.fail("trailing bytes after journal outcome");
+    transferOutcome(out, r);
+    ckpt::expectEnd(r, "trailing bytes after journal outcome");
     return out;
 }
 

@@ -39,10 +39,23 @@ makePredictor(PredictorKind kind)
 namespace {
 
 /**
- * Save a kind="full-sim" checkpoint: the trace source's cursor, the
- * predictor, the memory hierarchy and the core's complete transient state,
- * taken at a cycle boundary (between run() calls).
+ * The sections of a kind="full-sim" checkpoint: the trace source's cursor,
+ * the predictor, the memory hierarchy and the core's complete transient
+ * state, taken at a cycle boundary (between run() calls). @p ck is a
+ * CheckpointWriter to save them or a CheckpointReader to restore them.
  */
+template <typename Ck, typename Src, typename Pred, typename Mem,
+          typename Machine>
+void
+fullSimSections(Ck &ck, Src &source, Pred &predictor, Mem &mem,
+                Machine &machine)
+{
+    ckpt::section(ck, "trace", source);
+    ckpt::section(ck, "bpred", predictor);
+    ckpt::section(ck, "memory", mem);
+    ckpt::section(ck, "core", machine);
+}
+
 void
 saveFullCheckpoint(const std::string &path, std::uint64_t meta_hash,
                    const ckpt::Snapshotter &source_snap,
@@ -54,26 +67,7 @@ saveFullCheckpoint(const std::string &path, std::uint64_t meta_hash,
     if (!os)
         fatalIo("cannot open checkpoint file '%s' for writing", path.c_str());
     ckpt::CheckpointWriter cw(os, path, ckpt::kKindFullSim, meta_hash);
-    {
-        ckpt::Writer w;
-        source_snap.snapshot(w);
-        cw.section("trace", w);
-    }
-    {
-        ckpt::Writer w;
-        predictor.snapshot(w);
-        cw.section("bpred", w);
-    }
-    {
-        ckpt::Writer w;
-        mem.snapshot(w);
-        cw.section("memory", w);
-    }
-    {
-        ckpt::Writer w;
-        machine.snapshot(w);
-        cw.section("core", w);
-    }
+    fullSimSections(cw, source_snap, predictor, mem, machine);
     cw.finish();
 }
 
@@ -89,22 +83,7 @@ loadFullCheckpoint(const std::string &path, std::uint64_t meta_hash,
         fatalIo("cannot open checkpoint file '%s'", path.c_str());
     ckpt::CheckpointReader cr(is, path);
     cr.expect(ckpt::kKindFullSim, meta_hash);
-    {
-        ckpt::Reader r = cr.section("trace");
-        source_snap.restore(r);
-    }
-    {
-        ckpt::Reader r = cr.section("bpred");
-        predictor.restore(r);
-    }
-    {
-        ckpt::Reader r = cr.section("memory");
-        mem.restore(r);
-    }
-    {
-        ckpt::Reader r = cr.section("core");
-        machine.restore(r);
-    }
+    fullSimSections(cr, source_snap, predictor, mem, machine);
 }
 
 /** Parse a strictly-decimal environment value; fatal on malformed input. */

@@ -210,16 +210,8 @@ buildWarmupSnapshot(const workload::BenchmarkProfile &profile,
         w.u64(config.warmupUops);
         cw.section("meta", w);
     }
-    {
-        ckpt::Writer w;
-        mem.snapshot(w);
-        cw.section("memory", w);
-    }
-    {
-        ckpt::Writer w;
-        predictor->snapshot(w);
-        cw.section("bpred", w);
-    }
+    ckpt::section(cw, "memory", mem);
+    ckpt::section(cw, "bpred", *predictor);
     cw.finish();
     return os.str();
 }
@@ -233,14 +225,8 @@ restoreWarmupSnapshot(const std::string &blob, const std::string &origin,
     std::istringstream is(blob, std::ios::binary);
     ckpt::CheckpointReader cr(is, origin);
     cr.expect(ckpt::kKindWarmup, warmupKeyHash(profile, config));
-    {
-        ckpt::Reader r = cr.section("memory");
-        mem.restore(r);
-    }
-    {
-        ckpt::Reader r = cr.section("bpred");
-        predictor.restore(r);
-    }
+    ckpt::section(cr, "memory", mem);
+    ckpt::section(cr, "bpred", predictor);
 }
 
 } // namespace wsrs::sim

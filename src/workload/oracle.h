@@ -61,23 +61,19 @@ class OracleExecutor : public ckpt::Snapshotter
     /** Current memory value at an address (init pattern if never stored). */
     std::uint64_t loadMem(Addr a) const { return mem_.load(a); }
 
-    void
-    snapshot(ckpt::Writer &w) const override
-    {
-        for (const std::uint64_t v : regs_)
-            w.u64(v);
-        mem_.snapshot(w);
-    }
-
-    void
-    restore(ckpt::Reader &r) override
-    {
-        for (std::uint64_t &v : regs_)
-            v = r.u64();
-        mem_.restore(r);
-    }
+    void snapshot(ckpt::Writer &w) const override { transfer(*this, w); }
+    void restore(ckpt::Reader &r) override { transfer(*this, r); }
 
   private:
+    template <typename Self, typename Io>
+    static void
+    transfer(Self &self, Io &io)
+    {
+        for (auto &v : self.regs_)
+            io.u64(v);
+        ckpt::part(io, self.mem_);
+    }
+
     std::array<std::uint64_t, isa::kNumLogRegs> regs_{};
     MemoryImage mem_;
 };

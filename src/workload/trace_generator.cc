@@ -455,64 +455,42 @@ TraceGenerator::next()
     return m;
 }
 
+template <typename Self, typename Io>
 void
-TraceGenerator::snapshot(ckpt::Writer &w) const
+TraceGenerator::transfer(Self &self, Io &io)
 {
     // The restore target rebuilds the same static program from (profile,
     // seed); the program size cross-checks that contract.
-    w.u64(program_.size());
-    w.u64(rng_.stateWord(0));
-    w.u64(rng_.stateWord(1));
-    w.u32(cursor_);
-    w.u64(seq_);
-    w.u64(branchState_.size());
-    for (const BranchState &st : branchState_)
-        w.u32(st.count);
-    w.u64(streams_.size());
-    for (const StreamState &st : streams_) {
-        w.u64(st.base);
-        w.u64(st.next);
-        w.u64(st.stride);
+    ckpt::expect(io, self.program_.size(), 8,
+                 "trace generator static-program size mismatch (different "
+                 "profile or seed)");
+    ckpt::rng(io, self.rng_);
+    io.u32(self.cursor_);
+    ckpt::check(io, self.cursor_ < self.program_.size(),
+                "trace generator cursor out of range");
+    io.u64(self.seq_);
+    ckpt::expect(io, self.branchState_.size(), 8,
+                 "trace generator branch-state size mismatch");
+    for (auto &st : self.branchState_)
+        io.u32(st.count);
+    ckpt::expect(io, self.streams_.size(), 8,
+                 "trace generator stream count mismatch");
+    for (auto &st : self.streams_) {
+        io.u64(st.base);
+        io.u64(st.next);
+        io.u64(st.stride);
     }
-    ckpt::writeVec(w, recentLoadAddrs_);
-    w.u64(recentLoadPos_);
-    ckpt::writeVec(w, recentStoreAddrs_);
-    w.u64(recentStorePos_);
+    ckpt::vecExact(io, self.recentLoadAddrs_, "recent-load ring");
+    io.u64(self.recentLoadPos_);
+    ckpt::vecExact(io, self.recentStoreAddrs_, "recent-store ring");
+    io.u64(self.recentStorePos_);
+    ckpt::check(io,
+                self.recentLoadPos_ < self.recentLoadAddrs_.size() &&
+                    self.recentStorePos_ < self.recentStoreAddrs_.size(),
+                "trace generator alias-ring cursor out of range");
 }
 
-void
-TraceGenerator::restore(ckpt::Reader &r)
-{
-    if (r.u64() != program_.size())
-        r.fail("trace generator static-program size mismatch (different "
-               "profile or seed)");
-    const std::uint64_t s0 = r.u64();
-    const std::uint64_t s1 = r.u64();
-    rng_.setState(s0, s1);
-    cursor_ = r.u32();
-    if (cursor_ >= program_.size())
-        r.fail("trace generator cursor out of range");
-    seq_ = r.u64();
-    if (r.u64() != branchState_.size())
-        r.fail("trace generator branch-state size mismatch");
-    for (BranchState &st : branchState_)
-        st.count = r.u32();
-    if (r.u64() != streams_.size())
-        r.fail("trace generator stream count mismatch");
-    for (StreamState &st : streams_) {
-        st.base = r.u64();
-        st.next = r.u64();
-        st.stride = r.u64();
-    }
-    ckpt::readVecExact(r, recentLoadAddrs_, recentLoadAddrs_.size(),
-                       "recent-load ring");
-    recentLoadPos_ = static_cast<std::size_t>(r.u64());
-    ckpt::readVecExact(r, recentStoreAddrs_, recentStoreAddrs_.size(),
-                       "recent-store ring");
-    recentStorePos_ = static_cast<std::size_t>(r.u64());
-    if (recentLoadPos_ >= recentLoadAddrs_.size() ||
-        recentStorePos_ >= recentStoreAddrs_.size())
-        r.fail("trace generator alias-ring cursor out of range");
-}
+void TraceGenerator::snapshot(ckpt::Writer &w) const { transfer(*this, w); }
+void TraceGenerator::restore(ckpt::Reader &r) { transfer(*this, r); }
 
 } // namespace wsrs::workload

@@ -106,6 +106,9 @@ class TraceGenerator : public MicroOpSource, public ckpt::Snapshotter
     void restore(ckpt::Reader &r) override;
 
   private:
+    template <typename Self, typename Io>
+    static void transfer(Self &self, Io &io);
+
     void buildProgram();
     void validateProfile() const;
 

@@ -14,11 +14,15 @@
 #include <iterator>
 #include <string>
 
+#include "src/bpred/two_bc_gskew.h"
 #include "src/common/log.h"
+#include "src/core/core.h"
+#include "src/memory/hierarchy.h"
 #include "src/sim/presets.h"
 #include "src/sim/simulator.h"
 #include "src/sim/warmup.h"
 #include "src/workload/profiles.h"
+#include "src/workload/trace_generator.h"
 #include "tests/support/fnv.h"
 
 namespace wsrs::sim {
@@ -220,6 +224,28 @@ TEST(WarmupSnapshot, BlobBytesAreGolden)
         workload::findProfile("gzip"), smallConfig("WSRS-RC-512"));
     const std::uint64_t hash = test::fnv1a(blob);
     EXPECT_EQ(hash, 0xa9653aeb8c196639ull) << std::hex << hash;
+
+    // One row per other predictor kind, so each predictor's table layout
+    // is locked too.
+    const struct
+    {
+        PredictorKind kind;
+        std::uint64_t hash;
+    } rows[] = {
+        {PredictorKind::Tournament, 0x78321ac3200bfee8ull},
+        {PredictorKind::Gshare, 0x2202c2291ddb80d1ull},
+        {PredictorKind::Bimodal, 0x6a280958cdd2042eull},
+        {PredictorKind::Perfect, 0xc021b1532ad652f8ull},
+    };
+    for (const auto &row : rows) {
+        SimConfig cfg = smallConfig("WSRS-RC-512");
+        cfg.predictor = row.kind;
+        const std::uint64_t h = test::fnv1a(
+            buildWarmupSnapshot(workload::findProfile("gzip"), cfg));
+        EXPECT_EQ(h, row.hash)
+            << "predictor " << static_cast<int>(row.kind) << ": " << std::hex
+            << h;
+    }
 }
 
 std::string
@@ -241,19 +267,58 @@ TEST(FullSimCheckpoint, FileBytesAreGolden)
         const char *bench;
         const char *machine;
         std::uint64_t hash;
+        const char *mem = nullptr;  // findMemPreset label; default memory
+        bool impl1 = false;         // Impl-1 renaming (OverPickRecycle)
     } cases[] = {
         {"mcf", "WSRS-RC-512", 0x63d1c980ac926ca3ull},
         {"gzip", "RR-256", 0x48c812cb6318ef35ull},
+        // DRAM banks, the event heap and pending stall segments.
+        {"swim", "WSRS-RC-512", 0xce3ef79f156bf279ull, "dram"},
+        // The Impl-1 recycler and staged lists; no named preset uses it.
+        {"gzip", "WSRS-RC-512", 0xa6ad7891b4089167ull, nullptr, true},
     };
     for (const auto &c : cases) {
         TempFile ckpt;
         SimConfig cfg = smallConfig(c.machine);
+        if (c.mem)
+            cfg.mem = findMemPreset(c.mem);
+        if (c.impl1)
+            cfg.core = presetWsrsRc(512, core::RenameImpl::OverPickRecycle);
         cfg.checkpointSavePath = ckpt.path;
         (void)runSimulation(workload::findProfile(c.bench), cfg);
         const std::uint64_t hash = test::fnv1a(slurp(ckpt.path));
         EXPECT_EQ(hash, c.hash)
             << c.bench << " on " << c.machine << ": " << std::hex << hash;
     }
+}
+
+// Locks the bytes of one Core snapshot with the commit timeline and the
+// interval sampler on, so timeline entries and interval samples are part
+// of the locked layout (runSimulation saves before either is enabled).
+TEST(CoreSnapshot, BytesAreGolden)
+{
+    workload::TraceGenerator gen(workload::findProfile("gzip"), 1);
+    bpred::TwoBcGskew predictor;
+    StatGroup stats("core-snapshot");
+    memory::MemoryHierarchy mem(memory::HierarchyParams{}, stats);
+    core::Core machine(findPreset("WSRS-RC-512"), gen, predictor, mem);
+    machine.enableTimeline(16);
+    machine.enableIntervalStats(500);
+    machine.run(6000);
+    ckpt::Writer w;
+    machine.snapshot(w);
+    const std::uint64_t hash = test::fnv1a(w.buffer());
+    EXPECT_EQ(hash, 0xb3de90ec5e2bb398ull) << std::hex << hash;
+
+    // A core with the same timeline capacity restores those bytes and
+    // saves them back unchanged.
+    core::Core copy(findPreset("WSRS-RC-512"), gen, predictor, mem);
+    copy.enableTimeline(16);
+    ckpt::Reader r(w.buffer(), "<core>");
+    copy.restore(r);
+    ckpt::Writer again;
+    copy.snapshot(again);
+    EXPECT_EQ(again.buffer(), w.buffer());
 }
 
 } // namespace

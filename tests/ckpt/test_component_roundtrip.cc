@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -14,10 +15,14 @@
 #include "src/bpred/two_bc_gskew.h"
 #include "src/ckpt/io.h"
 #include "src/common/log.h"
+#include "src/core/core.h"
 #include "src/core/lsq.h"
 #include "src/core/phys_regfile.h"
 #include "src/memory/cache.h"
+#include "src/memory/event_queue.h"
 #include "src/memory/hierarchy.h"
+#include "src/obs/pipeline_stats.h"
+#include "src/sim/presets.h"
 #include "src/workload/profiles.h"
 #include "src/workload/trace_generator.h"
 
@@ -394,6 +399,77 @@ TEST(ComponentRoundTrip, LsqWithWrappedRingAndForwardChains)
     EXPECT_TRUE(pa.conflict);
     EXPECT_EQ(pb.conflict, pa.conflict);
     EXPECT_EQ(pb.dataReady, pa.dataReady);
+}
+
+// Restore never sizes memory from an unchecked count. Each input carries a
+// count of 2^60 that the bytes left (or the target's configuration) cannot
+// hold; each must fail as an IoError naming its byte offset, which
+// wsrs-sim turns into exit code 2, never as std::length_error.
+TEST(ComponentRoundTrip, RejectsCountsBeyondPayloadOrConfiguration)
+{
+    constexpr std::uint64_t kHuge = std::uint64_t{1} << 60;
+    const auto poke = [](std::string bytes, std::size_t at) {
+        ckpt::storeLe(bytes.data() + at, kHuge, 8);
+        return bytes;
+    };
+
+    ckpt::Writer events;
+    events.u64(0);      // next sequence number
+    events.u64(kHuge);  // heap size
+
+    // A PipelineStats payload ends with its interval-sample count.
+    StatGroup g0("g0");
+    ckpt::Writer pipe;
+    obs::PipelineStats(g0, 4).snapshot(pipe);
+
+    // A fresh core's payload ends with the timeline (capacity, size), the
+    // core statistics, the wait-token counters and its PipelineStats.
+    workload::TraceGenerator gen(workload::findProfile("gzip"), 1);
+    bpred::TwoBcGskew bp;
+    StatGroup g1("g1");
+    memory::MemoryHierarchy mem(memory::HierarchyParams{}, g1);
+    const core::CoreParams cp = sim::findPreset("WSRS-RC-512");
+    ckpt::Writer core_bytes, core_pipe;
+    {
+        core::Core machine(cp, gen, bp, mem);
+        machine.snapshot(core_bytes);
+        machine.pipeStats().snapshot(core_pipe);
+    }
+    constexpr std::size_t kStatsBytes =
+        (13 + core::kMaxClusters + 17 + 1) * 8 + 2 * core::kMaxClusters * 4;
+    const std::size_t timeline_at =
+        core_bytes.size() - core_pipe.size() - kStatsBytes - 16;
+    ASSERT_EQ(ckpt::loadLe(core_bytes.buffer().data() + timeline_at, 8), 0u);
+
+    const struct
+    {
+        const char *what;
+        std::string bytes;
+        std::function<void(ckpt::Reader &)> restore;
+    } cases[] = {
+        {"event queue", events.buffer(),
+         [](ckpt::Reader &r) { memory::EventQueue().restore(r); }},
+        {"interval samples", poke(pipe.buffer(), pipe.size() - 8),
+         [](ckpt::Reader &r) {
+             StatGroup g("g2");
+             obs::PipelineStats(g, 4).restore(r);
+         }},
+        {"timeline capacity", poke(core_bytes.buffer(), timeline_at),
+         [&](ckpt::Reader &r) { core::Core(cp, gen, bp, mem).restore(r); }},
+    };
+    for (const auto &c : cases) {
+        ckpt::Reader r(c.bytes, "<reject>");
+        try {
+            c.restore(r);
+            ADD_FAILURE() << c.what << ": restored a count of 2^60";
+        } catch (const IoError &e) {
+            EXPECT_NE(std::string(e.what()).find("byte offset"),
+                      std::string::npos)
+                << c.what << ": " << e.what();
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << c.what << ": not an IoError: " << e.what();
+        }
+    }
 }
 
 } // namespace
