@@ -58,6 +58,11 @@ def main():
         probe(f"retired --{retired} is an unknown option",
               [binary, f"--{retired}=unix:{os.path.join(tmp, 'x.sock')}"],
               1)
+        # So is the single-run --json printout: --stats-json=- writes
+        # the run's wsrs-stats-v1 document instead.
+        probe("retired --json is an unknown option",
+              [binary, "--bench=gzip", "--machine=RR-256", *TINY, "--json"],
+              1)
 
         # Class 2: I/O / corruption errors.
         garbage = os.path.join(tmp, "garbage.ckpt")

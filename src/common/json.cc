@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
+#include <utility>
 
 #include "src/common/log.h"
 
@@ -40,13 +41,49 @@ jsonEscape(std::string_view s)
 }
 
 void
-dumpJsonDouble(std::ostream &os, double v)
+JsonWriter::separate()
 {
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    os << v;
+    if (!std::exchange(afterKey_, false) && depth_ > 0 &&
+        !std::exchange(first_[depth_ - 1], false))
+        os_ << (style_ == Style::Spaced ? ", " : ",");
+}
+
+JsonWriter &
+JsonWriter::key(std::string_view k)
+{
+    value(k);
+    os_ << (style_ == Style::Spaced ? ": " : ":");
+    afterKey_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::value(double v)
+{
+    // nan/inf have no JSON spelling.
+    if (!std::isfinite(v))
+        return null();
+    separate();
+    os_ << v;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::open(char bracket)
+{
+    WSRS_ASSERT(depth_ < kJsonMaxDepth);
+    raw(std::string_view(&bracket, 1));
+    first_[depth_++] = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::close(char bracket)
+{
+    WSRS_ASSERT(depth_ > 0 && !afterKey_);
+    --depth_;
+    os_ << bracket;
+    return *this;
 }
 
 namespace {

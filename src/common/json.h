@@ -1,25 +1,32 @@
 /**
  * @file
- * JSON syntax, both ways: escaping and number spelling for the hand-written
- * emitters, and one strict parser for everything the repo reads back
+ * JSON syntax, both ways: one streaming writer that every emitter uses,
+ * and one strict parser for everything the repo reads back
  * (wsrs-space-v1 design-space specs, the sweep service's control frames,
  * and the tests that check every emitted document).
+ *
+ * Emitters only name keys and values; the writer decides all syntax. The
+ * explorer report and the outer wsrs-rf-v1 table are Compact, every other
+ * document is Spaced (docs/observability.md, "Emitting a document").
  *
  * The parser builds a value tree for exactly one RFC 8259 document, the
  * same documents Python's json.load accepts, with integer preservation:
  * numbers without fraction/exponent that fit an int64 are kept exact (job
  * indices and 2^53-unfriendly counters survive). A number that overflows a
  * double is rejected rather than read as infinity, and nesting deeper than
- * kJsonMaxDepth levels is rejected, so every emitter must stay below it.
+ * kJsonMaxDepth levels is rejected (the writer asserts it never nests so).
  *
  * It is deliberately tiny: no streaming, no comments, no relaxed mode.
  * Parse errors throw wsrs::FatalError naming the byte offset.
  */
 #pragma once
 
+#include <array>
+#include <concepts>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
+#include <ostream>
+#include <ranges>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,15 +36,71 @@ namespace wsrs {
 /** Escape a string for inclusion inside a JSON string literal. */
 std::string jsonEscape(std::string_view s);
 
-/**
- * Write a double as a legal JSON value: nan/inf have no JSON spelling and
- * are clamped to null.
- */
-void dumpJsonDouble(std::ostream &os, double v);
-
 /** Deepest value nesting parseJson accepts: the top-level value is at
  *  depth 1, and the members of an array or object one deeper than it. */
 inline constexpr int kJsonMaxDepth = 48;
+
+/**
+ * Streaming JSON writer over an ostream. Containers are opened and closed
+ * explicitly; inside an object every value follows a key(). The writer
+ * puts the separators in, quotes and escapes keys and strings, prints
+ * integers as numbers (a uint8_t too), nan/inf as null and a range of
+ * values as an array.
+ */
+class JsonWriter
+{
+  public:
+    /** Compact writes `,` and `:`; Spaced writes `, ` and `: `. */
+    enum class Style : std::uint8_t { Compact, Spaced };
+
+    JsonWriter(std::ostream &os, Style style) : os_(os), style_(style) {}
+
+    JsonWriter &beginObject() { return open('{'); }
+    JsonWriter &endObject() { return close('}'); }
+    JsonWriter &beginArray() { return open('['); }
+    JsonWriter &endArray() { return close(']'); }
+    JsonWriter &key(std::string_view k);
+
+    JsonWriter &
+    value(std::string_view s) { return raw('"' + jsonEscape(s) + '"'); }
+    JsonWriter &value(const char *s) { return value(std::string_view(s)); }
+    JsonWriter &value(bool b) { return raw(b ? "true" : "false"); }
+    JsonWriter &value(double v);
+    template <std::integral T>
+        requires(!std::same_as<T, bool>)
+    JsonWriter &value(T v) { separate(); os_ << +v; return *this; }
+    template <std::ranges::range R>
+        requires(!std::convertible_to<const R &, std::string_view>)
+    JsonWriter &
+    value(const R &values)
+    {
+        beginArray();
+        for (const auto &v : values)
+            value(v);
+        return endArray();
+    }
+    JsonWriter &null() { return raw("null"); }
+    /** An already-serialized JSON value, written verbatim. */
+    JsonWriter &
+    raw(std::string_view json) { separate(); os_ << json; return *this; }
+
+    template <typename T>
+    JsonWriter &
+    field(std::string_view k, const T &v) { return key(k).value(v); }
+
+  private:
+    /** Writes the separator owed before the next key or value, if any. */
+    void separate();
+    JsonWriter &open(char bracket);
+    JsonWriter &close(char bracket);
+
+    std::ostream &os_;
+    Style style_;
+    int depth_ = 0;
+    bool afterKey_ = false;
+    /** Per open container: nothing written into it yet. */
+    std::array<bool, kJsonMaxDepth> first_{};
+};
 
 /** One parsed JSON value (tree-owning). */
 class JsonValue

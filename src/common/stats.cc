@@ -4,15 +4,14 @@
 
 namespace wsrs {
 
-StatBase::StatBase(StatGroup &group, std::string name, std::string desc)
-    : name_(group.name() + "." + std::move(name)), desc_(std::move(desc))
+StatBase::StatBase(StatGroup &group, std::string name)
+    : name_(group.name() + "." + std::move(name))
 {
     group.add(this);
 }
 
-Histogram::Histogram(StatGroup &group, std::string name, std::string desc,
-                     std::size_t buckets)
-    : StatBase(group, std::move(name), std::move(desc)), buckets_(buckets, 0)
+Histogram::Histogram(StatGroup &group, std::string name, std::size_t buckets)
+    : StatBase(group, std::move(name)), buckets_(buckets, 0)
 {
 }
 
@@ -40,34 +39,25 @@ Histogram::reset()
 }
 
 void
-Counter::dumpJson(std::ostream &os) const
+Counter::dumpJson(JsonWriter &w) const
 {
-    os << "\"" << jsonEscape(name()) << "\": " << value_;
+    w.value(value_);
 }
 
 void
-Histogram::dumpJson(std::ostream &os) const
+Histogram::dumpJson(JsonWriter &w) const
 {
-    os << "\"" << jsonEscape(name()) << "\": {\"buckets\": [";
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
-        os << (i ? ", " : "") << buckets_[i];
-    os << "], \"overflow\": " << overflow_ << ", \"samples\": " << samples_
-       << ", \"mean\": ";
-    dumpJsonDouble(os, mean());
-    os << "}";
+    w.beginObject().field("buckets", buckets_).field("overflow", overflow_);
+    w.field("samples", samples_).field("mean", mean()).endObject();
 }
 
 void
-StatGroup::dumpJson(std::ostream &os) const
+StatGroup::dumpJson(JsonWriter &w) const
 {
-    os << "{";
-    bool first = true;
-    for (const StatBase *s : stats_) {
-        os << (first ? "" : ", ");
-        s->dumpJson(os);
-        first = false;
-    }
-    os << "}";
+    w.beginObject();
+    for (const StatBase *s : stats_)
+        s->dumpJson(w.key(s->name()));
+    w.endObject();
 }
 
 } // namespace wsrs

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -29,21 +28,19 @@ inline constexpr const char *kStatsJsonSchema = "wsrs-stats-v1";
 class StatBase
 {
   public:
-    StatBase(StatGroup &group, std::string name, std::string desc);
+    StatBase(StatGroup &group, std::string name);
     virtual ~StatBase() = default;
 
     StatBase(const StatBase &) = delete;
     StatBase &operator=(const StatBase &) = delete;
 
     const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
 
-    /** Append this statistic as a JSON object member (no trailing comma). */
-    virtual void dumpJson(std::ostream &os) const = 0;
+    /** Write this statistic's value; StatGroup writes its name as key. */
+    virtual void dumpJson(JsonWriter &w) const = 0;
 
   private:
     std::string name_;
-    std::string desc_;
 };
 
 /** Monotonic (or at least additive) event counter. */
@@ -60,7 +57,7 @@ class Counter : public StatBase
     /** Checkpoint restore: overwrite the count. */
     void restore(std::uint64_t v) { value_ = v; }
 
-    void dumpJson(std::ostream &os) const override;
+    void dumpJson(JsonWriter &w) const override;
     void reset() { value_ = 0; }
 
   private:
@@ -75,8 +72,7 @@ class Counter : public StatBase
 class Histogram : public StatBase
 {
   public:
-    Histogram(StatGroup &group, std::string name, std::string desc,
-              std::size_t buckets);
+    Histogram(StatGroup &group, std::string name, std::size_t buckets);
 
     void
     sample(std::uint64_t v, std::uint64_t count = 1)
@@ -106,7 +102,8 @@ class Histogram : public StatBase
     double sum() const { return sum_; }
     double mean() const { return samples_ ? sum_ / samples_ : 0.0; }
 
-    void dumpJson(std::ostream &os) const override;
+    /** {buckets, overflow, samples, mean}, without the stat's name. */
+    void dumpJson(JsonWriter &w) const override;
     /** Reset to the freshly-constructed state. */
     void reset();
 
@@ -132,7 +129,7 @@ class StatGroup
     void add(StatBase *stat) { stats_.push_back(stat); }
 
     /** Dump all registered statistics as one JSON object. */
-    void dumpJson(std::ostream &os) const;
+    void dumpJson(JsonWriter &w) const;
 
     const std::string &name() const { return name_; }
 

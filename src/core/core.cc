@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <span>
 
 #include "src/workload/dataflow.h"
 
@@ -1157,34 +1158,34 @@ Core::resetStats()
 }
 
 void
-Core::dumpStatsJson(std::ostream &os) const
+Core::dumpStatsJson(JsonWriter &w) const
 {
-    os << "{\"machine\": \"" << jsonEscape(params_.name)
-       << "\", \"num_clusters\": " << unsigned(params_.numClusters)
-       << ", \"cycles\": " << stats_.cycles
-       << ", \"committed\": " << stats_.committed << ", \"ipc\": ";
-    dumpJsonDouble(os, stats_.ipc());
-    os << ", \"counters\": {\"injected_moves\": " << stats_.injectedMoves
-       << ", \"branches\": " << stats_.branches
-       << ", \"mispredicts\": " << stats_.mispredicts
-       << ", \"load_forwards\": " << stats_.loadForwards
-       << ", \"rename_stall_free_reg\": " << stats_.renameStallFreeReg
-       << ", \"rename_stall_window\": " << stats_.renameStallWindow
-       << ", \"rename_stall_rob\": " << stats_.renameStallRob
-       << ", \"rename_stall_lsq\": " << stats_.renameStallLsq
-       << ", \"unbalanced_groups\": " << stats_.unbalancedGroups
-       << ", \"total_groups\": " << stats_.totalGroups
-       << ", \"value_mismatches\": " << stats_.valueMismatches
-       << ", \"window_occupancy_sum\": " << stats_.windowOccupancySum
-       << "}, \"issue_width_hist\": [";
-    for (std::size_t w = 0; w < stats_.issueWidthHist.size(); ++w)
-        os << (w ? ", " : "") << stats_.issueWidthHist[w];
-    os << "], \"per_cluster_alloc\": [";
-    for (ClusterId c = 0; c < params_.numClusters; ++c)
-        os << (c ? ", " : "") << stats_.perCluster[c];
-    os << "], \"pipeline\": ";
-    obs_.dumpJson(os);
-    os << "}";
+    w.beginObject()
+        .field("machine", params_.name)
+        .field("num_clusters", params_.numClusters)
+        .field("cycles", stats_.cycles)
+        .field("committed", stats_.committed)
+        .field("ipc", stats_.ipc())
+        .key("counters").beginObject()
+        .field("injected_moves", stats_.injectedMoves)
+        .field("branches", stats_.branches)
+        .field("mispredicts", stats_.mispredicts)
+        .field("load_forwards", stats_.loadForwards)
+        .field("rename_stall_free_reg", stats_.renameStallFreeReg)
+        .field("rename_stall_window", stats_.renameStallWindow)
+        .field("rename_stall_rob", stats_.renameStallRob)
+        .field("rename_stall_lsq", stats_.renameStallLsq)
+        .field("unbalanced_groups", stats_.unbalancedGroups)
+        .field("total_groups", stats_.totalGroups)
+        .field("value_mismatches", stats_.valueMismatches)
+        .field("window_occupancy_sum", stats_.windowOccupancySum)
+        .endObject()
+        .field("issue_width_hist", stats_.issueWidthHist)
+        .field("per_cluster_alloc", std::span(stats_.perCluster)
+                                        .first(params_.numClusters))
+        .key("pipeline");
+    obs_.dumpJson(w);
+    w.endObject();
 }
 
 namespace {

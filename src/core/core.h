@@ -226,7 +226,7 @@ class Core
     const obs::PipelineStats &pipeStats() const { return obs_; }
 
     /** Machine-readable core stats document (schema wsrs-stats-v1 body). */
-    void dumpStatsJson(std::ostream &os) const;
+    void dumpStatsJson(JsonWriter &w) const;
 
     // ---- checkpointing (src/ckpt) ----
 

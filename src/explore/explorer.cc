@@ -1,6 +1,7 @@
 #include "explorer.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -8,7 +9,7 @@
 #include <sstream>
 #include <thread>
 
-#include "src/common/stats.h"
+#include "src/common/json.h"
 #include "src/obs/explore_metrics.h"
 #include "src/rfmodel/regfile_model.h"
 #include "src/runner/sweep_runner.h"
@@ -238,26 +239,6 @@ rankDescending(const std::vector<double> &values,
     return rank;
 }
 
-void
-writeAxisValues(std::ostream &os, const AxisSpec &axis)
-{
-    os << '[';
-    if (axis.isEnum) {
-        for (std::size_t i = 0; i < axis.labels.size(); ++i) {
-            if (i)
-                os << ',';
-            os << '"' << jsonEscape(axis.labels[i]) << '"';
-        }
-    } else {
-        for (std::size_t i = 0; i < axis.numeric.size(); ++i) {
-            if (i)
-                os << ',';
-            dumpJsonDouble(os, axis.numeric[i]);
-        }
-    }
-    os << ']';
-}
-
 } // namespace
 
 ExplorerResult
@@ -414,31 +395,31 @@ explore(const SpaceSpec &spec, const AnalyticModel &model,
     // Deterministic by construction: every value is a pure function of
     // (spec, model, options) — no wall times, no machine identity.
     std::ostringstream os;
-    os << "{\"schema\":\"" << kExploreReportSchema << "\",";
-    os << "\"space\":{\"base_machine\":\""
-       << jsonEscape(spec.baseMachineLabel) << "\",\"base_mem\":\""
-       << jsonEscape(spec.baseMemLabel) << "\",\"workloads\":[";
-    for (std::size_t i = 0; i < spec.workloads.size(); ++i) {
-        if (i)
-            os << ',';
-        os << '"' << jsonEscape(spec.workloads[i]) << '"';
+    JsonWriter w(os, JsonWriter::Style::Compact);
+    w.beginObject()
+        .field("schema", kExploreReportSchema)
+        .key("space").beginObject()
+        .field("base_machine", spec.baseMachineLabel)
+        .field("base_mem", spec.baseMemLabel)
+        .field("workloads", spec.workloads)
+        .key("axes").beginArray();
+    for (const AxisSpec &axis : spec.axes) {
+        w.beginObject().field("param", axis.param).field("size", axis.size());
+        if (axis.isEnum)
+            w.field("values", axis.labels);
+        else
+            w.field("values", axis.numeric);
+        w.endObject();
     }
-    os << "],\"axes\":[";
-    for (std::size_t i = 0; i < spec.axes.size(); ++i) {
-        if (i)
-            os << ',';
-        os << "{\"param\":\"" << jsonEscape(spec.axes[i].param)
-           << "\",\"size\":" << spec.axes[i].size() << ",\"values\":";
-        writeAxisValues(os, spec.axes[i]);
-        os << '}';
-    }
-    os << "],\"total_configs\":" << total << ",\"enumerated\":"
-       << result.enumerated << ",\"feasible\":"
-       << (result.enumerated - result.infeasible) << ",\"infeasible\":"
-       << result.infeasible << "},";
-    os << "\"objectives\":[\"est_ipc\",\"area_rel\","
-          "\"energy_nj_per_cycle\"],";
-    os << "\"frontier_size\":" << result.frontier.size() << ",";
+    w.endArray()
+        .field("total_configs", total)
+        .field("enumerated", result.enumerated)
+        .field("feasible", result.enumerated - result.infeasible)
+        .field("infeasible", result.infeasible)
+        .endObject()
+        .field("objectives",
+               std::array{"est_ipc", "area_rel", "energy_nj_per_cycle"})
+        .field("frontier_size", result.frontier.size());
 
     // Ranks over the confirmed (and successful) points only.
     std::vector<double> est_vals, meas_vals;
@@ -457,110 +438,89 @@ explore(const SpaceSpec &spec, const AnalyticModel &model,
     const std::vector<std::size_t> meas_rank =
         rankDescending(meas_vals, rank_ids);
 
-    os << "\"frontier\":[";
+    w.key("frontier").beginArray();
     {
         const rfmodel::RegFileModel rf_model;
         const rfmodel::RegFileOrg rf_ref = rfmodel::makeNoWs2Cluster();
         std::vector<std::uint32_t> digits(std::max<std::size_t>(
             spec.axes.size(), 1));
         for (std::size_t k = 0; k < result.frontier.size(); ++k) {
-            if (k)
-                os << ',';
             const FrontierPoint &fp = result.frontier[k];
             decodePoint(spec, fp.index, digits.data());
             const ConfigPoint pt = materializePoint(spec, digits.data());
             const MeanEstimate m = meanEstimate(model, pt, sigs);
             const HardwareEstimate hw = model.estimateHardware(pt.core);
-
-            os << "{\"rank\":" << k << ",\"index\":" << fp.index
-               << ",\"name\":\"" << pointName(fp.index) << "\",\"config\":"
-               << pointConfigJson(spec, digits.data()) << ",\"est\":{";
-            os << "\"ipc\":";
-            dumpJsonDouble(os, fp.obj.ipc);
-            os << ",\"area_rel\":";
-            dumpJsonDouble(os, fp.obj.area);
-            os << ",\"energy_nj_per_cycle\":";
-            dumpJsonDouble(os, fp.obj.energy);
-            os << ",\"cpi_core\":";
-            dumpJsonDouble(os, m.est.cpiCore);
-            os << ",\"cpi_branch\":";
-            dumpJsonDouble(os, m.est.cpiBranch);
-            os << ",\"cpi_mem\":";
-            dumpJsonDouble(os, m.est.cpiMem);
-            os << ",\"cpi_reg\":";
-            dumpJsonDouble(os, m.est.cpiReg);
-            os << ",\"mispredict_rate\":";
-            dumpJsonDouble(os, m.est.mispredictRate);
-            os << ",\"l1_miss_per_load\":";
-            dumpJsonDouble(os, m.est.l1MissPerLoad);
-            os << ",\"l2_miss_per_l1\":";
-            dumpJsonDouble(os, m.est.l2MissPerL1);
-            os << ",\"mlp\":";
-            dumpJsonDouble(os, m.est.mlp);
-            os << ",\"rf_area_rel\":";
-            dumpJsonDouble(os, hw.rfAreaRel);
-            os << ",\"access_time_ns\":";
-            dumpJsonDouble(os, hw.accessTimeNs);
-            os << ",\"comparators\":" << hw.comparators
-               << ",\"bypass_sources\":" << hw.bypassSources << "},";
-
             const rfmodel::RegFileOrg org =
                 rfmodel::regFileOrgFromParams(pt.core);
-            os << "\"rf\":";
-            rfmodel::writeOrgJson(os, org, rf_model.estimate(org, rf_ref));
 
-            os << ",\"measured\":";
+            w.beginObject()
+                .field("rank", k)
+                .field("index", fp.index)
+                .field("name", pointName(fp.index))
+                .key("config").raw(pointConfigJson(spec, digits.data()))
+                .key("est").beginObject()
+                .field("ipc", fp.obj.ipc)
+                .field("area_rel", fp.obj.area)
+                .field("energy_nj_per_cycle", fp.obj.energy)
+                .field("cpi_core", m.est.cpiCore)
+                .field("cpi_branch", m.est.cpiBranch)
+                .field("cpi_mem", m.est.cpiMem)
+                .field("cpi_reg", m.est.cpiReg)
+                .field("mispredict_rate", m.est.mispredictRate)
+                .field("l1_miss_per_load", m.est.l1MissPerLoad)
+                .field("l2_miss_per_l1", m.est.l2MissPerL1)
+                .field("mlp", m.est.mlp)
+                .field("rf_area_rel", hw.rfAreaRel)
+                .field("access_time_ns", hw.accessTimeNs)
+                .field("comparators", hw.comparators)
+                .field("bypass_sources", hw.bypassSources)
+                .endObject()
+                .key("rf")
+                .raw(rfmodel::orgJson(org, rf_model.estimate(org, rf_ref)))
+                .key("measured");
             if (k < confirm_n && result.confirmed[k].ok) {
                 const ConfirmedPoint &cp = result.confirmed[k];
                 const std::size_t slot = ok_slot[k];
-                os << "{\"ipc\":";
-                dumpJsonDouble(os, cp.measuredIpc);
-                os << ",\"per_workload\":{";
-                for (std::size_t p = 0; p < spec.workloads.size(); ++p) {
-                    if (p)
-                        os << ',';
-                    os << '"' << jsonEscape(spec.workloads[p]) << "\":";
-                    dumpJsonDouble(os, cp.perWorkload[p]);
-                }
-                os << "},\"est_rank\":" << est_rank[slot]
-                   << ",\"measured_rank\":" << meas_rank[slot]
-                   << ",\"rank_inversion\":"
-                   << (est_rank[slot] != meas_rank[slot] ? "true" : "false")
-                   << '}';
+                w.beginObject()
+                    .field("ipc", cp.measuredIpc)
+                    .key("per_workload").beginObject();
+                for (std::size_t p = 0; p < spec.workloads.size(); ++p)
+                    w.field(spec.workloads[p], cp.perWorkload[p]);
+                w.endObject()
+                    .field("est_rank", est_rank[slot])
+                    .field("measured_rank", meas_rank[slot])
+                    .field("rank_inversion", est_rank[slot] != meas_rank[slot])
+                    .endObject();
             } else {
-                os << "null";
+                w.null();
             }
-            os << '}';
+            w.endObject();
         }
     }
-    os << "],";
-
-    os << "\"confirm\":";
+    w.endArray().key("confirm");
     if (confirm_n > 0) {
-        os << "{\"requested\":" << options.confirmTop << ",\"confirmed\":"
-           << confirm_n << ",\"jobs\":" << confirm_jobs << ",\"failures\":"
-           << confirm_failures << ",\"measure_uops\":"
-           << options.confirmMeasureUops << ",\"warmup_uops\":"
-           << options.confirmWarmupUops << ",\"spearman\":";
-        dumpJsonDouble(os, result.confirmSpearman);
-        os << ",\"rank_inversions\":" << result.rankInversions
-           << ",\"errors\":[";
-        bool first = true;
-        for (std::size_t k = 0; k < confirm_n; ++k) {
-            if (result.confirmed[k].ok)
-                continue;
-            if (!first)
-                os << ',';
-            first = false;
-            os << "{\"index\":" << result.confirmed[k].index
-               << ",\"error\":\"" << jsonEscape(result.confirmed[k].error)
-               << "\"}";
-        }
-        os << "]}";
+        w.beginObject()
+            .field("requested", options.confirmTop)
+            .field("confirmed", confirm_n)
+            .field("jobs", confirm_jobs)
+            .field("failures", confirm_failures)
+            .field("measure_uops", options.confirmMeasureUops)
+            .field("warmup_uops", options.confirmWarmupUops)
+            .field("spearman", result.confirmSpearman)
+            .field("rank_inversions", result.rankInversions)
+            .key("errors").beginArray();
+        for (const ConfirmedPoint &cp : result.confirmed)
+            if (!cp.ok)
+                w.beginObject()
+                    .field("index", cp.index)
+                    .field("error", cp.error)
+                    .endObject();
+        w.endArray().endObject();
     } else {
-        os << "null";
+        w.null();
     }
-    os << "}\n";
+    w.endObject();
+    os << "\n";
     result.reportJson = os.str();
     return result;
 }

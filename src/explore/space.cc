@@ -455,19 +455,17 @@ std::string
 pointConfigJson(const SpaceSpec &spec, const std::uint32_t *digits)
 {
     std::ostringstream os;
-    os << "{";
+    JsonWriter w(os, JsonWriter::Style::Spaced);
+    w.beginObject();
     for (std::size_t i = 0; i < spec.axes.size(); ++i) {
         const AxisSpec &axis = spec.axes[i];
-        if (i > 0)
-            os << ", ";
-        os << "\"" << jsonEscape(axis.param) << "\": ";
-        if (axis.isEnum) {
-            os << "\"" << jsonEscape(axis.labels[digits[i]]) << "\"";
-        } else {
-            dumpJsonDouble(os, axis.numeric[digits[i]]);
-        }
+        w.key(axis.param);
+        if (axis.isEnum)
+            w.value(axis.labels[digits[i]]);
+        else
+            w.value(axis.numeric[digits[i]]);
     }
-    os << "}";
+    w.endObject();
     return os.str();
 }
 

@@ -10,19 +10,15 @@ using obs::MemQueueStall;
 
 DramController::DramController(const DramParams &params, StatGroup &stats)
     : params_(params),
-      requests_(stats, "dram.requests", "demand requests served"),
-      reads_(stats, "dram.reads", "demand read requests"),
-      writes_(stats, "dram.writes", "demand write requests"),
-      rowHits_(stats, "dram.row_hits", "accesses to the open row"),
-      rowEmpties_(stats, "dram.row_empties", "accesses opening a closed bank"),
-      rowConflicts_(stats, "dram.row_conflicts",
-                    "accesses displacing another open row"),
-      queueFullWaits_(stats, "dram.queue_full_waits",
-                      "demand requests delayed by a full in-flight window"),
-      prefetchIssued_(stats, "dram.prefetch_issued",
-                      "prefetch requests accepted"),
-      prefetchDrops_(stats, "dram.prefetch_drops",
-                     "prefetch requests dropped on a full window")
+      requests_(stats, "dram.requests"),
+      reads_(stats, "dram.reads"),
+      writes_(stats, "dram.writes"),
+      rowHits_(stats, "dram.row_hits"),
+      rowEmpties_(stats, "dram.row_empties"),
+      rowConflicts_(stats, "dram.row_conflicts"),
+      queueFullWaits_(stats, "dram.queue_full_waits"),
+      prefetchIssued_(stats, "dram.prefetch_issued"),
+      prefetchDrops_(stats, "dram.prefetch_drops")
 {
     WSRS_ASSERT(params.banks > 0 && params.rowBytes > 0);
     WSRS_ASSERT(params.windowDepth > 0);
@@ -211,28 +207,29 @@ DramController::stallCycles(Cycle end) const
 }
 
 void
-DramController::dumpJson(std::ostream &os, const StatGroup &counters,
+DramController::dumpJson(JsonWriter &w, const StatGroup &counters,
                          Cycle end) const
 {
-    os << "{\"model\": \"dram\", \"banks\": " << params_.banks
-       << ", \"row_bytes\": " << params_.rowBytes
-       << ", \"window_depth\": " << params_.windowDepth
-       << ", \"page_policy\": \""
-       << (params_.closedPage ? "closed" : "open")
-       << "\", \"timing\": {\"t_rp\": " << params_.tRp
-       << ", \"t_rcd\": " << params_.tRcd << ", \"t_cas\": " << params_.tCas
-       << ", \"burst_cycles\": " << params_.burstCycles
-       << "}, \"counters\": ";
-    counters.dumpJson(os);
+    w.beginObject()
+        .field("model", "dram")
+        .field("banks", params_.banks).field("row_bytes", params_.rowBytes)
+        .field("window_depth", params_.windowDepth)
+        .field("page_policy", params_.closedPage ? "closed" : "open")
+        .key("timing").beginObject()
+        .field("t_rp", params_.tRp).field("t_rcd", params_.tRcd)
+        .field("t_cas", params_.tCas)
+        .field("burst_cycles", params_.burstCycles)
+        .endObject()
+        .key("counters");
+    counters.dumpJson(w);
     const auto buckets = stallCycles(end);
-    os << ", \"stall\": {\"cycles\": " << (end > epoch_ ? end - epoch_ : 0)
-       << ", \"causes\": {";
-    for (std::size_t b = 0; b < kNumStallBuckets; ++b) {
-        os << (b ? ", " : "") << '"'
-           << obs::memQueueStallName(static_cast<MemQueueStall>(b))
-           << "\": " << buckets[b];
-    }
-    os << "}}}";
+    w.key("stall").beginObject()
+        .field("cycles", end > epoch_ ? end - epoch_ : 0)
+        .key("causes").beginObject();
+    for (std::size_t b = 0; b < kNumStallBuckets; ++b)
+        w.field(obs::memQueueStallName(static_cast<MemQueueStall>(b)),
+                buckets[b]);
+    w.endObject().endObject().endObject();
 }
 
 template <typename Self, typename Io>

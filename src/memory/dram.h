@@ -24,7 +24,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <ostream>
 #include <vector>
 
 #include "src/ckpt/snapshotter.h"
@@ -109,8 +108,7 @@ class DramController : public ckpt::Snapshotter
      * geometry, timing, the hierarchy counter group @p counters and the
      * stall attribution up to core cycle @p end.
      */
-    void dumpJson(std::ostream &os, const StatGroup &counters,
-                  Cycle end) const;
+    void dumpJson(JsonWriter &w, const StatGroup &counters, Cycle end) const;
 
     const DramParams &params() const { return params_; }
 
@@ -165,15 +163,15 @@ class DramController : public ckpt::Snapshotter
     /** Disjoint, time-ordered segments not yet behind the drain point. */
     std::deque<AttrSeg> pending_;
 
-    Counter requests_;
+    Counter requests_;       ///< Demand requests served.
     Counter reads_;
     Counter writes_;
-    Counter rowHits_;
-    Counter rowEmpties_;
-    Counter rowConflicts_;
-    Counter queueFullWaits_;
-    Counter prefetchIssued_;
-    Counter prefetchDrops_;
+    Counter rowHits_;        ///< Accesses to the open row.
+    Counter rowEmpties_;     ///< Accesses opening a closed bank.
+    Counter rowConflicts_;   ///< Accesses displacing another open row.
+    Counter queueFullWaits_; ///< Demand requests delayed by a full window.
+    Counter prefetchIssued_; ///< Prefetch requests accepted.
+    Counter prefetchDrops_;  ///< Prefetches dropped on a full window.
 };
 
 } // namespace wsrs::memory

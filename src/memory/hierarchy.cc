@@ -7,12 +7,12 @@ namespace wsrs::memory {
 MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params,
                                  StatGroup &stats)
     : params_(params), l1_(params.l1), l2_(params.l2),
-      accesses_(stats, "mem.accesses", "data-memory accesses"),
-      l1Misses_(stats, "mem.l1_misses", "L1 D-cache misses"),
-      l2Misses_(stats, "mem.l2_misses", "L2 cache misses"),
-      writebacks_(stats, "mem.writebacks", "dirty-line writebacks to L2"),
-      mshrStalls_(stats, "mem.mshr_stalls", "misses delayed by MSHR limit"),
-      prefetches_(stats, "mem.prefetches", "prefetched lines into L2")
+      accesses_(stats, "mem.accesses"),
+      l1Misses_(stats, "mem.l1_misses"),
+      l2Misses_(stats, "mem.l2_misses"),
+      writebacks_(stats, "mem.writebacks"),
+      mshrStalls_(stats, "mem.mshr_stalls"),
+      prefetches_(stats, "mem.prefetches")
 {
     if (params.mshrs > 0)
         missDone_.assign(params.mshrs, 0);

@@ -126,12 +126,12 @@ class MemoryHierarchy : public ckpt::Snapshotter
     std::vector<Cycle> missDone_;
     std::size_t missDonePos_ = 0;
 
-    Counter accesses_;
+    Counter accesses_;    ///< Data-memory accesses.
     Counter l1Misses_;
     Counter l2Misses_;
-    Counter writebacks_;
-    Counter mshrStalls_;
-    Counter prefetches_;
+    Counter writebacks_;  ///< Dirty-line writebacks to L2.
+    Counter mshrStalls_;  ///< Misses delayed by the MSHR limit.
+    Counter prefetches_;  ///< Prefetched lines into L2.
 };
 
 } // namespace wsrs::memory

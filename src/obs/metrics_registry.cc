@@ -4,8 +4,8 @@
 #include <cctype>
 #include <ostream>
 
+#include "src/common/json.h"
 #include "src/common/log.h"
-#include "src/common/stats.h"
 
 namespace wsrs::obs {
 
@@ -113,34 +113,36 @@ void
 MetricsRegistry::writeJson(std::ostream &os) const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    os << "{\"schema\": \"" << kMetricsJsonSchema << "\", \"metrics\": [";
-    bool first = true;
+    JsonWriter w(os, JsonWriter::Style::Spaced);
+    w.beginObject().field("schema", kMetricsJsonSchema).key("metrics");
+    w.beginArray();
     for (const auto &e : entries_) {
-        os << (first ? "" : ", ") << "{\"name\": \"" << e->name
-           << "\", \"type\": " << '"' << kindName(static_cast<int>(e->kind))
-           << '"' << ", \"help\": \"" << jsonEscape(e->help) << "\"";
+        w.beginObject()
+            .field("name", e->name)
+            .field("type", kindName(static_cast<int>(e->kind)))
+            .field("help", e->help);
         switch (e->kind) {
           case Kind::Counter:
-            os << ", \"value\": " << e->counter.value();
+            w.field("value", e->counter.value());
             break;
           case Kind::Gauge:
-            os << ", \"value\": " << e->gauge.value();
+            w.field("value", e->gauge.value());
             break;
           case Kind::Histogram: {
             const MetricHistogram &h = *e->hist;
-            os << ", \"count\": " << h.count() << ", \"sum\": " << h.sum()
-               << ", \"buckets\": [";
+            w.field("count", h.count()).field("sum", h.sum());
+            w.key("buckets").beginArray();
             for (std::size_t i = 0; i < h.bounds().size(); ++i)
-                os << (i ? ", " : "") << "{\"le\": " << h.bounds()[i]
-                   << ", \"count\": " << h.bucketCount(i) << "}";
-            os << "], \"overflow\": " << h.bucketCount(h.bounds().size());
+                w.beginObject().field("le", h.bounds()[i])
+                    .field("count", h.bucketCount(i)).endObject();
+            w.endArray().field("overflow", h.bucketCount(h.bounds().size()));
             break;
           }
         }
-        os << "}";
-        first = false;
+        w.endObject();
     }
-    os << "]}\n";
+    w.endArray().endObject();
+    os << "\n";
 }
 
 MetricsRegistry &

@@ -1,6 +1,6 @@
 #include "pipeline_stats.h"
 
-#include <ostream>
+#include <span>
 
 #include "src/common/log.h"
 
@@ -69,19 +69,14 @@ PipelineStats::PipelineStats(StatGroup &group, unsigned num_clusters)
     for (unsigned c = 0; c < numClusters_; ++c) {
         issueStall_.push_back(std::make_unique<Histogram>(
             group, "issue_stall_c" + std::to_string(c),
-            "cluster " + std::to_string(c) +
-                " dominant issue outcome per cycle",
             static_cast<std::size_t>(IssueStall::kCount)));
     }
     renameStall_ = std::make_unique<Histogram>(
-        group, "rename_stall", "dominant rename outcome per cycle",
-        static_cast<std::size_t>(RenameStall::kCount));
+        group, "rename_stall", static_cast<std::size_t>(RenameStall::kCount));
     commitStall_ = std::make_unique<Histogram>(
-        group, "commit_stall", "dominant commit outcome per cycle",
-        static_cast<std::size_t>(CommitStall::kCount));
-    wakeupLatency_ = std::make_unique<Histogram>(
-        group, "wakeup_latency",
-        "cycles from operand-ready to issue per micro-op", kWakeupBuckets);
+        group, "commit_stall", static_cast<std::size_t>(CommitStall::kCount));
+    wakeupLatency_ = std::make_unique<Histogram>(group, "wakeup_latency",
+                                                 kWakeupBuckets);
 }
 
 void
@@ -143,68 +138,44 @@ PipelineStats::reset()
 namespace {
 
 template <typename Enum, typename NameFn>
-void
-dumpLegend(std::ostream &os, NameFn name)
+std::vector<const char *>
+legend(NameFn name)
 {
-    os << "[";
+    std::vector<const char *> names;
     for (std::size_t i = 0; i < static_cast<std::size_t>(Enum::kCount); ++i)
-        os << (i ? ", " : "") << "\""
-           << jsonEscape(name(static_cast<Enum>(i))) << "\"";
-    os << "]";
-}
-
-/** Histogram body without the group-qualified stat name, so consumers
- *  index by position (per-cluster arrays) or by the local key. */
-void
-dumpHistBody(std::ostream &os, const Histogram &h)
-{
-    os << "{\"buckets\": [";
-    for (std::size_t i = 0; i < h.numBuckets(); ++i)
-        os << (i ? ", " : "") << h.bucket(i);
-    os << "], \"overflow\": " << h.overflow()
-       << ", \"samples\": " << h.samples() << ", \"mean\": ";
-    dumpJsonDouble(os, h.mean());
-    os << "}";
+        names.push_back(name(static_cast<Enum>(i)));
+    return names;
 }
 
 } // namespace
 
 void
-PipelineStats::dumpJson(std::ostream &os) const
+PipelineStats::dumpJson(JsonWriter &w) const
 {
+    // Histograms are written without their group-qualified stat names,
+    // so consumers index by position (per-cluster arrays) or local key.
     flush();
-    os << "{\"stall_causes\": {\"issue\": ";
-    dumpLegend<IssueStall>(os, issueStallName);
-    os << ", \"rename\": ";
-    dumpLegend<RenameStall>(os, renameStallName);
-    os << ", \"commit\": ";
-    dumpLegend<CommitStall>(os, commitStallName);
-    os << "}, \"issue_stall\": [";
-    for (unsigned c = 0; c < numClusters_; ++c) {
-        os << (c ? ", " : "");
-        dumpHistBody(os, *issueStall_[c]);
-    }
-    os << "], \"rename_stall\": ";
-    dumpHistBody(os, *renameStall_);
-    os << ", \"commit_stall\": ";
-    dumpHistBody(os, *commitStall_);
-    os << ", \"wakeup_latency\": ";
-    dumpHistBody(os, *wakeupLatency_);
-    os << ", \"occupancy_sum\": [";
-    for (unsigned c = 0; c < numClusters_; ++c)
-        os << (c ? ", " : "") << occupancySum_[c];
-    os << "], \"intervals\": {\"period\": " << intervalPeriod_
-       << ", \"fields\": [\"cycle\", \"committed\", \"occupancy\"], "
-          "\"samples\": [";
-    for (std::size_t i = 0; i < intervals_.size(); ++i) {
-        const IntervalSample &s = intervals_[i];
-        os << (i ? ", " : "") << "[" << s.cycle << ", " << s.committed
-           << ", [";
-        for (unsigned c = 0; c < numClusters_; ++c)
-            os << (c ? ", " : "") << s.occupancy[c];
-        os << "]]";
-    }
-    os << "]}}";
+    w.beginObject().key("stall_causes").beginObject()
+        .field("issue", legend<IssueStall>(issueStallName))
+        .field("rename", legend<RenameStall>(renameStallName))
+        .field("commit", legend<CommitStall>(commitStallName))
+        .endObject()
+        .key("issue_stall").beginArray();
+    for (const auto &h : issueStall_)
+        h->dumpJson(w);
+    w.endArray();
+    renameStall_->dumpJson(w.key("rename_stall"));
+    commitStall_->dumpJson(w.key("commit_stall"));
+    wakeupLatency_->dumpJson(w.key("wakeup_latency"));
+    w.field("occupancy_sum", std::span(occupancySum_).first(numClusters_))
+        .key("intervals").beginObject()
+        .field("period", intervalPeriod_)
+        .field("fields", std::array{"cycle", "committed", "occupancy"})
+        .key("samples").beginArray();
+    for (const IntervalSample &s : intervals_)
+        w.beginArray().value(s.cycle).value(s.committed)
+            .value(std::span(s.occupancy).first(numClusters_)).endArray();
+    w.endArray().endObject().endObject();
 }
 
 namespace {

@@ -219,7 +219,7 @@ class PipelineStats : public ckpt::Snapshotter
      * Append this subsystem's JSON object: stall-cause legends, the
      * histogram stats, occupancy sums and the interval series.
      */
-    void dumpJson(std::ostream &os) const;
+    void dumpJson(JsonWriter &w) const;
 
     /** Checkpoint the measurements and sampler position (not the period). */
     void snapshot(ckpt::Writer &w) const override;
@@ -248,6 +248,7 @@ class PipelineStats : public ckpt::Snapshotter
     std::vector<std::unique_ptr<Histogram>> issueStall_;  ///< Per cluster.
     std::unique_ptr<Histogram> renameStall_;
     std::unique_ptr<Histogram> commitStall_;
+    /// Cycles from operand-ready to issue, per micro-op.
     std::unique_ptr<Histogram> wakeupLatency_;
     mutable std::array<std::uint64_t, kClusterCap> occupancySum_{};
 

@@ -5,7 +5,7 @@
 #include <limits>
 #include <ostream>
 
-#include "src/common/stats.h"
+#include "src/common/json.h"
 
 namespace wsrs::obs {
 
@@ -87,23 +87,37 @@ clampInto(std::int64_t &start, std::int64_t &end, const Window &parent)
     end = std::clamp(end, start, parent.end);
 }
 
+/** One trace event object; the document's line framing goes around it. */
 void
 writeEvent(std::ostream &os, const SpanEvent &e, std::int64_t start,
-           std::int64_t dur, bool first)
+           std::int64_t dur)
 {
-    os << (first ? "" : ",\n  ") << "{\"name\": \"" << jsonEscape(e.name)
-       << "\", \"ph\": \"" << e.phase << "\", \"ts\": " << start;
+    JsonWriter w(os, JsonWriter::Style::Spaced);
+    w.beginObject().field("name", e.name);
+    w.field("ph", std::string_view(&e.phase, 1)).field("ts", start);
     if (e.phase == 'X')
-        os << ", \"dur\": " << dur;
+        w.field("dur", dur);
     else
-        os << ", \"s\": \"t\"";
-    os << ", \"pid\": 0, \"tid\": " << e.job << ", \"args\": {\"worker\": "
-       << e.worker;
+        w.field("s", "t");
+    w.field("pid", 0).field("tid", e.job);
+    w.key("args").beginObject().field("worker", e.worker);
     if (e.attempt)
-        os << ", \"attempt\": " << e.attempt;
+        w.field("attempt", e.attempt);
     if (!e.detail.empty())
-        os << ", \"detail\": \"" << jsonEscape(e.detail) << "\"";
-    os << "}}";
+        w.field("detail", e.detail);
+    w.endObject().endObject();
+}
+
+/** A metadata event naming the process (tid 0) or one job's row. */
+void
+writeName(std::ostream &os, const char *kind, std::uint64_t tid,
+          const std::string &name)
+{
+    JsonWriter w(os, JsonWriter::Style::Spaced);
+    w.beginObject().field("name", kind).field("ph", "M");
+    w.field("pid", 0).field("tid", tid);
+    w.key("args").beginObject().field("name", name);
+    w.endObject().endObject();
 }
 
 } // namespace
@@ -148,17 +162,18 @@ SpanLog::writeChromeTrace(std::ostream &os, const std::string &label) const
         attemptWindow[{e.job, e.attempt}] = Window{start, end};
     }
 
+    // One event per line: the header and the ",\n  " between events are
+    // fixed framing around writer-emitted values.
     os << "{\n\"schema\": \"" << kSpansJsonSchema
-       << "\",\n\"displayTimeUnit\": \"ms\",\n\"label\": \""
-       << jsonEscape(label) << "\",\n\"traceEvents\": [\n  ";
-    os << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, "
-          "\"tid\": 0, \"args\": {\"name\": \""
-       << jsonEscape(label) << "\"}}";
-    for (const auto &[job, name] : names)
-        os << ",\n  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, "
-              "\"tid\": "
-           << job << ", \"args\": {\"name\": \"job " << job << " "
-           << jsonEscape(name) << "\"}}";
+       << "\",\n\"displayTimeUnit\": \"ms\",\n\"label\": ";
+    JsonWriter(os, JsonWriter::Style::Spaced).value(label);
+    os << ",\n\"traceEvents\": [\n  ";
+    writeName(os, "process_name", 0, label);
+    for (const auto &[job, name] : names) {
+        os << ",\n  ";
+        writeName(os, "thread_name", job,
+                  "job " + std::to_string(job) + " " + name);
+    }
 
     for (const SpanEvent &e : events) {
         std::int64_t start = e.startUs - base;
@@ -180,7 +195,8 @@ SpanLog::writeChromeTrace(std::ostream &os, const std::string &label) const
             else if (jw != jobWindow.end())
                 clampInto(start, end, jw->second);
         }
-        writeEvent(os, e, start, e.phase == 'X' ? end - start : 0, false);
+        os << ",\n  ";
+        writeEvent(os, e, start, e.phase == 'X' ? end - start : 0);
     }
     os << "\n]}\n";
 }

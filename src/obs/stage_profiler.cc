@@ -2,7 +2,7 @@
 
 #include <ostream>
 
-#include "src/common/stats.h"
+#include "src/common/json.h"
 
 namespace wsrs::obs {
 
@@ -40,16 +40,14 @@ void
 StageProfiler::dumpJson(std::ostream &os) const
 {
     const double total = totalSeconds();
-    os << "{";
-    for (unsigned s = 0; s < kNumStages; ++s) {
-        os << (s ? ", " : "") << "\"" << stageName(static_cast<Stage>(s))
-           << "\": {\"seconds\": ";
-        dumpJsonDouble(os, seconds_[s]);
-        os << ", \"calls\": " << calls_[s] << ", \"share\": ";
-        dumpJsonDouble(os, total > 0 ? seconds_[s] / total : 0.0);
-        os << "}";
-    }
-    os << "}";
+    JsonWriter w(os, JsonWriter::Style::Spaced);
+    w.beginObject();
+    for (unsigned s = 0; s < kNumStages; ++s)
+        w.key(stageName(static_cast<Stage>(s))).beginObject()
+            .field("seconds", seconds_[s]).field("calls", calls_[s])
+            .field("share", total > 0 ? seconds_[s] / total : 0.0)
+            .endObject();
+    w.endObject();
 }
 
 } // namespace wsrs::obs

@@ -1,30 +1,26 @@
 #include "svc_counters.h"
 
-#include <ostream>
-
 namespace wsrs::obs {
 
 void
-writeSvcJson(std::ostream &os, const SvcCounters &c,
+writeSvcJson(JsonWriter &w, const SvcCounters &c,
              const std::vector<WorkerLiveness> &workers)
 {
-    os << "{\"shards\": " << c.shards
-       << ", \"shard_size\": " << c.shardSize
-       << ", \"leases_granted\": " << c.leasesGranted
-       << ", \"lease_retries\": " << c.leaseRetries
-       << ", \"lease_timeouts\": " << c.leaseTimeouts
-       << ", \"shards_failed\": " << c.shardsFailed
-       << ", \"duplicate_results\": " << c.duplicateResults
-       << ", \"workers_seen\": " << c.workersSeen
-       << ", \"workers_lost\": " << c.workersLost
-       << ", \"workers\": [";
-    for (std::size_t i = 0; i < workers.size(); ++i) {
-        const WorkerLiveness &w = workers[i];
-        os << (i ? ", " : "") << "{\"id\": " << w.id
-           << ", \"pid\": " << w.pid << ", \"jobs_done\": " << w.jobsDone
-           << ", \"alive\": " << (w.alive ? "true" : "false") << "}";
-    }
-    os << "]}";
+    w.beginObject()
+        .field("shards", c.shards).field("shard_size", c.shardSize)
+        .field("leases_granted", c.leasesGranted)
+        .field("lease_retries", c.leaseRetries)
+        .field("lease_timeouts", c.leaseTimeouts)
+        .field("shards_failed", c.shardsFailed)
+        .field("duplicate_results", c.duplicateResults)
+        .field("workers_seen", c.workersSeen)
+        .field("workers_lost", c.workersLost)
+        .key("workers").beginArray();
+    for (const WorkerLiveness &wl : workers)
+        w.beginObject().field("id", wl.id).field("pid", wl.pid)
+            .field("jobs_done", wl.jobsDone).field("alive", wl.alive)
+            .endObject();
+    w.endArray().endObject();
 }
 
 SvcMetrics::SvcMetrics(MetricsRegistry &r)

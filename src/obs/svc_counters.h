@@ -11,10 +11,10 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/obs/metrics_registry.h"
 
 namespace wsrs::obs {
@@ -47,7 +47,7 @@ struct SvcCounters
  * Write the `svc` JSON object: the counters plus a `workers` liveness
  * array. Emits a complete object (`{...}`), no trailing newline.
  */
-void writeSvcJson(std::ostream &os, const SvcCounters &counters,
+void writeSvcJson(JsonWriter &w, const SvcCounters &counters,
                   const std::vector<WorkerLiveness> &workers);
 
 /**

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
+#include <sstream>
 
+#include "src/common/json.h"
 #include "src/common/log.h"
-#include "src/common/stats.h"
 #include "src/core/cluster_alloc.h"
 
 namespace wsrs::rfmodel {
@@ -273,32 +273,31 @@ regFileOrgFromParams(const core::CoreParams &params)
     return org;
 }
 
-void
-writeOrgJson(std::ostream &os, const RegFileOrg &org,
-             const RegFileEstimate &est)
+std::string
+orgJson(const RegFileOrg &org, const RegFileEstimate &est)
 {
-    os << "{\"name\": \"" << jsonEscape(org.name) << "\""
-       << ", \"total_regs\": " << org.totalRegs
-       << ", \"copies_per_reg\": " << org.copiesPerReg
-       << ", \"read_ports\": " << org.portsPerCopy.reads
-       << ", \"write_ports\": " << org.portsPerCopy.writes
-       << ", \"subfiles\": " << org.numSubfiles
-       << ", \"entries_per_subfile\": " << org.entriesPerSubfile
-       << ", \"write_buses_per_subfile\": " << org.writeBusesPerSubfile
-       << ", \"write_span_rows\": " << org.writeSpanRows
-       << ", \"producers_visible\": " << org.producersVisible
-       << ", \"bit_area_w2\": ";
-    dumpJsonDouble(os, est.bitArea);
-    os << ", \"total_area_rel\": ";
-    dumpJsonDouble(os, est.totalAreaRel);
-    os << ", \"access_time_ns\": ";
-    dumpJsonDouble(os, est.accessTimeNs);
-    os << ", \"energy_nj_per_cycle\": ";
-    dumpJsonDouble(os, est.energyNJPerCycle);
-    os << ", \"pipe_cycles_10ghz\": " << est.pipeCycles10GHz
-       << ", \"pipe_cycles_5ghz\": " << est.pipeCycles5GHz
-       << ", \"bypass_sources_10ghz\": " << est.bypassSources10GHz
-       << ", \"bypass_sources_5ghz\": " << est.bypassSources5GHz << "}";
+    std::ostringstream os;
+    JsonWriter(os, JsonWriter::Style::Spaced)
+        .beginObject()
+        .field("name", org.name).field("total_regs", org.totalRegs)
+        .field("copies_per_reg", org.copiesPerReg)
+        .field("read_ports", org.portsPerCopy.reads)
+        .field("write_ports", org.portsPerCopy.writes)
+        .field("subfiles", org.numSubfiles)
+        .field("entries_per_subfile", org.entriesPerSubfile)
+        .field("write_buses_per_subfile", org.writeBusesPerSubfile)
+        .field("write_span_rows", org.writeSpanRows)
+        .field("producers_visible", org.producersVisible)
+        .field("bit_area_w2", est.bitArea)
+        .field("total_area_rel", est.totalAreaRel)
+        .field("access_time_ns", est.accessTimeNs)
+        .field("energy_nj_per_cycle", est.energyNJPerCycle)
+        .field("pipe_cycles_10ghz", est.pipeCycles10GHz)
+        .field("pipe_cycles_5ghz", est.pipeCycles5GHz)
+        .field("bypass_sources_10ghz", est.bypassSources10GHz)
+        .field("bypass_sources_5ghz", est.bypassSources5GHz)
+        .endObject();
+    return os.str();
 }
 
 } // namespace wsrs::rfmodel

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -181,11 +180,10 @@ std::vector<RegFileOrg> table1Organizations();
 RegFileOrg regFileOrgFromParams(const core::CoreParams &params);
 
 /**
- * Emit one organization and its estimates as a JSON object (no trailing
+ * One organization and its estimates as a JSON object (no trailing
  * newline), the machine-readable face of wsrs-rf's text table. Shared by
  * `wsrs-rf --json` and the explorer report's per-point "rf" member.
  */
-void writeOrgJson(std::ostream &os, const RegFileOrg &org,
-                  const RegFileEstimate &est);
+std::string orgJson(const RegFileOrg &org, const RegFileEstimate &est);
 
 } // namespace wsrs::rfmodel

@@ -2,8 +2,8 @@
 
 #include <ostream>
 
+#include "src/common/json.h"
 #include "src/common/log.h"
-#include "src/common/stats.h"
 
 namespace wsrs::runner {
 
@@ -17,37 +17,40 @@ writeSweepReport(std::ostream &os, const std::vector<SweepJob> &jobs,
         fatal("sweep report: %zu jobs but %zu outcomes", jobs.size(),
               outcomes.size());
     std::size_t failed = 0;
-    os << "{\"schema\": \"" << kSweepReportSchema << "\", \"jobs\": [";
+    JsonWriter w(os, JsonWriter::Style::Spaced);
+    w.beginObject().field("schema", kSweepReportSchema).key("jobs");
+    w.beginArray();
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const SweepOutcome &out = outcomes[i];
-        os << (i ? ", " : "") << "{\"benchmark\": \""
-           << jsonEscape(jobs[i].profile.name) << "\", \"machine\": \""
-           << jsonEscape(jobs[i].config.core.name) << "\", \"ok\": "
-           << (out.ok ? "true" : "false");
+        w.beginObject()
+            .field("benchmark", jobs[i].profile.name)
+            .field("machine", jobs[i].config.core.name)
+            .field("ok", out.ok);
         if (out.ok) {
-            // results.statsJson is itself a complete JSON document; embed
-            // it verbatim.
-            os << ", \"stats\": " << out.results.statsJson;
+            // results.statsJson is itself a complete JSON document.
+            w.key("stats").raw(out.results.statsJson);
         } else {
-            os << ", \"error\": \"" << jsonEscape(out.error)
-               << "\", \"stats\": null";
+            w.field("error", out.error).key("stats").null();
             ++failed;
         }
-        os << "}";
+        w.endObject();
     }
-    os << "], \"resume\": {\"resumed\": "
-       << (telemetry.resumed ? "true" : "false")
-       << ", \"skipped_runs\": " << telemetry.skippedRuns
-       << "}, \"ckpt\": {\"warmup_reuse\": "
-       << (telemetry.warmupReuse ? "true" : "false")
-       << ", \"warmup_cache\": {\"hits\": " << telemetry.warmupHits
-       << ", \"misses\": " << telemetry.warmupMisses << "}}";
-    if (svc) {
-        os << ", \"svc\": ";
-        obs::writeSvcJson(os, svc->counters, svc->workers);
-    }
-    os << ", \"summary\": {\"total\": " << jobs.size()
-       << ", \"failed\": " << failed << "}}";
+    w.endArray()
+        .key("resume").beginObject()
+        .field("resumed", telemetry.resumed)
+        .field("skipped_runs", telemetry.skippedRuns)
+        .endObject()
+        .key("ckpt").beginObject()
+        .field("warmup_reuse", telemetry.warmupReuse)
+        .key("warmup_cache").beginObject()
+        .field("hits", telemetry.warmupHits)
+        .field("misses", telemetry.warmupMisses)
+        .endObject().endObject();
+    if (svc)
+        obs::writeSvcJson(w.key("svc"), svc->counters, svc->workers);
+    w.key("summary").beginObject();
+    w.field("total", jobs.size()).field("failed", failed);
+    w.endObject().endObject();
 }
 
 } // namespace wsrs::runner

@@ -287,33 +287,32 @@ runSimulationImpl(const workload::BenchmarkProfile &profile,
 
     {
         std::ostringstream os;
-        os << "{\"schema\": \"" << kStatsJsonSchema << "\", \"benchmark\": \""
-           << jsonEscape(r.benchmark) << "\", \"machine\": \""
-           << jsonEscape(r.machine)
-           << "\", \"measure_uops\": " << config.measureUops
-           << ", \"warmup_uops\": " << config.warmupUops
-           << ", \"seed\": " << config.seed << ", \"metrics\": {\"ipc\": ";
-        dumpJsonDouble(os, r.ipc);
-        os << ", \"unbalancing_degree\": ";
-        dumpJsonDouble(os, r.unbalancingDegree);
-        os << ", \"branch_mispredict_rate\": ";
-        dumpJsonDouble(os, r.branchMispredictRate);
-        os << ", \"l1_miss_rate\": ";
-        dumpJsonDouble(os, r.l1MissRate);
-        os << ", \"l2_miss_rate\": ";
-        dumpJsonDouble(os, r.l2MissRate);
-        os << "}, \"core\": ";
-        machine.dumpStatsJson(os);
-        os << ", \"memory\": ";
+        JsonWriter w(os, JsonWriter::Style::Spaced);
+        w.beginObject()
+            .field("schema", kStatsJsonSchema)
+            .field("benchmark", r.benchmark).field("machine", r.machine)
+            .field("measure_uops", config.measureUops)
+            .field("warmup_uops", config.warmupUops)
+            .field("seed", config.seed)
+            .key("metrics").beginObject()
+            .field("ipc", r.ipc)
+            .field("unbalancing_degree", r.unbalancingDegree)
+            .field("branch_mispredict_rate", r.branchMispredictRate)
+            .field("l1_miss_rate", r.l1MissRate)
+            .field("l2_miss_rate", r.l2MissRate)
+            .endObject()
+            .key("core");
+        machine.dumpStatsJson(w);
+        w.key("memory");
         // Constant model: the flat counter map, byte-identical to the
         // pre-DRAM seed. DRAM model: a structured object wrapping the
         // same counters plus geometry and the stall attribution up to
         // the final measured cycle.
         if (const memory::DramController *d = mem.dram())
-            d->dumpJson(os, stats, machine.now());
+            d->dumpJson(w, stats, machine.now());
         else
-            stats.dumpJson(os);
-        os << "}";
+            stats.dumpJson(w);
+        w.endObject();
         r.statsJson = os.str();
     }
     r.hostSeconds = std::chrono::duration<double>(

@@ -10,6 +10,22 @@
 
 namespace wsrs::svc {
 
+namespace {
+
+/** A control-frame body: the spaced JSON object @p fill writes into. */
+template <typename Fill>
+std::string
+object(Fill fill)
+{
+    std::ostringstream os;
+    JsonWriter w(os, JsonWriter::Style::Spaced);
+    fill(w.beginObject());
+    w.endObject();
+    return os.str();
+}
+
+} // namespace
+
 std::string
 hexKey(std::uint64_t key)
 {
@@ -43,11 +59,11 @@ std::string
 helloPayload(std::int64_t pid, std::uint64_t sweep_key,
              std::uint64_t num_jobs, std::int64_t mono_us)
 {
-    std::ostringstream os;
-    os << "{\"role\": \"worker\", \"pid\": " << pid << ", \"sweep_key\": \""
-       << hexKey(sweep_key) << "\", \"jobs\": " << num_jobs
-       << ", \"mono_us\": " << mono_us << "}";
-    return os.str();
+    return object([&](JsonWriter &w) {
+        w.field("role", "worker").field("pid", pid);
+        w.field("sweep_key", hexKey(sweep_key)).field("jobs", num_jobs);
+        w.field("mono_us", mono_us);
+    });
 }
 
 HelloInfo
@@ -67,12 +83,11 @@ parseHello(const std::string &payload)
 std::string
 helloAckPayload(bool ok, const std::string &error)
 {
-    std::ostringstream os;
-    os << "{\"ok\": " << (ok ? "true" : "false");
-    if (!error.empty())
-        os << ", \"error\": \"" << jsonEscape(error) << "\"";
-    os << "}";
-    return os.str();
+    return object([&](JsonWriter &w) {
+        w.field("ok", ok);
+        if (!error.empty())
+            w.field("error", error);
+    });
 }
 
 std::string
@@ -90,13 +105,10 @@ parseHelloAck(const std::string &payload)
 std::string
 leasePayload(const Shard &shard, std::uint32_t attempt)
 {
-    std::ostringstream os;
-    os << "{\"shard\": " << shard.id << ", \"attempt\": " << attempt
-       << ", \"jobs\": [";
-    for (std::size_t i = 0; i < shard.jobs.size(); ++i)
-        os << (i ? ", " : "") << shard.jobs[i];
-    os << "]}";
-    return os.str();
+    return object([&](JsonWriter &w) {
+        w.field("shard", shard.id).field("attempt", attempt);
+        w.field("jobs", shard.jobs);
+    });
 }
 
 LeaseInfo
@@ -115,9 +127,7 @@ parseLease(const std::string &payload)
 std::string
 shardDonePayload(std::uint64_t shard_id)
 {
-    std::ostringstream os;
-    os << "{\"shard\": " << shard_id << "}";
-    return os.str();
+    return object([&](JsonWriter &w) { w.field("shard", shard_id); });
 }
 
 std::uint64_t
@@ -155,11 +165,11 @@ decodeJobDone(const std::string &payload)
 std::string
 workerStatsPayload(const WorkerStatsInfo &stats)
 {
-    std::ostringstream os;
-    os << "{\"jobs_run\": " << stats.jobsRun
-       << ", \"warmup_hits\": " << stats.warmupHits
-       << ", \"warmup_misses\": " << stats.warmupMisses << "}";
-    return os.str();
+    return object([&](JsonWriter &w) {
+        w.field("jobs_run", stats.jobsRun);
+        w.field("warmup_hits", stats.warmupHits);
+        w.field("warmup_misses", stats.warmupMisses);
+    });
 }
 
 WorkerStatsInfo
@@ -229,7 +239,7 @@ parseSpanBatch(const std::string &payload)
 std::string
 errorPayload(const std::string &message)
 {
-    return "{\"error\": \"" + jsonEscape(message) + "\"}";
+    return object([&](JsonWriter &w) { w.field("error", message); });
 }
 
 std::string

@@ -1,10 +1,16 @@
 /**
  * @file
  * Strictness and fidelity contract of the JSON parser: exactly one
- * RFC 8259 document, int64 preservation, byte-offset errors.
+ * RFC 8259 document, int64 preservation, byte-offset errors. And the
+ * writer's: both styles, every value kind, and output that parses back.
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <string_view>
 
@@ -115,6 +121,121 @@ TEST(JsonMin, EscapeRoundTripsThroughParse)
     const JsonValue doc = parseJson(
         "{\"s\": \"" + jsonEscape(raw) + "\"}", "test");
     EXPECT_EQ(doc.getString("s", ""), raw);
+}
+
+/** What @p body writes in @p style; it must parse back. */
+std::string
+written(JsonWriter::Style style, const std::function<void(JsonWriter &)> &body)
+{
+    std::ostringstream os;
+    JsonWriter w(os, style);
+    body(w);
+    EXPECT_NO_THROW(parseJson(os.str(), "writer output")) << os.str();
+    return os.str();
+}
+
+TEST(JsonWriter, StylesDifferOnlyInSeparators)
+{
+    const auto body = [](JsonWriter &w) {
+        w.beginObject()
+            .field("a", 1)
+            .key("b")
+            .beginArray()
+            .value(true)
+            .value("s")
+            .null()
+            .endArray()
+            .endObject();
+    };
+    EXPECT_EQ(written(JsonWriter::Style::Compact, body),
+              R"({"a":1,"b":[true,"s",null]})");
+    EXPECT_EQ(written(JsonWriter::Style::Spaced, body),
+              R"({"a": 1, "b": [true, "s", null]})");
+}
+
+TEST(JsonWriter, EmptyAndNestedContainers)
+{
+    const auto spaced = JsonWriter::Style::Spaced;
+    EXPECT_EQ(written(spaced, [](JsonWriter &w) {
+                  w.beginObject().endObject();
+              }),
+              "{}");
+    EXPECT_EQ(written(spaced, [](JsonWriter &w) {
+                  w.beginArray().endArray();
+              }),
+              "[]");
+    EXPECT_EQ(written(spaced,
+                      [](JsonWriter &w) {
+                          w.beginObject().key("e").beginArray().endArray();
+                          w.key("o").beginObject().endObject();
+                          w.key("n").beginArray().beginArray().value(1);
+                          w.endArray().beginObject().key("d").beginArray();
+                          w.endArray().endObject().endArray().endObject();
+                      }),
+              R"({"e": [], "o": {}, "n": [[1], {"d": []}]})");
+    // The writer may nest exactly as deep as the parser accepts.
+    const std::string deepest = written(spaced, [](JsonWriter &w) {
+        for (int i = 0; i < kJsonMaxDepth; ++i)
+            w.beginArray();
+        for (int i = 0; i < kJsonMaxDepth; ++i)
+            w.endArray();
+    });
+    EXPECT_EQ(deepest.size(), 2u * kJsonMaxDepth);
+}
+
+TEST(JsonWriter, IntegersPrintAsNumbers)
+{
+    const std::uint8_t clusters = 4;
+    const std::int64_t low = std::numeric_limits<std::int64_t>::min();
+    const std::string doc =
+        written(JsonWriter::Style::Compact, [&](JsonWriter &w) {
+            w.beginArray().value(clusters).value(low).value(-1).endArray();
+        });
+    EXPECT_EQ(doc, "[4,-9223372036854775808,-1]");
+    EXPECT_EQ(parseJson(doc, "test").asArray()[1].asInt(), low);
+}
+
+TEST(JsonWriter, NonFiniteDoublesAreNull)
+{
+    EXPECT_EQ(written(JsonWriter::Style::Spaced,
+                      [](JsonWriter &w) {
+                          w.beginArray()
+                              .value(std::nan(""))
+                              .value(1.0 / 0.0)
+                              .value(-1.0 / 0.0)
+                              .value(0.25)
+                              .endArray();
+                      }),
+              "[null, null, null, 0.25]");
+}
+
+TEST(JsonWriter, HostileKeysAndValuesRoundTrip)
+{
+    const std::string key = "k\"ey\\\n\x01";
+    const std::string val = "v\"al\t\r\b\f\x1f/\xc3\xa9";
+    const std::string doc =
+        written(JsonWriter::Style::Spaced, [&](JsonWriter &w) {
+            w.beginObject().field(key, val).endObject();
+        });
+    EXPECT_EQ(doc, "{\"k\\\"ey\\\\\\n\\u0001\": "
+                   "\"v\\\"al\\t\\r\\b\\f\\u001f/\xc3\xa9\"}");
+    EXPECT_EQ(parseJson(doc, "test").getString(key, ""), val);
+}
+
+TEST(JsonWriter, RawEmbedsSerializedValues)
+{
+    const std::string doc =
+        written(JsonWriter::Style::Compact, [](JsonWriter &w) {
+            w.beginArray()
+                .raw(R"({"spaced": [1, 2]})")
+                .raw("7")
+                .beginObject()
+                .key("r")
+                .raw("null")
+                .endObject()
+                .endArray();
+        });
+    EXPECT_EQ(doc, R"([{"spaced": [1, 2]},7,{"r":null}])");
 }
 
 } // namespace

@@ -1,7 +1,6 @@
 /** @file Unit tests for the statistics package. */
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <sstream>
 
 #include "src/common/stats.h"
@@ -10,10 +9,19 @@
 namespace wsrs {
 namespace {
 
+std::string
+dump(const StatGroup &g)
+{
+    std::ostringstream os;
+    JsonWriter w(os, JsonWriter::Style::Spaced);
+    g.dumpJson(w);
+    return os.str();
+}
+
 TEST(Stats, CounterIncrements)
 {
     StatGroup g("g");
-    Counter c(g, "c", "a counter");
+    Counter c(g, "c");
     EXPECT_EQ(c.value(), 0u);
     ++c;
     c += 4;
@@ -25,7 +33,7 @@ TEST(Stats, CounterIncrements)
 TEST(Stats, HistogramBucketsAndOverflow)
 {
     StatGroup g("g");
-    Histogram h(g, "h", "a histogram", 4);
+    Histogram h(g, "h", 4);
     h.sample(0);
     h.sample(1, 2);
     h.sample(9);  // beyond the top bucket: explicit overflow, no clamping
@@ -44,25 +52,21 @@ TEST(Stats, GroupDumpContainsNamesAndValues)
 {
     // Members appear in registration order, under group-qualified names.
     StatGroup g("core");
-    Counter c(g, "commits", "committed ops");
-    Counter s(g, "squashes", "squashed ops");
+    Counter c(g, "commits");
+    Counter s(g, "squashes");
     c += 17;
     s += 2;
-    std::ostringstream os;
-    g.dumpJson(os);
-    EXPECT_EQ(os.str(), "{\"core.commits\": 17, \"core.squashes\": 2}");
+    EXPECT_EQ(dump(g), "{\"core.commits\": 17, \"core.squashes\": 2}");
 }
 
 TEST(Stats, JsonDumpIsWellFormed)
 {
     StatGroup g("core");
-    Counter c(g, "commits", "");
-    Histogram h(g, "width", "", 3);
+    Counter c(g, "commits");
+    Histogram h(g, "width", 3);
     c += 5;
     h.sample(2);
-    std::ostringstream os;
-    g.dumpJson(os);
-    const std::string j = os.str();
+    const std::string j = dump(g);
     EXPECT_EQ(test::jsonError(j), "");
     EXPECT_NE(j.find("\"core.commits\": 5"), std::string::npos);
     EXPECT_NE(j.find("\"core.width\": {\"buckets\": [0, 0, 1], "
@@ -82,32 +86,22 @@ TEST(Stats, JsonEscapeSpecialCharacters)
 
 TEST(Stats, NonFiniteDoublesDumpAsNull)
 {
-    std::ostringstream os;
-    dumpJsonDouble(os, std::nan(""));
-    os << " ";
-    dumpJsonDouble(os, 1.0 / 0.0);
-    os << " ";
-    dumpJsonDouble(os, -1.0 / 0.0);
-    EXPECT_EQ(os.str(), "null null null");
-
-    // A restored histogram whose sum is infinite has an infinite mean.
+    // A restored histogram whose sum is infinite has an infinite mean;
+    // JsonWriter spells it null (JsonWriter.NonFiniteDoublesAreNull).
     StatGroup g("g");
-    Histogram h(g, "inf", "", 2);
+    Histogram h(g, "inf", 2);
     h.restore({0, 1}, 0, 1, 1.0 / 0.0);
-    std::ostringstream js;
-    g.dumpJson(js);
-    EXPECT_EQ(test::jsonError(js.str()), "");
-    EXPECT_NE(js.str().find("\"mean\": null"), std::string::npos);
+    const std::string js = dump(g);
+    EXPECT_EQ(test::jsonError(js), "");
+    EXPECT_NE(js.find("\"mean\": null"), std::string::npos);
 }
 
 TEST(Stats, HostileNamesAreEscapedInJson)
 {
     StatGroup g("we\"ird");
-    Counter c(g, "c\\ount\nr", "");
+    Counter c(g, "c\\ount\nr");
     c += 1;
-    std::ostringstream os;
-    g.dumpJson(os);
-    const std::string j = os.str();
+    const std::string j = dump(g);
     EXPECT_EQ(test::jsonError(j), "");
     EXPECT_NE(j.find("\"we\\\"ird.c\\\\ount\\nr\": 1"), std::string::npos);
     EXPECT_EQ(parseJson(j, "test").getInt("we\"ird.c\\ount\nr", 0), 1);
@@ -116,15 +110,13 @@ TEST(Stats, HostileNamesAreEscapedInJson)
 TEST(Stats, EveryStatTypeRoundTripsThroughParser)
 {
     StatGroup g("core");
-    Counter c(g, "commits", "");
-    Histogram h(g, "width", "", 3);
+    Counter c(g, "commits");
+    Histogram h(g, "width", 3);
     c += 7;
     h.sample(1);
     h.sample(42);  // overflow
 
-    std::ostringstream before;
-    g.dumpJson(before);
-    const JsonValue doc = parseJson(before.str(), "test");
+    const JsonValue doc = parseJson(dump(g), "test");
     EXPECT_EQ(doc.getInt("core.commits", 0), 7);
     const JsonValue &width = doc.get("core.width");
     EXPECT_EQ(width.get("buckets").asArray()[1].asInt(), 1);
@@ -136,13 +128,12 @@ TEST(Stats, EveryStatTypeRoundTripsThroughParser)
     // measurements.
     c.reset();
     h.reset();
-    std::ostringstream after;
-    g.dumpJson(after);
-    EXPECT_EQ(test::jsonError(after.str()), "");
-    EXPECT_NE(after.str().find("\"core.commits\": 0"), std::string::npos);
-    EXPECT_NE(after.str().find("\"core.width\": {\"buckets\": [0, 0, 0], "
-                               "\"overflow\": 0, \"samples\": 0, "
-                               "\"mean\": 0}"),
+    const std::string after = dump(g);
+    EXPECT_EQ(test::jsonError(after), "");
+    EXPECT_NE(after.find("\"core.commits\": 0"), std::string::npos);
+    EXPECT_NE(after.find("\"core.width\": {\"buckets\": [0, 0, 0], "
+                          "\"overflow\": 0, \"samples\": 0, "
+                          "\"mean\": 0}"),
               std::string::npos);
 }
 

@@ -248,9 +248,11 @@ TEST_F(DramTest, CheckpointRoundTripContinuesBitExactly)
     EXPECT_EQ(copy.stallCycles(2000), dram_.stallCycles(2000));
 
     std::ostringstream ja, jb;
+    JsonWriter wa(ja, JsonWriter::Style::Spaced);
+    JsonWriter wb(jb, JsonWriter::Style::Spaced);
     StatGroup empty("e");
-    dram_.dumpJson(ja, empty, 2000);
-    copy.dumpJson(jb, empty, 2000);
+    dram_.dumpJson(wa, empty, 2000);
+    copy.dumpJson(wb, empty, 2000);
     EXPECT_EQ(ja.str(), jb.str());
 }
 

@@ -118,7 +118,8 @@ TEST(PipelineStats, DumpJsonIsStrictlyParseable)
     drive(ps, 100);
     ps.recordWakeupLatency(3);
     std::ostringstream os;
-    ps.dumpJson(os);
+    JsonWriter w(os, JsonWriter::Style::Spaced);
+    ps.dumpJson(w);
     const std::string j = os.str();
     EXPECT_EQ(test::jsonError(j), "");
     EXPECT_NE(j.find("\"stall_causes\""), std::string::npos);
@@ -133,7 +134,8 @@ TEST(PipelineStats, StatsRegisterInTheOwningGroup)
     PipelineStats ps(g, 2);
     ps.recordIssue(0, IssueStall::Issued, 1);
     std::ostringstream os;
-    g.dumpJson(os);
+    JsonWriter w(os, JsonWriter::Style::Spaced);
+    g.dumpJson(w);
     const std::string j = os.str();
     EXPECT_EQ(test::jsonError(j), "");
     EXPECT_NE(j.find("\"core.issue_stall_c0\""), std::string::npos);

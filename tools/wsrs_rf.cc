@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "src/common/args.h"
+#include "src/common/json.h"
 #include "src/common/log.h"
 #include "src/cxmodel/wakeup_model.h"
 #include "src/rfmodel/regfile_model.h"
@@ -35,15 +36,6 @@ printOrg(const rfmodel::RegFileModel &model, const rfmodel::RegFileOrg &org)
                 model.totalArea(org) / model.totalArea(ref),
                 model.pipelineCycles(org, 10.0),
                 model.bypassSources(org, 10.0));
-}
-
-/** Machine-readable twin of printOrg (the explorer report's emitter). */
-void
-printOrgJson(const rfmodel::RegFileModel &model,
-             const rfmodel::RegFileOrg &org)
-{
-    const rfmodel::RegFileOrg ref = rfmodel::makeNoWs2Cluster();
-    rfmodel::writeOrgJson(std::cout, org, model.estimate(org, ref));
 }
 
 } // namespace
@@ -75,6 +67,11 @@ main(int argc, char **argv)
         }
 
         const rfmodel::RegFileModel model;
+        // --json: printOrg's machine-readable twin, as the explorer emits.
+        const auto orgJson = [&](const rfmodel::RegFileOrg &org) {
+            return rfmodel::orgJson(
+                org, model.estimate(org, rfmodel::makeNoWs2Cluster()));
+        };
 
         if (args.has("wakeup")) {
             cxmodel::SchedulerOrg org;
@@ -97,18 +94,15 @@ main(int argc, char **argv)
 
         if (args.has("table1") || !args.has("regs")) {
             if (args.has("json")) {
-                std::cout << "{\"schema\":\"wsrs-rf-v1\","
-                             "\"organizations\":[";
-                bool first = true;
+                JsonWriter w(std::cout, JsonWriter::Style::Compact);
+                w.beginObject().field("schema", "wsrs-rf-v1");
+                w.key("organizations").beginArray();
                 auto orgs = rfmodel::table1Organizations();
                 orgs.push_back(rfmodel::makeWsrs7Cluster());
-                for (const auto &org : orgs) {
-                    if (!first)
-                        std::cout << ',';
-                    first = false;
-                    printOrgJson(model, org);
-                }
-                std::cout << "]}\n";
+                for (const auto &org : orgs)
+                    w.raw(orgJson(org));
+                w.endArray().endObject();
+                std::cout << "\n";
                 return 0;
             }
             for (const auto &org : rfmodel::table1Organizations())
@@ -130,8 +124,7 @@ main(int argc, char **argv)
         org.writeSpanRows = org.entriesPerSubfile;
         org.producersVisible = unsigned(args.getUint("producers", 12));
         if (args.has("json")) {
-            printOrgJson(model, org);
-            std::cout << '\n';
+            std::cout << orgJson(org) << '\n';
         } else {
             printOrg(model, org);
         }

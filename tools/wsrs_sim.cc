@@ -5,7 +5,7 @@
  *
  *   wsrs_sim --bench=gzip --machine=WSRS-RC-512 --uops=1000000
  *   wsrs_sim --all --csv > results.csv
- *   wsrs_sim --bench=swim --machine=RR-256 --set-window=128 --json
+ *   wsrs_sim --bench=swim --machine=RR-256 --set-window=128 --stats-json=-
  */
 #include <sys/wait.h>
 #include <unistd.h>
@@ -141,34 +141,6 @@ printCsv(const sim::SimResults &r)
                 (unsigned long long)r.stats.renameStallLsq);
 }
 
-void
-printJson(const sim::SimResults &r)
-{
-    std::printf("{\n");
-    std::printf("  \"benchmark\": \"%s\",\n", r.benchmark.c_str());
-    std::printf("  \"machine\": \"%s\",\n", r.machine.c_str());
-    std::printf("  \"ipc\": %.4f,\n", r.ipc);
-    std::printf("  \"cycles\": %llu,\n",
-                (unsigned long long)r.stats.cycles);
-    std::printf("  \"committed\": %llu,\n",
-                (unsigned long long)r.stats.committed);
-    std::printf("  \"mispredict_rate\": %.5f,\n", r.branchMispredictRate);
-    std::printf("  \"l1_miss_rate\": %.5f,\n", r.l1MissRate);
-    std::printf("  \"l2_miss_rate\": %.5f,\n", r.l2MissRate);
-    std::printf("  \"unbalancing_degree\": %.2f,\n", r.unbalancingDegree);
-    std::printf("  \"load_forwards\": %llu,\n",
-                (unsigned long long)r.stats.loadForwards);
-    std::printf("  \"injected_moves\": %llu,\n",
-                (unsigned long long)r.stats.injectedMoves);
-    std::printf("  \"rename_stalls\": {\"free\": %llu, \"window\": %llu, "
-                "\"rob\": %llu, \"lsq\": %llu}\n",
-                (unsigned long long)r.stats.renameStallFreeReg,
-                (unsigned long long)r.stats.renameStallWindow,
-                (unsigned long long)r.stats.renameStallRob,
-                (unsigned long long)r.stats.renameStallLsq);
-    std::printf("}\n");
-}
-
 } // namespace
 
 int
@@ -198,7 +170,6 @@ main(int argc, char **argv)
     args.addOption("jobs",
                    "worker threads for --all (0 = all cores, 1 = serial)");
     args.addOption("csv", "emit one CSV row per run", true);
-    args.addOption("json", "emit JSON (single run only)", true);
     args.addOption("trace-pipe",
                    "write a Konata/O3PipeView pipeline trace of the "
                    "measured slice to FILE (single run only)");
@@ -544,8 +515,6 @@ main(int argc, char **argv)
         if (args.has("csv")) {
             printCsvHeader();
             printCsv(r);
-        } else if (args.has("json")) {
-            printJson(r);
         } else {
             printText(r);
         }
