@@ -3,27 +3,38 @@
 
 Usage: check_exit_codes.py /path/to/wsrs-sim
 
-The CLI contract (docs/sweep_service.md):
+The CLI contract (README.md, "Exit codes"):
 
   0  success
   1  configuration error (bad flag value, unknown option,
-     unknown benchmark/machine, unsupported transport scheme)
-  2  I/O or corruption error (unreadable/damaged checkpoint or socket)
+     unknown benchmark/machine, two documents sent to stdout)
+  2  I/O or corruption error (unreadable/damaged checkpoint)
   3  journal/sweep binding mismatch (a journal or checkpoint that
      belongs to a different sweep or machine configuration)
   4  sweep completed but some jobs failed
 
 Every probe below must hit its exact code — a collapse of two classes
 into one (e.g. everything exiting 1) is a regression in scriptability.
+A document written to stdout with `-` must also be the only thing on
+stdout, so `wsrs-sim ... --stats-json=- | python3 -m json.tool` works.
 Exit status 0 on success. Used by the `svc` labelled ctest.
 """
 
+import json
 import os
 import subprocess
 import sys
 import tempfile
 
 TINY = ["--uops=2000", "--warmup=500"]
+
+# Flags of the retired coordinator/worker sweep: a script that still
+# passes one fails fast with the config code instead of running a
+# different sweep than it asked for.
+RETIRED = ["coordinator=unix:sweep.sock", "workers=2", "worker",
+           "connect=unix:sweep.sock", "shard-size=4",
+           "lease-timeout-ms=100", "lease-retries=1", "lease-backoff-ms=1",
+           "warmup-cache-dir=warmups"]
 
 
 def probe(name, cmd, want):
@@ -33,6 +44,21 @@ def probe(name, cmd, want):
         sys.exit(f"FAIL {name}: exit {r.returncode}, expected {want}\n"
                  f"  cmd: {' '.join(cmd)}\n  stderr: {r.stderr.strip()}")
     print(f"ok: {name} -> {want}")
+
+
+def stdout_document(name, cmd):
+    """@p cmd exits 0 and its stdout is exactly one JSON document."""
+    r = subprocess.run(cmd, stdout=subprocess.PIPE,
+                       stderr=subprocess.PIPE, text=True)
+    if r.returncode != 0:
+        sys.exit(f"FAIL {name}: exit {r.returncode}\n"
+                 f"  cmd: {' '.join(cmd)}\n  stderr: {r.stderr.strip()}")
+    try:
+        json.loads(r.stdout)
+    except json.JSONDecodeError as e:
+        sys.exit(f"FAIL {name}: stdout is not one JSON document ({e})\n"
+                 f"  cmd: {' '.join(cmd)}\n  stdout: {r.stdout[:200]!r}")
+    print(f"ok: {name}")
 
 
 def main():
@@ -49,9 +75,6 @@ def main():
               [binary, "--bench=gzip", "--machine=NO-SUCH", *TINY], 1)
         probe("unknown benchmark is a config error",
               [binary, "--bench=nonesuch", "--machine=RR-256", *TINY], 1)
-        probe("unsupported transport scheme is a config error",
-              [binary, "--all", *TINY, "--coordinator=tcp://1.2.3.4:1"],
-              1)
         # The sweep daemon and its flags are gone: a script that still
         # starts it fails fast with the config code instead of hanging.
         retired = "serve"
@@ -63,6 +86,9 @@ def main():
         probe("retired --json is an unknown option",
               [binary, "--bench=gzip", "--machine=RR-256", *TINY, "--json"],
               1)
+        for flag in RETIRED:
+            probe(f"retired --{flag.split('=')[0]} is an unknown option",
+                  [binary, "--bench=gzip", *TINY, f"--{flag}"], 1)
 
         # Class 2: I/O / corruption errors.
         garbage = os.path.join(tmp, "garbage.ckpt")
@@ -83,6 +109,22 @@ def main():
         probe("resuming another sweep's journal is a mismatch error",
               [binary, "--all", *TINY, "--seed=99",
                f"--resume-journal={journal}", "--resume"], 3)
+
+        # Documents on stdout: the text summary, CSV and progress lines
+        # move to stderr, and stdout can carry only one document.
+        stdout_document("single run --stats-json=- is one document",
+                        [binary, "--bench=gzip", *TINY, "--stats-json=-"])
+        stdout_document("sweep --stats-json=- is one document",
+                        [binary, "--all", "--jobs=2", *TINY,
+                         "--stats-json=-"])
+        stdout_document("single run --metrics-out=- is one document",
+                        [binary, "--bench=gzip", *TINY, "--metrics-out=-"])
+        probe("two documents on stdout is a config error",
+              [binary, "--bench=gzip", *TINY, "--stats-json=-",
+               "--metrics-out=-"], 1)
+        probe("two sweep documents on stdout is a config error",
+              [binary, "--all", *TINY, "--stats-json=-",
+               "--spans-out=-"], 1)
 
     print("all exit codes distinct and as documented")
 

@@ -18,8 +18,6 @@ and then structurally checked:
   - sweep reports carry well-formed resume metadata (resumed flag,
     skipped_runs bounded by the job count) and warm-up checkpoint cache
     counters (wsrs-ckpt warm-up reuse);
-  - sweep reports merged by a coordinator carry a complete `svc` object
-    (sharding/lease/worker counters plus the worker liveness array);
   - wsrs-metrics-v1 registry snapshots (wsrs-sim --metrics-out) follow
     the metric naming scheme and their histogram bucket counts fold up
     to the sample count;
@@ -34,8 +32,8 @@ and then structurally checked:
     analytic estimate paired with a measured IPC (and consistent ranks)
     on every confirmed point.
 
-Exit status is non-zero on the first file that fails; used by the `obs`
-and `svc` labelled ctests.
+Exit status is non-zero on the first file that fails; used by the `obs`,
+`ckpt`, `mem` and `explore` labelled ctests.
 """
 
 import json
@@ -189,40 +187,6 @@ def check_resume_metadata(doc, where):
                f"{where}.ckpt: warmup cache traffic without warmup_reuse")
 
 
-SVC_COUNTER_KEYS = (
-    "shards", "shard_size", "leases_granted", "lease_retries",
-    "lease_timeouts", "shards_failed", "duplicate_results",
-    "workers_seen", "workers_lost")
-
-
-def check_svc_object(svc, where, total_jobs=None):
-    """Validate the sweep-service counter object of a merged report."""
-    expect(isinstance(svc, dict), f"{where}: must be an object")
-    for key in SVC_COUNTER_KEYS:
-        expect(isinstance(svc.get(key), int) and svc[key] >= 0,
-               f"{where}: '{key}' must be a non-negative int")
-    expect(svc["shards_failed"] <= svc["shards"],
-           f"{where}: shards_failed {svc['shards_failed']} exceeds "
-           f"shards {svc['shards']}")
-    expect(svc["workers_lost"] <= svc["workers_seen"],
-           f"{where}: workers_lost {svc['workers_lost']} exceeds "
-           f"workers_seen {svc['workers_seen']}")
-    workers = svc["workers"]
-    expect(isinstance(workers, list), f"{where}: 'workers' must be a list")
-    done = 0
-    for i, w in enumerate(workers):
-        for key in ("id", "pid", "jobs_done"):
-            expect(isinstance(w.get(key), int),
-                   f"{where}.workers[{i}]: '{key}' must be an int")
-        expect(isinstance(w.get("alive"), bool),
-               f"{where}.workers[{i}]: 'alive' must be a bool")
-        done += w["jobs_done"]
-    if total_jobs is not None and workers:
-        expect(done <= total_jobs,
-               f"{where}: workers report {done} jobs done for a "
-               f"{total_jobs}-job sweep")
-
-
 METRIC_NAME_RE = re.compile(r"^wsrs_[a-z0-9_]+$")
 
 
@@ -352,8 +316,6 @@ def check_sweep_report(doc, where):
             failed += 1
     expect(summary["failed"] == failed,
            f"{where}: summary.failed {summary['failed']} != {failed}")
-    if "svc" in doc:
-        check_svc_object(doc["svc"], f"{where}.svc", len(jobs))
     return len(jobs)
 
 

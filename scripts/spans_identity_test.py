@@ -1,21 +1,21 @@
 #!/usr/bin/env python3
-"""Distributed span emission must not perturb the sweep report.
+"""Span and metrics emission must not perturb the sweep report.
 
 Usage: spans_identity_test.py /path/to/wsrs-sim /path/to/check_stats_schema.py
 
-Runs the full sweep matrix twice through a 2-worker --coordinator
-service — once with telemetry on (--spans-out + --metrics-out), once
-with it off — and checks:
+Runs the full sweep matrix twice on a 2-thread in-process sweep with
+warm-up reuse — once with telemetry on (--spans-out + --metrics-out),
+once with it off — and checks:
 
-  1. the merged wsrs-sweep-report-v1 `jobs` and `summary` sections are
+  1. the wsrs-sweep-report-v1 `jobs` and `summary` sections are
      byte-identical between the two runs once canonicalised (sorted
      keys, fixed separators): telemetry must observe, never perturb;
-  2. the span log passes the wsrs-spans-v1 schema checker (nesting,
-     non-negative durations) and holds exactly one `job` root span per
-     sweep job;
-  3. the spans really are distributed: both worker ids appear, and the
-     skew-normalised timeline starts at ts 0;
-  4. the metrics snapshot passes the wsrs-metrics-v1 schema checker.
+  2. the span log and the metrics snapshot pass the schema checker
+     (wsrs-spans-v1 nesting and non-negative durations, wsrs-metrics-v1
+     naming and bucket sums);
+  3. the span log holds exactly one `job` root span per sweep job, its
+     timeline starts at ts 0, and every job records its `warmup` and
+     `simulate` stages.
 
 Exit status 0 on success. Used by the `obs` labelled ctest.
 """
@@ -27,7 +27,7 @@ import sys
 import tempfile
 
 SWEEP = ["--all", "--uops=2000", "--warmup=500", "--reuse-warmup",
-         "--shard-size=2", "--workers=2"]
+         "--jobs=2"]
 
 
 def run_sweep(binary, tmp, tag, telemetry):
@@ -36,9 +36,7 @@ def run_sweep(binary, tmp, tag, telemetry):
     if telemetry:
         extra = [f"--spans-out={os.path.join(tmp, 'spans.json')}",
                  f"--metrics-out={os.path.join(tmp, 'metrics.json')}"]
-    sock = "unix:" + os.path.join(tmp, f"co_{tag}.sock")
-    r = subprocess.run([binary, *SWEEP, f"--coordinator={sock}",
-                        f"--stats-json={report}", *extra],
+    r = subprocess.run([binary, *SWEEP, f"--stats-json={report}", *extra],
                        stdout=subprocess.DEVNULL,
                        stderr=subprocess.PIPE, text=True)
     if r.returncode != 0:
@@ -82,24 +80,15 @@ def main():
         with open(spans_path) as f:
             spans = json.load(f)
         events = spans["traceEvents"]
-        roots = [e for e in events
-                 if e["ph"] == "X" and e["name"] == "job"]
-        if len(roots) != total:
-            sys.exit(f"FAIL: {len(roots)} job root spans for "
-                     f"{total} jobs")
         if not any(e["ts"] == 0 for e in events if e["ph"] in "Xi"):
             sys.exit("FAIL: timeline is not rebased to ts 0")
-        workers = {e["args"]["worker"] for e in events
-                   if e["ph"] == "X" and e["name"] == "attempt"}
-        if not workers.issuperset({1, 2}):
-            sys.exit(f"FAIL: expected attempts on workers 1 and 2, "
-                     f"saw {sorted(workers)}")
-        stages = {e["name"] for e in events if e["ph"] == "X"}
-        for want in ("job", "attempt", "simulate"):
-            if want not in stages:
-                sys.exit(f"FAIL: no {want} spans (saw {sorted(stages)})")
-        print(f"ok: one span tree per job across workers "
-              f"{sorted(workers)}")
+        for stage in ("job", "warmup", "simulate"):
+            n = sum(1 for e in events
+                    if e["ph"] == "X" and e["name"] == stage)
+            if n != total:
+                sys.exit(f"FAIL: {n} {stage} spans for {total} jobs")
+        print("ok: one job span tree per job, with its warmup and "
+              "simulate stages")
 
     print("spans identity: all checks passed")
 

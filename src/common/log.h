@@ -17,7 +17,7 @@
  *   panics with location info on failure.
  *
  * Process exit codes (tools map the exception taxonomy onto these; see
- * exitCodeFor and docs/sweep_service.md):
+ * exitCodeFor and README.md, "Exit codes"):
  *   0 success · 1 configuration/usage error · 2 I/O error or data
  *   corruption · 3 journal/checkpoint identity mismatch · 4 one or more
  *   sweep jobs failed (partial results were still reported).

@@ -2,27 +2,6 @@
 
 namespace wsrs::obs {
 
-void
-writeSvcJson(JsonWriter &w, const SvcCounters &c,
-             const std::vector<WorkerLiveness> &workers)
-{
-    w.beginObject()
-        .field("shards", c.shards).field("shard_size", c.shardSize)
-        .field("leases_granted", c.leasesGranted)
-        .field("lease_retries", c.leaseRetries)
-        .field("lease_timeouts", c.leaseTimeouts)
-        .field("shards_failed", c.shardsFailed)
-        .field("duplicate_results", c.duplicateResults)
-        .field("workers_seen", c.workersSeen)
-        .field("workers_lost", c.workersLost)
-        .key("workers").beginArray();
-    for (const WorkerLiveness &wl : workers)
-        w.beginObject().field("id", wl.id).field("pid", wl.pid)
-            .field("jobs_done", wl.jobsDone).field("alive", wl.alive)
-            .endObject();
-    w.endArray().endObject();
-}
-
 SvcMetrics::SvcMetrics(MetricsRegistry &r)
     : shards(r.gauge("wsrs_svc_shards",
                      "Shards the current sweep was split into")),

@@ -1,33 +1,16 @@
 /**
  * @file
- * Observability counters of the distributed sweep service (src/svc).
- *
- * The coordinator exposes what happened around a sweep — sharding, lease
- * churn, worker liveness — through one machine-readable object. It
- * appears as the `svc` member of a wsrs-sweep-report-v1 document produced
- * by a coordinator merge. scripts/check_stats_schema.py validates the
- * shape.
+ * Observability counters of the distributed sweep coordinator (src/svc):
+ * what happened around a sweep — sharding, lease churn, worker
+ * liveness — read back through Coordinator::svcReport().
  */
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "src/common/json.h"
 #include "src/obs/metrics_registry.h"
 
 namespace wsrs::obs {
-
-/** Liveness snapshot of one worker connection, as the coordinator saw
- *  it when the report was merged. */
-struct WorkerLiveness
-{
-    std::uint64_t id = 0;       ///< Coordinator-assigned worker id.
-    std::int64_t pid = 0;       ///< Worker's reported pid (0 = unknown).
-    std::uint64_t jobsDone = 0; ///< Job results accepted from it.
-    bool alive = false;         ///< Connection still open at snapshot.
-};
 
 /** Counters of one distributed sweep. */
 struct SvcCounters
@@ -44,19 +27,9 @@ struct SvcCounters
 };
 
 /**
- * Write the `svc` JSON object: the counters plus a `workers` liveness
- * array. Emits a complete object (`{...}`), no trailing newline.
- */
-void writeSvcJson(JsonWriter &w, const SvcCounters &counters,
-                  const std::vector<WorkerLiveness> &workers);
-
-/**
- * The service counters as registry instruments. The coordinator bumps
- * these handles instead of ad-hoc struct fields, which makes every count
- * visible through the registry's `--metrics-out` export for free;
- * snapshot() rebuilds the SvcCounters struct that writeSvcJson
- * serializes. Construct one per registry; re-construction re-binds to
- * the same instruments.
+ * The service counters as registry instruments, bumped by the
+ * coordinator; snapshot() rebuilds the SvcCounters struct. Construct one
+ * per registry; re-construction re-binds to the same instruments.
  */
 struct SvcMetrics
 {

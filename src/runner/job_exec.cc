@@ -54,8 +54,7 @@ executeJob(const SweepJob &job, const JobContext &ctx,
                 fatal("executeJob: reuseWarmup requires a warm-up cache");
             // One functional warm-up per key serves every machine config
             // of the benchmark; the blob stays alive for the duration of
-            // this run. With a cache directory, the first process to need
-            // a key builds and publishes it for every other worker.
+            // this run.
             const std::int64_t warmupStartUs =
                 jobStartUs ? obs::monotonicMicros() : 0;
             using Source = ckpt::WarmupCache::Source;
@@ -79,10 +78,7 @@ executeJob(const SweepJob &job, const JobContext &ctx,
                     ctx.spans->complete("warmup", tele.job, tele.attempt,
                                         tele.worker, warmupStartUs,
                                         warmupEndUs - warmupStartUs,
-                                        built ? "build"
-                                        : source == Source::Disk
-                                            ? "shared-hit"
-                                            : "hit");
+                                        built ? "build" : "hit");
             }
         }
         const std::int64_t simStartUs =

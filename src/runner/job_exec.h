@@ -7,9 +7,9 @@
  * simulation against the caches the caller supplies and captures any
  * failure in the returned outcome instead of throwing. Because the same
  * function body runs under SweepRunner's thread pool and inside
- * `wsrs-sim --worker` processes, a job's results (including its
- * wsrs-stats-v1 document) are byte-identical no matter where it executed —
- * the property the coordinator's merged sweep report relies on.
+ * svc::runWorker, a job's results (including its wsrs-stats-v1 document)
+ * are byte-identical no matter where it executed — the property the
+ * coordinator's merged outcomes rely on.
  */
 #pragma once
 

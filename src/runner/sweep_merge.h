@@ -4,9 +4,9 @@
  * distributed svc::Coordinator.
  *
  * The two engines hand jobs out differently (a thread pool versus shard
- * leases to worker processes) but must produce the same outcomes, resume
- * journal, span tree and progress events. SweepMerge owns that common
- * part, so each engine keeps only its scheduling:
+ * leases to worker processes) but must produce the same outcomes, span
+ * tree and progress events. SweepMerge owns that common part, so each
+ * engine keeps only its scheduling (only SweepRunner journals):
  *
  *  - resume-journal recovery: journaled jobs land in their outcome slots
  *    up front and their events are delivered first, so progress consumers

@@ -10,8 +10,7 @@ namespace wsrs::runner {
 void
 writeSweepReport(std::ostream &os, const std::vector<SweepJob> &jobs,
                  const std::vector<SweepOutcome> &outcomes,
-                 const SweepRunner::Telemetry &telemetry,
-                 const SvcReport *svc)
+                 const SweepRunner::Telemetry &telemetry)
 {
     if (jobs.size() != outcomes.size())
         fatal("sweep report: %zu jobs but %zu outcomes", jobs.size(),
@@ -46,8 +45,6 @@ writeSweepReport(std::ostream &os, const std::vector<SweepJob> &jobs,
         .field("hits", telemetry.warmupHits)
         .field("misses", telemetry.warmupMisses)
         .endObject().endObject();
-    if (svc)
-        obs::writeSvcJson(w.key("svc"), svc->counters, svc->workers);
     w.key("summary").beginObject();
     w.field("total", jobs.size()).field("failed", failed);
     w.endObject().endObject();

@@ -17,29 +17,23 @@ namespace wsrs::runner {
 /** Version tag of the aggregated sweep report document. */
 inline constexpr const char *kSweepReportSchema = "wsrs-sweep-report-v1";
 
-/** Distributed-execution telemetry attached to a coordinator's merged
- *  report (absent from single-process runs). */
+/** Sharding and lease counters of one svc::Coordinator run. */
 struct SvcReport
 {
     obs::SvcCounters counters;
-    std::vector<obs::WorkerLiveness> workers;
 };
 
 /**
  * Write the aggregated report for a finished sweep. @p jobs and
  * @p outcomes must be the submission-order pair returned by
- * SweepRunner::run (or a coordinator merge, which preserves the same
- * order); failed jobs are reported with ok=false and their error text
- * instead of a stats document. The report carries the runner's telemetry
- * in two additive objects: "resume" ({resumed, skipped_runs}) and "ckpt"
- * ({warmup_reuse, warmup_cache: {hits, misses}}). When @p svc is given
- * (coordinator merges), a third "svc" object records sharding, lease and
- * worker-liveness counters; the job payloads themselves are byte-equal
- * between local and distributed execution.
+ * SweepRunner::run; failed jobs are reported with ok=false and their
+ * error text instead of a stats document. The report carries the
+ * runner's telemetry in two additive objects: "resume" ({resumed,
+ * skipped_runs}) and "ckpt" ({warmup_reuse, warmup_cache: {hits,
+ * misses}}).
  */
 void writeSweepReport(std::ostream &os, const std::vector<SweepJob> &jobs,
                       const std::vector<SweepOutcome> &outcomes,
-                      const SweepRunner::Telemetry &telemetry = {},
-                      const SvcReport *svc = nullptr);
+                      const SweepRunner::Telemetry &telemetry = {});
 
 } // namespace wsrs::runner

@@ -7,6 +7,7 @@
 #include <deque>
 
 #include "src/common/log.h"
+#include "src/obs/svc_counters.h"
 #include "src/runner/resume_journal.h"
 #include "src/runner/sweep_merge.h"
 #include "src/svc/frame.h"
@@ -30,11 +31,9 @@ struct Conn
 {
     std::unique_ptr<Stream> stream;
     std::uint64_t workerId = 0; ///< 0 until Hello.
-    std::int64_t pid = 0;
     bool helloDone = false;
     bool waitingClaim = false; ///< Sent Claim, no shard was available.
     bool retired = false;      ///< Got NoWork; only stats/EOF expected.
-    std::uint64_t jobsDone = 0;
     /** coordinator_now - worker_now at Hello: added to worker span
      *  timestamps to land them on the coordinator's timeline. */
     std::int64_t clockOffsetUs = 0;
@@ -86,16 +85,12 @@ Coordinator::run()
     bind();
 
     telemetry_ = {};
-    telemetry_.warmupReuse = options_.reuseWarmup;
     svcReport_ = {};
 
-    // The service counters live as registry instruments (absorbing the
-    // old ad-hoc struct): bound to the caller's registry when one is
-    // supplied (`--metrics-out` visibility), else to a fresh per-run one.
+    // The service counters live as instruments of a per-run registry;
     // svcReport_.counters is snapshotted from them at merge.
-    obs::MetricsRegistry localRegistry;
-    obs::SvcMetrics ctr(options_.metrics ? *options_.metrics
-                                         : localRegistry);
+    obs::MetricsRegistry registry;
+    obs::SvcMetrics ctr(registry);
 
     obs::SpanLog *const spans = options_.spans;
     const std::uint64_t traceId =
@@ -104,13 +99,7 @@ Coordinator::run()
               : 0;
 
     const std::size_t total = jobs_.size();
-    // The resume journal doubles as the authoritative work queue: jobs
-    // already journaled are delivered as recovered events and never
-    // sharded out.
-    runner::SweepMerge merge(jobs_, options_.journalPath, options_.resume,
-                             options_.onEvent, spans);
-    telemetry_.resumed = merge.resumed();
-    telemetry_.skippedRuns = merge.recoveredCount();
+    runner::SweepMerge merge(jobs_, "", false, options_.onEvent, spans);
 
     std::vector<ShardState> shards;
     for (Shard &s : planShards(merge.pending(), options_.shardSize)) {
@@ -204,9 +193,6 @@ Coordinator::run()
             if (st.status == ShardState::Status::Leased && st.owner == conn)
                 requeueShard(st, timedOut);
         conn->stream->close();
-        for (obs::WorkerLiveness &w : svcReport_.workers)
-            if (w.id == conn->workerId)
-                w.alive = false;
         std::erase_if(conns, [&](const std::unique_ptr<Conn> &c) {
             return c.get() == conn;
         });
@@ -277,7 +263,6 @@ Coordinator::run()
                 return false;
             }
             conn->helloDone = true;
-            conn->pid = hello.pid;
             conn->workerId = nextWorkerId++;
             // Skew normalization: assume the Hello arrived "now", so the
             // worker clock at hello.monoUs maps onto our clock here. The
@@ -286,11 +271,6 @@ Coordinator::run()
             conn->clockOffsetUs =
                 hello.monoUs ? obs::monotonicMicros() - hello.monoUs : 0;
             ctr.workersSeen.add();
-            obs::WorkerLiveness w;
-            w.id = conn->workerId;
-            w.pid = hello.pid;
-            w.alive = true;
-            svcReport_.workers.push_back(w);
             return sendFrame(*conn->stream, FrameType::HelloAck,
                              helloAckPayload(true, ""), traceId);
           }
@@ -309,10 +289,6 @@ Coordinator::run()
             if (!merge.accept(done.index, std::move(done.outcome)) &&
                 done.index < total)
                 ctr.duplicateResults.add();
-            ++conn->jobsDone;
-            for (obs::WorkerLiveness &w : svcReport_.workers)
-                if (w.id == conn->workerId)
-                    w.jobsDone = conn->jobsDone;
             return true;
           }
           case FrameType::ShardDone: {

@@ -1,17 +1,17 @@
 /**
  * @file
- * Distributed sweep coordinator: the resume journal as a sharded work
- * queue.
+ * Distributed sweep coordinator: a sweep's jobs as sharded leases.
  *
- * The coordinator owns a sweep's job list and its resume journal. Job
- * indices not already journaled are partitioned into contiguous shards
- * (src/svc/shard.h); worker processes connect over the framed transport,
- * handshake (the sweep-key hash must match, so a worker built from a
- * different job matrix is refused instead of silently mixing results),
- * and claim shard leases. Every completed job streams back immediately as
- * its journal-codec bytes and is appended to the journal, so a SIGKILLed
- * worker loses at most its one in-flight job and a SIGKILLed coordinator
- * resumes from the journal prefix like any crashed sweep.
+ * The coordinator owns a sweep's job list. Job indices are partitioned
+ * into contiguous shards (src/svc/shard.h); worker processes connect over
+ * the framed transport, handshake (the sweep-key hash must match, so a
+ * worker built from a different job matrix is refused instead of
+ * silently mixing results), and claim shard leases. Every completed job
+ * streams back immediately as its journal-codec bytes, so a SIGKILLed
+ * worker loses at most its one in-flight job.
+ *
+ * The command-line tools no longer start a coordinator; it is kept as a
+ * library for the performance ledger's fig4-svc workload.
  *
  * Fault model:
  *  - worker death (EOF/send failure) re-queues its leased shards' missing
@@ -24,10 +24,8 @@
  *    are dropped and counted.
  *
  * The merge is submission-ordered by construction — outcomes land at
- * their job index, exactly like the in-process SweepRunner — so the final
- * wsrs-sweep-report-v1's job payloads are byte-identical to a
- * single-process run; only the execution-metadata objects (resume, ckpt,
- * svc) describe how this particular sweep ran.
+ * their job index, exactly like the in-process SweepRunner — so the
+ * outcomes are byte-identical to a single-process run.
  */
 #pragma once
 
@@ -37,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/metrics_registry.h"
 #include "src/obs/span_log.h"
 #include "src/runner/sweep_report.h"
 #include "src/runner/sweep_runner.h"
@@ -62,13 +59,6 @@ class Coordinator
         unsigned maxLeaseRetries = 3;
         /** Base re-lease backoff (doubles per attempt, capped at 30 s). */
         std::uint64_t leaseBackoffMs = 100;
-        /** Resume journal path (empty = journal-less, not resumable). */
-        std::string journalPath;
-        /** Replay an existing journal instead of starting fresh. */
-        bool resume = false;
-        /** Workers restore shared warm-up snapshots (telemetry only; the
-         *  flag itself travels on the worker command line). */
-        bool reuseWarmup = false;
         /** Grace period to collect worker stats after the last job. */
         std::uint64_t drainGraceMs = 3000;
         /** Per-completion progress hook (serialized; may be empty). */
@@ -80,11 +70,6 @@ class Coordinator
          *  merges worker span batches onto its own clock (skew offset
          *  taken from each worker's Hello). */
         obs::SpanLog *spans = nullptr;
-        /** Registry the service counters bind to. Defaults to a fresh
-         *  per-run registry; supply the process registry to expose the
-         *  counters through `--metrics-out` (they then accumulate across
-         *  runs, while the report still snapshots at merge time). */
-        obs::MetricsRegistry *metrics = nullptr;
     };
 
     Coordinator(Options options, std::vector<runner::SweepJob> jobs);
@@ -106,8 +91,8 @@ class Coordinator
      */
     std::vector<runner::SweepOutcome> run();
 
-    /** Telemetry of the most recent run() (resume + warm-up counters
-     *  aggregated from worker stats). */
+    /** Telemetry of the most recent run() (warm-up counters aggregated
+     *  from worker stats). */
     const runner::SweepRunner::Telemetry &telemetry() const
     {
         return telemetry_;

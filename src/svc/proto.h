@@ -77,8 +77,9 @@ JobDone decodeJobDone(const std::string &payload);
 struct WorkerStatsInfo
 {
     std::uint64_t jobsRun = 0;
-    std::uint64_t warmupHits = 0;   ///< Memory or cache-directory hits.
-    std::uint64_t warmupMisses = 0; ///< Snapshots this worker built.
+    std::uint64_t warmupHits = 0;   ///< Warm-up cache hits (workers
+                                    ///< reuse no warm-ups: always 0).
+    std::uint64_t warmupMisses = 0; ///< Warm-up builds (always 0).
 };
 
 std::string workerStatsPayload(const WorkerStatsInfo &stats);

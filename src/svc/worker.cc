@@ -4,7 +4,6 @@
 
 #include <memory>
 
-#include "src/ckpt/warmup_cache.h"
 #include "src/common/log.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/span_log.h"
@@ -42,8 +41,6 @@ runWorker(const std::vector<runner::SweepJob> &jobs,
         fatalMismatch("worker: %s", refusal.c_str());
     const std::uint64_t traceId = frame.traceId;
 
-    ckpt::WarmupCache warmups(options.warmupCacheDir);
-
     // Runner metrics always land in the process registry (exported only
     // on demand); span events are only recorded when the coordinator
     // stamped a trace id on the handshake.
@@ -51,8 +48,6 @@ runWorker(const std::vector<runner::SweepJob> &jobs,
     obs::SpanLog spanLog;
 
     runner::JobContext ctx;
-    ctx.warmups = &warmups;
-    ctx.reuseWarmup = options.reuseWarmup;
     ctx.metrics = &metrics;
     ctx.spans = traceId ? &spanLog : nullptr;
 
@@ -110,8 +105,6 @@ runWorker(const std::vector<runner::SweepJob> &jobs,
         }
     }
 
-    stats.warmupHits = warmups.hits();
-    stats.warmupMisses = warmups.misses();
     // Best-effort: the sweep result is already delivered; a hung-up
     // coordinator here only loses telemetry.
     if (ctx.spans && ctx.spans->size() > 0)

@@ -218,5 +218,21 @@ TEST(WarmupCache, BuilderFailureLeavesSlotRetryable)
     EXPECT_EQ(*ok, "second");
 }
 
+TEST(WarmupCache, ReportsWhetherMemoryOrBuilderAnswered)
+{
+    WarmupCache cache;
+    const auto builder = [] { return std::string("source"); };
+    using Source = WarmupCache::Source;
+    Source source = Source::Memory;
+    cache.getOrBuild(5, builder, &source);
+    EXPECT_EQ(source, Source::Built);
+    EXPECT_EQ(*cache.getOrBuild(5, builder, &source), "source");
+    EXPECT_EQ(source, Source::Memory);
+    cache.getOrBuild(6, builder, &source);
+    EXPECT_EQ(source, Source::Built);
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.misses(), 2u);
+}
+
 } // namespace
 } // namespace wsrs::ckpt

@@ -1,12 +1,13 @@
 /**
  * @file
  * Golden bytes of the JSON documents no other test locks, built from
- * fixed inputs: a sweep report (with a failed job and svc telemetry), a
+ * fixed inputs: a sweep report (with a failed job), a
  * metrics snapshot, a span trace, a custom register-file organization, a
  * DRAM stats document with interval samples and an explorer report with
  * cycle-accurate confirmation. The hashes were captured from the
- * emitters as they were before JSON syntax moved into one writer; a
- * mismatch means an emitter changed its bytes.
+ * emitters as they were before JSON syntax moved into one writer (the
+ * sweep report's from that writer, once the report lost its `svc`
+ * object); a mismatch means an emitter changed its bytes.
  *
  * The same documents, plus the shipped wsrs-rf-v1 table, seed the
  * parser's mutation test: every seeded bit flip, truncation and splice
@@ -78,16 +79,8 @@ sweepReportDoc()
     t.warmupReuse = true;
     t.warmupHits = 3;
     t.warmupMisses = 2;
-    runner::SvcReport svc;
-    svc.counters.shards = 2;
-    svc.counters.shardSize = 1;
-    svc.counters.leasesGranted = 3;
-    svc.counters.leaseRetries = 1;
-    svc.counters.workersSeen = 2;
-    svc.counters.workersLost = 1;
-    svc.workers = {{0, 4242, 1, true}, {1, -1, 0, false}};
     std::ostringstream os;
-    runner::writeSweepReport(os, {ok, bad}, outcomes, t, &svc);
+    runner::writeSweepReport(os, {ok, bad}, outcomes, t);
     return os.str();
 }
 
@@ -176,7 +169,7 @@ struct Document
 
 // Captured before the emitters moved onto JsonWriter; see the file comment.
 const Document kDocuments[] = {
-    {"sweep report", sweepReportDoc, 0x8a7789ec061e43e2ull},
+    {"sweep report", sweepReportDoc, 0xb9cafe62210b59b8ull},
     {"metrics", metricsDoc, 0xf16eac94d964ffcfull},
     {"spans", spansDoc, 0xbe7e2e58cbabd81aull},
     {"custom rf org", customOrgDoc, 0x733798d504ce3c0cull},

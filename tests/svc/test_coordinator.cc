@@ -2,15 +2,12 @@
  * @file
  * Coordinator/worker protocol contract, exercised fully in-process over
  * unix sockets: distributed outcomes must be bit-identical to the
- * in-process SweepRunner's, the journal doubles as the work queue on
- * resume, dead and hung lease holders are re-leased with bounded retries,
- * a mismatched worker is refused at handshake, and workers sharing a
- * warm-up cache directory report the in-process runner's warm-up counts.
+ * in-process SweepRunner's, dead and hung lease holders are re-leased
+ * with bounded retries, and a mismatched worker is refused at handshake.
  */
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -111,55 +108,6 @@ TEST(Coordinator, DistributedOutcomesAreBitIdenticalToInProcess)
     EXPECT_EQ(ctr.workersLost, 0u);
     EXPECT_GE(ctr.workersSeen, 1u);
     EXPECT_LE(ctr.workersSeen, 2u);
-    std::uint64_t jobsViaWorkers = 0;
-    for (const obs::WorkerLiveness &w : coord.svcReport().workers)
-        jobsViaWorkers += w.jobsDone;
-    EXPECT_EQ(jobsViaWorkers, jobs.size());
-}
-
-TEST(Coordinator, SharedWarmupDirMatchesInProcessWarmupCounts)
-{
-    const auto jobs = smallMatrix();
-    runner::SweepRunner::Options ropt;
-    ropt.reuseWarmup = true;
-    runner::SweepRunner local(ropt);
-    const auto reference = local.run(jobs);
-
-    const std::string cacheDir = testing::TempDir() + "wsrs_coord_warmups";
-    std::filesystem::remove_all(cacheDir);
-    Coordinator::Options opt = quickOptions(endpointFor("warm"));
-    opt.reuseWarmup = true;
-    // Exits as soon as both workers retire; the grace only bounds a
-    // slow (sanitized) worker's stats report.
-    opt.drainGraceMs = 30000;
-    Coordinator coord(opt, jobs);
-    coord.bind();
-    std::vector<std::thread> workers;
-    for (int w = 0; w < 2; ++w)
-        workers.emplace_back([&, jobs] {
-            WorkerOptions wopt;
-            wopt.endpoint = coord.endpoint();
-            wopt.reuseWarmup = true;
-            wopt.warmupCacheDir = cacheDir;
-            runWorker(jobs, wopt);
-        });
-    const auto outcomes = coord.run();
-    for (auto &t : workers)
-        t.join();
-
-    ASSERT_EQ(outcomes.size(), reference.size());
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
-        EXPECT_EQ(outcomes[i].results.statsJson,
-                  reference[i].results.statsJson);
-    }
-    // Two warm-up keys (gzip, mcf), each built once sweep-wide whether
-    // the builds race in one process or across workers.
-    const runner::SweepRunner::Telemetry &want = local.telemetry();
-    EXPECT_EQ(want.warmupMisses, 2u);
-    EXPECT_EQ(want.warmupHits + want.warmupMisses, jobs.size());
-    EXPECT_EQ(coord.telemetry().warmupHits, want.warmupHits);
-    EXPECT_EQ(coord.telemetry().warmupMisses, want.warmupMisses);
 }
 
 TEST(Coordinator, RefusesAWorkerFromADifferentSweep)
@@ -186,48 +134,6 @@ TEST(Coordinator, RefusesAWorkerFromADifferentSweep)
     for (const auto &o : outcomes)
         EXPECT_TRUE(o.ok) << o.error;
     EXPECT_EQ(coord.svcReport().counters.workersSeen, 1u);
-}
-
-TEST(Coordinator, JournalIsTheWorkQueueOnResume)
-{
-    const auto jobs = smallMatrix();
-    const std::string journal =
-        testing::TempDir() + "wsrs_coord_resume.jrn";
-
-    Coordinator::Options opt = quickOptions(endpointFor("jrn1"));
-    opt.journalPath = journal;
-    {
-        Coordinator coord(opt, jobs);
-        coord.bind();
-        std::thread worker([&, jobs] {
-            WorkerOptions wopt;
-            wopt.endpoint = coord.endpoint();
-            runWorker(jobs, wopt);
-        });
-        const auto outcomes = coord.run();
-        worker.join();
-        for (const auto &o : outcomes)
-            ASSERT_TRUE(o.ok);
-    }
-
-    // Resume: every job is recovered from the journal, so the sweep
-    // completes with zero workers and zero leases.
-    Coordinator::Options opt2 = quickOptions(endpointFor("jrn2"));
-    opt2.journalPath = journal;
-    opt2.resume = true;
-    std::size_t events = 0;
-    opt2.onEvent = [&](const runner::SweepEvent &ev) {
-        ++events;
-        EXPECT_TRUE(ev.outcome->ok);
-    };
-    Coordinator coord2(opt2, jobs);
-    const auto outcomes = coord2.run();
-    EXPECT_EQ(events, jobs.size());
-    EXPECT_TRUE(coord2.telemetry().resumed);
-    EXPECT_EQ(coord2.telemetry().skippedRuns, jobs.size());
-    EXPECT_EQ(coord2.svcReport().counters.leasesGranted, 0u);
-    for (const auto &o : outcomes)
-        EXPECT_TRUE(o.ok);
 }
 
 TEST(Coordinator, ReleasesSharedAfterLeaseHolderDies)

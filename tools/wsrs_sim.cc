@@ -7,9 +7,6 @@
  *   wsrs_sim --all --csv > results.csv
  *   wsrs_sim --bench=swim --machine=RR-256 --set-window=128 --stats-json=-
  */
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -24,8 +21,6 @@
 #include "src/runner/sweep_runner.h"
 #include "src/sim/presets.h"
 #include "src/sim/simulator.h"
-#include "src/svc/coordinator.h"
-#include "src/svc/worker.h"
 #include "src/workload/profiles.h"
 
 using namespace wsrs;
@@ -79,66 +74,67 @@ writeDocument(const std::string &path, const char *kind, Write &&write)
 }
 
 void
-printText(const sim::SimResults &r)
+printText(std::FILE *out, const sim::SimResults &r)
 {
-    std::printf("benchmark            %s\n", r.benchmark.c_str());
-    std::printf("machine              %s\n", r.machine.c_str());
-    std::printf("IPC                  %.4f\n", r.ipc);
-    std::printf("cycles               %llu\n",
-                (unsigned long long)r.stats.cycles);
-    std::printf("committed uops       %llu\n",
-                (unsigned long long)r.stats.committed);
-    std::printf("branch mispredict    %.3f%%\n",
-                100 * r.branchMispredictRate);
-    std::printf("L1 miss rate         %.3f%%\n", 100 * r.l1MissRate);
-    std::printf("L2 miss rate         %.3f%% (of L1 misses)\n",
-                100 * r.l2MissRate);
-    std::printf("unbalancing degree   %.1f%%\n", r.unbalancingDegree);
-    std::printf("load forwards        %llu\n",
-                (unsigned long long)r.stats.loadForwards);
-    std::printf("injected moves       %llu\n",
-                (unsigned long long)r.stats.injectedMoves);
-    std::printf("rename stalls        freeReg=%llu window=%llu rob=%llu "
-                "lsq=%llu\n",
-                (unsigned long long)r.stats.renameStallFreeReg,
-                (unsigned long long)r.stats.renameStallWindow,
-                (unsigned long long)r.stats.renameStallRob,
-                (unsigned long long)r.stats.renameStallLsq);
-    std::printf("cluster shares       ");
+    std::fprintf(out, "benchmark            %s\n", r.benchmark.c_str());
+    std::fprintf(out, "machine              %s\n", r.machine.c_str());
+    std::fprintf(out, "IPC                  %.4f\n", r.ipc);
+    std::fprintf(out, "cycles               %llu\n",
+                 (unsigned long long)r.stats.cycles);
+    std::fprintf(out, "committed uops       %llu\n",
+                 (unsigned long long)r.stats.committed);
+    std::fprintf(out, "branch mispredict    %.3f%%\n",
+                 100 * r.branchMispredictRate);
+    std::fprintf(out, "L1 miss rate         %.3f%%\n", 100 * r.l1MissRate);
+    std::fprintf(out, "L2 miss rate         %.3f%% (of L1 misses)\n",
+                 100 * r.l2MissRate);
+    std::fprintf(out, "unbalancing degree   %.1f%%\n",
+                 r.unbalancingDegree);
+    std::fprintf(out, "load forwards        %llu\n",
+                 (unsigned long long)r.stats.loadForwards);
+    std::fprintf(out, "injected moves       %llu\n",
+                 (unsigned long long)r.stats.injectedMoves);
+    std::fprintf(out, "rename stalls        freeReg=%llu window=%llu "
+                 "rob=%llu lsq=%llu\n",
+                 (unsigned long long)r.stats.renameStallFreeReg,
+                 (unsigned long long)r.stats.renameStallWindow,
+                 (unsigned long long)r.stats.renameStallRob,
+                 (unsigned long long)r.stats.renameStallLsq);
+    std::fprintf(out, "cluster shares       ");
     std::uint64_t tot = 0;
     for (unsigned c = 0; c < 4; ++c)
         tot += r.stats.perCluster[c];
     for (unsigned c = 0; c < 4; ++c)
-        std::printf("%.1f%% ",
-                    tot ? 100.0 * r.stats.perCluster[c] / tot : 0.0);
-    std::printf("\n");
+        std::fprintf(out, "%.1f%% ",
+                     tot ? 100.0 * r.stats.perCluster[c] / tot : 0.0);
+    std::fprintf(out, "\n");
 }
 
 void
-printCsvHeader()
+printCsvHeader(std::FILE *out)
 {
-    std::printf("benchmark,machine,ipc,cycles,committed,mispredict_rate,"
-                "l1_miss_rate,l2_miss_rate,unbalancing_degree,"
-                "load_forwards,injected_moves,stall_free,stall_window,"
-                "stall_rob,stall_lsq\n");
+    std::fprintf(out, "benchmark,machine,ipc,cycles,committed,"
+                 "mispredict_rate,l1_miss_rate,l2_miss_rate,"
+                 "unbalancing_degree,load_forwards,injected_moves,"
+                 "stall_free,stall_window,stall_rob,stall_lsq\n");
 }
 
 void
-printCsv(const sim::SimResults &r)
+printCsv(std::FILE *out, const sim::SimResults &r)
 {
-    std::printf("%s,%s,%.4f,%llu,%llu,%.5f,%.5f,%.5f,%.2f,%llu,%llu,%llu,"
-                "%llu,%llu,%llu\n",
-                r.benchmark.c_str(), r.machine.c_str(), r.ipc,
-                (unsigned long long)r.stats.cycles,
-                (unsigned long long)r.stats.committed,
-                r.branchMispredictRate, r.l1MissRate, r.l2MissRate,
-                r.unbalancingDegree,
-                (unsigned long long)r.stats.loadForwards,
-                (unsigned long long)r.stats.injectedMoves,
-                (unsigned long long)r.stats.renameStallFreeReg,
-                (unsigned long long)r.stats.renameStallWindow,
-                (unsigned long long)r.stats.renameStallRob,
-                (unsigned long long)r.stats.renameStallLsq);
+    std::fprintf(out, "%s,%s,%.4f,%llu,%llu,%.5f,%.5f,%.5f,%.2f,%llu,%llu,"
+                 "%llu,%llu,%llu,%llu\n",
+                 r.benchmark.c_str(), r.machine.c_str(), r.ipc,
+                 (unsigned long long)r.stats.cycles,
+                 (unsigned long long)r.stats.committed,
+                 r.branchMispredictRate, r.l1MissRate, r.l2MissRate,
+                 r.unbalancingDegree,
+                 (unsigned long long)r.stats.loadForwards,
+                 (unsigned long long)r.stats.injectedMoves,
+                 (unsigned long long)r.stats.renameStallFreeReg,
+                 (unsigned long long)r.stats.renameStallWindow,
+                 (unsigned long long)r.stats.renameStallRob,
+                 (unsigned long long)r.stats.renameStallLsq);
 }
 
 } // namespace
@@ -179,7 +175,8 @@ main(int argc, char **argv)
     args.addOption("stats-json",
                    "write machine-readable stats to FILE: a wsrs-stats-v1 "
                    "document for a single run, a wsrs-sweep-report-v1 "
-                   "aggregate with --all ('-' = stdout)");
+                   "aggregate with --all ('-' = stdout, and the text "
+                   "output goes to stderr)");
     args.addOption("interval-stats",
                    "sample {cycle, committed, occupancy} every N cycles "
                    "into the stats JSON");
@@ -198,30 +195,6 @@ main(int argc, char **argv)
     args.addOption("resume",
                    "with --all and --resume-journal: skip runs already "
                    "recorded in the journal", true);
-    args.addOption("coordinator",
-                   "with --all: distribute the sweep to worker processes "
-                   "from this endpoint (e.g. unix:/tmp/wsrs.sock)");
-    args.addOption("workers",
-                   "with --coordinator: self-spawn N worker processes");
-    args.addOption("worker",
-                   "run as a sweep worker: claim shard leases from the "
-                   "coordinator at --connect", true);
-    args.addOption("connect",
-                   "endpoint of the coordinator (--worker)");
-    args.addOption("shard-size",
-                   "with --coordinator: jobs per shard lease (default 4)");
-    args.addOption("lease-timeout-ms",
-                   "with --coordinator: per-job lease deadline "
-                   "(default 120000)");
-    args.addOption("lease-retries",
-                   "with --coordinator: re-lease budget per shard before "
-                   "its jobs fail (default 3)");
-    args.addOption("lease-backoff-ms",
-                   "with --coordinator: base re-lease backoff, doubling "
-                   "per attempt (default 100)");
-    args.addOption("warmup-cache-dir",
-                   "shared on-disk warm-up snapshot cache directory "
-                   "(cross-process, flock-serialized)");
     args.addOption("metrics-out",
                    "write the process metrics snapshot (wsrs-metrics-v1 "
                    "JSON) to FILE after the run ('-' = stdout)");
@@ -268,34 +241,22 @@ main(int argc, char **argv)
             return cfg;
         };
 
+        // A document sent to stdout must be the only thing there: the
+        // text summary, CSV and progress lines then go to stderr.
+        unsigned toStdout = 0;
+        for (const char *doc : {"stats-json", "metrics-out", "spans-out"})
+            if (args.has(doc) && args.get(doc) == "-")
+                ++toStdout;
+        if (toStdout > 1)
+            fatal("--stats-json, --metrics-out and --spans-out can send "
+                  "only one document to stdout ('-')");
+        std::FILE *const text = toStdout ? stderr : stdout;
+
         const auto writeMetricsFile = [](const std::string &path) {
             writeDocument(path, "metrics", [](std::ostream &os) {
                 obs::MetricsRegistry::process().writeJson(os);
             });
         };
-
-        // The full Figure-4/5 matrix, built identically by --all, by the
-        // coordinator and by every worker process: identical construction
-        // means identical sweepKeyHash, which is what lets lease frames
-        // carry bare job indices.
-        const auto matrixJobs = [&] {
-            std::vector<runner::SweepJob> jobs;
-            for (const auto &p : workload::allProfiles())
-                for (const std::string &m : sim::figure4Presets())
-                    jobs.push_back({p, configure(m)});
-            return jobs;
-        };
-
-        if (args.has("worker")) {
-            svc::WorkerOptions wopt;
-            wopt.endpoint = args.get("connect", "");
-            if (wopt.endpoint.empty())
-                fatal("--worker needs --connect=ENDPOINT");
-            wopt.reuseWarmup = args.has("reuse-warmup");
-            wopt.warmupCacheDir = args.get("warmup-cache-dir", "");
-            svc::runWorker(matrixJobs(), wopt);
-            return 0;
-        }
 
         if (args.has("all")) {
             if (args.has("trace-pipe") || args.has("trace-pipe-bin"))
@@ -307,14 +268,17 @@ main(int argc, char **argv)
             if (args.has("resume") && !args.has("resume-journal"))
                 fatal("--resume needs --resume-journal=FILE to know which "
                       "journal to resume from");
-            // The full matrix runs on the sweep runner: one job per
-            // {benchmark, machine}, per-profile trace recorded once and
-            // replayed for all machines, results streamed in submission
-            // order as the completed prefix grows.
-            const std::vector<runner::SweepJob> jobs = matrixJobs();
+            // The full Figure-4/5 matrix runs on the sweep runner: one job
+            // per {benchmark, machine}, each streaming its own trace,
+            // results printed in submission order as the completed prefix
+            // grows.
+            std::vector<runner::SweepJob> jobs;
+            for (const auto &p : workload::allProfiles())
+                for (const std::string &m : sim::figure4Presets())
+                    jobs.push_back({p, configure(m)});
 
             if (args.has("csv"))
-                printCsvHeader();
+                printCsvHeader(text);
             std::vector<const runner::SweepOutcome *> slots(jobs.size());
             std::size_t nextToPrint = 0;
             const auto printEvent = [&](const runner::SweepEvent &ev) {
@@ -328,27 +292,21 @@ main(int argc, char **argv)
                                          .c_str(),
                                      o.error.c_str());
                     } else if (args.has("csv")) {
-                        printCsv(o.results);
+                        printCsv(text, o.results);
                     } else {
-                        std::printf("%-10s %-12s IPC %.3f\n",
-                                    o.results.benchmark.c_str(),
-                                    o.results.machine.c_str(),
-                                    o.results.ipc);
+                        std::fprintf(text, "%-10s %-12s IPC %.3f\n",
+                                     o.results.benchmark.c_str(),
+                                     o.results.machine.c_str(),
+                                     o.results.ipc);
                     }
                     ++nextToPrint;
                 }
-                std::fflush(stdout);
+                std::fflush(text);
             };
 
-            std::vector<runner::SweepOutcome> outcomes;
-            runner::SweepRunner::Telemetry telemetry;
-            runner::SvcReport svcReport;
-            const runner::SvcReport *svcPtr = nullptr;
-
             // Telemetry is opt-in per flag: the span log records the
-            // per-job timeline (local or distributed), the process
-            // registry collects runner/service instruments. Neither
-            // touches the sweep report.
+            // per-job timeline, the process registry collects runner
+            // instruments. Neither touches the sweep report.
             obs::SpanLog spanLog;
             obs::SpanLog *const spans =
                 args.has("spans-out") ? &spanLog : nullptr;
@@ -356,92 +314,24 @@ main(int argc, char **argv)
                 args.has("metrics-out") ? &obs::MetricsRegistry::process()
                                         : nullptr;
 
-            if (args.has("coordinator")) {
-                // Distributed execution: shard the pending jobs out to
-                // worker processes; optionally self-spawn them.
-                svc::Coordinator::Options copt;
-                copt.endpoint = args.get("coordinator");
-                copt.shardSize = args.getUint("shard-size", 4);
-                copt.perJobTimeoutMs =
-                    args.getUint("lease-timeout-ms", 120000);
-                copt.maxLeaseRetries =
-                    unsigned(args.getUint("lease-retries", 3));
-                copt.leaseBackoffMs =
-                    args.getUint("lease-backoff-ms", 100);
-                copt.journalPath = args.get("resume-journal", "");
-                copt.resume = args.has("resume");
-                copt.reuseWarmup = args.has("reuse-warmup");
-                copt.onEvent = printEvent;
-                copt.spans = spans;
-                copt.metrics = metrics;
-                svc::Coordinator coord(copt, jobs);
-                coord.bind();
-
-                // Self-spawned workers re-exec this binary with the
-                // sweep-defining flags forwarded verbatim, so they build
-                // the identical job list (and sweep key).
-                std::vector<pid_t> kids;
-                const unsigned nWorkers =
-                    unsigned(args.getUint("workers", 0));
-                for (unsigned w = 0; w < nWorkers; ++w) {
-                    std::vector<std::string> cmd;
-                    cmd.push_back(argv[0]);
-                    cmd.push_back("--worker");
-                    cmd.push_back("--connect=" + coord.endpoint());
-                    for (const char *o :
-                         {"uops", "warmup", "seed", "predictor",
-                          "mem-model", "ff-scope", "set-regs",
-                          "set-window", "set-lsq", "set-issue", "timeline",
-                          "interval-stats", "warmup-cache-dir"})
-                        if (args.has(o))
-                            cmd.push_back(std::string("--") + o + "=" +
-                                          args.get(o));
-                    for (const char *f : {"verify", "reuse-warmup"})
-                        if (args.has(f))
-                            cmd.push_back(std::string("--") + f);
-                    std::vector<char *> cargv;
-                    for (std::string &s : cmd)
-                        cargv.push_back(s.data());
-                    cargv.push_back(nullptr);
-                    const pid_t pid = ::fork();
-                    if (pid == 0) {
-                        ::execv(cargv[0], cargv.data());
-                        std::fprintf(stderr,
-                                     "wsrs-sim: cannot exec worker %s\n",
-                                     cargv[0]);
-                        ::_exit(127);
-                    }
-                    if (pid < 0)
-                        fatalIo("cannot fork worker process %u", w);
-                    kids.push_back(pid);
-                }
-
-                outcomes = coord.run();
-                telemetry = coord.telemetry();
-                svcReport = coord.svcReport();
-                svcPtr = &svcReport;
-                for (const pid_t pid : kids)
-                    ::waitpid(pid, nullptr, 0);
-            } else {
-                runner::SweepRunner::Options opt;
-                opt.threads = unsigned(args.getUint("jobs", 0));
-                opt.reuseWarmup = args.has("reuse-warmup");
-                opt.journalPath = args.get("resume-journal", "");
-                opt.resume = args.has("resume");
-                opt.onEvent = printEvent;
-                opt.spans = spans;
-                opt.metrics = metrics;
-                runner::SweepRunner sweep(opt);
-                outcomes = sweep.run(jobs);
-                telemetry = sweep.telemetry();
-            }
+            runner::SweepRunner::Options opt;
+            opt.threads = unsigned(args.getUint("jobs", 0));
+            opt.reuseWarmup = args.has("reuse-warmup");
+            opt.journalPath = args.get("resume-journal", "");
+            opt.resume = args.has("resume");
+            opt.onEvent = printEvent;
+            opt.spans = spans;
+            opt.metrics = metrics;
+            runner::SweepRunner sweep(opt);
+            const std::vector<runner::SweepOutcome> outcomes =
+                sweep.run(jobs);
 
             if (args.has("stats-json"))
                 writeDocument(args.get("stats-json"), "stats",
                               [&](std::ostream &os) {
                                   runner::writeSweepReport(
-                                      os, jobs, outcomes, telemetry,
-                                      svcPtr);
+                                      os, jobs, outcomes,
+                                      sweep.telemetry());
                                   os << "\n";
                               });
             if (spans) {
@@ -513,13 +403,13 @@ main(int argc, char **argv)
             writeMetricsFile(args.get("metrics-out"));
         }
         if (args.has("csv")) {
-            printCsvHeader();
-            printCsv(r);
+            printCsvHeader(text);
+            printCsv(text, r);
         } else {
-            printText(r);
+            printText(text, r);
         }
         if (!r.timelineText.empty())
-            std::printf("\n%s", r.timelineText.c_str());
+            std::fprintf(text, "\n%s", r.timelineText.c_str());
         return 0;
     } catch (const FatalError &e) {
         std::fprintf(stderr, "wsrs_sim: %s\n", e.what());
