@@ -10,10 +10,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
-#include <deque>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,8 +21,9 @@
 
 #include "src/bpred/simple_predictors.h"
 #include "src/bpred/two_bc_gskew.h"
+#include "src/common/args.h"
+#include "src/common/json.h"
 #include "src/core/cluster_alloc.h"
-#include "src/core/phys_regfile.h"
 #include "src/isa/micro_op.h"
 #include "src/memory/hierarchy.h"
 #include "src/obs/metrics_registry.h"
@@ -103,157 +104,8 @@ BENCHMARK_CAPTURE(BM_SimulatorThroughput, wsrs_rm512_swim, "WSRS-RM-512",
                   "swim")
     ->Unit(benchmark::kMillisecond);
 
-// ---------------------------------------------------------------------
-// Per-structure microbenchmarks for the hot-loop layouts, so a perf-smoke
-// regression is attributable below the pipeline-stage level: the ROB
-// window scan over the packed SoA metadata record vs the old
-// one-big-struct layout, the fixed-capacity recycler ring vs the
-// std::deque it replaced, and the interned WSRS placement table vs
-// re-deriving the legal (cluster, swapped) set per micro-op.
-// ---------------------------------------------------------------------
-
-/** Hot ROB metadata exactly as packed in Core's window (12 bytes). */
-struct RobMetaBench
-{
-    std::uint8_t state, waitClass, cluster, flags;
-    std::uint8_t cls;
-    std::uint16_t psrc1, psrc2, pdst;
-};
-
-/** Seed-style AoS entry: the same hot fields buried in the full record. */
-struct RobEntryAosBench
-{
-    std::uint8_t state, waitClass, cluster, flags;
-    std::uint8_t cls;
-    std::uint16_t psrc1, psrc2, pdst;
-    std::uint64_t readyCycle, completeCycle;
-    std::uint64_t pc, effAddr, memOrdinal;
-    std::uint64_t seq, value, target;  // cold commit/dataflow payload
-};
-
-template <typename Entry>
-void
-robScanBench(benchmark::State &state)
-{
-    // 64 x 512-entry windows: the metadata stream stays L2-resident under
-    // the packed 12-byte record (~384 KiB) but busts it under the full
-    // AoS record (~3.3 MiB) — the cache-footprint gap that motivated the
-    // hot/cold split, at a working set the parallel sweep actually has
-    // (one window per in-flight job).
-    constexpr std::size_t kEntries = 64 * 512;
-    std::vector<Entry> rob(kEntries);
-    std::uint64_t x = 0x2545f4914f6cdd1d;
-    for (Entry &e : rob) {
-        x ^= x << 13; x ^= x >> 7; x ^= x << 17;
-        e.state = x & 3;
-        e.cluster = (x >> 2) & 3;
-    }
-    // The wakeup/issue-era scan shape: walk every slot, test the state
-    // byte, touch the operand fields of the matching ones.
-    for (auto _ : state) {
-        unsigned woken = 0;
-        for (Entry &e : rob) {
-            if (e.state == 1) {
-                e.psrc1 = static_cast<std::uint16_t>(woken);
-                e.state = 2;
-                ++woken;
-            } else if (e.state == 2) {
-                e.state = 1;
-            }
-        }
-        benchmark::DoNotOptimize(woken);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(
-        state.iterations() * kEntries));
-}
-
-void
-BM_RobScanSoa(benchmark::State &state)
-{
-    robScanBench<RobMetaBench>(state);
-}
-BENCHMARK(BM_RobScanSoa);
-
-void
-BM_RobScanAos(benchmark::State &state)
-{
-    robScanBench<RobEntryAosBench>(state);
-}
-BENCHMARK(BM_RobScanAos);
-
-void
-BM_RecyclerRing(benchmark::State &state)
-{
-    // The shipped layout: a fixed-capacity power-of-two ring with
-    // mask-and-store push/pop (mirrors PhysRegFile's recycler, minus the
-    // always-on constraint checks so both arms compare pure structure
-    // cost).
-    struct E
-    {
-        Cycle availableAt;
-        PhysReg reg;
-    };
-    std::vector<std::vector<PhysReg>> freeLists(4);
-    for (unsigned s = 0; s < 4; ++s)
-        for (unsigned i = 0; i < 128; ++i)
-            freeLists[s].push_back(static_cast<PhysReg>(s * 128 + i));
-    std::vector<E> ring(1024);
-    const std::size_t mask = ring.size() - 1;
-    std::size_t head = 0, size = 0;
-    Cycle now = 0;
-    for (auto _ : state) {
-        for (unsigned s = 0; s < 4; ++s) {
-            const PhysReg p = freeLists[s].back();
-            freeLists[s].pop_back();
-            ring[(head + size) & mask] = {now + 2, p};
-            ++size;
-        }
-        while (size > 0 && ring[head].availableAt <= now) {
-            const PhysReg p = ring[head].reg;
-            head = (head + 1) & mask;
-            --size;
-            freeLists[p / 128].push_back(p);
-        }
-        ++now;
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 4));
-}
-BENCHMARK(BM_RecyclerRing);
-
-void
-BM_RecyclerDeque(benchmark::State &state)
-{
-    // Reference: the seed's std::deque recycler over identical free-list
-    // traffic (allocator churn included — that is the point).
-    struct E
-    {
-        Cycle availableAt;
-        PhysReg reg;
-    };
-    std::vector<std::vector<PhysReg>> freeLists(4);
-    for (unsigned s = 0; s < 4; ++s)
-        for (unsigned i = 0; i < 128; ++i)
-            freeLists[s].push_back(static_cast<PhysReg>(s * 128 + i));
-    std::deque<E> recycler;
-    Cycle now = 0;
-    for (auto _ : state) {
-        for (unsigned s = 0; s < 4; ++s) {
-            const PhysReg p = freeLists[s].back();
-            freeLists[s].pop_back();
-            recycler.push_back({now + 2, p});
-        }
-        while (!recycler.empty() && recycler.front().availableAt <= now) {
-            const PhysReg p = recycler.front().reg;
-            recycler.pop_front();
-            freeLists[p / 128].push_back(p);
-        }
-        ++now;
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 4));
-}
-BENCHMARK(BM_RecyclerDeque);
-
-/** Deterministic micro-op / operand-subset stream shared by both arms. */
+/** Deterministic micro-op / operand-subset stream for the placement
+ *  benchmark below. */
 std::uint64_t
 nextAllocCase(std::uint64_t x, isa::MicroOp &op, core::AllocContext &ctx)
 {
@@ -286,44 +138,6 @@ BM_WsrsOptionsInterned(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_WsrsOptionsInterned);
-
-void
-BM_WsrsOptionsRecomputed(benchmark::State &state)
-{
-    // Reference: the defining per-micro-op derivation the table replaced
-    // (mirrors ClusterAllocator::computeWsrsOptions for commutative FUs).
-    isa::MicroOp op;
-    core::AllocContext ctx;
-    std::uint64_t x = 0x9e3779b97f4a7c15;
-    for (auto _ : state) {
-        x = nextAllocCase(x, op, ctx);
-        std::array<core::AllocDecision, 4> opts{};
-        unsigned count = 0;
-        if (op.isDyadic()) {
-            opts[count++] = {core::wsrsCluster(ctx.src1Subset,
-                                               ctx.src2Subset), false};
-            if (ctx.src1Subset != ctx.src2Subset)
-                opts[count++] = {core::wsrsCluster(ctx.src2Subset,
-                                                   ctx.src1Subset), true};
-        } else if (op.isMonadic()) {
-            const SubsetId s = ctx.src1Subset;
-            opts[count++] = {static_cast<ClusterId>((s & 2) | 0), false};
-            opts[count++] = {static_cast<ClusterId>((s & 2) | 1), false};
-            const ClusterId a = static_cast<ClusterId>(0 | (s & 1));
-            const ClusterId b = static_cast<ClusterId>(2 | (s & 1));
-            const ClusterId distinct =
-                ((a >> 1) == ((s & 2) >> 1)) ? b : a;
-            opts[count++] = {distinct, true};
-        } else {
-            for (ClusterId c = 0; c < 4; ++c)
-                opts[count++] = {c, false};
-        }
-        benchmark::DoNotOptimize(opts);
-        benchmark::DoNotOptimize(count);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_WsrsOptionsRecomputed);
 
 // ---------------------------------------------------------------------
 // Machine-readable throughput tracking (BENCH_sim_throughput.json).
@@ -376,24 +190,19 @@ medianPairedRatio(std::vector<double> ratios)
                  : 0.5 * (ratios[n / 2 - 1] + ratios[n / 2]);
 }
 
-int
-emitThroughputJson(const std::string &path)
+/** Measure and write the wsrs-sim-throughput-v1 document to @p os. */
+void
+emitThroughputJson(std::ostream &os)
 {
     const std::uint64_t kWarmup = 20000, kMeasure = 200000;
     const std::uint64_t kSweepWarmup = 10000, kSweepMeasure = 40000;
 
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (!out) {
-        std::fprintf(stderr, "cannot open '%s' for writing\n", path.c_str());
-        return 1;
-    }
-
-    std::fprintf(out, "{\n  \"schema\": \"wsrs-sim-throughput-v1\",\n");
+    JsonWriter w(os, JsonWriter::Style::Spaced);
+    w.beginObject().field("schema", "wsrs-sim-throughput-v1");
 #ifdef WSRS_BUILD_TYPE
-    std::fprintf(out, "  \"build_type\": \"%s\",\n", WSRS_BUILD_TYPE);
+    w.field("build_type", WSRS_BUILD_TYPE);
 #endif
-    std::fprintf(out, "  \"host_threads\": %u,\n",
-                 std::thread::hardware_concurrency());
+    w.field("host_threads", std::thread::hardware_concurrency());
 
     // (a) Single-run simulator throughput per machine preset, in thread
     // CPU time like the trace_overhead arms: the 10% floors must not
@@ -420,18 +229,16 @@ emitThroughputJson(const std::string &path)
                 bestSecs[i] = secs;
         }
     }
-    std::fprintf(out, "  \"single_run\": {\n");
+    w.key("single_run").beginObject();
     for (std::size_t i = 0; i < presets.size(); ++i) {
-        const double uops = double(kWarmup) + double(kMeasure);
-        std::fprintf(out,
-                     "    \"%s\": {\"uops\": %.0f, \"seconds\": %.4f, "
-                     "\"uops_per_second\": %.0f, \"best_of\": %d, "
-                     "\"clock\": \"thread_cpu\"}%s\n",
-                     presets[i].c_str(), uops, bestSecs[i],
-                     uops / bestSecs[i], kSingleRounds,
-                     i + 1 < presets.size() ? "," : "");
+        const std::uint64_t uops = kWarmup + kMeasure;
+        w.key(presets[i]).beginObject()
+            .field("uops", uops).field("seconds", bestSecs[i])
+            .field("uops_per_second", std::llround(uops / bestSecs[i]))
+            .field("best_of", kSingleRounds).field("clock", "thread_cpu")
+            .endObject();
     }
-    std::fprintf(out, "  },\n");
+    w.endObject();
 
     // (b) Pipeline-trace overhead A/B on one preset. The four
     // configurations (reference, tracing off, text sink, binary sink —
@@ -496,21 +303,17 @@ emitThroughputJson(const std::string &path)
 
         const double ref = cfgs[0].best, off = cfgs[1].best;
         const double text = cfgs[2].best, bin = cfgs[3].best;
-        std::fprintf(out,
-                     "  \"trace_overhead\": {\"preset\": \"%s\", "
-                     "\"best_of\": %d, \"clock\": \"thread_cpu\",\n"
-                     "    \"ref_uops_per_second\": %.0f, "
-                     "\"off_uops_per_second\": %.0f, "
-                     "\"off_paired_ratio\": %.4f,\n"
-                     "    \"text_uops_per_second\": %.0f, "
-                     "\"binary_uops_per_second\": %.0f,\n"
-                     "    \"text_slowdown\": %.4f, "
-                     "\"binary_slowdown\": %.4f},\n",
-                     preset, kAbRounds, ref, off,
-                     medianPairedRatio(offRatios),
-                     text, bin,
-                     text > 0 ? ref / text : 0.0,
-                     bin > 0 ? ref / bin : 0.0);
+        w.key("trace_overhead").beginObject()
+            .field("preset", preset).field("best_of", kAbRounds)
+            .field("clock", "thread_cpu")
+            .field("ref_uops_per_second", std::llround(ref))
+            .field("off_uops_per_second", std::llround(off))
+            .field("off_paired_ratio", medianPairedRatio(offRatios))
+            .field("text_uops_per_second", std::llround(text))
+            .field("binary_uops_per_second", std::llround(bin))
+            .field("text_slowdown", text > 0 ? ref / text : 0.0)
+            .field("binary_slowdown", bin > 0 ? ref / bin : 0.0)
+            .endObject();
 
         // Host-side wall-time split across the six pipeline-stage calls.
         obs::StageProfiler prof;
@@ -521,9 +324,9 @@ emitThroughputJson(const std::string &path)
         cfg.profiler = &prof;
         const sim::SimResults r = sim::runSimulation(profile, cfg);
         benchmark::DoNotOptimize(r.ipc);
-        std::ostringstream os;
-        prof.dumpJson(os);
-        std::fprintf(out, "  \"stage_profile\": %s,\n", os.str().c_str());
+        std::ostringstream profile;
+        prof.dumpJson(profile);
+        w.key("stage_profile").raw(profile.str());
     }
 
     // (b') Sweep telemetry overhead A/B. Three arms over an identical
@@ -606,17 +409,15 @@ emitThroughputJson(const std::string &path)
         }
         const double ref = arms[0].best, off = arms[1].best;
         const double on = arms[2].best;
-        std::fprintf(out,
-                     "  \"metrics_overhead\": {\"jobs\": %zu, "
-                     "\"best_of\": %d, \"clock\": \"process_cpu\",\n"
-                     "    \"ref_uops_per_second\": %.0f, "
-                     "\"off_uops_per_second\": %.0f, "
-                     "\"on_uops_per_second\": %.0f,\n"
-                     "    \"off_paired_ratio\": %.4f, "
-                     "\"on_paired_ratio\": %.4f},\n",
-                     abJobCount, kTelemetryRounds, ref, off, on,
-                     medianPairedRatio(offRatios),
-                     medianPairedRatio(onRatios));
+        w.key("metrics_overhead").beginObject()
+            .field("jobs", abJobCount).field("best_of", kTelemetryRounds)
+            .field("clock", "process_cpu")
+            .field("ref_uops_per_second", std::llround(ref))
+            .field("off_uops_per_second", std::llround(off))
+            .field("on_uops_per_second", std::llround(on))
+            .field("off_paired_ratio", medianPairedRatio(offRatios))
+            .field("on_paired_ratio", medianPairedRatio(onRatios))
+            .endObject();
     }
 
     // (c) Full-matrix sweep wall-clock, serial versus parallel runner.
@@ -637,14 +438,13 @@ emitThroughputJson(const std::string &path)
     runner::SweepRunner(parallel).run(jobs);
     const double parSecs = secondsSince(t_par);
 
-    std::fprintf(out,
-                 "  \"sweep\": {\"jobs\": %zu, \"uops_per_job\": %llu,\n"
-                 "    \"serial_seconds\": %.4f, \"parallel_seconds\": %.4f,"
-                 " \"speedup\": %.3f},\n",
-                 jobs.size(),
-                 static_cast<unsigned long long>(kSweepWarmup +
-                                                 kSweepMeasure),
-                 serialSecs, parSecs, serialSecs / parSecs);
+    w.key("sweep").beginObject()
+        .field("jobs", jobs.size())
+        .field("uops_per_job", kSweepWarmup + kSweepMeasure)
+        .field("serial_seconds", serialSecs)
+        .field("parallel_seconds", parSecs)
+        .field("speedup", serialSecs / parSecs)
+        .endObject();
 
     // (d) Warm-up checkpoint reuse. A warm-up-heavy matrix (the paper
     // protocol leans the same way: 400k warm-up vs 1M measured) run twice
@@ -672,25 +472,19 @@ emitThroughputJson(const std::string &path)
         warm.run(ckptJobs);
         const double warmSecs = secondsSince(t_warm);
 
-        std::fprintf(out,
-                     "  \"ckpt\": {\"jobs\": %zu, \"warmup_uops\": %llu, "
-                     "\"measure_uops\": %llu,\n"
-                     "    \"no_reuse_seconds\": %.4f, "
-                     "\"reuse_seconds\": %.4f, \"warmup_speedup\": %.3f,\n"
-                     "    \"warmup_hits\": %llu, \"warmup_misses\": %llu}\n"
-                     "}\n",
-                     ckptJobs.size(),
-                     static_cast<unsigned long long>(kCkptWarmup),
-                     static_cast<unsigned long long>(kCkptMeasure),
-                     coldSecs, warmSecs, coldSecs / warmSecs,
-                     static_cast<unsigned long long>(
-                         warm.telemetry().warmupHits),
-                     static_cast<unsigned long long>(
-                         warm.telemetry().warmupMisses));
+        w.key("ckpt").beginObject()
+            .field("jobs", ckptJobs.size())
+            .field("warmup_uops", kCkptWarmup)
+            .field("measure_uops", kCkptMeasure)
+            .field("no_reuse_seconds", coldSecs)
+            .field("reuse_seconds", warmSecs)
+            .field("warmup_speedup", coldSecs / warmSecs)
+            .field("warmup_hits", warm.telemetry().warmupHits)
+            .field("warmup_misses", warm.telemetry().warmupMisses)
+            .endObject();
     }
-    std::fclose(out);
-    std::printf("wrote %s\n", path.c_str());
-    return 0;
+    w.endObject();
+    os << "\n";
 }
 
 } // namespace
@@ -700,8 +494,14 @@ main(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
         const char *flag = "--sim-throughput-json=";
-        if (std::strncmp(argv[i], flag, std::strlen(flag)) == 0)
-            return emitThroughputJson(argv[i] + std::strlen(flag));
+        if (std::strncmp(argv[i], flag, std::strlen(flag)) != 0)
+            continue;
+        const std::string path = argv[i] + std::strlen(flag);
+        return runTool("microbench_components", [&] {
+            writeDocument(path, "throughput", emitThroughputJson);
+            std::printf("wrote %s\n", path.c_str());
+            return 0;
+        });
     }
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Prove wsrs-sim's documented exit codes stay distinct.
+"""Prove the driver tools' documented exit codes stay distinct.
 
-Usage: check_exit_codes.py /path/to/wsrs-sim
+Usage: check_exit_codes.py WSRS_SIM WSRS_EXPLORE WSRS_RF WSRS_TRACE
 
-The CLI contract (README.md, "Exit codes"):
+The CLI contract of all four tools (README.md, "Exit codes"):
 
   0  success
   1  configuration error (bad flag value, unknown option,
      unknown benchmark/machine, two documents sent to stdout)
-  2  I/O or corruption error (unreadable/damaged checkpoint)
+  2  I/O or corruption error (unreadable/damaged checkpoint, missing
+     input file, a document or stdout that could not be written)
   3  journal/sweep binding mismatch (a journal or checkpoint that
      belongs to a different sweep or machine configuration)
   4  sweep completed but some jobs failed
@@ -37,9 +38,9 @@ RETIRED = ["coordinator=unix:sweep.sock", "workers=2", "worker",
            "warmup-cache-dir=warmups"]
 
 
-def probe(name, cmd, want):
-    r = subprocess.run(cmd, stdout=subprocess.DEVNULL,
-                       stderr=subprocess.PIPE, text=True)
+def probe(name, cmd, want, stdout=subprocess.DEVNULL):
+    r = subprocess.run(cmd, stdout=stdout, stderr=subprocess.PIPE,
+                       text=True)
     if r.returncode != want:
         sys.exit(f"FAIL {name}: exit {r.returncode}, expected {want}\n"
                  f"  cmd: {' '.join(cmd)}\n  stderr: {r.stderr.strip()}")
@@ -61,10 +62,18 @@ def stdout_document(name, cmd):
     print(f"ok: {name}")
 
 
+def full_stdout_probe(name, cmd):
+    """@p cmd with stdout on /dev/full must exit with the I/O code."""
+    with open("/dev/full", "w") as full:
+        probe(name, cmd, 2, stdout=full)
+
+
 def main():
-    if len(sys.argv) != 2:
+    if len(sys.argv) != 5:
         sys.exit(__doc__)
-    binary = sys.argv[1]
+    binary, explore, rf, trace = sys.argv[1:]
+    space = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "..", "examples", "design_space.json")
 
     with tempfile.TemporaryDirectory(prefix="wsrs_exit_") as tmp:
         probe("clean run exits 0",
@@ -100,6 +109,20 @@ def main():
         probe("missing checkpoint is an I/O error",
               [binary, "--bench=gzip", "--machine=RR-256", *TINY,
                f"--ckpt-load={os.path.join(tmp, 'absent.ckpt')}"], 2)
+        # A document that never arrived is an I/O error, not a success.
+        probe("unwritable --stats-json is an I/O error",
+              [binary, "--bench=gzip", *TINY, "--stats-json=/dev/full"], 2)
+        full_stdout_probe("unwritable stdout is an I/O error",
+                          [binary, "--bench=gzip", *TINY])
+        probe("missing wsrs-explore space file is an I/O error",
+              [explore, f"--space={os.path.join(tmp, 'absent.json')}"], 2)
+        probe("unwritable wsrs-explore report is an I/O error",
+              [explore, f"--space={space}", "--out=/dev/full"], 2)
+        full_stdout_probe("unwritable wsrs-rf --json is an I/O error",
+                          [rf, "--table1", "--json"])
+        probe("missing wsrs-trace input is an I/O error",
+              [trace, "--info", f"--in={os.path.join(tmp, 'absent.trc')}"],
+              2)
 
         # Class 3: journal bound to a different sweep.
         journal = os.path.join(tmp, "sweep.journal")
@@ -125,6 +148,25 @@ def main():
         probe("two sweep documents on stdout is a config error",
               [binary, "--all", *TINY, "--stats-json=-",
                "--spans-out=-"], 1)
+        # wsrs-explore's report goes to stdout unless --out names a file.
+        probe("wsrs-explore report and metrics on stdout is a config "
+              "error", [explore, f"--space={space}", "--metrics-out=-"], 1)
+
+        # wsrs-trace --replay runs through the simulator's one machine
+        # assembly; the line it prints is locked.
+        swim = os.path.join(tmp, "swim.trc")
+        subprocess.run([trace, "--record", "--bench=swim", "--uops=60000",
+                        f"--out={swim}"], check=True,
+                       stdout=subprocess.DEVNULL)
+        r = subprocess.run([trace, "--replay", f"--in={swim}",
+                            "--machine=WSRS-RC-512", "--uops=50000"],
+                           stdout=subprocess.PIPE, text=True, check=True)
+        want = ("on WSRS-RC-512: IPC 1.501 over 50004 micro-ops "
+                "(33321 cycles, 0.99% mispredict)\n")
+        if not r.stdout.endswith(want):
+            sys.exit(f"FAIL replay line: {r.stdout!r}, expected it to end "
+                     f"with {want!r}")
+        print("ok: replay line")
 
     print("all exit codes distinct and as documented")
 

@@ -1,6 +1,8 @@
 #include "args.h"
 
 #include <cstdlib>
+#include <fstream>
+#include <iostream>
 #include <sstream>
 
 #include "log.h"
@@ -104,6 +106,55 @@ ArgParser::usage(const std::string &program) const
         os << "\n      " << opt.help << "\n";
     }
     return os.str();
+}
+
+void
+writeDocument(const std::string &path, const char *kind,
+              const std::function<void(std::ostream &)> &write)
+{
+    if (path == "-") {
+        write(std::cout);
+        if (!std::cout.flush())
+            fatalIo("cannot write %s document to stdout", kind);
+        return;
+    }
+    std::ofstream os(path);
+    if (!os)
+        fatalIo("cannot open %s file '%s'", kind, path.c_str());
+    write(os);
+    os.close();
+    if (!os)
+        fatalIo("cannot write %s file '%s'", kind, path.c_str());
+}
+
+std::FILE *
+textStream(std::initializer_list<std::pair<const char *, std::string>>
+               documents)
+{
+    const char *onStdout = nullptr;
+    for (const auto &[option, path] : documents) {
+        if (path != "-")
+            continue;
+        if (onStdout)
+            fatal("--%s and --%s both name stdout ('-'): only one "
+                  "document can go there", onStdout, option);
+        onStdout = option;
+    }
+    return onStdout ? stderr : stdout;
+}
+
+int
+runTool(const char *name, const std::function<int()> &body)
+{
+    try {
+        const int code = body();
+        if (std::fflush(stdout) != 0 || std::ferror(stdout))
+            fatalIo("cannot write to stdout");
+        return code;
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s: %s\n", name, e.what());
+        return exitCodeFor(e);
+    }
 }
 
 } // namespace wsrs

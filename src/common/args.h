@@ -1,16 +1,23 @@
 /**
  * @file
- * Minimal self-contained command-line option parser for the driver tools.
+ * The driver tools' shared shell: a minimal self-contained command-line
+ * option parser, one checked document writer, the one-document-on-stdout
+ * rule and one exit-code path.
  *
- * Supports "--key=value", "--key value" and boolean "--flag" syntax plus
- * positional arguments; unknown options raise a FatalError listing the
- * registered options.
+ * ArgParser supports "--key=value", "--key value" and boolean "--flag"
+ * syntax plus positional arguments; unknown options raise a FatalError
+ * listing the registered options.
  */
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <initializer_list>
+#include <iosfwd>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace wsrs {
@@ -66,5 +73,32 @@ class ArgParser
     std::map<std::string, std::string> values_;
     std::vector<std::string> positional_;
 };
+
+/**
+ * Run @p write on stdout when @p path is "-", else on a fresh file at
+ * @p path, then flush and check the stream: a failed open, write or flush
+ * is an IoError naming @p kind (exit code 2).
+ */
+void writeDocument(const std::string &path, const char *kind,
+                   const std::function<void(std::ostream &)> &write);
+
+/**
+ * The one-document-on-stdout rule. @p documents pairs each document
+ * option of a tool with the path it names ("" = not written, "-" =
+ * stdout). A document on stdout must be the only thing there, so the
+ * returned text stream is stderr when one names "-" and stdout otherwise;
+ * two documents naming "-" are a FatalError, raised before any work.
+ */
+std::FILE *
+textStream(std::initializer_list<std::pair<const char *, std::string>>
+               documents);
+
+/**
+ * Run a driver tool's @p body and return the process exit code: the
+ * body's own, or exitCodeFor a FatalError it throws (reported on stderr
+ * as "name: message"). Stdout is flushed last; output that never reached
+ * it is an I/O error (exit code 2).
+ */
+int runTool(const char *name, const std::function<int()> &body);
 
 } // namespace wsrs

@@ -8,8 +8,6 @@
 
 #include <cstdint>
 
-#include "src/obs/metrics_registry.h"
-
 namespace wsrs::obs {
 
 /** Counters of one distributed sweep. */
@@ -24,29 +22,6 @@ struct SvcCounters
     std::uint64_t duplicateResults = 0; ///< Dropped double-reported jobs.
     std::uint64_t workersSeen = 0;   ///< Workers that completed handshake.
     std::uint64_t workersLost = 0;   ///< Workers that died mid-sweep.
-};
-
-/**
- * The service counters as registry instruments, bumped by the
- * coordinator; snapshot() rebuilds the SvcCounters struct. Construct one
- * per registry; re-construction re-binds to the same instruments.
- */
-struct SvcMetrics
-{
-    explicit SvcMetrics(MetricsRegistry &registry);
-
-    MetricGauge &shards;
-    MetricGauge &shardSize;
-    MetricCounter &leasesGranted;
-    MetricCounter &leaseRetries;
-    MetricCounter &leaseTimeouts;
-    MetricCounter &shardsFailed;
-    MetricCounter &duplicateResults;
-    MetricCounter &workersSeen;
-    MetricCounter &workersLost;
-
-    /** Rebuild the report struct from the live instruments. */
-    SvcCounters snapshot() const;
 };
 
 } // namespace wsrs::obs

@@ -9,19 +9,12 @@
 #include <iosfwd>
 #include <vector>
 
-#include "src/obs/svc_counters.h"
 #include "src/runner/sweep_runner.h"
 
 namespace wsrs::runner {
 
 /** Version tag of the aggregated sweep report document. */
 inline constexpr const char *kSweepReportSchema = "wsrs-sweep-report-v1";
-
-/** Sharding and lease counters of one svc::Coordinator run. */
-struct SvcReport
-{
-    obs::SvcCounters counters;
-};
 
 /**
  * Write the aggregated report for a finished sweep. @p jobs and

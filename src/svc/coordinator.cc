@@ -7,7 +7,6 @@
 #include <deque>
 
 #include "src/common/log.h"
-#include "src/obs/svc_counters.h"
 #include "src/runner/resume_journal.h"
 #include "src/runner/sweep_merge.h"
 #include "src/svc/frame.h"
@@ -87,10 +86,8 @@ Coordinator::run()
     telemetry_ = {};
     svcReport_ = {};
 
-    // The service counters live as instruments of a per-run registry;
-    // svcReport_.counters is snapshotted from them at merge.
-    obs::MetricsRegistry registry;
-    obs::SvcMetrics ctr(registry);
+    // The poll loop is single-threaded: it bumps the report directly.
+    obs::SvcCounters &ctr = svcReport_.counters;
 
     obs::SpanLog *const spans = options_.spans;
     const std::uint64_t traceId =
@@ -107,9 +104,8 @@ Coordinator::run()
         st.shard = std::move(s);
         shards.push_back(std::move(st));
     }
-    ctr.shards.set(static_cast<std::int64_t>(shards.size()));
-    ctr.shardSize.set(static_cast<std::int64_t>(
-        options_.shardSize == 0 ? 1 : options_.shardSize));
+    ctr.shards = shards.size();
+    ctr.shardSize = options_.shardSize == 0 ? 1 : options_.shardSize;
 
     std::vector<std::unique_ptr<Conn>> conns;
     std::uint64_t nextWorkerId = 1;
@@ -146,9 +142,9 @@ Coordinator::run()
         st.leaseStartUs = 0;
         std::vector<std::uint64_t> missing = missingJobs(st);
         if (timedOut)
-            ctr.leaseTimeouts.add();
+            ++ctr.leaseTimeouts;
         else
-            ctr.leaseRetries.add();
+            ++ctr.leaseRetries;
         if (missing.empty()) {
             st.status = ShardState::Status::Done;
             return;
@@ -161,7 +157,7 @@ Coordinator::run()
         }
         if (st.attempts > options_.maxLeaseRetries) {
             st.status = ShardState::Status::Failed;
-            ctr.shardsFailed.add();
+            ++ctr.shardsFailed;
             for (const std::uint64_t j : missing) {
                 runner::SweepOutcome out;
                 out.ok = false;
@@ -188,7 +184,7 @@ Coordinator::run()
     /** Drop a connection, re-queueing anything it held. */
     const auto dropConn = [&](Conn *conn, bool timedOut) {
         if (conn->helloDone && !conn->retired)
-            ctr.workersLost.add();
+            ++ctr.workersLost;
         for (ShardState &st : shards)
             if (st.status == ShardState::Status::Leased && st.owner == conn)
                 requeueShard(st, timedOut);
@@ -234,7 +230,7 @@ Coordinator::run()
                               std::max<std::size_t>(st->shard.jobs.size(),
                                                     1));
             st->leaseStartUs = spans ? obs::monotonicMicros() : 0;
-            ctr.leasesGranted.add();
+            ++ctr.leasesGranted;
             if (!sendFrame(*conn->stream, FrameType::Lease,
                            leasePayload(st->shard, st->attempts), traceId))
                 broken.push_back(conn);
@@ -270,7 +266,7 @@ Coordinator::run()
             // sockets; the span writer clamps whatever survives.
             conn->clockOffsetUs =
                 hello.monoUs ? obs::monotonicMicros() - hello.monoUs : 0;
-            ctr.workersSeen.add();
+            ++ctr.workersSeen;
             return sendFrame(*conn->stream, FrameType::HelloAck,
                              helloAckPayload(true, ""), traceId);
           }
@@ -288,7 +284,7 @@ Coordinator::run()
             // owner limping home.
             if (!merge.accept(done.index, std::move(done.outcome)) &&
                 done.index < total)
-                ctr.duplicateResults.add();
+                ++ctr.duplicateResults;
             return true;
           }
           case FrameType::ShardDone: {
@@ -428,7 +424,6 @@ Coordinator::run()
     conns.clear();
     listener_->close();
 
-    svcReport_.counters = ctr.snapshot();
     return merge.take();
 }
 

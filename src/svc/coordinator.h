@@ -36,11 +36,17 @@
 #include <vector>
 
 #include "src/obs/span_log.h"
-#include "src/runner/sweep_report.h"
+#include "src/obs/svc_counters.h"
 #include "src/runner/sweep_runner.h"
 #include "src/svc/transport.h"
 
 namespace wsrs::svc {
+
+/** Sharding and lease counters of one Coordinator run. */
+struct SvcReport
+{
+    obs::SvcCounters counters;
+};
 
 /** Blocking, single-threaded coordinator (poll(2) event loop). */
 class Coordinator
@@ -99,7 +105,7 @@ class Coordinator
     }
 
     /** Sharding/lease/liveness counters of the most recent run(). */
-    const runner::SvcReport &svcReport() const { return svcReport_; }
+    const SvcReport &svcReport() const { return svcReport_; }
 
     /** Sweep identity hash the workers must present. */
     std::uint64_t sweepKey() const { return sweepKey_; }
@@ -110,7 +116,7 @@ class Coordinator
     std::uint64_t sweepKey_ = 0;
     std::unique_ptr<Listener> listener_;
     runner::SweepRunner::Telemetry telemetry_;
-    runner::SvcReport svcReport_;
+    SvcReport svcReport_;
 };
 
 } // namespace wsrs::svc

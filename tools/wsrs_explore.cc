@@ -12,7 +12,7 @@
  */
 #include <cstdio>
 #include <fstream>
-#include <iostream>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -37,32 +37,6 @@ readFile(const std::string &path)
     std::ostringstream buf;
     buf << is.rdbuf();
     return buf.str();
-}
-
-void
-writeOut(const std::string &path, const std::string &doc)
-{
-    if (path.empty() || path == "-") {
-        std::cout << doc;
-        return;
-    }
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        fatalIo("cannot open output file '%s'", path.c_str());
-    os << doc;
-}
-
-void
-writeMetricsFile(const std::string &path)
-{
-    if (path == "-") {
-        obs::MetricsRegistry::process().writeJson(std::cout);
-        return;
-    }
-    std::ofstream os(path);
-    if (!os)
-        fatalIo("cannot open metrics file '%s'", path.c_str());
-    obs::MetricsRegistry::process().writeJson(os);
 }
 
 } // namespace
@@ -91,7 +65,7 @@ main(int argc, char **argv)
                    "JSON; '-' = stdout)");
     args.addOption("help", "show this help", true);
 
-    try {
+    return runTool("wsrs-explore", [&]() -> int {
         args.parse(argc, argv);
         if (args.has("help")) {
             std::printf("%s", args.usage("wsrs-explore").c_str());
@@ -104,9 +78,19 @@ main(int argc, char **argv)
             return 0;
         }
 
+        // The report (or calibration text) goes to stdout by default.
+        const std::string out =
+            args.get("out").empty() ? "-" : args.get("out");
+        textStream({{"out", out}, {"metrics-out", args.get("metrics-out")}});
         obs::MetricsRegistry *const metrics =
             args.has("metrics-out") ? &obs::MetricsRegistry::process()
                                     : nullptr;
+        const auto writeMetricsFile = [&] {
+            writeDocument(args.get("metrics-out"), "metrics",
+                          [](std::ostream &os) {
+                              obs::MetricsRegistry::process().writeJson(os);
+                          });
+        };
         const explore::AnalyticModel model;
 
         if (args.has("calibrate")) {
@@ -117,11 +101,12 @@ main(int argc, char **argv)
             copt.metrics = metrics;
             const explore::CalibrationResult cal =
                 explore::calibrate(model, copt);
-            writeOut(args.get("out"),
-                     explore::calibrationReportText(cal));
+            writeDocument(out, "report", [&](std::ostream &os) {
+                os << explore::calibrationReportText(cal);
+            });
             if (metrics)
-                writeMetricsFile(args.get("metrics-out"));
-            return cal.failures == 0 ? 0 : 1;
+                writeMetricsFile();
+            return cal.failures == 0 ? kExitOk : kExitJobFailure;
         }
 
         if (!args.has("space"))
@@ -141,7 +126,8 @@ main(int argc, char **argv)
 
         const explore::ExplorerResult result =
             explore::explore(spec, model, opt);
-        writeOut(args.get("out"), result.reportJson);
+        writeDocument(out, "report",
+                      [&](std::ostream &os) { os << result.reportJson; });
 
         std::fprintf(stderr,
                      "wsrs-explore: %llu configs (%llu infeasible), "
@@ -158,10 +144,7 @@ main(int argc, char **argv)
         std::fprintf(stderr, "\n");
 
         if (metrics)
-            writeMetricsFile(args.get("metrics-out"));
+            writeMetricsFile();
         return 0;
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "wsrs-explore: %s\n", e.what());
-        return 1;
-    }
+    });
 }

@@ -9,7 +9,7 @@
  *   wsrs-rf --wakeup --producers=6 --window=56 --clusters=4
  */
 #include <cstdio>
-#include <iostream>
+#include <ostream>
 
 #include "src/common/args.h"
 #include "src/common/json.h"
@@ -59,7 +59,7 @@ main(int argc, char **argv)
     args.addOption("json", "emit organizations as JSON", true);
     args.addOption("help", "show this help", true);
 
-    try {
+    return runTool("wsrs-rf", [&] {
         args.parse(argc, argv);
         if (args.has("help")) {
             std::printf("%s", args.usage("wsrs-rf").c_str());
@@ -94,15 +94,17 @@ main(int argc, char **argv)
 
         if (args.has("table1") || !args.has("regs")) {
             if (args.has("json")) {
-                JsonWriter w(std::cout, JsonWriter::Style::Compact);
-                w.beginObject().field("schema", "wsrs-rf-v1");
-                w.key("organizations").beginArray();
-                auto orgs = rfmodel::table1Organizations();
-                orgs.push_back(rfmodel::makeWsrs7Cluster());
-                for (const auto &org : orgs)
-                    w.raw(orgJson(org));
-                w.endArray().endObject();
-                std::cout << "\n";
+                writeDocument("-", "rf", [&](std::ostream &os) {
+                    JsonWriter w(os, JsonWriter::Style::Compact);
+                    w.beginObject().field("schema", "wsrs-rf-v1");
+                    w.key("organizations").beginArray();
+                    auto orgs = rfmodel::table1Organizations();
+                    orgs.push_back(rfmodel::makeWsrs7Cluster());
+                    for (const auto &org : orgs)
+                        w.raw(orgJson(org));
+                    w.endArray().endObject();
+                    os << "\n";
+                });
                 return 0;
             }
             for (const auto &org : rfmodel::table1Organizations())
@@ -124,13 +126,12 @@ main(int argc, char **argv)
         org.writeSpanRows = org.entriesPerSubfile;
         org.producersVisible = unsigned(args.getUint("producers", 12));
         if (args.has("json")) {
-            std::cout << orgJson(org) << '\n';
+            writeDocument("-", "rf", [&](std::ostream &os) {
+                os << orgJson(org) << '\n';
+            });
         } else {
             printOrg(model, org);
         }
         return 0;
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "wsrs-rf: %s\n", e.what());
-        return 1;
-    }
+    });
 }

@@ -8,8 +8,7 @@
  *   wsrs_sim --bench=swim --machine=RR-256 --set-window=128 --stats-json=-
  */
 #include <cstdio>
-#include <fstream>
-#include <iostream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -55,22 +54,6 @@ ffScopeFromName(const std::string &name)
         return core::FastForwardScope::Complete;
     fatal("unknown fast-forward scope '%s' (intra|adjacent|complete)",
           name.c_str());
-}
-
-/** Run @p write on stdout when @p path is "-", else on a fresh file at
- *  @p path; @p kind names the document in the open error. */
-template <typename Write>
-void
-writeDocument(const std::string &path, const char *kind, Write &&write)
-{
-    if (path == "-") {
-        write(std::cout);
-        return;
-    }
-    std::ofstream os(path);
-    if (!os)
-        fatalIo("cannot open %s file '%s'", kind, path.c_str());
-    write(os);
 }
 
 void
@@ -204,7 +187,7 @@ main(int argc, char **argv)
                    "to FILE ('-' = stdout)");
     args.addOption("help", "show this help", true);
 
-    try {
+    return runTool("wsrs_sim", [&]() -> int {
         args.parse(argc, argv);
         if (args.has("help")) {
             std::printf("%s", args.usage("wsrs_sim").c_str());
@@ -241,16 +224,10 @@ main(int argc, char **argv)
             return cfg;
         };
 
-        // A document sent to stdout must be the only thing there: the
-        // text summary, CSV and progress lines then go to stderr.
-        unsigned toStdout = 0;
-        for (const char *doc : {"stats-json", "metrics-out", "spans-out"})
-            if (args.has(doc) && args.get(doc) == "-")
-                ++toStdout;
-        if (toStdout > 1)
-            fatal("--stats-json, --metrics-out and --spans-out can send "
-                  "only one document to stdout ('-')");
-        std::FILE *const text = toStdout ? stderr : stdout;
+        std::FILE *const text =
+            textStream({{"stats-json", args.get("stats-json")},
+                        {"metrics-out", args.get("metrics-out")},
+                        {"spans-out", args.get("spans-out")}});
 
         const auto writeMetricsFile = [](const std::string &path) {
             writeDocument(path, "metrics", [](std::ostream &os) {
@@ -411,8 +388,5 @@ main(int argc, char **argv)
         if (!r.timelineText.empty())
             std::fprintf(text, "\n%s", r.timelineText.c_str());
         return 0;
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "wsrs_sim: %s\n", e.what());
-        return exitCodeFor(e);
-    }
+    });
 }

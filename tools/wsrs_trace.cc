@@ -11,11 +11,10 @@
 #include <cstdio>
 #include <string>
 
-#include "src/bpred/two_bc_gskew.h"
 #include "src/common/args.h"
 #include "src/common/log.h"
-#include "src/core/core.h"
 #include "src/sim/presets.h"
+#include "src/sim/simulator.h"
 #include "src/workload/profiles.h"
 #include "src/workload/trace_generator.h"
 #include "src/workload/trace_io.h"
@@ -96,23 +95,20 @@ replay(const ArgParser &args)
     if (in.empty())
         fatal("--replay requires --in=<file>");
     workload::TraceReader reader(in);
-    bpred::TwoBcGskew bp;
-    StatGroup stats("replay");
-    memory::MemoryHierarchy mem(memory::HierarchyParams{}, stats);
-    core::CoreParams params =
-        sim::findPreset(args.get("machine", "RR-256"));
-    core::Core machine(params, reader, bp, mem);
-
-    const std::uint64_t uops =
-        args.getUint("uops", reader.records());
-    machine.run(uops);
-    const core::CoreStats &s = machine.stats();
+    sim::SimConfig cfg;
+    cfg.core = sim::findPreset(args.get("machine", "RR-256"));
+    cfg.warmupUops = 0;
+    cfg.measureUops = args.getUint("uops", reader.records());
+    // A recorded trace carries no profile: the run is named after its file.
+    workload::BenchmarkProfile profile;
+    profile.name = in;
+    const sim::SimResults r = sim::runSimulation(profile, cfg, reader);
     std::printf("%s on %s: IPC %.3f over %llu micro-ops "
                 "(%llu cycles, %.2f%% mispredict)\n",
-                in.c_str(), params.name.c_str(), s.ipc(),
-                (unsigned long long)s.committed,
-                (unsigned long long)s.cycles,
-                100.0 * s.mispredictRate());
+                in.c_str(), r.machine.c_str(), r.ipc,
+                (unsigned long long)r.stats.committed,
+                (unsigned long long)r.stats.cycles,
+                100.0 * r.branchMispredictRate);
     return 0;
 }
 
@@ -133,7 +129,7 @@ main(int argc, char **argv)
     args.addOption("seed", "extra trace seed");
     args.addOption("help", "show this help", true);
 
-    try {
+    return runTool("wsrs-trace", [&] {
         args.parse(argc, argv);
         if (args.has("help")) {
             std::printf("%s", args.usage("wsrs-trace").c_str());
@@ -147,8 +143,5 @@ main(int argc, char **argv)
             return replay(args);
         std::printf("%s", args.usage("wsrs-trace").c_str());
         return 1;
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "wsrs-trace: %s\n", e.what());
-        return 1;
-    }
+    });
 }
