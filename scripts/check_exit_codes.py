@@ -114,6 +114,11 @@ def main():
               [binary, "--bench=gzip", *TINY, "--stats-json=/dev/full"], 2)
         full_stdout_probe("unwritable stdout is an I/O error",
                           [binary, "--bench=gzip", *TINY])
+        probe("unwritable --trace-pipe is an I/O error",
+              [binary, "--bench=gzip", *TINY, "--trace-pipe=/dev/full"], 2)
+        probe("unwritable --trace-pipe-bin is an I/O error",
+              [binary, "--bench=gzip", *TINY, "--trace-pipe-bin=/dev/full"],
+              2)
         probe("missing wsrs-explore space file is an I/O error",
               [explore, f"--space={os.path.join(tmp, 'absent.json')}"], 2)
         probe("unwritable wsrs-explore report is an I/O error",

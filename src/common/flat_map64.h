@@ -2,16 +2,15 @@
  * @file
  * Open-addressing u64 -> u64 hash map for simulator-hot lookups.
  *
- * The LSQ's store-forwarding chain heads and the memory image's page index
- * are probed on every memory access; std::unordered_map's node allocation
- * and pointer chasing made such lookups one of the largest single costs in
- * the issue stage. This map keeps {occupied, key, value} together in one
- * flat slot array with linear probing (power-of-two capacity, mix64 hash),
- * so a probe touches a single cache line instead of one line per parallel
- * array.
+ * The memory image's page index (workload::MemoryImage) is probed on every
+ * memory access; std::unordered_map's node allocation and pointer chasing
+ * made such lookups one of the largest single costs in the issue stage.
+ * This map keeps {occupied, key, value} together in one flat slot array
+ * with linear probing (power-of-two capacity, mix64 hash), so a probe
+ * touches a single cache line instead of one line per parallel array.
  *
- * Supports exactly what those uses need: insert-or-assign, find and clear
- * (no erase, no iteration).
+ * Supports exactly what the page index needs: insert-or-assign and find
+ * (no erase, no iteration; MemoryImage::clear assigns a fresh map).
  */
 #pragma once
 
@@ -29,18 +28,6 @@ class FlatMap64
 {
   public:
     FlatMap64() { slots_.resize(kMinCapacity); }
-
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-
-    /** Drop all entries, keeping the current table allocation. */
-    void
-    clear()
-    {
-        for (Slot &s : slots_)
-            s.used = 0;
-        size_ = 0;
-    }
 
     /** Pointer to the value for @p key, or nullptr when absent. */
     const std::uint64_t *

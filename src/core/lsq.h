@@ -18,15 +18,19 @@
  *
  * Entries live in a fixed-capacity power-of-two ring indexed by the
  * monotonically increasing mem-op ordinal, so allocation, lookup and the
- * forwarding scan are mask-and-index with no allocator traffic.
+ * forwarding scan are mask-and-index with no allocator traffic. Stores
+ * are also chained by address hash into a fixed array of chain heads
+ * sized from the capacity, so the forwarding index is bounded by the
+ * in-flight window rather than by how many addresses a run stores to.
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "src/ckpt/snapshotter.h"
-#include "src/common/flat_map64.h"
+#include "src/common/hash.h"
 #include "src/common/log.h"
 #include "src/common/types.h"
 
@@ -49,8 +53,12 @@ class LoadStoreQueue : public ckpt::Snapshotter
         std::size_t ring = 1;
         while (ring < capacity_)
             ring <<= 1;
-        entries_.resize(ring == 0 ? 1 : ring);
-        mask_ = entries_.size() - 1;
+        entries_.resize(ring);
+        mask_ = ring - 1;
+        // The smallest power of two >= 2 x capacity: at most half the
+        // buckets hold a live store, so chains stay short.
+        heads_.assign(2 * ring, 0);
+        headMask_ = heads_.size() - 1;
     }
 
     bool full() const { return size_ >= capacity_; }
@@ -136,18 +144,18 @@ class LoadStoreQueue : public ckpt::Snapshotter
     probeForward(std::uint64_t load_ordinal, Addr addr) const
     {
         WSRS_ASSERT(addrComputed(load_ordinal));
-        // Same-address stores form a per-address chain (youngest first),
-        // so the probe walks only aliasing stores instead of every older
-        // entry. Chain links below frontOrdinal_ point at retired (and
+        // Stores whose addresses share a bucket form one chain (youngest
+        // first), so the probe walks only those instead of every older
+        // entry, skipping other addresses and stores younger than the
+        // load. Chain links below frontOrdinal_ point at retired (and
         // possibly recycled) slots and terminate the walk: no live older
         // store aliases.
-        const std::uint64_t *head = lastStore_.find(addr);
-        std::uint64_t link = head ? *head : 0;
+        std::uint64_t link = heads_[bucket(addr)];
         while (link > frontOrdinal_) {
             const std::uint64_t o = link - 1;
             const Entry &e = entries_[o & mask_];
-            if (o < load_ordinal) {
-                WSRS_ASSERT(e.isStore && e.addr == addr);
+            if (o < load_ordinal && e.addr == addr) {
+                WSRS_ASSERT(e.isStore);
                 return {true, e.dataReady, e.storeValue};
             }
             link = e.prevStore;
@@ -183,7 +191,7 @@ class LoadStoreQueue : public ckpt::Snapshotter
                     "LSQ occupancy out of range");
         if constexpr (Io::kLoading) {
             self.size_ = n;
-            self.lastStore_.clear();
+            std::fill(self.heads_.begin(), self.heads_.end(), 0);
         }
         for (std::uint64_t o = self.frontOrdinal_; o != self.frontOrdinal_ + n;
              ++o) {
@@ -209,19 +217,21 @@ class LoadStoreQueue : public ckpt::Snapshotter
         Addr addr;
         std::uint64_t storeValue;
         std::uint64_t robNum;
-        std::uint64_t prevStore;  // 1 + ordinal of next-older same-addr
-                                  // store; 0 or a retired ordinal ends
-                                  // the chain.
+        std::uint64_t prevStore;  // 1 + ordinal of next-older store in
+                                  // the same bucket; 0 or a retired
+                                  // ordinal ends the chain.
         bool isStore;
         bool dataReady;
         bool addrComputedFlag;  // Implicit via agenCount_; kept for dumps.
     };
 
-    /** Push store @p e (at @p ordinal) onto its address's chain. */
+    std::size_t bucket(Addr addr) const { return mix64(addr) & headMask_; }
+
+    /** Push store @p e (at @p ordinal) onto its bucket's chain. */
     void
     linkStore(Entry &e, std::uint64_t ordinal)
     {
-        std::uint64_t &head = lastStore_[e.addr];
+        std::uint64_t &head = heads_[bucket(e.addr)];
         e.prevStore = head;
         head = ordinal + 1;
     }
@@ -242,11 +252,12 @@ class LoadStoreQueue : public ckpt::Snapshotter
 
     unsigned capacity_;               ///< Configured architectural limit.
     std::vector<Entry> entries_;      ///< Pow2 ring, ordinal & mask_ slots.
-    /// Youngest in-flight store per address (1 + ordinal; entries whose
-    /// ordinal retired are treated as absent). Derived state — rebuilt on
-    /// restore, never serialized.
-    FlatMap64 lastStore_;
+    /// Youngest store per address bucket (1 + ordinal; a retired ordinal
+    /// or 0 means none in flight). Derived state — rebuilt on restore,
+    /// never serialized.
+    std::vector<std::uint64_t> heads_;
     std::size_t mask_ = 0;
+    std::size_t headMask_ = 0;
     std::uint64_t size_ = 0;          ///< Live entries.
     std::uint64_t frontOrdinal_ = 0;  ///< Ordinal of the oldest entry.
     std::uint64_t agenCount_ = 0;     ///< Computed addresses at the front.

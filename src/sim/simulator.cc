@@ -254,6 +254,12 @@ runSimulationImpl(const workload::BenchmarkProfile &profile,
         bin_sink->finish();
     machine.attachTraceSink(nullptr);
     machine.attachStageProfiler(nullptr);
+    // A trace that could not be written is an I/O error, not a result.
+    if (text_sink && !trace_text.flush())
+        fatalIo("cannot write trace file '%s'", config.tracePipePath.c_str());
+    if (bin_sink && !trace_bin.flush())
+        fatalIo("cannot write binary trace file '%s'",
+                config.tracePipeBinPath.c_str());
 
     const core::CoreStats &cs = machine.stats();
     if (config.verifyDataflow && cs.valueMismatches > 0)

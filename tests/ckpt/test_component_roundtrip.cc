@@ -14,6 +14,7 @@
 #include "src/bpred/tournament.h"
 #include "src/bpred/two_bc_gskew.h"
 #include "src/ckpt/io.h"
+#include "src/common/hash.h"
 #include "src/common/log.h"
 #include "src/core/core.h"
 #include "src/core/lsq.h"
@@ -310,15 +311,27 @@ TEST(ComponentRoundTrip, LsqWithWrappedRingAndForwardChains)
         a.popFront();
     }
 
-    // Live window with two same-address stores (a forwarding chain the
-    // restore path must rebuild) and a younger store the probe for the
-    // middle load has to walk past.
+    // Two more addresses whose mix64 hashes agree with 0x300's in the
+    // low 8 bits, so all three share one of the queue's 16 chain buckets.
+    std::vector<Addr> alias;
+    for (Addr x = 0x308; alias.size() < 2; x += 8) {
+        if (((mix64(x) ^ mix64(0x300)) & 0xff) == 0)
+            alias.push_back(x);
+    }
+
+    // Live window (full) with two same-address stores (a forwarding chain
+    // the restore path must rebuild), a younger store the probe for the
+    // middle load has to walk past, and two stores to different
+    // addresses in the last load's bucket that its probe must skip.
     const std::uint64_t s1 = a.allocate(true, 0x100, 100);   // ordinal 12
     const std::uint64_t s2 = a.allocate(true, 0x200, 101);   // ordinal 13
     const std::uint64_t ld1 = a.allocate(false, 0x100, 102); // ordinal 14
     const std::uint64_t s3 = a.allocate(true, 0x100, 103);   // ordinal 15
     const std::uint64_t ld2 = a.allocate(false, 0x100, 104); // ordinal 16
-    const std::uint64_t ld3 = a.allocate(false, 0x300, 105); // ordinal 17
+    const std::uint64_t s4 = a.allocate(true, alias[0], 105); // ordinal 17
+    const std::uint64_t s5 = a.allocate(true, alias[1], 106); // ordinal 18
+    const std::uint64_t ld3 = a.allocate(false, 0x300, 107); // ordinal 19
+    ASSERT_TRUE(a.full());
     a.markAddrComputed(s1);
     a.markAddrComputed(s2);
     a.markAddrComputed(ld1);
@@ -348,7 +361,10 @@ TEST(ComponentRoundTrip, LsqWithWrappedRingAndForwardChains)
     // rebuilt chains must give the same probe results at every step.
     for (core::LoadStoreQueue *q : {&a, &b}) {
         q->markAddrComputed(ld2);
+        q->markAddrComputed(s4);
+        q->markAddrComputed(s5);
         q->markAddrComputed(ld3);
+        q->setStoreData(s4, 0xef);
     }
     core::ForwardProbe pa = a.probeForward(ld2, 0x100);
     core::ForwardProbe pb = b.probeForward(ld2, 0x100);
@@ -368,10 +384,19 @@ TEST(ComponentRoundTrip, LsqWithWrappedRingAndForwardChains)
     pb = b.probeForward(ld3, 0x300);
     EXPECT_FALSE(pa.conflict);
     EXPECT_EQ(pb.conflict, pa.conflict);
+    // Probing s4's address finds s4 past the younger s5 in its bucket.
+    pa = a.probeForward(ld3, alias[0]);
+    pb = b.probeForward(ld3, alias[0]);
+    EXPECT_TRUE(pa.conflict);
+    EXPECT_TRUE(pa.dataReady);
+    EXPECT_EQ(pa.value, 0xefu);
+    EXPECT_EQ(pb.conflict, pa.conflict);
+    EXPECT_EQ(pb.dataReady, pa.dataReady);
+    EXPECT_EQ(pb.value, pa.value);
 
     // Retire the whole window, then keep allocating past it: ordinals and
     // chain state must continue identically after further ring wraps.
-    for (int i = 0; i < 6; ++i) {
+    for (int i = 0; i < 8; ++i) {
         a.popFront();
         b.popFront();
     }
