@@ -54,7 +54,7 @@ main(int argc, char **argv)
             cfg.core.regReadStages = std::strtoul(s, nullptr, 10);
         cfg.measureUops = uops;
         cfg.warmupUops = uops;
-        cfg.verifyDataflow = true;
+        cfg.core.verifyDataflow = true;
         if (ideal_bp)
             cfg.predictor = sim::PredictorKind::Perfect;
         if (ideal_mem) {

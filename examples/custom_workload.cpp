@@ -63,7 +63,7 @@ main()
         cfg.core = sim::findPreset(machine);
         cfg.warmupUops = 60000;
         cfg.measureUops = 120000;
-        cfg.verifyDataflow = true;
+        cfg.core.verifyDataflow = true;
         const sim::SimResults r = sim::runSimulation(p, cfg);
         std::printf("%-12s IPC %.3f | mispredict %.1f%% | L1 miss %.1f%% "
                     "| L2 miss %.1f%% | unbal %.1f%%\n",

@@ -50,7 +50,7 @@ runOne(const char *label, const workload::BenchmarkProfile &p, bool big)
     cfg.mem.l1.sizeBytes = 64u << 20;
     cfg.measureUops = 150000;
     cfg.warmupUops = 20000;
-    cfg.verifyDataflow = true;
+    cfg.core.verifyDataflow = true;
     const auto r = sim::runSimulation(p, cfg);
     std::printf("%-28s IPC %6.3f  stFree %8llu stWin %8llu stRob %8llu "
                 "stLsq %8llu\n",

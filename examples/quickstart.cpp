@@ -38,7 +38,7 @@ main(int argc, char **argv)
         cfg.core = sim::findPreset(label);
         cfg.measureUops = uops;
         cfg.warmupUops = uops / 4;
-        cfg.verifyDataflow = true;  // every committed value oracle-checked
+        cfg.core.verifyDataflow = true;  // every committed value oracle-checked
 
         const sim::SimResults r = sim::runSimulation(profile, cfg);
         std::printf("%-12s IPC %.3f | mispredict %.2f%% | L1 miss %.2f%% | "

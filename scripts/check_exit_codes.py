@@ -95,6 +95,10 @@ def main():
         probe("retired --json is an unknown option",
               [binary, "--bench=gzip", "--machine=RR-256", *TINY, "--json"],
               1)
+        # A timeline shows one run: a sweep would render one per job and
+        # print none of them.
+        probe("--all --timeline is a config error",
+              [binary, "--all", *TINY, "--timeline=5"], 1)
         for flag in RETIRED:
             probe(f"retired --{flag.split('=')[0]} is an unknown option",
                   [binary, "--bench=gzip", *TINY, f"--{flag}"], 1)

@@ -961,20 +961,6 @@ Core::commitStage()
                 ++stats_.mispredicts;
         }
 
-        if (timelineCapacity_ > 0) {
-            TimelineEntry &e =
-                timeline_[(timelineHead_ + timelineSize_) %
-                          timelineCapacity_];
-            e = TimelineEntry{cold.op.seq, cold.op.pc, cls,
-                              rob_.meta[i].cluster,
-                              (flags & kFlagMispredicted) != 0,
-                              cold.renameCycle, cold.issueCycle,
-                              rob_.completeCycle[i], now_};
-            if (timelineSize_ < timelineCapacity_)
-                ++timelineSize_;
-            else
-                timelineHead_ = (timelineHead_ + 1) % timelineCapacity_;
-        }
         if (traceSink_)
             emitTrace(i);
 
@@ -1090,61 +1076,6 @@ Core::regAccounting() const
         if (rob_.cold[robIx(n)].oldPdst != kNoPhysReg)
             ++acc.inFlight;
     return acc;
-}
-
-void
-Core::enableTimeline(std::size_t capacity)
-{
-    timelineCapacity_ = capacity;
-    timeline_.assign(capacity, TimelineEntry{});
-    timelineHead_ = 0;
-    timelineSize_ = 0;
-}
-
-std::vector<TimelineEntry>
-Core::timeline() const
-{
-    std::vector<TimelineEntry> out;
-    out.reserve(timelineSize_);
-    for (std::size_t k = 0; k < timelineSize_; ++k)
-        out.push_back(timeline_[(timelineHead_ + k) % timelineCapacity_]);
-    return out;
-}
-
-void
-Core::dumpTimeline(std::ostream &os, std::size_t max_rows) const
-{
-    if (timelineSize_ == 0) {
-        os << "(timeline empty; call enableTimeline first)\n";
-        return;
-    }
-    const std::vector<TimelineEntry> tl = timeline();
-    const std::size_t first = tl.size() > max_rows ? tl.size() - max_rows : 0;
-    const Cycle base = tl[first].renameCycle;
-    os << "seq        cluster op       "
-          "R=rename I=issue C=complete X=commit (cycle - "
-       << base << ")\n";
-    for (std::size_t i = first; i < tl.size(); ++i) {
-        const TimelineEntry &e = tl[i];
-        char line[96];
-        std::snprintf(line, sizeof(line), "%-10llu C%u      %-8s ",
-                      (unsigned long long)e.seq, unsigned(e.cluster),
-                      std::string(isa::opClassName(e.op)).c_str());
-        os << line;
-        // Draw the four pipeline events on a relative-cycle ruler.
-        const Cycle rel_commit = e.commitCycle - base;
-        std::string ruler(std::min<Cycle>(rel_commit + 1, 60), '.');
-        const auto mark = [&](Cycle cycle, char m) {
-            const Cycle rel = cycle - base;
-            if (rel < ruler.size())
-                ruler[static_cast<std::size_t>(rel)] = m;
-        };
-        mark(e.renameCycle, 'R');
-        mark(e.issueCycle, 'I');
-        mark(e.completeCycle, 'C');
-        mark(e.commitCycle, 'X');
-        os << ruler << (e.mispredicted ? "  <mispredict" : "") << "\n";
-    }
 }
 
 void
@@ -1417,32 +1348,11 @@ Core::transfer(Self &self, Io &io)
         io.u64(g);
     io.u32(self.groupFill_);
 
-    // The timeline's capacity is configuration (enableTimeline), not
-    // state: a load validates it and never sizes the ring from the file.
-    ckpt::expect(io, self.timelineCapacity_, 8, "timeline capacity mismatch");
-    std::uint64_t tl = self.timelineSize_;
-    io.u64(tl);
-    ckpt::check(io, tl <= self.timelineCapacity_,
-                "timeline occupancy out of range");
-    if constexpr (Io::kLoading) {
-        std::fill(self.timeline_.begin(), self.timeline_.end(),
-                  TimelineEntry{});
-        self.timelineHead_ = 0;
-        self.timelineSize_ = static_cast<std::size_t>(tl);
-    }
-    for (std::size_t k = 0; k < tl; ++k) {
-        auto &e = self.timeline_[(self.timelineHead_ + k) %
-                                 self.timelineCapacity_];
-        io.u64(e.seq);
-        io.u64(e.pc);
-        io.u8(e.op);
-        io.u8(e.cluster);
-        io.b(e.mispredicted);
-        io.u64(e.renameCycle);
-        io.u64(e.issueCycle);
-        io.u64(e.completeCycle);
-        io.u64(e.commitCycle);
-    }
+    // Retired fields: the capacity and occupancy of a commit-timeline
+    // ring the core no longer keeps (the timeline is an obs::TimelineSink).
+    // Always 0; dropped at the next format version.
+    ckpt::expect(io, 0, 8, "retired timeline capacity is not zero");
+    ckpt::expect(io, 0, 8, "retired timeline occupancy is not zero");
 
     // Measurement state.
     CoreStats::transfer(self.stats_, io);

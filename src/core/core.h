@@ -135,20 +135,6 @@ struct CoreStats
     }
 };
 
-/** One row of the committed-instruction timeline (pipeview). */
-struct TimelineEntry
-{
-    SeqNum seq = 0;
-    Addr pc = 0;
-    isa::OpClass op = isa::OpClass::IntAlu;
-    ClusterId cluster = 0;
-    bool mispredicted = false;
-    Cycle renameCycle = 0;
-    Cycle issueCycle = 0;
-    Cycle completeCycle = 0;
-    Cycle commitCycle = 0;
-};
-
 /** The simulated machine. */
 class Core
 {
@@ -170,20 +156,6 @@ class Core
 
     /** Zero the measurement counters, keeping all machine state. */
     void resetStats();
-
-    /**
-     * Keep a ring of the last @p capacity committed micro-ops' pipeline
-     * timestamps (0 disables recording). The ring storage is allocated
-     * here, once, so the commit hot path never allocates; when disabled
-     * (the default) commit pays a single predictable branch.
-     */
-    void enableTimeline(std::size_t capacity);
-
-    /** The recorded timeline, oldest first. */
-    std::vector<TimelineEntry> timeline() const;
-
-    /** Render the recorded timeline as a gem5-pipeview-style text chart. */
-    void dumpTimeline(std::ostream &os, std::size_t max_rows = 64) const;
 
     /** Physical-register accounting snapshot (conservation checking). */
     struct RegAccounting
@@ -454,13 +426,6 @@ class Core
     // Figure-5 unbalancing metric state.
     std::array<std::uint64_t, kMaxClusters> groupCount_{};
     unsigned groupFill_ = 0;
-
-    // Committed-instruction timeline ring (storage allocated only by
-    // enableTimeline; empty and branch-only on the default path).
-    std::vector<TimelineEntry> timeline_;
-    std::size_t timelineCapacity_ = 0;
-    std::size_t timelineHead_ = 0;   ///< Oldest recorded entry.
-    std::size_t timelineSize_ = 0;
 
     Cycle now_ = 0;
     CoreStats stats_;

@@ -76,7 +76,7 @@ class LoadStoreQueue : public ckpt::Snapshotter
         WSRS_ASSERT(!full());
         const std::uint64_t ordinal = frontOrdinal_ + size_;
         Entry &e = entries_[ordinal & mask_];
-        e = Entry{addr, 0, rob_num, 0, is_store, false, false};
+        e = Entry{addr, 0, rob_num, 0, is_store, false};
         if (is_store)
             linkStore(e, ordinal);
         ++size_;
@@ -201,7 +201,10 @@ class LoadStoreQueue : public ckpt::Snapshotter
             io.u64(e.robNum);
             io.b(e.isStore);
             io.b(e.dataReady);
-            io.b(e.addrComputedFlag);
+            // Retired field: an address-computed flag the LSQ never set
+            // (agenCount_ tracks it). Always 0; dropped at the next
+            // format version.
+            ckpt::expect(io, 0, 1, "retired LSQ address flag is not zero");
             // The forwarding chains are derived state: rebuild them in
             // ordinal order rather than serializing them.
             if constexpr (Io::kLoading) {
@@ -222,7 +225,6 @@ class LoadStoreQueue : public ckpt::Snapshotter
                                   // ordinal ends the chain.
         bool isStore;
         bool dataReady;
-        bool addrComputedFlag;  // Implicit via agenCount_; kept for dumps.
     };
 
     std::size_t bucket(Addr addr) const { return mix64(addr) & headMask_; }

@@ -1,6 +1,7 @@
 #include "trace_sink.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -81,6 +82,66 @@ void
 BinaryTraceSink::finish()
 {
     os_.flush();
+}
+
+TimelineSink::TimelineSink(std::size_t rows) : ring_(rows)
+{
+    WSRS_ASSERT(rows > 0);
+}
+
+void
+TimelineSink::record(const UopTrace &t)
+{
+    ring_[(head_ + size_) % ring_.size()] = t;
+    if (size_ < ring_.size())
+        ++size_;
+    else
+        head_ = (head_ + 1) % ring_.size();
+}
+
+std::vector<UopTrace>
+TimelineSink::records() const
+{
+    std::vector<UopTrace> out;
+    out.reserve(size_);
+    for (std::size_t k = 0; k < size_; ++k)
+        out.push_back(ring_[(head_ + k) % ring_.size()]);
+    return out;
+}
+
+void
+TimelineSink::render(std::ostream &os) const
+{
+    if (size_ == 0) {
+        os << "(timeline empty: no micro-op committed)\n";
+        return;
+    }
+    const std::vector<UopTrace> tl = records();
+    const Cycle base = tl.front().renameCycle;
+    os << "seq        cluster op       "
+          "R=rename I=issue C=complete X=commit (cycle - "
+       << base << ")\n";
+    for (const UopTrace &e : tl) {
+        char line[96];
+        std::snprintf(line, sizeof(line), "%-10llu C%u      %-8s ",
+                      (unsigned long long)e.seq, unsigned(e.cluster),
+                      std::string(isa::opClassName(e.op)).c_str());
+        os << line;
+        // Draw the four pipeline events on a relative-cycle ruler.
+        const Cycle rel_commit = e.commitCycle - base;
+        std::string ruler(std::min<Cycle>(rel_commit + 1, 60), '.');
+        const auto mark = [&](Cycle cycle, char m) {
+            const Cycle rel = cycle - base;
+            if (rel < ruler.size())
+                ruler[static_cast<std::size_t>(rel)] = m;
+        };
+        mark(e.renameCycle, 'R');
+        mark(e.issueCycle, 'I');
+        mark(e.completeCycle, 'C');
+        mark(e.commitCycle, 'X');
+        os << ruler << ((e.flags & kUopMispredicted) ? "  <mispredict" : "")
+           << "\n";
+    }
 }
 
 std::vector<UopTrace>

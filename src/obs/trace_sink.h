@@ -13,7 +13,9 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/types.h"
@@ -107,6 +109,67 @@ class BinaryTraceSink : public TraceSink
 
   private:
     std::ostream &os_;
+};
+
+/**
+ * The last N committed micro-ops, rendered as a text chart (wsrs-sim
+ * --timeline): one row per micro-op marking rename (R), issue (I),
+ * complete (C) and commit (X) on a ruler of cycles relative to the oldest
+ * row's rename. The ring is allocated once, so record never allocates.
+ */
+class TimelineSink : public TraceSink
+{
+  public:
+    /** @param rows ring capacity; must be at least 1. */
+    explicit TimelineSink(std::size_t rows);
+
+    void record(const UopTrace &t) override;
+
+    /** The recorded micro-ops, oldest first. */
+    std::vector<UopTrace> records() const;
+
+    /** Render the recorded micro-ops, oldest first. */
+    void render(std::ostream &os) const;
+
+  private:
+    std::vector<UopTrace> ring_;
+    std::size_t head_ = 0;  ///< Oldest recorded micro-op.
+    std::size_t size_ = 0;
+};
+
+/** Forwards every record to each sink it owns, in the order added. */
+class FanOutSink : public TraceSink
+{
+  public:
+    /** Construct a @p Sink from @p args, own it and return it. */
+    template <typename Sink, typename... Args>
+    Sink &
+    add(Args &&...args)
+    {
+        auto sink = std::make_unique<Sink>(std::forward<Args>(args)...);
+        Sink &added = *sink;
+        sinks_.push_back(std::move(sink));
+        return added;
+    }
+
+    bool empty() const { return sinks_.empty(); }
+
+    void
+    record(const UopTrace &t) override
+    {
+        for (const auto &s : sinks_)
+            s->record(t);
+    }
+
+    void
+    finish() override
+    {
+        for (const auto &s : sinks_)
+            s->finish();
+    }
+
+  private:
+    std::vector<std::unique_ptr<TraceSink>> sinks_;
 };
 
 /**

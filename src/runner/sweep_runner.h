@@ -82,7 +82,7 @@ class SweepRunner
          * means (functional instead of core-timed) so it is opt-in;
          * results stay deterministic and machine-comparable because every
          * job of a benchmark starts from the identical warmed state.
-         * Incompatible with jobs that set verifyDataflow.
+         * Incompatible with jobs that set core.verifyDataflow.
          */
         bool reuseWarmup = false;
         /** Journal each completed job to this file (empty = no journal). */

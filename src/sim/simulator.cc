@@ -131,9 +131,7 @@ runSimulationImpl(const workload::BenchmarkProfile &profile,
     StatGroup stats(profile.name);
     memory::MemoryHierarchy mem(config.mem, stats);
 
-    core::CoreParams cp = config.core;
-    cp.verifyDataflow = config.verifyDataflow;
-    core::Core machine(cp, source, *predictor, mem);
+    core::Core machine(config.core, source, *predictor, mem);
 
     // ---- warm-up phase: run it, restore it, or skip past it ----
     if (!config.checkpointLoadPath.empty()) {
@@ -148,7 +146,7 @@ runSimulationImpl(const workload::BenchmarkProfile &profile,
                            fullCheckpointMetaHash(profile, config),
                            *source_snap, *predictor, mem, machine);
     } else if (config.warmupBlob) {
-        if (config.verifyDataflow)
+        if (config.core.verifyDataflow)
             fatal("warm-up snapshot reuse cannot be combined with "
                   "verifyDataflow: the commit-time oracle must observe the "
                   "warm-up micro-ops it would skip");
@@ -179,55 +177,31 @@ runSimulationImpl(const workload::BenchmarkProfile &profile,
     // to the same cycle the measured slice starts at (0 on the warm-up
     // blob path, the warm-up length otherwise).
     mem.resetMeasurement(machine.now());
-    if (config.timelineRows > 0)
-        machine.enableTimeline(config.timelineRows);
 
-    // Observability attaches after warm-up so traces and interval series
-    // cover exactly the measured slice.
+    // Observability attaches after warm-up so traces, the timeline and
+    // interval series cover exactly the measured slice.
     std::ofstream trace_text, trace_bin;
-    std::unique_ptr<obs::TraceSink> text_sink, bin_sink;
-    std::unique_ptr<obs::TraceSink> tee;
+    obs::FanOutSink sinks;
     if (!config.tracePipePath.empty()) {
         trace_text.open(config.tracePipePath);
         if (!trace_text)
             fatalIo("cannot open trace file '%s'",
                   config.tracePipePath.c_str());
-        text_sink = std::make_unique<obs::O3PipeViewSink>(trace_text);
+        sinks.add<obs::O3PipeViewSink>(trace_text);
     }
     if (!config.tracePipeBinPath.empty()) {
         trace_bin.open(config.tracePipeBinPath, std::ios::binary);
         if (!trace_bin)
             fatalIo("cannot open binary trace file '%s'",
                   config.tracePipeBinPath.c_str());
-        bin_sink = std::make_unique<obs::BinaryTraceSink>(trace_bin);
+        sinks.add<obs::BinaryTraceSink>(trace_bin);
     }
-    if (text_sink && bin_sink) {
-        struct Tee : obs::TraceSink
-        {
-            obs::TraceSink *a, *b;
-            void
-            record(const obs::UopTrace &t) override
-            {
-                a->record(t);
-                b->record(t);
-            }
-            void
-            finish() override
-            {
-                a->finish();
-                b->finish();
-            }
-        };
-        auto t = std::make_unique<Tee>();
-        t->a = text_sink.get();
-        t->b = bin_sink.get();
-        tee = std::move(t);
-        machine.attachTraceSink(tee.get());
-    } else if (text_sink) {
-        machine.attachTraceSink(text_sink.get());
-    } else if (bin_sink) {
-        machine.attachTraceSink(bin_sink.get());
-    }
+    const obs::TimelineSink *timeline =
+        config.timelineRows > 0
+            ? &sinks.add<obs::TimelineSink>(config.timelineRows)
+            : nullptr;
+    if (!sinks.empty())
+        machine.attachTraceSink(&sinks);
     if (config.intervalStatsCycles > 0)
         machine.enableIntervalStats(config.intervalStatsCycles);
     if (config.profiler)
@@ -246,29 +220,24 @@ runSimulationImpl(const workload::BenchmarkProfile &profile,
 
     machine.run(config.measureUops);
 
-    if (tee)
-        tee->finish();
-    else if (text_sink)
-        text_sink->finish();
-    else if (bin_sink)
-        bin_sink->finish();
+    sinks.finish();
     machine.attachTraceSink(nullptr);
     machine.attachStageProfiler(nullptr);
     // A trace that could not be written is an I/O error, not a result.
-    if (text_sink && !trace_text.flush())
+    if (trace_text.is_open() && !trace_text.flush())
         fatalIo("cannot write trace file '%s'", config.tracePipePath.c_str());
-    if (bin_sink && !trace_bin.flush())
+    if (trace_bin.is_open() && !trace_bin.flush())
         fatalIo("cannot write binary trace file '%s'",
                 config.tracePipeBinPath.c_str());
 
     const core::CoreStats &cs = machine.stats();
-    if (config.verifyDataflow && cs.valueMismatches > 0)
+    if (config.core.verifyDataflow && cs.valueMismatches > 0)
         fatal("dataflow verification failed: %llu mismatching values",
               static_cast<unsigned long long>(cs.valueMismatches));
 
     SimResults r;
     r.benchmark = profile.name;
-    r.machine = cp.name;
+    r.machine = config.core.name;
     r.stats = cs;
     r.ipc = cs.ipc();
     r.unbalancingDegree = cs.unbalancingDegree();
@@ -285,9 +254,9 @@ runSimulationImpl(const workload::BenchmarkProfile &profile,
         r.mem.dramQueueFullWaits =
             d->queueFullWaits() - mem0.dramQueueFullWaits;
     }
-    if (config.timelineRows > 0) {
+    if (timeline) {
         std::ostringstream os;
-        machine.dumpTimeline(os, config.timelineRows);
+        timeline->render(os);
         r.timelineText = os.str();
     }
 

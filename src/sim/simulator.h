@@ -37,7 +37,6 @@ struct SimConfig
     std::uint64_t warmupUops = 400000;   ///< Cache/predictor warm-up.
     std::uint64_t measureUops = 1000000; ///< Measured slice.
     std::uint64_t seed = 0;              ///< Extra trace seed.
-    bool verifyDataflow = false;         ///< Oracle value checking.
     std::size_t timelineRows = 0;        ///< Record last-N pipeline rows.
 
     // ---- observability (measured slice only; warm-up is never traced) ----
@@ -59,8 +58,9 @@ struct SimConfig
     /** In-memory kind="warmup" snapshot (see sim/warmup.h): restore the
      *  warmed memory hierarchy and predictor from the blob and fast-forward
      *  the micro-op source instead of running the core through warm-up.
-     *  Borrowed; must outlive the run. Incompatible with verifyDataflow
-     *  (the commit-time oracle cannot skip the warm-up dataflow). */
+     *  Borrowed; must outlive the run. Incompatible with
+     *  core.verifyDataflow (the commit-time oracle cannot skip the
+     *  warm-up dataflow). */
     const std::string *warmupBlob = nullptr;
 };
 

@@ -164,10 +164,7 @@ fullCheckpointMetaHash(const workload::BenchmarkProfile &profile,
 {
     std::uint64_t h = warmupKeyHash(profile, config);
     h = hashStr(h, "full-sim");
-    core::CoreParams cp = config.core;
-    cp.verifyDataflow = config.verifyDataflow;  // as the simulation runs it
-    h = hashCoreParams(h, cp);
-    return h;
+    return hashCoreParams(h, config.core);
 }
 
 std::string

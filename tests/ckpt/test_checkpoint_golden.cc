@@ -49,7 +49,7 @@ smallConfig(const std::string &machine, bool verify = false)
     cfg.core = findPreset(machine);
     cfg.warmupUops = 8000;
     cfg.measureUops = 15000;
-    cfg.verifyDataflow = verify;
+    cfg.core.verifyDataflow = verify;
     return cfg;
 }
 
@@ -211,7 +211,7 @@ TEST(WarmupSnapshot, IncompatibleWithVerifyDataflow)
     const SimConfig cfg = smallConfig("WSRS-RC-512");
     const std::string blob = buildWarmupSnapshot(profile, cfg);
     SimConfig bad = cfg;
-    bad.verifyDataflow = true;
+    bad.core.verifyDataflow = true;
     bad.warmupBlob = &blob;
     EXPECT_THROW(runSimulation(profile, bad), FatalError);
 }
@@ -292,9 +292,9 @@ TEST(FullSimCheckpoint, FileBytesAreGolden)
     }
 }
 
-// Locks the bytes of one Core snapshot with the commit timeline and the
-// interval sampler on, so timeline entries and interval samples are part
-// of the locked layout (runSimulation saves before either is enabled).
+// Locks the bytes of one Core snapshot with the interval sampler on, so
+// interval samples are part of the locked layout (runSimulation saves
+// before it is enabled).
 TEST(CoreSnapshot, BytesAreGolden)
 {
     workload::TraceGenerator gen(workload::findProfile("gzip"), 1);
@@ -302,18 +302,15 @@ TEST(CoreSnapshot, BytesAreGolden)
     StatGroup stats("core-snapshot");
     memory::MemoryHierarchy mem(memory::HierarchyParams{}, stats);
     core::Core machine(findPreset("WSRS-RC-512"), gen, predictor, mem);
-    machine.enableTimeline(16);
     machine.enableIntervalStats(500);
     machine.run(6000);
     ckpt::Writer w;
     machine.snapshot(w);
     const std::uint64_t hash = test::fnv1a(w.buffer());
-    EXPECT_EQ(hash, 0xb3de90ec5e2bb398ull) << std::hex << hash;
+    EXPECT_EQ(hash, 0x09a0f8dda0545cb3ull) << std::hex << hash;
 
-    // A core with the same timeline capacity restores those bytes and
-    // saves them back unchanged.
+    // A fresh core restores those bytes and saves them back unchanged.
     core::Core copy(findPreset("WSRS-RC-512"), gen, predictor, mem);
-    copy.enableTimeline(16);
     ckpt::Reader r(w.buffer(), "<core>");
     copy.restore(r);
     ckpt::Writer again;

@@ -447,8 +447,9 @@ TEST(ComponentRoundTrip, RejectsCountsBeyondPayloadOrConfiguration)
     ckpt::Writer pipe;
     obs::PipelineStats(g0, 4).snapshot(pipe);
 
-    // A fresh core's payload ends with the timeline (capacity, size), the
-    // core statistics, the wait-token counters and its PipelineStats.
+    // A core's payload ends with the two retired timeline fields (written
+    // 0), the core statistics, the wait-token counters and its
+    // PipelineStats.
     workload::TraceGenerator gen(workload::findProfile("gzip"), 1);
     bpred::TwoBcGskew bp;
     StatGroup g1("g1");

@@ -6,6 +6,7 @@
 #include "src/bpred/two_bc_gskew.h"
 #include "src/workload/trace_generator.h"
 #include "src/core/core.h"
+#include "src/obs/trace_sink.h"
 #include "src/sim/presets.h"
 #include "src/workload/profiles.h"
 
@@ -269,14 +270,15 @@ TEST(Core, PoolWriteSpecializationNeedsMoreRegisters)
 TEST(Core, TimelineRecordsOrderedPipelineEvents)
 {
     Rig rig(sim::presetConventional(256));
-    rig.core.enableTimeline(256);
+    obs::TimelineSink sink(256);
+    rig.core.attachTraceSink(&sink);
     rig.core.run(20000);
-    const auto &tl = rig.core.timeline();
+    const auto &tl = sink.records();
     ASSERT_EQ(tl.size(), 256u);
     SeqNum prev_seq = 0;
     Cycle prev_commit = 0;
     bool first = true;
-    for (const TimelineEntry &e : tl) {
+    for (const obs::UopTrace &e : tl) {
         // Per-op event ordering.
         EXPECT_LT(e.renameCycle, e.issueCycle);
         EXPECT_LT(e.issueCycle, e.completeCycle);
@@ -295,10 +297,11 @@ TEST(Core, TimelineRecordsOrderedPipelineEvents)
 TEST(Core, TimelineDumpRendersRows)
 {
     Rig rig(sim::presetWsrsRc(512));
-    rig.core.enableTimeline(32);
+    obs::TimelineSink sink(16);
+    rig.core.attachTraceSink(&sink);
     rig.core.run(5000);
     std::ostringstream os;
-    rig.core.dumpTimeline(os, 16);
+    sink.render(os);
     const std::string text = os.str();
     EXPECT_NE(text.find('R'), std::string::npos);
     EXPECT_NE(text.find('X'), std::string::npos);
@@ -408,14 +411,15 @@ TEST(Core, MinimumMispredictPenaltyIsRealized)
     // should achieve exactly that minimum.
     CoreParams p = sim::presetConventional(256);
     Rig rig(p, "gcc");
-    rig.core.enableTimeline(20000);
+    obs::TimelineSink sink(20000);
+    rig.core.attachTraceSink(&sink);
     rig.core.run(20000);
 
     const Cycle floor_gap = p.regReadStages + 1 + p.frontEndDepth;
-    const auto &tl = rig.core.timeline();
+    const auto &tl = sink.records();
     Cycle min_gap = kNeverCycle;
     for (std::size_t i = 0; i + 1 < tl.size(); ++i) {
-        if (!tl[i].mispredicted)
+        if (!(tl[i].flags & obs::kUopMispredicted))
             continue;
         const Cycle gap = tl[i + 1].renameCycle - tl[i].issueCycle;
         EXPECT_GE(gap, floor_gap);

@@ -78,7 +78,7 @@ TEST(WakeupEquivalence, VerifiedDataflowStillPasses)
         cfg.core = sim::findPreset(machine);
         cfg.warmupUops = 5000;
         cfg.measureUops = 30000;
-        cfg.verifyDataflow = true;
+        cfg.core.verifyDataflow = true;
         const sim::SimResults r =
             sim::runSimulation(workload::findProfile("gcc"), cfg);
         EXPECT_EQ(r.stats.valueMismatches, 0u);

@@ -104,7 +104,7 @@ TEST_P(ConfigFuzz, RandomLegalConfigVerifies)
     cfg.core = params;
     cfg.warmupUops = 0;
     cfg.measureUops = 12000;
-    cfg.verifyDataflow = true;
+    cfg.core.verifyDataflow = true;
     const sim::SimResults r = sim::runSimulation(profile, cfg);
     EXPECT_EQ(r.stats.valueMismatches, 0u)
         << "mode=" << int(params.mode) << " policy=" << int(params.policy)

@@ -31,7 +31,7 @@ TEST_P(OracleEquivalence, AllCommittedValuesMatchOracle)
     cfg.core = sim::findPreset(machine);
     cfg.warmupUops = 0;
     cfg.measureUops = 25000;
-    cfg.verifyDataflow = true;  // runSimulation throws on any mismatch
+    cfg.core.verifyDataflow = true;  // runSimulation throws on any mismatch
     const sim::SimResults r =
         sim::runSimulation(workload::findProfile(bench), cfg);
     EXPECT_EQ(r.stats.valueMismatches, 0u);

@@ -153,6 +153,58 @@ TEST(UopTrace, WakeupLatencyIsClampedAtZero)
     EXPECT_EQ(t.wakeupLatency(), 0u);
 }
 
+TEST(TimelineSink, KeepsTheLastRowsInCommitOrder)
+{
+    TimelineSink sink(4);
+    for (std::uint64_t seq = 1; seq <= 10; ++seq)
+        sink.record(sampleTrace(seq));
+    const std::vector<UopTrace> kept = sink.records();
+    ASSERT_EQ(kept.size(), 4u);
+    for (std::size_t k = 0; k < kept.size(); ++k)
+        EXPECT_EQ(kept[k].seq, 7 + k);
+
+    // The ruler counts from the oldest kept row's rename (cycle 20).
+    std::ostringstream os;
+    sink.render(os);
+    const auto lines = splitLines(os.str());
+    ASSERT_EQ(lines.size(), 5u);
+    EXPECT_EQ(lines[0], "seq        cluster op       R=rename I=issue "
+                        "C=complete X=commit (cycle - 20)");
+    EXPECT_EQ(lines[1], "7          C3      load     R...IC......X");
+    EXPECT_EQ(lines[4], "10         C2      load     ...R...IC......X"
+                        "  <mispredict");
+}
+
+TEST(TimelineSink, RendersFewerRecordsThanRows)
+{
+    TimelineSink sink(64);
+    std::ostringstream empty;
+    sink.render(empty);
+    EXPECT_EQ(empty.str(), "(timeline empty: no micro-op committed)\n");
+
+    for (std::uint64_t seq = 1; seq <= 3; ++seq)
+        sink.record(sampleTrace(seq));
+    EXPECT_EQ(sink.records().size(), 3u);
+    std::ostringstream os;
+    sink.render(os);
+    EXPECT_EQ(splitLines(os.str()).size(), 4u);
+}
+
+TEST(FanOutSink, ForwardsEveryRecordToEverySink)
+{
+    FanOutSink fan;
+    EXPECT_TRUE(fan.empty());
+    std::ostringstream text;
+    fan.add<O3PipeViewSink>(text);
+    const TimelineSink &timeline = fan.add<TimelineSink>(8);
+    for (std::uint64_t seq = 1; seq <= 3; ++seq)
+        fan.record(sampleTrace(seq));
+    fan.finish();
+    EXPECT_FALSE(fan.empty());
+    EXPECT_EQ(splitLines(text.str()).size(), 3u * 7u);
+    EXPECT_EQ(timeline.records().size(), 3u);
+}
+
 // Locks the WSRSPTR1 bytes; the hash was taken before the sink moved onto
 // the shared little-endian helpers. The last record sets the high byte of
 // every 64-bit field and saturates the 32-bit wake-up latency.

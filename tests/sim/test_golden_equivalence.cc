@@ -109,7 +109,7 @@ TEST_P(GoldenEquivalence, StatsJsonByteIdentical)
     // The commit-time oracle cross-checks every value the dataflow model
     // produced, so a scheduling-only refactor that accidentally perturbs
     // operand routing fails loudly here, not just via the hash.
-    cfg.verifyDataflow = true;
+    cfg.core.verifyDataflow = true;
     const sim::SimResults r =
         sim::runSimulation(workload::findProfile(row.profile), cfg);
     EXPECT_EQ(r.stats.cycles, row.cycles)

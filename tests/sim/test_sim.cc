@@ -1,12 +1,15 @@
 /** @file Tests for presets and the simulation facade. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "src/common/log.h"
 #include "src/sim/presets.h"
 #include "src/sim/simulator.h"
+#include "src/sim/warmup.h"
 #include "src/workload/profiles.h"
+#include "tests/support/fnv.h"
 
 namespace wsrs::sim {
 namespace {
@@ -99,7 +102,7 @@ TEST(Simulator, RunsAndReportsConsistentResults)
     cfg.core = findPreset("RR-256");
     cfg.warmupUops = 5000;
     cfg.measureUops = 20000;
-    cfg.verifyDataflow = true;
+    cfg.core.verifyDataflow = true;
     const SimResults r =
         runSimulation(workload::findProfile("gzip"), cfg);
     EXPECT_EQ(r.benchmark, "gzip");
@@ -130,7 +133,7 @@ TEST(Simulator, SeedChangesTraceButNotValidity)
     a.core = b.core = findPreset("RR-256");
     a.warmupUops = b.warmupUops = 2000;
     a.measureUops = b.measureUops = 10000;
-    a.verifyDataflow = b.verifyDataflow = true;
+    a.core.verifyDataflow = b.core.verifyDataflow = true;
     b.seed = 99;
     const auto &p = workload::findProfile("vpr");
     const SimResults ra = runSimulation(p, a);
@@ -166,6 +169,56 @@ TEST(Simulator, PerfectPredictorIsUpperBound)
     ideal.predictor = PredictorKind::Perfect;
     const auto &p = workload::findProfile("gcc");
     EXPECT_GE(runSimulation(p, ideal).ipc, runSimulation(p, real).ipc);
+}
+
+TEST(Simulator, VerifyKnobLivesInCoreParams)
+{
+    // The oracle cannot skip the warm-up dataflow a blob stands in for,
+    // so asking for it on the core alone must refuse the blob.
+    const auto &profile = workload::findProfile("gzip");
+    SimConfig cfg;
+    cfg.core = findPreset("WSRS-RC-512");
+    cfg.warmupUops = 2000;
+    cfg.measureUops = 2000;
+    const std::string blob = buildWarmupSnapshot(profile, cfg);
+    cfg.core.verifyDataflow = true;
+    cfg.warmupBlob = &blob;
+    EXPECT_THROW(runSimulation(profile, cfg), FatalError);
+}
+
+// Locks the `--timeline` text of three runs: a full ring, a DRAM run and a
+// slice that commits fewer micro-ops than the ring holds.
+TEST(Simulator, TimelineTextIsGolden)
+{
+    const struct
+    {
+        const char *bench, *machine, *mem;
+        std::uint64_t warmup, measure;
+        std::size_t rows;
+        std::uint64_t hash;
+    } cases[] = {
+        {"gcc", "WSRS-RC-512", nullptr, 2000, 5000, 40, 0x516b06ebe7e8f793ull},
+        {"mcf", "RR-256", "dram", 1000, 3000, 24, 0x1edab94157ed3c6dull},
+        {"gzip", "WSRR-384", nullptr, 500, 20, 64, 0x154d9c98dfecfc62ull},
+    };
+    for (const auto &c : cases) {
+        SimConfig cfg;
+        cfg.core = findPreset(c.machine);
+        if (c.mem)
+            cfg.mem = findMemPreset(c.mem);
+        cfg.warmupUops = c.warmup;
+        cfg.measureUops = c.measure;
+        cfg.timelineRows = c.rows;
+        const std::string text =
+            runSimulation(workload::findProfile(c.bench), cfg).timelineText;
+        const auto lines = std::count(text.begin(), text.end(), '\n');
+        // A header plus one row per recorded micro-op, at most `rows`.
+        EXPECT_GT(lines, 1) << c.bench;
+        EXPECT_LE(lines, std::ptrdiff_t(c.rows) + 1) << c.bench;
+        const std::uint64_t hash = test::fnv1a(text);
+        EXPECT_EQ(hash, c.hash)
+            << c.bench << " on " << c.machine << ": " << std::hex << hash;
+    }
 }
 
 TEST(Simulator, EnvOverridesApply)

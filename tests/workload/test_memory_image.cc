@@ -190,7 +190,7 @@ TEST(MemoryImage, OracleRunOfMcfSeesNoValueMismatch)
     cfg.core = sim::findPreset("WSRS-RC-512");
     cfg.warmupUops = 20000;
     cfg.measureUops = 30000;
-    cfg.verifyDataflow = true;
+    cfg.core.verifyDataflow = true;
     const sim::SimResults r = sim::runSimulation(findProfile("mcf"), cfg);
     EXPECT_EQ(r.stats.valueMismatches, 0u);
     EXPECT_GE(r.stats.committed, 30000u);
@@ -240,7 +240,7 @@ TEST(MemoryImage, OracleRunOfUnalignedTraceSeesNoValueMismatch)
     cfg.core = sim::findPreset("WSRS-RC-512");
     cfg.warmupUops = 0;
     cfg.measureUops = 35000;
-    cfg.verifyDataflow = true;
+    cfg.core.verifyDataflow = true;
     TraceReader reader(path);
     const sim::SimResults r = sim::runSimulation(profile, cfg, reader);
     std::remove(path.c_str());

@@ -200,7 +200,7 @@ main(int argc, char **argv)
             cfg.measureUops = args.getUint("uops", 1000000);
             cfg.warmupUops = args.getUint("warmup", 400000);
             cfg.seed = args.getUint("seed", 0);
-            cfg.verifyDataflow = args.has("verify");
+            cfg.core.verifyDataflow = args.has("verify");
             cfg.timelineRows =
                 std::size_t(args.getUint("timeline", 0));
             if (args.has("predictor"))
@@ -238,6 +238,9 @@ main(int argc, char **argv)
         if (args.has("all")) {
             if (args.has("trace-pipe") || args.has("trace-pipe-bin"))
                 fatal("--trace-pipe traces a single run; combine it with "
+                      "--bench/--machine, not --all");
+            if (args.has("timeline"))
+                fatal("--timeline shows a single run; combine it with "
                       "--bench/--machine, not --all");
             if (args.has("ckpt-save") || args.has("ckpt-load"))
                 fatal("--ckpt-save/--ckpt-load checkpoint a single run; "
