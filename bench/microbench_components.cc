@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "src/bpred/two_bc_gskew.h"
 #include "src/common/args.h"
 #include "src/common/json.h"
+#include "src/common/log.h"
 #include "src/core/cluster_alloc.h"
 #include "src/isa/micro_op.h"
 #include "src/memory/hierarchy.h"
@@ -498,6 +500,14 @@ main(int argc, char **argv)
             continue;
         const std::string path = argv[i] + std::strlen(flag);
         return runTool("microbench_components", [&] {
+            // Probe the path with one byte first, so an unwritable one
+            // fails now rather than after the whole measurement.
+            if (path != "-") {
+                std::ofstream probe(path);
+                if (!(probe << '\n' << std::flush))
+                    fatalIo("cannot write throughput file '%s'",
+                            path.c_str());
+            }
             writeDocument(path, "throughput", emitThroughputJson);
             std::printf("wrote %s\n", path.c_str());
             return 0;

@@ -67,6 +67,16 @@ def check_hist(h, where, expected_buckets=None):
     return total
 
 
+# Core counters that duplicate rename_stall buckets: each must equal the
+# sum of its causes' buckets.
+RENAME_STALL_COUNTERS = (
+    ("rename_stall_rob", ("rob-full",)),
+    ("rename_stall_lsq", ("lsq-full",)),
+    ("rename_stall_window", ("cluster-window-full",)),
+    ("rename_stall_free_reg", ("subset-full", "phys-reg-exhausted")),
+)
+
+
 MEM_STALL_KEYS = ("queue-full", "bank-busy", "bank-prep", "data-burst",
                   "idle")
 
@@ -144,6 +154,13 @@ def check_stats_doc(doc, where):
         expect(total == cycles,
                f"{where}.{stage}_stall: stall-cause cycles {total} != "
                f"core cycles {cycles}")
+    rename = dict(zip(legends["rename"], pipe["rename_stall"]["buckets"]))
+    for counter, causes in RENAME_STALL_COUNTERS:
+        got = core["counters"][counter]
+        want = sum(rename[c] for c in causes)
+        expect(got == want,
+               f"{where}.core.counters.{counter} = {got} != "
+               f"{' + '.join(causes)} rename_stall cycles {want}")
     check_hist(pipe["wakeup_latency"], f"{where}.wakeup_latency")
 
     intervals = pipe["intervals"]

@@ -1,7 +1,7 @@
 /**
  * @file
- * Lightweight statistics package: named counters and histograms that
- * register themselves with a StatGroup and are dumped as one JSON object.
+ * Lightweight statistics package: named counters that register
+ * themselves with a StatGroup and are dumped as one JSON object.
  * Modeled (loosely) on the gem5 stats package, sized for this simulator.
  */
 #pragma once
@@ -14,7 +14,7 @@
 
 namespace wsrs {
 
-class StatGroup;
+class Counter;
 
 /**
  * Version tag of the machine-readable statistics documents produced by
@@ -24,30 +24,45 @@ class StatGroup;
  */
 inline constexpr const char *kStatsJsonSchema = "wsrs-stats-v1";
 
-/** Base class for every named statistic. */
-class StatBase
+/**
+ * Owner of a set of counters. Counters register on construction and are
+ * dumped in registration order. The group does not own the counters
+ * (they are members of the structures being instrumented); it must
+ * outlive them being dumped, not the counters themselves.
+ */
+class StatGroup
 {
   public:
-    StatBase(StatGroup &group, std::string name);
-    virtual ~StatBase() = default;
+    explicit StatGroup(std::string name) : name_(std::move(name)) {}
 
-    StatBase(const StatBase &) = delete;
-    StatBase &operator=(const StatBase &) = delete;
+    /** Called by Counter's constructor. */
+    void add(Counter *c) { stats_.push_back(c); }
+
+    /** Dump all registered counters as one JSON object. */
+    void dumpJson(JsonWriter &w) const;
 
     const std::string &name() const { return name_; }
 
-    /** Write this statistic's value; StatGroup writes its name as key. */
-    virtual void dumpJson(JsonWriter &w) const = 0;
-
   private:
     std::string name_;
+    std::vector<Counter *> stats_;
 };
 
 /** Monotonic (or at least additive) event counter. */
-class Counter : public StatBase
+class Counter
 {
   public:
-    using StatBase::StatBase;
+    /** Register in @p group under the name "<group>.<name>". */
+    Counter(StatGroup &group, std::string name)
+        : name_(group.name() + "." + std::move(name))
+    {
+        group.add(this);
+    }
+
+    Counter(const Counter &) = delete;
+    Counter &operator=(const Counter &) = delete;
+
+    const std::string &name() const { return name_; }
 
     Counter &operator++() { ++value_; return *this; }
     Counter &operator+=(std::uint64_t n) { value_ += n; return *this; }
@@ -57,85 +72,20 @@ class Counter : public StatBase
     /** Checkpoint restore: overwrite the count. */
     void restore(std::uint64_t v) { value_ = v; }
 
-    void dumpJson(JsonWriter &w) const override;
     void reset() { value_ = 0; }
 
   private:
+    std::string name_;
     std::uint64_t value_ = 0;
 };
 
-/**
- * Fixed-bucket histogram over [0, buckets); samples at or beyond the top
- * land in an explicit overflow bucket (counted in samples() and mean(),
- * reported separately by dumpJson so saturation is detectable).
- */
-class Histogram : public StatBase
+inline void
+StatGroup::dumpJson(JsonWriter &w) const
 {
-  public:
-    Histogram(StatGroup &group, std::string name, std::size_t buckets);
-
-    void
-    sample(std::uint64_t v, std::uint64_t count = 1)
-    {
-        if (v < buckets_.size())
-            buckets_[static_cast<std::size_t>(v)] += count;
-        else
-            overflow_ += count;
-        samples_ += count;
-        sum_ += static_cast<double>(v) * static_cast<double>(count);
-    }
-
-    /**
-     * Checkpoint restore: overwrite the measurement state. @p buckets must
-     * match the configured bucket count.
-     */
-    void restore(std::vector<std::uint64_t> buckets, std::uint64_t overflow,
-                 std::uint64_t samples, double sum);
-
-    std::uint64_t bucket(std::size_t i) const { return buckets_.at(i); }
-    const std::vector<std::uint64_t> &buckets() const { return buckets_; }
-    std::size_t numBuckets() const { return buckets_.size(); }
-    /** Samples that fell at or beyond numBuckets(). */
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t samples() const { return samples_; }
-    /** Raw sample sum (exposed so checkpoints round-trip bit-exactly). */
-    double sum() const { return sum_; }
-    double mean() const { return samples_ ? sum_ / samples_ : 0.0; }
-
-    /** {buckets, overflow, samples, mean}, without the stat's name. */
-    void dumpJson(JsonWriter &w) const override;
-    /** Reset to the freshly-constructed state. */
-    void reset();
-
-  private:
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t samples_ = 0;
-    double sum_ = 0.0;
-};
-
-/**
- * Owner of a set of statistics. Statistics register on construction and are
- * dumped in registration order. The group does not own the statistics
- * objects (they are members of the structures being instrumented); it must
- * outlive them being dumped, not the stats themselves.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    /** Called by StatBase's constructor. */
-    void add(StatBase *stat) { stats_.push_back(stat); }
-
-    /** Dump all registered statistics as one JSON object. */
-    void dumpJson(JsonWriter &w) const;
-
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
-    std::vector<StatBase *> stats_;
-};
+    w.beginObject();
+    for (const Counter *c : stats_)
+        w.field(c->name(), c->value());
+    w.endObject();
+}
 
 } // namespace wsrs

@@ -57,7 +57,7 @@ Core::Core(const CoreParams &params, workload::MicroOpSource &gen,
       alloc_(params_), lsq_(params_.lsqSize), rng_(params_.seed),
       regWaiters_(params_.numPhysRegs), wakeWheel_(kWakeRing),
       prod_(params_.numPhysRegs), wbSlots_(params_.numClusters),
-      obs_(statGroup_, params_.numClusters)
+      obs_(params_.numClusters)
 {
     windowCap_ = std::size_t{params_.numClusters} * params_.clusterWindow;
     const std::size_t ring = pow2AtLeast(windowCap_);

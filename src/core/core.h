@@ -35,7 +35,6 @@
 #include "src/bpred/predictor.h"
 #include "src/ckpt/snapshotter.h"
 #include "src/common/rng.h"
-#include "src/common/stats.h"
 #include "src/obs/pipeline_stats.h"
 #include "src/obs/stage_profiler.h"
 #include "src/obs/trace_sink.h"
@@ -431,8 +430,6 @@ class Core
     CoreStats stats_;
 
     // ---- observability state ----
-    // statGroup_ must precede obs_ (obs_ registers histograms in it).
-    StatGroup statGroup_{"core"};
     obs::PipelineStats obs_;
     obs::TraceSink *traceSink_ = nullptr;
     obs::StageProfiler *profiler_ = nullptr;

@@ -10,13 +10,13 @@
  * exported on demand as a `wsrs-metrics-v1` JSON document
  * (`wsrs-sim --metrics-out`, `wsrs-explore --metrics-out`).
  *
- * Concurrency contract (mirrors PipelineStats' hot/cold split): metric
- * *updates* are relaxed atomics — no locks, safe from any thread, cheap
- * enough to leave compiled in (the perf-smoke harness gates the
- * instrumented-but-unexported path at <2% of throughput). Registration
- * and export take a mutex; both are cold. Handles returned by
- * counter()/gauge()/histogram() stay valid for the registry's lifetime,
- * and re-registering a name returns the existing instrument.
+ * Concurrency contract: metric *updates* are relaxed atomics — no
+ * locks, safe from any thread, cheap enough to leave compiled in (the
+ * perf-smoke harness gates the instrumented-but-unexported path at <2%
+ * of throughput). Registration and export take a mutex; both are cold.
+ * Handles returned by counter()/gauge()/histogram() stay valid for the
+ * registry's lifetime, and re-registering a name returns the existing
+ * instrument.
  */
 #pragma once
 

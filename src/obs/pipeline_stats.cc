@@ -1,5 +1,6 @@
 #include "pipeline_stats.h"
 
+#include <cmath>
 #include <span>
 
 #include "src/common/log.h"
@@ -61,22 +62,10 @@ memQueueStallName(MemQueueStall c)
     }
 }
 
-PipelineStats::PipelineStats(StatGroup &group, unsigned num_clusters)
+PipelineStats::PipelineStats(unsigned num_clusters)
     : numClusters_(num_clusters)
 {
     WSRS_ASSERT(num_clusters > 0 && num_clusters <= kClusterCap);
-    issueStall_.reserve(numClusters_);
-    for (unsigned c = 0; c < numClusters_; ++c) {
-        issueStall_.push_back(std::make_unique<Histogram>(
-            group, "issue_stall_c" + std::to_string(c),
-            static_cast<std::size_t>(IssueStall::kCount)));
-    }
-    renameStall_ = std::make_unique<Histogram>(
-        group, "rename_stall", static_cast<std::size_t>(RenameStall::kCount));
-    commitStall_ = std::make_unique<Histogram>(
-        group, "commit_stall", static_cast<std::size_t>(CommitStall::kCount));
-    wakeupLatency_ = std::make_unique<Histogram>(group, "wakeup_latency",
-                                                 kWakeupBuckets);
 }
 
 void
@@ -88,48 +77,14 @@ PipelineStats::enableIntervals(Cycle period)
 }
 
 void
-PipelineStats::flush() const
-{
-    for (unsigned c = 0; c < numClusters_; ++c) {
-        auto &pending = pendingIssue_[c];
-        for (std::size_t v = 0; v < pending.size(); ++v) {
-            if (pending[v]) {
-                issueStall_[c]->sample(v, pending[v]);
-                pending[v] = 0;
-            }
-        }
-        occupancySum_[c] += pendingOccupancy_[c];
-        pendingOccupancy_[c] = 0;
-    }
-    for (std::size_t v = 0; v < pendingRename_.size(); ++v) {
-        if (pendingRename_[v]) {
-            renameStall_->sample(v, pendingRename_[v]);
-            pendingRename_[v] = 0;
-        }
-    }
-    for (std::size_t v = 0; v < pendingCommit_.size(); ++v) {
-        if (pendingCommit_[v]) {
-            commitStall_->sample(v, pendingCommit_[v]);
-            pendingCommit_[v] = 0;
-        }
-    }
-    for (std::size_t v = 0; v < pendingWakeup_.size(); ++v) {
-        if (pendingWakeup_[v]) {
-            wakeupLatency_->sample(v, pendingWakeup_[v]);
-            pendingWakeup_[v] = 0;
-        }
-    }
-}
-
-void
 PipelineStats::reset()
 {
-    discardPending();
-    for (auto &h : issueStall_)
-        h->reset();
-    renameStall_->reset();
-    commitStall_->reset();
-    wakeupLatency_->reset();
+    issue_ = {};
+    rename_ = {};
+    commit_ = {};
+    wakeup_ = {};
+    wakeupOverflow_ = 0;
+    wakeupOverflowSum_ = 0;
     occupancySum_.fill(0);
     intervalCountdown_ = intervalPeriod_;
     intervals_.clear();
@@ -147,26 +102,105 @@ legend(NameFn name)
     return names;
 }
 
+/** Samples (overflow included) and Σ value·count over the buckets. */
+struct Totals
+{
+    std::uint64_t samples, sum;
+};
+
+Totals
+totals(std::span<const std::uint64_t> buckets, std::uint64_t overflow)
+{
+    Totals t{overflow, 0};
+    for (std::size_t v = 0; v < buckets.size(); ++v) {
+        t.samples += buckets[v];
+        t.sum += v * buckets[v];
+    }
+    return t;
+}
+
+/**
+ * One {buckets, overflow, samples, mean} object. The counts are integers
+ * below 2^53, so the mean is the one an incrementally summed double gives.
+ */
+void
+dumpHist(JsonWriter &w, std::span<const std::uint64_t> buckets,
+         std::uint64_t overflow = 0, std::uint64_t overflowSum = 0)
+{
+    const Totals t = totals(buckets, overflow);
+    const double sum = static_cast<double>(t.sum + overflowSum);
+    w.beginObject().field("buckets", buckets).field("overflow", overflow)
+        .field("samples", t.samples)
+        .field("mean", t.samples ? sum / t.samples : 0.0).endObject();
+}
+
+/**
+ * One histogram in its checkpoint layout: u64 bucket count, the buckets,
+ * overflow, samples, then the d64 sum. Samples and sum are derived when
+ * saving, so loading rejects any that disagree with the buckets and the
+ * overflow, and an overflow sum below buckets.size() per overflow sample.
+ */
+template <typename Io, typename Buckets, typename Count>
+void
+transferHist(Io &io, Buckets &buckets, Count &overflow, Count &overflowSum)
+{
+    ckpt::expect(io, buckets.size(), 8, "histogram bucket count mismatch");
+    for (auto &b : buckets)
+        io.u64(b);
+    io.u64(overflow);
+    const Totals t = totals(buckets, overflow);
+    std::uint64_t samples = t.samples;
+    io.u64(samples);
+    ckpt::check(io, samples == t.samples,
+                "histogram samples disagree with its buckets");
+    double sum = static_cast<double>(t.sum + overflowSum);
+    io.d64(sum);
+    ckpt::check(io,
+                std::isfinite(sum) && !std::signbit(sum) && sum < 0x1p64 &&
+                    sum == std::floor(sum),
+                "histogram sum is not a finite integer");
+    if constexpr (Io::kLoading) {
+        const auto total = static_cast<std::uint64_t>(sum);
+        const std::uint64_t extra = total - t.sum;
+        ckpt::check(io,
+                    total >= t.sum &&
+                        (overflow ? extra / buckets.size() >= overflow
+                                  : extra == 0),
+                    "histogram sum disagrees with its buckets and overflow");
+        overflowSum = extra;
+    }
+}
+
+/** A stall-cause histogram: every cycle has a cause, so none overflow. */
+template <typename Io, typename Buckets>
+void
+transferCauses(Io &io, Buckets &buckets)
+{
+    std::uint64_t overflow = 0, overflowSum = 0;
+    transferHist(io, buckets, overflow, overflowSum);
+    ckpt::check(io, overflow == 0, "stall-cause histogram overflows");
+}
+
 } // namespace
 
 void
 PipelineStats::dumpJson(JsonWriter &w) const
 {
-    // Histograms are written without their group-qualified stat names,
-    // so consumers index by position (per-cluster arrays) or local key.
-    flush();
+    // Consumers index histograms by position (per-cluster arrays) or by
+    // local key.
     w.beginObject().key("stall_causes").beginObject()
         .field("issue", legend<IssueStall>(issueStallName))
         .field("rename", legend<RenameStall>(renameStallName))
         .field("commit", legend<CommitStall>(commitStallName))
         .endObject()
         .key("issue_stall").beginArray();
-    for (const auto &h : issueStall_)
-        h->dumpJson(w);
+    for (unsigned c = 0; c < numClusters_; ++c)
+        dumpHist(w, issue_[c]);
     w.endArray();
-    renameStall_->dumpJson(w.key("rename_stall"));
-    commitStall_->dumpJson(w.key("commit_stall"));
-    wakeupLatency_->dumpJson(w.key("wakeup_latency"));
+    dumpHist(w.key("rename_stall"), rename_);
+    dumpHist(w.key("commit_stall"), commit_);
+    dumpHist(w.key("wakeup_latency"), wakeup_, wakeupOverflow_,
+             wakeupOverflowSum_);
     w.field("occupancy_sum", std::span(occupancySum_).first(numClusters_))
         .key("intervals").beginObject()
         .field("period", intervalPeriod_)
@@ -178,41 +212,18 @@ PipelineStats::dumpJson(JsonWriter &w) const
     w.endArray().endObject().endObject();
 }
 
-namespace {
-
-template <typename Io>
-void
-transferHist(Io &io, Histogram &h)
-{
-    std::vector<std::uint64_t> buckets = h.buckets();
-    std::uint64_t overflow = h.overflow();
-    std::uint64_t samples = h.samples();
-    double sum = h.sum();
-    ckpt::vecExact(io, buckets, "histogram buckets");
-    io.u64(overflow);
-    io.u64(samples);
-    io.d64(sum);
-    if constexpr (Io::kLoading)
-        h.restore(std::move(buckets), overflow, samples, sum);
-}
-
-} // namespace
-
 template <typename Self, typename Io>
 void
 PipelineStats::transfer(Self &self, Io &io)
 {
-    if constexpr (Io::kLoading)
-        self.discardPending();
-    else
-        self.flush();
     ckpt::expect(io, self.numClusters_, 4,
                  "pipeline-stats cluster count mismatch");
-    for (auto &h : self.issueStall_)
-        transferHist(io, *h);
-    transferHist(io, *self.renameStall_);
-    transferHist(io, *self.commitStall_);
-    transferHist(io, *self.wakeupLatency_);
+    for (auto &counts : std::span(self.issue_).first(self.numClusters_))
+        transferCauses(io, counts);
+    transferCauses(io, self.rename_);
+    transferCauses(io, self.commit_);
+    transferHist(io, self.wakeup_, self.wakeupOverflow_,
+                 self.wakeupOverflowSum_);
     for (auto &s : self.occupancySum_)
         io.u64(s);
     io.u64(self.intervalCountdown_);

@@ -15,8 +15,9 @@
  *  - commit stage: committed / ROB empty / head waiting to issue / head
  *    executing.
  *
- * The attribution lands in `Histogram` stats (one bucket per cause), so
- * for every cluster: sum(buckets) + overflow == cycles — an invariant
+ * The attribution lands in flat per-cause cycle counts, dumped as one
+ * histogram object per stage (and per cluster for issue), so for every
+ * cluster: sum(buckets) + overflow == cycles — an invariant
  * scripts/check_stats_schema.py enforces on exported JSON. Optionally a
  * periodic interval sampler records {cycle, committed, per-cluster
  * occupancy} every N cycles for time-series plots.
@@ -25,11 +26,10 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/ckpt/snapshotter.h"
-#include "src/common/stats.h"
+#include "src/common/json.h"
 #include "src/common/types.h"
 
 namespace wsrs::obs {
@@ -102,10 +102,10 @@ struct IntervalSample
 };
 
 /**
- * The core-side container: stall-cause histograms, wake-up latency,
- * occupancy accounting and the interval sampler, all registered in the
- * owning StatGroup under stable names (issue_stall_c<k>, rename_stall,
- * commit_stall, wakeup_latency).
+ * The core-side container: stall-cause counts, wake-up latency, occupancy
+ * accounting and the interval sampler. The record* hooks run several
+ * times per simulated cycle, so they only bump flat counters; dumpJson
+ * and snapshot derive each histogram's samples and sum from them.
  */
 class PipelineStats : public ckpt::Snapshotter
 {
@@ -113,43 +113,43 @@ class PipelineStats : public ckpt::Snapshotter
     /** Wake-up latency histogram range; longer waits overflow. */
     static constexpr std::size_t kWakeupBuckets = 32;
 
-    PipelineStats(StatGroup &group, unsigned num_clusters);
+    /** Cycles per cause of one stage. */
+    template <typename Cause>
+    using Counts =
+        std::array<std::uint64_t, static_cast<std::size_t>(Cause::kCount)>;
+
+    explicit PipelineStats(unsigned num_clusters);
 
     unsigned numClusters() const { return numClusters_; }
-
-    // The record* hooks run several times per simulated cycle, so they
-    // only bump flat in-object counters; flush() folds the batch into the
-    // Histogram stats on the (cold) read side. Histogram contents are
-    // additive integer counts — and the running sums stay integer-valued,
-    // hence exact in double — so batched application is bit-identical to
-    // per-cycle sample() calls.
 
     void
     recordIssue(ClusterId c, IssueStall cause, unsigned occupancy)
     {
-        ++pendingIssue_[c][static_cast<std::size_t>(cause)];
-        pendingOccupancy_[c] += occupancy;
+        ++issue_[c][static_cast<std::size_t>(cause)];
+        occupancySum_[c] += occupancy;
     }
 
     void
     recordRename(RenameStall cause)
     {
-        ++pendingRename_[static_cast<std::size_t>(cause)];
+        ++rename_[static_cast<std::size_t>(cause)];
     }
 
     void
     recordCommit(CommitStall cause)
     {
-        ++pendingCommit_[static_cast<std::size_t>(cause)];
+        ++commit_[static_cast<std::size_t>(cause)];
     }
 
     void
     recordWakeupLatency(Cycle lat)
     {
-        if (lat < kWakeupBuckets)
-            ++pendingWakeup_[static_cast<std::size_t>(lat)];
-        else
-            wakeupLatency_->sample(lat);  // Rare; value feeds the mean.
+        if (lat < kWakeupBuckets) {
+            ++wakeup_[static_cast<std::size_t>(lat)];
+        } else {
+            ++wakeupOverflow_;  // Rare; the value still feeds the mean.
+            wakeupOverflowSum_ += lat;
+        }
     }
 
     /**
@@ -181,43 +181,27 @@ class PipelineStats : public ckpt::Snapshotter
         return intervals_;
     }
 
-    const Histogram &
-    issueStall(unsigned c) const
+    const Counts<IssueStall> &issueStall(unsigned c) const
     {
-        flush();
-        return *issueStall_[c];
+        return issue_[c];
     }
-    const Histogram &
-    renameStall() const
+    const Counts<RenameStall> &renameStall() const { return rename_; }
+    const Counts<CommitStall> &commitStall() const { return commit_; }
+    const std::array<std::uint64_t, kWakeupBuckets> &wakeupLatency() const
     {
-        flush();
-        return *renameStall_;
+        return wakeup_;
     }
-    const Histogram &
-    commitStall() const
-    {
-        flush();
-        return *commitStall_;
-    }
-    const Histogram &
-    wakeupLatency() const
-    {
-        flush();
-        return *wakeupLatency_;
-    }
-    std::uint64_t
-    occupancySum(unsigned c) const
-    {
-        flush();
-        return occupancySum_[c];
-    }
+    /** Wake-ups of kWakeupBuckets cycles or more. */
+    std::uint64_t wakeupOverflow() const { return wakeupOverflow_; }
+    std::uint64_t occupancySum(unsigned c) const { return occupancySum_[c]; }
 
     /** Zero all measurements, keeping configuration (interval period). */
     void reset();
 
     /**
-     * Append this subsystem's JSON object: stall-cause legends, the
-     * histogram stats, occupancy sums and the interval series.
+     * Append this subsystem's JSON object: stall-cause legends, one
+     * {buckets, overflow, samples, mean} object per histogram, occupancy
+     * sums and the interval series.
      */
     void dumpJson(JsonWriter &w) const;
 
@@ -229,44 +213,15 @@ class PipelineStats : public ckpt::Snapshotter
     template <typename Self, typename Io>
     static void transfer(Self &self, Io &io);
 
-    /** Fold the batched attribution counters into the histograms. */
-    void flush() const;
-
-    /** Discard any batched attribution not yet flushed. */
-    void
-    discardPending()
-    {
-        for (auto &p : pendingIssue_)
-            p.fill(0);
-        pendingOccupancy_.fill(0);
-        pendingRename_.fill(0);
-        pendingCommit_.fill(0);
-        pendingWakeup_.fill(0);
-    }
-
     unsigned numClusters_;
-    std::vector<std::unique_ptr<Histogram>> issueStall_;  ///< Per cluster.
-    std::unique_ptr<Histogram> renameStall_;
-    std::unique_ptr<Histogram> commitStall_;
+    std::array<Counts<IssueStall>, kClusterCap> issue_{};  ///< Per cluster.
+    Counts<RenameStall> rename_{};
+    Counts<CommitStall> commit_{};
     /// Cycles from operand-ready to issue, per micro-op.
-    std::unique_ptr<Histogram> wakeupLatency_;
-    mutable std::array<std::uint64_t, kClusterCap> occupancySum_{};
-
-    // Batched record* counts awaiting flush() (mutable: flushing from the
-    // const read-side accessors is not an observable mutation).
-    mutable std::array<std::array<std::uint64_t,
-                                  static_cast<std::size_t>(
-                                      IssueStall::kCount)>,
-                       kClusterCap>
-        pendingIssue_{};
-    mutable std::array<std::uint64_t, kClusterCap> pendingOccupancy_{};
-    mutable std::array<std::uint64_t,
-                       static_cast<std::size_t>(RenameStall::kCount)>
-        pendingRename_{};
-    mutable std::array<std::uint64_t,
-                       static_cast<std::size_t>(CommitStall::kCount)>
-        pendingCommit_{};
-    mutable std::array<std::uint64_t, kWakeupBuckets> pendingWakeup_{};
+    std::array<std::uint64_t, kWakeupBuckets> wakeup_{};
+    std::uint64_t wakeupOverflow_ = 0;
+    std::uint64_t wakeupOverflowSum_ = 0;  ///< Sum of the overflowed waits.
+    std::array<std::uint64_t, kClusterCap> occupancySum_{};
 
     Cycle intervalPeriod_ = 0;
     Cycle intervalCountdown_ = 0;

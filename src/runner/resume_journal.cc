@@ -48,7 +48,6 @@ transferOutcome(Out &out, Io &io)
     io.str(r.benchmark);
     io.str(r.machine);
     io.str(r.statsJson);
-    io.str(r.timelineText);
     io.d64(r.ipc);
     io.d64(r.unbalancingDegree);
     io.d64(r.branchMispredictRate);

@@ -443,9 +443,8 @@ TEST(ComponentRoundTrip, RejectsCountsBeyondPayloadOrConfiguration)
     events.u64(kHuge);  // heap size
 
     // A PipelineStats payload ends with its interval-sample count.
-    StatGroup g0("g0");
     ckpt::Writer pipe;
-    obs::PipelineStats(g0, 4).snapshot(pipe);
+    obs::PipelineStats(4).snapshot(pipe);
 
     // A core's payload ends with the two retired timeline fields (written
     // 0), the core statistics, the wait-token counters and its
@@ -476,10 +475,7 @@ TEST(ComponentRoundTrip, RejectsCountsBeyondPayloadOrConfiguration)
         {"event queue", events.buffer(),
          [](ckpt::Reader &r) { memory::EventQueue().restore(r); }},
         {"interval samples", poke(pipe.buffer(), pipe.size() - 8),
-         [](ckpt::Reader &r) {
-             StatGroup g("g2");
-             obs::PipelineStats(g, 4).restore(r);
-         }},
+         [](ckpt::Reader &r) { obs::PipelineStats(4).restore(r); }},
         {"timeline capacity", poke(core_bytes.buffer(), timeline_at),
          [&](ckpt::Reader &r) { core::Core(cp, gen, bp, mem).restore(r); }},
     };

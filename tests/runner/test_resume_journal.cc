@@ -166,6 +166,34 @@ TEST(ResumeJournal, RefusesDifferentSweep)
     ResumeJournal ok(tmp.path, 1, 4, true);  // matching identity resumes
 }
 
+// Version 1 records carried a timeline-text field that version 2 dropped:
+// a v1 journal must be refused as a mismatch (exit code 3), not misread.
+TEST(ResumeJournal, RefusesVersion1Journal)
+{
+    TempFile tmp;
+    {
+        ResumeJournal j(tmp.path, 1, 4, false);
+        j.record(0, fakeOutcome(0));
+    }
+    {
+        std::fstream f(tmp.path,
+                       std::ios::binary | std::ios::in | std::ios::out);
+        char version[4];
+        ckpt::storeLe(version, 1, 4);
+        f.seekp(8);  // after the magic
+        f.write(version, 4);
+    }
+    try {
+        ResumeJournal j(tmp.path, 1, 4, /*resume=*/true);
+        FAIL() << "a version-1 journal resumed";
+    } catch (const FatalError &e) {
+        EXPECT_EQ(exitCodeFor(e), kExitSweepMismatch) << e.what();
+        EXPECT_NE(std::string(e.what()).find("format version 1"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ResumeJournal, SweepKeyCoversJobsAndConfigs)
 {
     const auto jobs = smallSweep();
@@ -249,9 +277,9 @@ TEST(SweepRunnerResume, WarmupReuseProducesDeterministicSweep)
     }
 }
 
-// Locks the WSRSJRN1 file bytes (header plus two records); the hash was
-// taken before the journal codec moved onto the shared little-endian
-// helpers.
+// Locks the WSRSJRN1 file bytes (header plus two records). Version 2
+// dropped each record's always-empty timeline text; version 1 hashed to
+// 0x391c6a3ff7980505.
 TEST(ResumeJournal, FileBytesAreGolden)
 {
     TempFile tmp;
@@ -264,7 +292,7 @@ TEST(ResumeJournal, FileBytesAreGolden)
     const std::string bytes((std::istreambuf_iterator<char>(is)),
                             std::istreambuf_iterator<char>());
     const std::uint64_t hash = test::fnv1a(bytes);
-    EXPECT_EQ(hash, 0x391c6a3ff7980505ull) << std::hex << hash;
+    EXPECT_EQ(hash, 0x52fdefe869f47381ull) << std::hex << hash;
 }
 
 } // namespace
