@@ -11,7 +11,7 @@ and then structurally checked:
   - stall-cause attribution is complete: for every cluster,
     sum(issue_stall buckets) + overflow == cycles, and likewise for the
     rename and commit stall histograms (exactly one cause per stage per
-    cycle);
+    cycle), and the core's issue_width_hist counts every cycle once;
   - stall-cause legends match the histogram bucket counts;
   - histogram sample counts equal their bucket sums;
   - interval samples are monotone in cycle and respect the period;
@@ -129,7 +129,7 @@ def check_stats_doc(doc, where):
         expect(key in doc, f"{where}: missing '{key}'")
     core = doc["core"]
     for key in ("num_clusters", "cycles", "committed", "counters",
-                "pipeline"):
+                "issue_width_hist", "pipeline"):
         expect(key in core, f"{where}.core: missing '{key}'")
     cycles = core["cycles"]
     check_memory_obj(doc["memory"], f"{where}.memory", cycles)
@@ -161,6 +161,10 @@ def check_stats_doc(doc, where):
         expect(got == want,
                f"{where}.core.counters.{counter} = {got} != "
                f"{' + '.join(causes)} rename_stall cycles {want}")
+    width_cycles = sum(core["issue_width_hist"])
+    expect(width_cycles == cycles,
+           f"{where}.core.issue_width_hist: counts {width_cycles} cycles, "
+           f"core measured {cycles}")
     check_hist(pipe["wakeup_latency"], f"{where}.wakeup_latency")
 
     intervals = pipe["intervals"]

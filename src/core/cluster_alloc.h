@@ -119,6 +119,19 @@ class ClusterAllocator : public ckpt::Snapshotter
         return computeWsrsOptions(op, ctx, count);
     }
 
+    /** Everything one allocate() call may advance. */
+    struct Draws
+    {
+        XorShiftRng rng;
+        unsigned rrCounter;
+    };
+    Draws draws() const { return {rng_, rrCounter_}; }
+    void setDraws(const Draws &d)
+    {
+        rng_ = d.rng;
+        rrCounter_ = d.rrCounter;
+    }
+
     void snapshot(ckpt::Writer &w) const override { transfer(*this, w); }
     void restore(ckpt::Reader &r) override { transfer(*this, r); }
 

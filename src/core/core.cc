@@ -282,6 +282,7 @@ Core::wakeDependants(PhysReg preg)
 void
 Core::wakeOne(std::uint64_t rob_num)
 {
+    active_ = true;
     if (rob_num < robHead_)
         return;  // Entry already retired (defensive; tokens are unique).
     const std::size_t i = robIx(rob_num);
@@ -545,38 +546,35 @@ Core::issueStage()
             head = 0;
         }
     }
-    recordIssueStalls();
+    for (ClusterId c = 0; c < params_.numClusters; ++c)
+        obs_.recordIssue(c, issueStall(c), inflight_[c]);
 
     unsigned issued_now = 0;
     for (ClusterId c = 0; c < params_.numClusters; ++c)
         issued_now += cycTotal_[c];
+    active_ |= issued_now > 0;
     ++stats_.issueWidthHist[std::min<std::size_t>(
         issued_now, stats_.issueWidthHist.size() - 1)];
     stats_.windowOccupancySum += robTail_ - robHead_;
 }
 
-void
-Core::recordIssueStalls()
+obs::IssueStall
+Core::issueStall(ClusterId c) const
 {
     // Exactly one dominant outcome per cluster per cycle, checked from
     // cheapest to most specific. The wait-token counters make the
     // local/remote operand-wait split O(1).
-    for (ClusterId c = 0; c < params_.numClusters; ++c) {
-        obs::IssueStall cause;
-        if (cycTotal_[c] > 0)
-            cause = obs::IssueStall::Issued;
-        else if (inflight_[c] == 0)
-            cause = obs::IssueStall::EmptyCluster;
-        else if (readyQ_[c].size() > readyHead_[c])
-            cause = obs::IssueStall::ResourceBusy;
-        else if (waitRemote_[c] > 0)
-            cause = obs::IssueStall::ForwardWait;
-        else if (waitLocal_[c] > 0)
-            cause = obs::IssueStall::OperandWait;
-        else
-            cause = obs::IssueStall::NoReadyUop;
-        obs_.recordIssue(c, cause, inflight_[c]);
-    }
+    if (cycTotal_[c] > 0)
+        return obs::IssueStall::Issued;
+    if (inflight_[c] == 0)
+        return obs::IssueStall::EmptyCluster;
+    if (readyQ_[c].size() > readyHead_[c])
+        return obs::IssueStall::ResourceBusy;
+    if (waitRemote_[c] > 0)
+        return obs::IssueStall::ForwardWait;
+    if (waitLocal_[c] > 0)
+        return obs::IssueStall::OperandWait;
+    return obs::IssueStall::NoReadyUop;
 }
 
 void
@@ -602,6 +600,7 @@ Core::agenStage()
         insertReady(rn);
         ++done;
     }
+    active_ |= done > 0;
 }
 
 void
@@ -623,6 +622,7 @@ Core::captureStoreData()
         const std::uint64_t s2 = psrc2 != kNoPhysReg ? prf_.value(psrc2) : 0;
         lsq_.setStoreData(rob_.memOrdinal[i],
                           workload::storeValue(rob_.pc[i], s1, s2));
+        active_ = true;
     }
     pendingStoreData_.resize(w);
 }
@@ -737,7 +737,114 @@ Core::tryInjectMove(SubsetId blocked_subset)
     subscribeOrSchedule(n);
     ++inflight_[chosen.cluster];
     ++stats_.injectedMoves;
+    active_ = true;
     return true;
+}
+
+obs::RenameStall
+Core::entryStall() const
+{
+    if (fetchCount_ == 0 || fetchBuf_[fetchHead_].readyAt > now_) {
+        return fetchCount_ == 0 && (fetchStalled_ || now_ < fetchResumeAt_)
+                   ? obs::RenameStall::BranchRedirect
+                   : obs::RenameStall::FrontendEmpty;
+    }
+    if (robTail_ - robHead_ >= windowCap_)
+        return obs::RenameStall::RobFull;
+    if (isa::isMemOp(fetchBuf_[fetchHead_].op.op) && lsq_.full())
+        return obs::RenameStall::LsqFull;
+    return obs::RenameStall::FullWidth;
+}
+
+inline AllocDecision
+Core::steer(const isa::MicroOp &op)
+{
+    AllocContext ctx;
+    ctx.inflight = &inflight_;
+    if (op.src1 != kNoLogReg) {
+        const PhysReg p = renamer_.mapping(op.src1);
+        ctx.src1Subset = prf_.subsetOf(p);
+        ctx.src1Producer = prod_[p].cluster;
+    }
+    if (op.src2 != kNoLogReg) {
+        const PhysReg p = renamer_.mapping(op.src2);
+        ctx.src2Subset = prf_.subsetOf(p);
+        ctx.src2Producer = prod_[p].cluster;
+    }
+
+    AllocDecision dec = alloc_.allocate(op, ctx);
+    if (params_.deadlockPolicy == DeadlockPolicy::Avoidance &&
+        op.hasDest() && params_.mode != RegFileMode::Conventional &&
+        !renamer_.canAllocate(destSubset(op, dec.cluster))) {
+        // Workaround (a), section 2.3: steer the instruction to a
+        // cluster whose subset still has a free register, if its
+        // placement freedom allows one.
+        if (params_.mode == RegFileMode::Wsrs) {
+            unsigned count = 0;
+            const auto opts = alloc_.wsrsOptions(op, ctx, count);
+            for (unsigned i = 0; i < count; ++i) {
+                if (renamer_.canAllocate(targetSubset(opts[i].cluster)) &&
+                    inflight_[opts[i].cluster] < params_.clusterWindow) {
+                    dec = opts[i];
+                    break;
+                }
+            }
+        } else if (params_.mode == RegFileMode::WriteSpec) {
+            for (ClusterId c = 0; c < params_.numClusters; ++c) {
+                if (renamer_.canAllocate(targetSubset(c)) &&
+                    inflight_[c] < params_.clusterWindow) {
+                    dec = {c, false};
+                    break;
+                }
+            }
+        }
+        // Pool-level specialization has no freedom: the pool is fixed
+        // by the op class, so avoidance cannot help there.
+    }
+    return dec;
+}
+
+inline obs::RenameStall
+Core::placementStall(const isa::MicroOp &op, AllocDecision dec) const
+{
+    if (inflight_[dec.cluster] >= params_.clusterWindow)
+        return obs::RenameStall::ClusterWindowFull;
+    if (!op.hasDest() || renamer_.canAllocate(destSubset(op, dec.cluster)))
+        return obs::RenameStall::FullWidth;
+    // Distinguish one empty subset (specialization pressure) from a
+    // globally exhausted register file.
+    for (unsigned s = 0; s < prf_.numSubsets(); ++s)
+        if (renamer_.canAllocate(static_cast<SubsetId>(s)))
+            return obs::RenameStall::SubsetFull;
+    return obs::RenameStall::PhysRegExhausted;
+}
+
+bool
+Core::wantsMove(const isa::MicroOp &op, AllocDecision dec,
+                obs::RenameStall cause) const
+{
+    return (cause == obs::RenameStall::SubsetFull ||
+            cause == obs::RenameStall::PhysRegExhausted) &&
+           params_.deadlockPolicy == DeadlockPolicy::MoveInjection &&
+           renamer_.deadlocked(destSubset(op, dec.cluster));
+}
+
+std::uint64_t *
+Core::renameStallCounter(obs::RenameStall cause)
+{
+    switch (cause) {
+      case obs::RenameStall::RobFull:
+        return &stats_.renameStallRob;
+      case obs::RenameStall::LsqFull:
+        return &stats_.renameStallLsq;
+      case obs::RenameStall::ClusterWindowFull:
+        return &stats_.renameStallWindow;
+      case obs::RenameStall::SubsetFull:
+      case obs::RenameStall::PhysRegExhausted:
+        return &stats_.renameStallFreeReg;
+      default:
+        return nullptr;
+    }
 }
 
 void
@@ -747,91 +854,20 @@ Core::renameStage()
     unsigned renamed = 0;
     obs::RenameStall cause = obs::RenameStall::FullWidth;
     while (renamed < params_.fetchWidth) {
-        if (fetchCount_ == 0 || fetchBuf_[fetchHead_].readyAt > now_) {
-            cause = fetchCount_ == 0 &&
-                            (fetchStalled_ || now_ < fetchResumeAt_)
-                        ? obs::RenameStall::BranchRedirect
-                        : obs::RenameStall::FrontendEmpty;
+        cause = entryStall();
+        if (cause != obs::RenameStall::FullWidth)
             break;
-        }
-        if (robTail_ - robHead_ >= windowCap_) {
-            ++stats_.renameStallRob;
-            cause = obs::RenameStall::RobFull;
-            break;
-        }
         const Fetched &f = fetchBuf_[fetchHead_];
         const isa::MicroOp &op = f.op;
-        if (isa::isMemOp(op.op) && lsq_.full()) {
-            ++stats_.renameStallLsq;
-            cause = obs::RenameStall::LsqFull;
+        const AllocDecision dec = steer(op);
+        cause = placementStall(op, dec);
+        if (cause != obs::RenameStall::FullWidth) {
+            if (wantsMove(op, dec, cause))
+                tryInjectMove(destSubset(op, dec.cluster));
             break;
         }
 
-        AllocContext ctx;
-        ctx.inflight = &inflight_;
-        PhysReg psrc1 = kNoPhysReg, psrc2 = kNoPhysReg;
-        if (op.src1 != kNoLogReg) {
-            psrc1 = renamer_.mapping(op.src1);
-            ctx.src1Subset = prf_.subsetOf(psrc1);
-            ctx.src1Producer = prod_[psrc1].cluster;
-        }
-        if (op.src2 != kNoLogReg) {
-            psrc2 = renamer_.mapping(op.src2);
-            ctx.src2Subset = prf_.subsetOf(psrc2);
-            ctx.src2Producer = prod_[psrc2].cluster;
-        }
-
-        AllocDecision dec = alloc_.allocate(op, ctx);
-        if (params_.deadlockPolicy == DeadlockPolicy::Avoidance &&
-            op.hasDest() && params_.mode != RegFileMode::Conventional &&
-            !renamer_.canAllocate(destSubset(op, dec.cluster))) {
-            // Workaround (a), section 2.3: steer the instruction to a
-            // cluster whose subset still has a free register, if its
-            // placement freedom allows one.
-            if (params_.mode == RegFileMode::Wsrs) {
-                unsigned count = 0;
-                const auto opts = alloc_.wsrsOptions(op, ctx, count);
-                for (unsigned i = 0; i < count; ++i) {
-                    if (renamer_.canAllocate(targetSubset(opts[i].cluster))
-                        && inflight_[opts[i].cluster] <
-                               params_.clusterWindow) {
-                        dec = opts[i];
-                        break;
-                    }
-                }
-            } else if (params_.mode == RegFileMode::WriteSpec) {
-                for (ClusterId c = 0; c < params_.numClusters; ++c) {
-                    if (renamer_.canAllocate(targetSubset(c)) &&
-                        inflight_[c] < params_.clusterWindow) {
-                        dec = {c, false};
-                        break;
-                    }
-                }
-            }
-            // Pool-level specialization has no freedom: the pool is fixed
-            // by the op class, so avoidance cannot help there.
-        }
-        if (inflight_[dec.cluster] >= params_.clusterWindow) {
-            ++stats_.renameStallWindow;
-            cause = obs::RenameStall::ClusterWindowFull;
-            break;
-        }
         const SubsetId tgt = destSubset(op, dec.cluster);
-        if (op.hasDest() && !renamer_.canAllocate(tgt)) {
-            ++stats_.renameStallFreeReg;
-            // Distinguish one empty subset (specialization pressure) from
-            // a globally exhausted register file.
-            bool any_free = false;
-            for (unsigned s = 0; s < prf_.numSubsets() && !any_free; ++s)
-                any_free = renamer_.canAllocate(static_cast<SubsetId>(s));
-            cause = any_free ? obs::RenameStall::SubsetFull
-                             : obs::RenameStall::PhysRegExhausted;
-            if (params_.deadlockPolicy == DeadlockPolicy::MoveInjection &&
-                renamer_.deadlocked(tgt))
-                tryInjectMove(tgt);
-            break;
-        }
-
         const RenamedRegs rr = renamer_.rename(op, tgt);
         const std::uint64_t n = robTail_++;
         const std::size_t i = robIx(n);
@@ -877,9 +913,10 @@ Core::renameStage()
         --fetchCount_;
         ++renamed;
     }
-    obs_.recordRename(renamed == params_.fetchWidth
-                          ? obs::RenameStall::FullWidth
-                          : cause);
+    if (std::uint64_t *counter = renameStallCounter(cause))
+        ++*counter;
+    active_ |= renamed > 0;
+    obs_.recordRename(cause);
     renamer_.endCycle(now_);
 }
 
@@ -913,6 +950,7 @@ Core::fetchStage()
         if (params_.fetchBreakOnTaken && op.isBranch() && op.taken)
             break;
     }
+    active_ |= fetched > 0;
 }
 
 void
@@ -972,17 +1010,20 @@ Core::commitStage()
             ++stats_.committed;
     }
 
-    obs::CommitStall cause;
-    if (width > 0)
-        cause = obs::CommitStall::Committed;
-    else if (robHead_ == robTail_)
-        cause = obs::CommitStall::RobEmpty;
-    else if (rob_.meta[robIx(robHead_)].state !=
-             static_cast<std::uint8_t>(InstState::Issued))
-        cause = obs::CommitStall::HeadNotIssued;
-    else
-        cause = obs::CommitStall::HeadExecuting;
-    obs_.recordCommit(cause);
+    active_ |= width > 0;
+    obs_.recordCommit(width > 0 ? obs::CommitStall::Committed
+                                : commitStall());
+}
+
+obs::CommitStall
+Core::commitStall() const
+{
+    if (robHead_ == robTail_)
+        return obs::CommitStall::RobEmpty;
+    if (rob_.meta[robIx(robHead_)].state !=
+        static_cast<std::uint8_t>(InstState::Issued))
+        return obs::CommitStall::HeadNotIssued;
+    return obs::CommitStall::HeadExecuting;
 }
 
 void
@@ -1023,6 +1064,7 @@ Core::runStages()
 void
 Core::tick()
 {
+    active_ = false;
     if (profiler_) {
         obs::StageProfiler &p = *profiler_;
         p.time(obs::StageProfiler::Commit, [&] { commitStage(); });
@@ -1042,6 +1084,9 @@ Core::tick()
 void
 Core::run(std::uint64_t num_uops)
 {
+    // Impl-1 renaming pulls and defers registers every cycle, so no cycle
+    // of it is quiescent.
+    const bool skip = params_.renameImpl != RenameImpl::OverPickRecycle;
     const std::uint64_t target = stats_.committed + num_uops;
     std::uint64_t last_committed = stats_.committed;
     Cycle last_progress = now_;
@@ -1050,13 +1095,128 @@ Core::run(std::uint64_t num_uops)
         if (stats_.committed != last_committed) {
             last_committed = stats_.committed;
             last_progress = now_;
-        } else if (now_ - last_progress > 500000) {
+            continue;
+        }
+        // The skip never passes the cycle at which the watchdog fires.
+        if (skip && !active_)
+            skipQuiescent(last_progress + 500001);
+        if (now_ - last_progress > 500000) {
             fatal("core '%s': no commit in 500000 cycles at cycle %llu "
                   "(unresolvable deadlock?)",
                   params_.name.c_str(),
                   static_cast<unsigned long long>(now_));
         }
     }
+}
+
+Cycle
+Core::nextEvent(Cycle limit) const
+{
+    Cycle next = limit;
+    const auto at = [&](Cycle c) {
+        if (c >= now_ && c < next)
+            next = c;
+    };
+    if (robHead_ != robTail_) {
+        const std::size_t head = robIx(robHead_);
+        if (rob_.meta[head].state ==
+            static_cast<std::uint8_t>(InstState::Issued))
+            at(rob_.completeCycle[head]);
+    }
+    for (ClusterId c = 0; c < params_.numClusters; ++c) {
+        if (readyQ_[c].size() > readyHead_[c]) {
+            at(fpDivBusyUntil_[c]);
+            at(complexBusyUntil_[params_.sharedComplexUnit ? c >> 1 : c]);
+        }
+    }
+    std::uint64_t rn = 0;
+    if (lsq_.nextAgen(rn)) {
+        const PhysReg src = rob_.meta[robIx(rn)].psrc1;
+        if (src != kNoPhysReg)
+            at(prod_[src].readyBase);
+    }
+    if (fetchCount_ > 0)
+        at(fetchBuf_[fetchHead_].readyAt);
+    at(fetchResumeAt_);
+    for (const auto &[cycle, rob_num] : farWakes_)
+        at(cycle);
+    return next;
+}
+
+Cycle
+Core::cyclesToWake(Cycle n) const
+{
+    // Wheel buckets hold cycles below now_ + kWakeRing only.
+    const Cycle horizon = std::min(n, Cycle{kWakeRing});
+    for (Cycle k = 0; k < horizon; ++k)
+        if (wakeWheel_[(now_ + k) % kWakeRing].cycle == now_ + k)
+            return k;
+    return n;
+}
+
+void
+Core::skipQuiescent(Cycle limit)
+{
+    // The tick just run changed nothing but time and statistics, so every
+    // cycle before the next event repeats it. Its interval sample, if one
+    // is due, is taken by a real tick.
+    Cycle n = std::min(nextEvent(limit) - now_, obs_.cyclesToSample() - 1);
+    if (n == 0)
+        return;
+
+    // The stall causes are recomputed from the unchanged state, except
+    // where rename steers the fetch-buffer head: allocate() draws once
+    // per cycle, so replay each cycle's draw and stop before the first
+    // one that would rename or try a move. The wake wheel is scanned
+    // only as far as the replay got, so a skip that stops at once (a
+    // stall move injection keeps retrying) costs no scan.
+    obs::PipelineStats::Counts<obs::RenameStall> renames{};
+    const auto ix = [](obs::RenameStall c) {
+        return static_cast<std::size_t>(c);
+    };
+    const obs::RenameStall entry = entryStall();
+    if (entry != obs::RenameStall::FullWidth) {
+        n = cyclesToWake(n);
+        renames[ix(entry)] = n;
+    } else {
+        const isa::MicroOp &op = fetchBuf_[fetchHead_].op;
+        const ClusterAllocator::Draws start = alloc_.draws();
+        const auto replay = [&](Cycle cycles) {
+            renames = {};
+            alloc_.setDraws(start);
+            for (Cycle k = 0; k < cycles; ++k) {
+                const ClusterAllocator::Draws saved = alloc_.draws();
+                const AllocDecision dec = steer(op);
+                const obs::RenameStall cause = placementStall(op, dec);
+                if (cause == obs::RenameStall::FullWidth ||
+                    wantsMove(op, dec, cause)) {
+                    alloc_.setDraws(saved);
+                    return k;
+                }
+                ++renames[ix(cause)];
+            }
+            return cycles;
+        };
+        n = replay(n);
+        if (const Cycle wake = cyclesToWake(n); wake < n)
+            n = replay(wake);
+    }
+    if (n == 0)
+        return;
+
+    std::array<obs::IssueStall, kMaxClusters> issue{};
+    for (ClusterId c = 0; c < params_.numClusters; ++c)
+        issue[c] = issueStall(c);
+    obs_.creditQuiescent(n, issue.data(), inflight_.data(), renames,
+                         commitStall());
+    for (std::size_t k = 0; k < renames.size(); ++k)
+        if (std::uint64_t *counter =
+                renameStallCounter(static_cast<obs::RenameStall>(k)))
+            *counter += renames[k];
+    stats_.issueWidthHist[0] += n;
+    stats_.windowOccupancySum += n * (robTail_ - robHead_);
+    stats_.cycles += n;
+    now_ += n;
 }
 
 Core::RegAccounting

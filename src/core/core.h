@@ -148,7 +148,8 @@ class Core
          bpred::BranchPredictor &bp, memory::MemoryHierarchy &mem);
 
     /**
-     * Run until @p num_uops more trace micro-ops have committed.
+     * Run until @p num_uops more trace micro-ops have committed. Cycles
+     * in which no state can change are credited in bulk, not ticked.
      * @throws wsrs::FatalError if forward progress stops (hard deadlock).
      */
     void run(std::uint64_t num_uops);
@@ -247,9 +248,35 @@ class Core
     // ---- observability helpers ----
     void setWaitClass(std::size_t i, std::uint8_t cls);
     void clearWaitClass(std::size_t i);
-    void recordIssueStalls();
+    obs::IssueStall issueStall(ClusterId c) const;
+    obs::CommitStall commitStall() const;
     void emitTrace(std::size_t i);
     void runStages();
+
+    // ---- rename steering and stall tests (shared with the skip) ----
+    /** Why rename cannot take the fetch-buffer head, before steering. */
+    obs::RenameStall entryStall() const;
+    /** The head's cluster: allocate() plus deadlock avoidance. */
+    AllocDecision steer(const isa::MicroOp &op);
+    /** Why @p op cannot enter on @p dec's cluster (FullWidth if it can). */
+    obs::RenameStall placementStall(const isa::MicroOp &op,
+                                    AllocDecision dec) const;
+    /** A placement stall that move injection may try to break. */
+    bool wantsMove(const isa::MicroOp &op, AllocDecision dec,
+                   obs::RenameStall cause) const;
+    /** The CoreStats rename_stall_* counter @p cause bumps, if any. */
+    std::uint64_t *renameStallCounter(obs::RenameStall cause);
+
+    // ---- quiescent-cycle skip ----
+    /**
+     * First cycle >= now_ and < @p limit at which any state but the wake
+     * wheel's can change (@p limit if none).
+     */
+    Cycle nextEvent(Cycle limit) const;
+    /** Cycles from now_ to the next wake-wheel bucket, at most @p n. */
+    Cycle cyclesToWake(Cycle n) const;
+    /** After a quiescent tick: jump to the next event, crediting stats. */
+    void skipQuiescent(Cycle limit);
 
     // Per-cycle issue budgets (reset by issueStage).
     std::array<unsigned, kMaxClusters> cycTotal_{};
@@ -427,6 +454,9 @@ class Core
     unsigned groupFill_ = 0;
 
     Cycle now_ = 0;
+    /// The current tick committed, issued, renamed, injected a move,
+    /// fetched, fired a wake, computed an address or captured store data.
+    bool active_ = false;
     CoreStats stats_;
 
     // ---- observability state ----

@@ -448,7 +448,11 @@ materializePoint(const SpaceSpec &spec, const std::uint32_t *digits)
 std::string
 pointName(std::uint64_t index)
 {
-    return "x" + std::to_string(index);
+    // Appending (rather than "x" + to_string) keeps GCC 12's -Wrestrict
+    // false positive out of Release builds.
+    std::string name = "x";
+    name += std::to_string(index);
+    return name;
 }
 
 std::string

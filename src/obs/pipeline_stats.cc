@@ -90,6 +90,24 @@ PipelineStats::reset()
     intervals_.clear();
 }
 
+void
+PipelineStats::creditQuiescent(Cycle cycles, const IssueStall *issue,
+                               const unsigned *occupancy,
+                               const Counts<RenameStall> &rename,
+                               CommitStall commit)
+{
+    WSRS_ASSERT(cycles < cyclesToSample());
+    for (unsigned c = 0; c < numClusters_; ++c) {
+        issue_[c][static_cast<std::size_t>(issue[c])] += cycles;
+        occupancySum_[c] += cycles * occupancy[c];
+    }
+    for (std::size_t k = 0; k < rename.size(); ++k)
+        rename_[k] += rename[k];
+    commit_[static_cast<std::size_t>(commit)] += cycles;
+    if (intervalPeriod_ != 0)
+        intervalCountdown_ -= cycles;
+}
+
 namespace {
 
 template <typename Enum, typename NameFn>

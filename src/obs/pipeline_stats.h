@@ -173,6 +173,28 @@ class PipelineStats : public ckpt::Snapshotter
         intervals_.push_back(s);
     }
 
+    /**
+     * Credit @p cycles skipped cycles that each repeat one quiescent
+     * cycle: per cluster the issue cause @p issue[c] with occupancy
+     * @p occupancy[c], the rename causes counted in @p rename (which sum
+     * to @p cycles) and the commit cause @p commit. The caller stops the
+     * skip before the next interval sample (see cyclesToSample).
+     */
+    void creditQuiescent(Cycle cycles, const IssueStall *issue,
+                         const unsigned *occupancy,
+                         const Counts<RenameStall> &rename,
+                         CommitStall commit);
+
+    /**
+     * endCycle calls up to and including the one that records the next
+     * interval sample; kNeverCycle while sampling is off.
+     */
+    Cycle
+    cyclesToSample() const
+    {
+        return intervalPeriod_ != 0 ? intervalCountdown_ : kNeverCycle;
+    }
+
     /** Enable interval sampling every @p period cycles (0 disables). */
     void enableIntervals(Cycle period);
     Cycle intervalPeriod() const { return intervalPeriod_; }

@@ -1,6 +1,7 @@
 /** @file End-to-end tests of the execution core on live traces. */
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <sstream>
 
 #include "src/bpred/two_bc_gskew.h"
@@ -8,6 +9,7 @@
 #include "src/core/core.h"
 #include "src/obs/trace_sink.h"
 #include "src/sim/presets.h"
+#include "src/sim/simulator.h"
 #include "src/workload/profiles.h"
 
 namespace wsrs::core {
@@ -443,6 +445,57 @@ TEST(Core, RejectsInvalidParams)
     CoreParams q = sim::presetConventional(256);
     q.fetchWidth = 0;
     EXPECT_THROW(Core c(q, gen, bp, mem), FatalError);
+}
+
+
+TEST(Core, WatchdogFiresAtTheSameCycleOnAnUnresolvableDeadlock)
+{
+    // Pool-level write specialization fixes every destination subset by
+    // op class, so avoidance has no freedom: 40 registers per pool against
+    // 80 logical registers lets a pool's subset fill with architectural
+    // state after some progress, and rename then stalls for good. The
+    // no-commit watchdog must fire at the exact cycle it always did,
+    // 500001 cycles after the last commit.
+    CoreParams p = sim::presetWriteSpecPools(160);
+    p.deadlockPolicy = DeadlockPolicy::Avoidance;
+    Rig rig(p, "mcf");
+    try {
+        rig.core.run(60000);
+        FAIL() << "WSP-160 under avoidance ran without deadlocking";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "core 'WSP-160': no commit in 500000 cycles "
+                               "at cycle 513832 (unresolvable deadlock?)");
+    }
+    EXPECT_GT(rig.core.stats().committed, 0u);
+    EXPECT_EQ(rig.core.now(), 513832u);
+    EXPECT_EQ(rig.core.stats().cycles, 513832u);
+    // Every one of those cycles is still attributed.
+    const auto sum = [](const auto &counts) {
+        return std::accumulate(counts.begin(), counts.end(), std::uint64_t{0});
+    };
+    EXPECT_EQ(sum(rig.core.stats().issueWidthHist), 513832u);
+    EXPECT_EQ(sum(rig.core.pipeStats().renameStall()), 513832u);
+    EXPECT_EQ(sum(rig.core.pipeStats().commitStall()), 513832u);
+}
+
+TEST(Core, WatchdogFiresAtTheSameCycleWhileMoveInjectionRetries)
+{
+    // The same pool-level deadlock under the default move injection:
+    // rename retries a move every cycle and never gets one, so no cycle
+    // is skipped. Message captured from `wsrs-sim --bench=crafty
+    // --machine=WSP-512 --set-regs=256 --warmup=5000 --uops=20000`.
+    sim::SimConfig cfg;
+    cfg.core = sim::findPreset("WSP-512");
+    cfg.core.numPhysRegs = 256;
+    cfg.warmupUops = 5000;
+    cfg.measureUops = 20000;
+    try {
+        sim::runSimulation(workload::findProfile("crafty"), cfg);
+        FAIL() << "WSP-512 with 256 registers ran without deadlocking";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "core 'WSP-512': no commit in 500000 cycles "
+                               "at cycle 542822 (unresolvable deadlock?)");
+    }
 }
 
 } // namespace

@@ -229,6 +229,46 @@ TEST(PipelineStats, IntervalSamplerHonorsThePeriod)
     }
 }
 
+TEST(PipelineStats, CreditQuiescentEqualsRecordingEachCycle)
+{
+    // Six repeated cycles recorded one by one, and credited in one call,
+    // leave the same counts, sums and sampler position.
+    const IssueStall issue[kClusters] = {
+        IssueStall::EmptyCluster, IssueStall::ResourceBusy,
+        IssueStall::ForwardWait, IssueStall::NoReadyUop};
+    const unsigned occupancy[kClusters] = {0, 9, 4, 2};
+    PipelineStats::Counts<RenameStall> rename{};
+    rename[static_cast<std::size_t>(RenameStall::ClusterWindowFull)] = 4;
+    rename[static_cast<std::size_t>(RenameStall::SubsetFull)] = 2;
+
+    PipelineStats each(kClusters), bulk(kClusters);
+    for (PipelineStats *ps : {&each, &bulk}) {
+        ps->enableIntervals(10);
+        drive(*ps, 3);
+        EXPECT_EQ(ps->cyclesToSample(), 7u);
+    }
+    for (unsigned cyc = 3; cyc < 9; ++cyc) {
+        for (ClusterId c = 0; c < kClusters; ++c)
+            each.recordIssue(c, issue[c], occupancy[c]);
+        each.recordRename(cyc < 7 ? RenameStall::ClusterWindowFull
+                                  : RenameStall::SubsetFull);
+        each.recordCommit(CommitStall::HeadExecuting);
+        each.endCycle(cyc, 6, occupancy);
+    }
+    bulk.creditQuiescent(6, issue, occupancy, rename,
+                         CommitStall::HeadExecuting);
+    EXPECT_EQ(bulk.cyclesToSample(), 1u);
+    EXPECT_TRUE(bulk.intervals().empty());
+    EXPECT_EQ(snapshotBytes(each), snapshotBytes(bulk));
+
+    // The next cycle takes the sample in both.
+    for (PipelineStats *ps : {&each, &bulk})
+        ps->endCycle(9, 6, occupancy);
+    ASSERT_EQ(bulk.intervals().size(), 1u);
+    EXPECT_EQ(bulk.intervals()[0].cycle, 9u);
+    EXPECT_EQ(dump(each), dump(bulk));
+}
+
 TEST(PipelineStats, DisabledSamplerRecordsNothing)
 {
     PipelineStats ps(kClusters);

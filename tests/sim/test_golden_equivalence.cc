@@ -22,7 +22,10 @@
  * is understood and reviewed — never to paper over an accidental diff.
  */
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <ostream>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -82,6 +85,22 @@ constexpr GoldenRow kGolden[] = {
     {"RR-256", "swim", "dram-closed", 0x0ca69a62c2c3dd6eull, 7705ull, 10000ull},
     {"WSRS-RC-512", "gzip", "dram-closed", 0xce3d4ba43ab937bbull, 6506ull, 10007ull},
     {"WSRS-RC-512", "swim", "dram-closed", 0xcf1e2ab3f0f31333ull, 7754ull, 10000ull},
+    // Memory-bound profiles, where most cycles change no state: the
+    // round-robin (RR), random (RC, RM) and draw-free (DEP) allocators
+    // while rename stalls. Captured from the parent of the change that
+    // skips those cycles, before any src/ edit.
+    {"RR-256", "mcf", "constant", 0x2bdd29b4dc2e4833ull, 35567ull, 10005ull},
+    {"WSRS-RC-512", "mcf", "constant", 0x9b834a929755b5cdull, 35491ull, 10005ull},
+    {"WSRS-RM-512", "mcf", "constant", 0xafb1d78faeba0e4bull, 35753ull, 10005ull},
+    {"WSRS-DEP-512", "mcf", "constant", 0x43569cb6f9151e2eull, 35818ull, 10005ull},
+    {"RR-256", "equake", "constant", 0xd3763c53e50a4aacull, 9430ull, 10006ull},
+    {"WSRS-RC-512", "equake", "constant", 0xc3bd68dd049934ffull, 9679ull, 10006ull},
+    {"WSRS-RM-512", "equake", "constant", 0xd65defc7a0ed9bcbull, 10082ull, 10006ull},
+    {"WSRS-DEP-512", "equake", "constant", 0xbe35a872e40ff98aull, 9686ull, 10006ull},
+    {"RR-256", "mcf", "dram", 0xb825a78d5d61ff22ull, 45955ull, 10005ull},
+    {"WSRS-RC-512", "mcf", "dram", 0x4f2b4d8c0f9bd31full, 46028ull, 10005ull},
+    {"RR-256", "equake", "dram", 0x9214120dca179b51ull, 14851ull, 10006ull},
+    {"WSRS-RC-512", "equake", "dram", 0x320a6aea6e0fb787ull, 14940ull, 10004ull},
 };
 
 // gtest would otherwise print the row's raw bytes, pointers included,
@@ -133,5 +152,30 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return name;
     });
+
+// One traced mcf run, captured with the rows above: the interval samples
+// inside its stats document and its --trace-pipe O3PipeView bytes. The
+// odd period puts sample boundaries inside long stalls.
+TEST(GoldenEquivalenceTraced, McfIntervalsAndPipeTraceByteIdentical)
+{
+    const std::string path = testing::TempDir() + "wsrs_golden_mcf.kanata";
+    sim::SimConfig cfg;
+    cfg.core = sim::findPreset("WSRS-RC-512");
+    cfg.warmupUops = 2000;
+    cfg.measureUops = 10000;
+    cfg.core.verifyDataflow = true;
+    cfg.intervalStatsCycles = 97;
+    cfg.tracePipePath = path;
+    const sim::SimResults r =
+        sim::runSimulation(workload::findProfile("mcf"), cfg);
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.good());
+    std::ostringstream trace;
+    trace << in.rdbuf();
+    std::remove(path.c_str());
+    EXPECT_EQ(r.stats.cycles, 35491ull);
+    EXPECT_EQ(fnv1a(r.statsJson), 0xb174d9584e8ce607ull);
+    EXPECT_EQ(fnv1a(trace.str()), 0xacc8ee16a3124d1dull);
+}
 
 } // namespace
