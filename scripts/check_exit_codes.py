@@ -45,6 +45,7 @@ def probe(name, cmd, want, stdout=subprocess.DEVNULL):
         sys.exit(f"FAIL {name}: exit {r.returncode}, expected {want}\n"
                  f"  cmd: {' '.join(cmd)}\n  stderr: {r.stderr.strip()}")
     print(f"ok: {name} -> {want}")
+    return r
 
 
 def stdout_document(name, cmd):
@@ -113,6 +114,21 @@ def main():
         probe("missing checkpoint is an I/O error",
               [binary, "--bench=gzip", "--machine=RR-256", *TINY,
                f"--ckpt-load={os.path.join(tmp, 'absent.ckpt')}"], 2)
+        # A checkpoint of another format version is refused by name:
+        # there is no reader for old layouts.
+        old = os.path.join(tmp, "v1.ckpt")
+        subprocess.run([binary, "--bench=gzip", "--machine=RR-256", *TINY,
+                        f"--ckpt-save={old}"], check=True,
+                       stdout=subprocess.DEVNULL)
+        with open(old, "r+b") as f:
+            f.seek(8)  # the u32 version after the 8-byte magic
+            f.write((1).to_bytes(4, "little"))
+        r = probe("a version-1 checkpoint is an I/O error",
+                  [binary, "--bench=gzip", "--machine=RR-256", *TINY,
+                   f"--ckpt-load={old}"], 2)
+        if "version 1" not in r.stderr or "wsrs-ckpt-v2" not in r.stderr:
+            sys.exit("FAIL version-1 checkpoint: the message names neither "
+                     f"version 1 nor wsrs-ckpt-v2: {r.stderr.strip()}")
         # A document that never arrived is an I/O error, not a success.
         probe("unwritable --stats-json is an I/O error",
               [binary, "--bench=gzip", *TINY, "--stats-json=/dev/full"], 2)

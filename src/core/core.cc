@@ -1281,7 +1281,7 @@ Core::dumpStatsJson(JsonWriter &w) const
 
 namespace {
 
-/** One micro-op, in wsrs-ckpt-v1 field order. */
+/** One micro-op, in wsrs-ckpt field order. */
 template <typename Op, typename Io>
 void
 transferMicroOp(Op &op, Io &io)
@@ -1323,9 +1323,10 @@ Core::transfer(Self &self, Io &io)
     ckpt::rng(io, self.rng_);
     ckpt::part(io, self.oracle_);
 
-    // ROB: live window only, re-assembled per entry in the original
-    // (array-of-structs) wsrs-ckpt-v1 field order. A load clears every
-    // slot first and rebuilds the derived fields of each live entry.
+    // ROB: live window only, re-assembled per entry in array-of-structs
+    // field order. A load clears every slot first and rebuilds the
+    // derived fields of each live entry, and the per-cluster counts of
+    // in-flight and waiting micro-ops from the entries.
     io.u64(self.robHead_);
     io.u64(self.robTail_);
     ckpt::check(io,
@@ -1335,6 +1336,9 @@ Core::transfer(Self &self, Io &io)
     if constexpr (Io::kLoading) {
         for (std::size_t i = 0; i <= self.robMask_; ++i)
             self.clearRobSlot(i);
+        self.inflight_.fill(0);
+        self.waitLocal_.fill(0);
+        self.waitRemote_.fill(0);
     }
     for (std::uint64_t n = self.robHead_; n != self.robTail_; ++n) {
         const std::size_t i = self.robIx(n);
@@ -1365,7 +1369,13 @@ Core::transfer(Self &self, Io &io)
         io.u8(meta.state);
         ckpt::check(io, meta.state <= 1, "invalid in-flight micro-op state");
         io.u8(meta.waitClass);
+        ckpt::check(io, meta.waitClass <= 2,
+                    "invalid in-flight micro-op wait class");
         if constexpr (Io::kLoading) {
+            ++self.inflight_[meta.cluster];
+            if (meta.waitClass != 0)
+                ++(meta.waitClass == 2 ? self.waitRemote_
+                                       : self.waitLocal_)[meta.cluster];
             meta.cls = cold.op.op;
             self.rob_.pc[i] = cold.op.pc;
             self.rob_.effAddr[i] = cold.op.effAddr;
@@ -1393,8 +1403,6 @@ Core::transfer(Self &self, Io &io)
                 io.u64(q[k]);
         }
     }
-    for (auto &v : self.inflight_)
-        io.u32(v);
     ckpt::expect(io, self.regWaiters_.size(), 8,
                  "register-waiter table size mismatch");
     for (auto &waiters : self.regWaiters_)
@@ -1508,18 +1516,8 @@ Core::transfer(Self &self, Io &io)
         io.u64(g);
     io.u32(self.groupFill_);
 
-    // Retired fields: the capacity and occupancy of a commit-timeline
-    // ring the core no longer keeps (the timeline is an obs::TimelineSink).
-    // Always 0; dropped at the next format version.
-    ckpt::expect(io, 0, 8, "retired timeline capacity is not zero");
-    ckpt::expect(io, 0, 8, "retired timeline occupancy is not zero");
-
     // Measurement state.
     CoreStats::transfer(self.stats_, io);
-    for (auto &v : self.waitLocal_)
-        io.u32(v);
-    for (auto &v : self.waitRemote_)
-        io.u32(v);
     ckpt::part(io, self.obs_);
     ckpt::expectEnd(io, "trailing bytes after core state");
 }

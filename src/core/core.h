@@ -211,9 +211,9 @@ class Core
      * attached micro-op source, predictor and memory hierarchy are NOT
      * included; the caller checkpoints those separately.
      *
-     * The stream stays in the original per-entry wsrs-ckpt-v1 field order:
-     * the structure-of-arrays window is re-assembled entry-by-entry on the
-     * way out, so checkpoints are byte-compatible across the layout change.
+     * The structure-of-arrays window is written entry by entry; state
+     * derived from the entries (ROB flags, per-cluster in-flight and
+     * waiting counts) is rebuilt on restore, not written.
      */
     void snapshot(ckpt::Writer &w) const;
     void restore(ckpt::Reader &r);

@@ -201,10 +201,6 @@ class LoadStoreQueue : public ckpt::Snapshotter
             io.u64(e.robNum);
             io.b(e.isStore);
             io.b(e.dataReady);
-            // Retired field: an address-computed flag the LSQ never set
-            // (agenCount_ tracks it). Always 0; dropped at the next
-            // format version.
-            ckpt::expect(io, 0, 1, "retired LSQ address flag is not zero");
             // The forwarding chains are derived state: rebuild them in
             // ordinal order rather than serializing them.
             if constexpr (Io::kLoading) {

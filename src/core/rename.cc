@@ -1,5 +1,7 @@
 #include "rename.h"
 
+#include <algorithm>
+
 namespace wsrs::core {
 
 Renamer::Renamer(PhysRegFile &prf, RenameImpl impl, unsigned group_width,
@@ -122,12 +124,17 @@ template <typename Self, typename Io>
 void
 Renamer::transfer(Self &self, Io &io)
 {
+    // The per-subset occupancy counts are the map's histogram, rebuilt
+    // on load.
+    if constexpr (Io::kLoading)
+        std::fill(self.archCount_.begin(), self.archCount_.end(), 0);
     for (auto &p : self.map_) {
         io.u32(p);
         ckpt::check(io, p < self.prf_.numRegs(),
                     "rename map entry out of range");
+        if constexpr (Io::kLoading)
+            ++self.archCount_[self.prf_.subsetOf(p)];
     }
-    ckpt::vecExact(io, self.archCount_, "subset occupancy counts");
     ckpt::expect(io, self.staged_.size(), 8, "staging-buffer count mismatch");
     for (auto &stage : self.staged_)
         ckpt::vec(io, stage);

@@ -110,7 +110,7 @@ class Renamer : public ckpt::Snapshotter
     /** Registers currently held in the Impl-1 staging buffers. */
     unsigned staged() const;
 
-    /** Checkpoint the map table, subset occupancy and staging buffers. */
+    /** Checkpoint the map table and staging buffers. */
     void snapshot(ckpt::Writer &w) const override;
     void restore(ckpt::Reader &r) override;
 

@@ -44,8 +44,8 @@ DramController::drainTo(Cycle now)
 {
     // Retire completed in-flight requests so the window reflects
     // occupancy at the core clock.
-    while (!events_.empty() && events_.top().at <= now)
-        events_.pop();
+    while (!completions_.empty() && completions_.front() <= now)
+        completions_.pop_front();
     // Fold attribution segments that are entirely in the past; the core
     // clock never reaches `now` again, so they are final. Segments are
     // only folded up to `now` — the still-future tail stays pending so a
@@ -63,15 +63,11 @@ DramController::drainTo(Cycle now)
 }
 
 Cycle
-DramController::serveLine(Addr addr, Cycle at, bool attribute,
-                          std::uint32_t &bank_out)
+DramController::serveLine(Addr addr, Cycle at, bool attribute)
 {
     const std::uint64_t rowAddr = addr / params_.rowBytes;
-    const std::uint32_t bankIdx =
-        static_cast<std::uint32_t>(rowAddr % banks_.size());
     const std::uint64_t row = rowAddr / banks_.size();
-    Bank &bank = banks_[bankIdx];
-    bank_out = bankIdx;
+    Bank &bank = banks_[rowAddr % banks_.size()];
 
     const Cycle bankStart = std::max(at, bank.readyAt);
     Cycle prep;
@@ -86,9 +82,8 @@ DramController::serveLine(Addr addr, Cycle at, bool attribute,
         ++rowConflicts_;
     }
     const Cycle casDone = bankStart + prep;
-    // One shared data bus: bursts serialize in CAS-completion order,
-    // which (bus occupancy being monotonic) is also FIFO per the demand
-    // stream — completions never reorder.
+    // One shared data bus: each burst starts no earlier than the last
+    // one ended, so completions never reorder (completions_ is a FIFO).
     const Cycle busStart = std::max(casDone, busFreeAt_);
     const Cycle done = busStart + params_.burstCycles;
 
@@ -114,18 +109,17 @@ DramController::request(Addr addr, bool is_store, Cycle at, Cycle now)
     // Bounded in-flight window: a full window delays admission until
     // enough outstanding requests (oldest first) have completed.
     Cycle admit = at;
-    if (events_.size() >= params_.windowDepth) {
+    if (completions_.size() >= params_.windowDepth) {
         ++queueFullWaits_;
-        while (events_.size() >= params_.windowDepth) {
-            admit = std::max(admit, events_.top().at);
-            events_.pop();
+        while (completions_.size() >= params_.windowDepth) {
+            admit = std::max(admit, completions_.front());
+            completions_.pop_front();
         }
         charge(MemQueueStall::QueueFull, at, admit);
     }
 
-    std::uint32_t bank = 0;
-    const Cycle done = serveLine(addr, admit, /*attribute=*/true, bank);
-    events_.schedule(done, bank);
+    const Cycle done = serveLine(addr, admit, /*attribute=*/true);
+    completions_.push_back(done);
     return done - at;
 }
 
@@ -133,7 +127,7 @@ bool
 DramController::tryPrefetch(Addr addr, Cycle at, Cycle now)
 {
     drainTo(now);
-    if (events_.size() >= params_.windowDepth) {
+    if (completions_.size() >= params_.windowDepth) {
         ++prefetchDrops_;
         return false;
     }
@@ -141,9 +135,7 @@ DramController::tryPrefetch(Addr addr, Cycle at, Cycle now)
     // behind them are charged BankBusy/DataBurst as first causes) but
     // charge nothing themselves: their service must not bill the
     // triggering access, and unclaimed cycles fall to Idle.
-    std::uint32_t bank = 0;
-    const Cycle done = serveLine(addr, at, /*attribute=*/false, bank);
-    events_.schedule(done, bank);
+    completions_.push_back(serveLine(addr, at, /*attribute=*/false));
     ++prefetchIssued_;
     return true;
 }
@@ -154,7 +146,7 @@ DramController::rebaseTiming()
     for (Bank &b : banks_)
         b.readyAt = 0;
     busFreeAt_ = 0;
-    events_.clear();
+    completions_.clear();
     pending_.clear();
     attrUntil_ = 0;
     epoch_ = 0;
@@ -241,8 +233,23 @@ DramController::transfer(Self &self, Io &io)
         io.u64(b.readyAt);
         io.u64(b.openRow);
     }
-    ckpt::part(io, self.events_);
     io.u64(self.busFreeAt_);
+    // The window bounds the list, and no completion precedes the one
+    // before it or follows the bus's last burst.
+    std::uint64_t n = self.completions_.size();
+    io.u64(n);
+    ckpt::check(io, n <= self.params_.windowDepth,
+                "DRAM completion count exceeds the window depth");
+    if constexpr (Io::kLoading)
+        self.completions_.assign(n, 0);
+    Cycle prev = 0;
+    for (auto &c : self.completions_) {
+        io.u64(c);
+        ckpt::check(io, c >= prev, "DRAM completions decrease");
+        ckpt::check(io, c <= self.busFreeAt_,
+                    "DRAM completion after the bus's last burst");
+        prev = c;
+    }
     io.u64(self.epoch_);
     io.u64(self.attrUntil_);
     for (auto &s : self.stall_)

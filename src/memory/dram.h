@@ -1,6 +1,6 @@
 /**
  * @file
- * Event-queue-driven DRAM controller behind the memory hierarchy.
+ * Banked DRAM controller behind the memory hierarchy.
  *
  * An L2 miss becomes a request to one of `banks` DRAM banks (line address
  * interleaved at row granularity). Each bank keeps an open row: a request
@@ -29,7 +29,6 @@
 #include "src/ckpt/snapshotter.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
-#include "src/memory/event_queue.h"
 #include "src/obs/pipeline_stats.h"
 
 namespace wsrs::memory {
@@ -119,7 +118,7 @@ class DramController : public ckpt::Snapshotter
     std::uint64_t queueFullWaits() const { return queueFullWaits_.value(); }
     std::uint64_t prefetchDrops() const { return prefetchDrops_.value(); }
     /** Requests scheduled but not yet past their completion cycle. */
-    std::size_t inFlight() const { return events_.size(); }
+    std::size_t inFlight() const { return completions_.size(); }
 
     void snapshot(ckpt::Writer &w) const override;
     void restore(ckpt::Reader &r) override;
@@ -145,14 +144,18 @@ class DramController : public ckpt::Snapshotter
     };
 
     /** Bank/bus service common to demand requests and prefetches. */
-    Cycle serveLine(Addr addr, Cycle at, bool attribute,
-                    std::uint32_t &bank_out);
+    Cycle serveLine(Addr addr, Cycle at, bool attribute);
     void charge(obs::MemQueueStall bucket, Cycle from, Cycle to);
     void drainTo(Cycle now);
 
     DramParams params_;
     std::vector<Bank> banks_;
-    EventQueue events_;
+    /**
+     * Completion cycles of the in-flight requests, oldest first. Every
+     * line leaves over the one data bus, so each completion is the new
+     * busFreeAt_: the list never decreases and a FIFO is its queue.
+     */
+    std::deque<Cycle> completions_;
     Cycle busFreeAt_ = 0;
 
     // ---- first-cause stall attribution ----

@@ -1,6 +1,5 @@
 #include "pipeline_stats.h"
 
-#include <cmath>
 #include <span>
 
 #include "src/common/log.h"
@@ -120,23 +119,6 @@ legend(NameFn name)
     return names;
 }
 
-/** Samples (overflow included) and Σ value·count over the buckets. */
-struct Totals
-{
-    std::uint64_t samples, sum;
-};
-
-Totals
-totals(std::span<const std::uint64_t> buckets, std::uint64_t overflow)
-{
-    Totals t{overflow, 0};
-    for (std::size_t v = 0; v < buckets.size(); ++v) {
-        t.samples += buckets[v];
-        t.sum += v * buckets[v];
-    }
-    return t;
-}
-
 /**
  * One {buckets, overflow, samples, mean} object. The counts are integers
  * below 2^53, so the mean is the one an incrementally summed double gives.
@@ -145,58 +127,15 @@ void
 dumpHist(JsonWriter &w, std::span<const std::uint64_t> buckets,
          std::uint64_t overflow = 0, std::uint64_t overflowSum = 0)
 {
-    const Totals t = totals(buckets, overflow);
-    const double sum = static_cast<double>(t.sum + overflowSum);
-    w.beginObject().field("buckets", buckets).field("overflow", overflow)
-        .field("samples", t.samples)
-        .field("mean", t.samples ? sum / t.samples : 0.0).endObject();
-}
-
-/**
- * One histogram in its checkpoint layout: u64 bucket count, the buckets,
- * overflow, samples, then the d64 sum. Samples and sum are derived when
- * saving, so loading rejects any that disagree with the buckets and the
- * overflow, and an overflow sum below buckets.size() per overflow sample.
- */
-template <typename Io, typename Buckets, typename Count>
-void
-transferHist(Io &io, Buckets &buckets, Count &overflow, Count &overflowSum)
-{
-    ckpt::expect(io, buckets.size(), 8, "histogram bucket count mismatch");
-    for (auto &b : buckets)
-        io.u64(b);
-    io.u64(overflow);
-    const Totals t = totals(buckets, overflow);
-    std::uint64_t samples = t.samples;
-    io.u64(samples);
-    ckpt::check(io, samples == t.samples,
-                "histogram samples disagree with its buckets");
-    double sum = static_cast<double>(t.sum + overflowSum);
-    io.d64(sum);
-    ckpt::check(io,
-                std::isfinite(sum) && !std::signbit(sum) && sum < 0x1p64 &&
-                    sum == std::floor(sum),
-                "histogram sum is not a finite integer");
-    if constexpr (Io::kLoading) {
-        const auto total = static_cast<std::uint64_t>(sum);
-        const std::uint64_t extra = total - t.sum;
-        ckpt::check(io,
-                    total >= t.sum &&
-                        (overflow ? extra / buckets.size() >= overflow
-                                  : extra == 0),
-                    "histogram sum disagrees with its buckets and overflow");
-        overflowSum = extra;
+    std::uint64_t samples = overflow, sum = overflowSum;
+    for (std::size_t v = 0; v < buckets.size(); ++v) {
+        samples += buckets[v];
+        sum += v * buckets[v];
     }
-}
-
-/** A stall-cause histogram: every cycle has a cause, so none overflow. */
-template <typename Io, typename Buckets>
-void
-transferCauses(Io &io, Buckets &buckets)
-{
-    std::uint64_t overflow = 0, overflowSum = 0;
-    transferHist(io, buckets, overflow, overflowSum);
-    ckpt::check(io, overflow == 0, "stall-cause histogram overflows");
+    w.beginObject().field("buckets", buckets).field("overflow", overflow)
+        .field("samples", samples)
+        .field("mean", samples ? static_cast<double>(sum) / samples : 0.0)
+        .endObject();
 }
 
 } // namespace
@@ -236,12 +175,26 @@ PipelineStats::transfer(Self &self, Io &io)
 {
     ckpt::expect(io, self.numClusters_, 4,
                  "pipeline-stats cluster count mismatch");
+    // Buckets only: every stall cycle has a cause, and samples and sums
+    // are derived when dumping.
     for (auto &counts : std::span(self.issue_).first(self.numClusters_))
-        transferCauses(io, counts);
-    transferCauses(io, self.rename_);
-    transferCauses(io, self.commit_);
-    transferHist(io, self.wakeup_, self.wakeupOverflow_,
-                 self.wakeupOverflowSum_);
+        for (auto &b : counts)
+            io.u64(b);
+    for (auto &b : self.rename_)
+        io.u64(b);
+    for (auto &b : self.commit_)
+        io.u64(b);
+    for (auto &b : self.wakeup_)
+        io.u64(b);
+    io.u64(self.wakeupOverflow_);
+    io.u64(self.wakeupOverflowSum_);
+    // Each overflowed wait lasted at least kWakeupBuckets cycles.
+    ckpt::check(io,
+                self.wakeupOverflowSum_ / kWakeupBuckets >=
+                        self.wakeupOverflow_ &&
+                    (self.wakeupOverflow_ != 0 ||
+                     self.wakeupOverflowSum_ == 0),
+                "wake-up overflow sum disagrees with its overflow count");
     for (auto &s : self.occupancySum_)
         io.u64(s);
     io.u64(self.intervalCountdown_);

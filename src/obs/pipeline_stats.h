@@ -105,7 +105,7 @@ struct IntervalSample
  * The core-side container: stall-cause counts, wake-up latency, occupancy
  * accounting and the interval sampler. The record* hooks run several
  * times per simulated cycle, so they only bump flat counters; dumpJson
- * and snapshot derive each histogram's samples and sum from them.
+ * derives each histogram's samples and sum from them.
  */
 class PipelineStats : public ckpt::Snapshotter
 {

@@ -53,6 +53,14 @@ decodeRecord(const std::array<std::uint8_t, kRecordBytes> &rec,
               path.c_str(), rec[24],
               static_cast<unsigned long long>(byte_offset + 24));
     op.op = static_cast<isa::OpClass>(rec[24]);
+    // Registers index the core's map table: a logical register or none.
+    for (std::size_t at = 25; at < 28; ++at) {
+        if (rec[at] >= isa::kNumLogRegs && rec[at] != kNoLogReg)
+            fatalIo("trace file '%s' is corrupt: invalid register %u at "
+                    "byte offset %llu",
+                    path.c_str(), rec[at],
+                    static_cast<unsigned long long>(byte_offset + at));
+    }
     op.src1 = rec[25];
     op.src2 = rec[26];
     op.dst = rec[27];
@@ -138,24 +146,28 @@ TraceReader::TraceReader(const std::string &path, bool wrap)
 
     if (fileSize < kHeaderBytes)
         fatalIo("trace file '%s' is truncated: %llu bytes, need %zu for the "
-              "header",
+              "header (the file ends at byte offset %llu)",
               path.c_str(), static_cast<unsigned long long>(fileSize),
-              kHeaderBytes);
+              kHeaderBytes, static_cast<unsigned long long>(fileSize));
     std::uint8_t header[kHeaderBytes];
     in_.read(reinterpret_cast<char *>(header), kHeaderBytes);
     if (!in_ || std::memcmp(header, kMagic, sizeof(kMagic)) != 0)
-        fatalIo("'%s' is not a wsrs trace file (bad magic)", path.c_str());
+        fatalIo("'%s' is not a wsrs trace file (bad magic at byte offset 0)",
+                path.c_str());
     count_ = ckpt::loadLe(header + 8, 8);
     if (count_ == 0)
-        fatalIo("trace file '%s' contains no records", path.c_str());
+        fatalIo("trace file '%s' contains no records (record count at byte "
+                "offset 8)",
+                path.c_str());
 
-    const std::uint64_t need = kHeaderBytes + count_ * kRecordBytes;
-    if (fileSize < need)
+    // Compare in records, not bytes: count_ * kRecordBytes can wrap.
+    if (count_ > (fileSize - kHeaderBytes) / kRecordBytes)
         fatalIo("trace file '%s' is truncated: header declares %llu records "
-              "(%llu bytes) but the file ends at byte offset %llu",
+              "(%.0f bytes) but the file ends at byte offset %llu",
               path.c_str(), static_cast<unsigned long long>(count_),
-              static_cast<unsigned long long>(need),
+              kHeaderBytes + static_cast<double>(count_) * kRecordBytes,
               static_cast<unsigned long long>(fileSize));
+    const std::uint64_t need = kHeaderBytes + count_ * kRecordBytes;
     if (fileSize > need)
         fatalIo("trace file '%s' is corrupt: %llu trailing bytes after the "
               "last record (record region ends at byte offset %llu)",

@@ -216,14 +216,13 @@ TEST(WarmupSnapshot, IncompatibleWithVerifyDataflow)
     EXPECT_THROW(runSimulation(profile, bad), FatalError);
 }
 
-// Locks the wsrs-ckpt-v1 bytes of a gzip warm-up snapshot; the hash was
-// taken before ckpt::Writer moved onto the shared little-endian helpers.
+// Locks the wsrs-ckpt-v2 bytes of a gzip warm-up snapshot.
 TEST(WarmupSnapshot, BlobBytesAreGolden)
 {
     const std::string blob = buildWarmupSnapshot(
         workload::findProfile("gzip"), smallConfig("WSRS-RC-512"));
     const std::uint64_t hash = test::fnv1a(blob);
-    EXPECT_EQ(hash, 0xa9653aeb8c196639ull) << std::hex << hash;
+    EXPECT_EQ(hash, 0xd72855f306aa84f0ull) << std::hex << hash;
 
     // One row per other predictor kind, so each predictor's table layout
     // is locked too.
@@ -232,10 +231,10 @@ TEST(WarmupSnapshot, BlobBytesAreGolden)
         PredictorKind kind;
         std::uint64_t hash;
     } rows[] = {
-        {PredictorKind::Tournament, 0x78321ac3200bfee8ull},
-        {PredictorKind::Gshare, 0x2202c2291ddb80d1ull},
-        {PredictorKind::Bimodal, 0x6a280958cdd2042eull},
-        {PredictorKind::Perfect, 0xc021b1532ad652f8ull},
+        {PredictorKind::Tournament, 0x4ec301d4cd1aa4b1ull},
+        {PredictorKind::Gshare, 0x210653da1fff6748ull},
+        {PredictorKind::Bimodal, 0x570656e94860520full},
+        {PredictorKind::Perfect, 0xf2817d81b0a4f831ull},
     };
     for (const auto &row : rows) {
         SimConfig cfg = smallConfig("WSRS-RC-512");
@@ -257,9 +256,7 @@ slurp(const std::string &path)
 
 // Locks the bytes of a full-sim checkpoint file, which carry the core's
 // committed-memory image: mcf's stores at the warm-up boundary already
-// span about 150 4 KiB pages, gzip's about 10. The hashes were taken
-// while the image was still a hash table whose snapshot sorted its
-// pairs, before the paged MemoryImage replaced it.
+// span about 150 4 KiB pages, gzip's about 10.
 TEST(FullSimCheckpoint, FileBytesAreGolden)
 {
     const struct
@@ -270,12 +267,12 @@ TEST(FullSimCheckpoint, FileBytesAreGolden)
         const char *mem = nullptr;  // findMemPreset label; default memory
         bool impl1 = false;         // Impl-1 renaming (OverPickRecycle)
     } cases[] = {
-        {"mcf", "WSRS-RC-512", 0x63d1c980ac926ca3ull},
-        {"gzip", "RR-256", 0x48c812cb6318ef35ull},
-        // DRAM banks, the event heap and pending stall segments.
-        {"swim", "WSRS-RC-512", 0xce3ef79f156bf279ull, "dram"},
+        {"mcf", "WSRS-RC-512", 0x9d29084195da98f3ull},
+        {"gzip", "RR-256", 0xa5743fedb19d7d2full},
+        // DRAM banks, the completion FIFO and pending stall segments.
+        {"swim", "WSRS-RC-512", 0x6fef7555fb4df6eaull, "dram"},
         // The Impl-1 recycler and staged lists; no named preset uses it.
-        {"gzip", "WSRS-RC-512", 0xa6ad7891b4089167ull, nullptr, true},
+        {"gzip", "WSRS-RC-512", 0xf474e80d90ca6696ull, nullptr, true},
     };
     for (const auto &c : cases) {
         TempFile ckpt;
@@ -307,7 +304,7 @@ TEST(CoreSnapshot, BytesAreGolden)
     ckpt::Writer w;
     machine.snapshot(w);
     const std::uint64_t hash = test::fnv1a(w.buffer());
-    EXPECT_EQ(hash, 0x09a0f8dda0545cb3ull) << std::hex << hash;
+    EXPECT_EQ(hash, 0xa6a7382a6300bed7ull) << std::hex << hash;
 
     // A fresh core restores those bytes and saves them back unchanged.
     core::Core copy(findPreset("WSRS-RC-512"), gen, predictor, mem);

@@ -16,14 +16,12 @@
 #include "src/ckpt/io.h"
 #include "src/common/hash.h"
 #include "src/common/log.h"
-#include "src/core/core.h"
 #include "src/core/lsq.h"
 #include "src/core/phys_regfile.h"
 #include "src/memory/cache.h"
-#include "src/memory/event_queue.h"
+#include "src/memory/dram.h"
 #include "src/memory/hierarchy.h"
 #include "src/obs/pipeline_stats.h"
-#include "src/sim/presets.h"
 #include "src/workload/profiles.h"
 #include "src/workload/trace_generator.h"
 
@@ -427,44 +425,46 @@ TEST(ComponentRoundTrip, LsqWithWrappedRingAndForwardChains)
 }
 
 // Restore never sizes memory from an unchecked count. Each input carries a
-// count of 2^60 that the bytes left (or the target's configuration) cannot
-// hold; each must fail as an IoError naming its byte offset, which
-// wsrs-sim turns into exit code 2, never as std::length_error.
+// count that the bytes left or the target's configuration cannot hold, or
+// a list the component could never have built; each must fail as an
+// IoError naming its byte offset, which wsrs-sim turns into exit code 2,
+// never as std::length_error or a later assertion.
 TEST(ComponentRoundTrip, RejectsCountsBeyondPayloadOrConfiguration)
 {
     constexpr std::uint64_t kHuge = std::uint64_t{1} << 60;
-    const auto poke = [](std::string bytes, std::size_t at) {
-        ckpt::storeLe(bytes.data() + at, kHuge, 8);
+    const auto poke = [](std::string bytes, std::size_t at,
+                         std::uint64_t v) {
+        ckpt::storeLe(bytes.data() + at, v, 8);
         return bytes;
     };
-
-    ckpt::Writer events;
-    events.u64(0);      // next sequence number
-    events.u64(kHuge);  // heap size
 
     // A PipelineStats payload ends with its interval-sample count.
     ckpt::Writer pipe;
     obs::PipelineStats(4).snapshot(pipe);
 
-    // A core's payload ends with the two retired timeline fields (written
-    // 0), the core statistics, the wait-token counters and its
-    // PipelineStats.
-    workload::TraceGenerator gen(workload::findProfile("gzip"), 1);
-    bpred::TwoBcGskew bp;
-    StatGroup g1("g1");
-    memory::MemoryHierarchy mem(memory::HierarchyParams{}, g1);
-    const core::CoreParams cp = sim::findPreset("WSRS-RC-512");
-    ckpt::Writer core_bytes, core_pipe;
+    // A DRAM payload with two requests in flight: the bank count, each
+    // bank's readiness and open row, the bus, then the completion list.
+    memory::DramParams dp;
+    dp.banks = 2;
+    StatGroup g("dram");
+    ckpt::Writer dram;
     {
-        core::Core machine(cp, gen, bp, mem);
-        machine.snapshot(core_bytes);
-        machine.pipeStats().snapshot(core_pipe);
+        memory::DramController d(dp, g);
+        d.request(0x0, false, 0, 0);
+        d.request(0x40000, false, 0, 0);
+        ASSERT_EQ(d.inFlight(), 2u);
+        d.snapshot(dram);
     }
-    constexpr std::size_t kStatsBytes =
-        (13 + core::kMaxClusters + 17 + 1) * 8 + 2 * core::kMaxClusters * 4;
-    const std::size_t timeline_at =
-        core_bytes.size() - core_pipe.size() - kStatsBytes - 16;
-    ASSERT_EQ(ckpt::loadLe(core_bytes.buffer().data() + timeline_at, 8), 0u);
+    const std::size_t count_at = 8 + 16 * dp.banks + 8;
+    const std::string &db = dram.buffer();
+    const std::uint64_t first = ckpt::loadLe(db.data() + count_at + 8, 8);
+    const std::uint64_t second = ckpt::loadLe(db.data() + count_at + 16, 8);
+    ASSERT_EQ(ckpt::loadLe(db.data() + count_at, 8), 2u);
+    ASSERT_LT(first, second);
+    const auto dramRestore = [&](ckpt::Reader &r) {
+        StatGroup rg("dram");
+        memory::DramController(dp, rg).restore(r);
+    };
 
     const struct
     {
@@ -472,18 +472,21 @@ TEST(ComponentRoundTrip, RejectsCountsBeyondPayloadOrConfiguration)
         std::string bytes;
         std::function<void(ckpt::Reader &)> restore;
     } cases[] = {
-        {"event queue", events.buffer(),
-         [](ckpt::Reader &r) { memory::EventQueue().restore(r); }},
-        {"interval samples", poke(pipe.buffer(), pipe.size() - 8),
+        {"interval samples", poke(pipe.buffer(), pipe.size() - 8, kHuge),
          [](ckpt::Reader &r) { obs::PipelineStats(4).restore(r); }},
-        {"timeline capacity", poke(core_bytes.buffer(), timeline_at),
-         [&](ckpt::Reader &r) { core::Core(cp, gen, bp, mem).restore(r); }},
+        {"DRAM completions beyond the window", poke(db, count_at, kHuge),
+         dramRestore},
+        {"decreasing DRAM completions",
+         poke(poke(db, count_at + 8, second), count_at + 16, first),
+         dramRestore},
+        {"DRAM completion after the bus", poke(db, count_at + 16, kHuge),
+         dramRestore},
     };
     for (const auto &c : cases) {
         ckpt::Reader r(c.bytes, "<reject>");
         try {
             c.restore(r);
-            ADD_FAILURE() << c.what << ": restored a count of 2^60";
+            ADD_FAILURE() << c.what << ": restored";
         } catch (const IoError &e) {
             EXPECT_NE(std::string(e.what()).find("byte offset"),
                       std::string::npos)

@@ -68,10 +68,13 @@ TEST(WsrsGeometry, PaperExampleClusterC1ReadsS0S1First)
 {
     // "The first operand of an instruction executed on cluster C1 is read
     // from a physical register belonging to subset S0 or to subset S1."
-    for (SubsetId s1 = 0; s1 < 4; ++s1)
-        for (SubsetId s2 = 0; s2 < 4; ++s2)
-            if (wsrsCluster(s1, s2) == 1)
+    for (SubsetId s1 = 0; s1 < 4; ++s1) {
+        for (SubsetId s2 = 0; s2 < 4; ++s2) {
+            if (wsrsCluster(s1, s2) == 1) {
                 EXPECT_TRUE(s1 == 0 || s1 == 1);
+            }
+        }
+    }
 }
 
 TEST(WsrsOptions, DyadicNonCommutativeHasOneOption)

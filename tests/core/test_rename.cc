@@ -1,6 +1,7 @@
 /** @file Tests for subset-aware register renaming (paper section 2.2). */
 #include <gtest/gtest.h>
 
+#include "src/ckpt/io.h"
 #include "src/core/rename.h"
 #include "src/workload/dataflow.h"
 
@@ -79,6 +80,31 @@ TEST(Renamer, ArchCountTracksSubsetMigration)
     renamer.endCycle(0);
     EXPECT_EQ(renamer.archCount(0), 19u);
     EXPECT_EQ(renamer.archCount(3), 21u);
+}
+
+// The per-subset counts are not checkpointed: a restore rebuilds them
+// from the loaded map, over whatever counts the target held before.
+TEST(Renamer, RestoreRebuildsArchCountsFromTheMap)
+{
+    PhysRegFile prf(512, 4);
+    Renamer renamer(prf, RenameImpl::ExactCount, 8, 4);
+    renamer.initMapping(&workload::initRegValue);
+    renamer.beginCycle(0);
+    for (LogReg r = 0; r < 6; ++r)
+        renamer.rename(aluOp(1, 2, r), 3);
+    renamer.endCycle(0);
+    ckpt::Writer w;
+    renamer.snapshot(w);
+
+    PhysRegFile prf2(512, 4);
+    Renamer back(prf2, RenameImpl::ExactCount, 8, 4);
+    back.initMapping(&workload::initRegValue);
+    ckpt::Reader r(w.buffer(), "<renamer>");
+    back.restore(r);
+    EXPECT_TRUE(r.atEnd());
+    for (SubsetId s = 0; s < 4; ++s)
+        EXPECT_EQ(back.archCount(s), renamer.archCount(s)) << "subset " << s;
+    EXPECT_EQ(back.archCount(3), 25u);  // logical 3 was already there
 }
 
 TEST(Renamer, ExactCountConsumesOneRegisterPerRename)

@@ -1,5 +1,5 @@
 /** @file Tests for the event-driven DRAM backend (bank state machine,
- *  queue ordering, bounded window, stall attribution, checkpointing). */
+ *  completion order, bounded window, stall attribution, checkpointing). */
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -7,64 +7,11 @@
 
 #include "src/ckpt/io.h"
 #include "src/memory/dram.h"
-#include "src/memory/event_queue.h"
 
 namespace wsrs::memory {
 namespace {
 
 using obs::MemQueueStall;
-
-TEST(EventQueue, PopsInCycleOrderWithFifoTieBreak)
-{
-    EventQueue q;
-    q.schedule(5, 10);
-    q.schedule(3, 11);
-    q.schedule(5, 12);
-    q.schedule(1, 13);
-    ASSERT_EQ(q.size(), 4u);
-
-    EXPECT_EQ(q.top().at, 1u);
-    EXPECT_EQ(q.top().bank, 13u);
-    q.pop();
-    EXPECT_EQ(q.top().at, 3u);
-    q.pop();
-    // Same-cycle events pop in schedule order.
-    EXPECT_EQ(q.top().at, 5u);
-    EXPECT_EQ(q.top().bank, 10u);
-    q.pop();
-    EXPECT_EQ(q.top().bank, 12u);
-    q.pop();
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, SnapshotRoundTripsBitExactly)
-{
-    EventQueue a;
-    a.schedule(9, 1);
-    a.schedule(2, 2);
-    a.schedule(9, 3);
-    a.pop();
-
-    ckpt::Writer w;
-    a.snapshot(w);
-    ckpt::Reader r(w.buffer(), "<eventq>");
-    EventQueue b;
-    b.restore(r);
-
-    ASSERT_EQ(b.size(), a.size());
-    while (!a.empty()) {
-        EXPECT_EQ(b.top().at, a.top().at);
-        EXPECT_EQ(b.top().seq, a.top().seq);
-        EXPECT_EQ(b.top().bank, a.top().bank);
-        a.pop();
-        b.pop();
-    }
-    // The restored tie-break sequence continues where the original's
-    // would: new same-cycle events still order behind old ones.
-    a.schedule(4, 7);
-    b.schedule(4, 7);
-    EXPECT_EQ(b.top().seq, a.top().seq);
-}
 
 /** Small, round-number geometry so latencies are easy to compute:
  *  2 banks, 1 KB rows, tRp=10, tRcd=10, tCas=5, burst=4, window=2. */

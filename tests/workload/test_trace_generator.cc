@@ -100,8 +100,9 @@ TEST(TraceGenerator, BranchTargetsAreValidProgramPcs)
         pcs.insert(s.pc);
     for (int i = 0; i < 20000; ++i) {
         const isa::MicroOp op = gen.next();
-        if (op.isBranch())
+        if (op.isBranch()) {
             EXPECT_TRUE(pcs.count(op.target)) << "target " << op.target;
+        }
     }
 }
 
@@ -111,8 +112,9 @@ TEST(TraceGenerator, TakenBranchRedirectsPcStream)
     isa::MicroOp prev = gen.next();
     for (int i = 0; i < 20000; ++i) {
         const isa::MicroOp cur = gen.next();
-        if (prev.isBranch() && prev.taken)
+        if (prev.isBranch() && prev.taken) {
             EXPECT_EQ(cur.pc, prev.target);
+        }
         prev = cur;
     }
 }
@@ -137,15 +139,19 @@ TEST(TraceGenerator, SourcesAndDestsAreValidRegisters)
     TraceGenerator gen(testProfile());
     for (int i = 0; i < 20000; ++i) {
         const isa::MicroOp op = gen.next();
-        if (op.src1 != kNoLogReg)
+        if (op.src1 != kNoLogReg) {
             EXPECT_LT(op.src1, isa::kNumLogRegs);
-        if (op.src2 != kNoLogReg)
+        }
+        if (op.src2 != kNoLogReg) {
             EXPECT_LT(op.src2, isa::kNumLogRegs);
-        if (op.dst != kNoLogReg)
+        }
+        if (op.dst != kNoLogReg) {
             EXPECT_LT(op.dst, isa::kNumLogRegs);
+        }
         // src2 implies src1 (operand packing convention).
-        if (op.src2 != kNoLogReg)
+        if (op.src2 != kNoLogReg) {
             EXPECT_NE(op.src1, kNoLogReg);
+        }
     }
 }
 
@@ -159,10 +165,12 @@ TEST(TraceGenerator, StoresAreDyadicWithoutDest)
             EXPECT_NE(op.src1, kNoLogReg);
             EXPECT_NE(op.src2, kNoLogReg);
         }
-        if (op.isBranch())
+        if (op.isBranch()) {
             EXPECT_FALSE(op.hasDest());
-        if (op.isLoad())
+        }
+        if (op.isLoad()) {
             EXPECT_TRUE(op.hasDest());
+        }
     }
 }
 
@@ -196,8 +204,9 @@ TEST(TraceGenerator, CommutativeOnlyOnDyadic)
     TraceGenerator gen(testProfile());
     for (int i = 0; i < 20000; ++i) {
         const isa::MicroOp op = gen.next();
-        if (op.commutative)
+        if (op.commutative) {
             EXPECT_TRUE(op.isDyadic());
+        }
     }
 }
 
@@ -314,8 +323,9 @@ TEST_P(AllProfiles, GeneratesCleanStream)
     for (int i = 0; i < 20000; ++i) {
         const isa::MicroOp op = gen.next();
         branches += op.isBranch();
-        if (op.src2 != kNoLogReg)
+        if (op.src2 != kNoLogReg) {
             ASSERT_NE(op.src1, kNoLogReg);
+        }
     }
     EXPECT_GT(branches, 100u);
 }

@@ -6,7 +6,9 @@
 #include <fstream>
 
 #include "src/bpred/two_bc_gskew.h"
+#include "src/ckpt/io.h"
 #include "src/common/log.h"
+#include "src/common/rng.h"
 #include "src/core/core.h"
 #include "src/sim/presets.h"
 #include "src/sim/simulator.h"
@@ -235,6 +237,89 @@ TEST(TraceIo, RecordedTraceDrivesTheCoreIdentically)
     TraceGenerator live(profile, 0);
     TraceReader recorded(tmp.path);
     EXPECT_EQ(simulate(live), simulate(recorded));
+}
+
+/** A register field the core can index: a logical register or none. */
+bool
+validReg(LogReg r)
+{
+    return r < isa::kNumLogRegs || r == kNoLogReg;
+}
+
+// Seeded mutants of a 24-record trace file: bit flips, truncations, and
+// the header's record count set to 2^k or with bit k set. Each must read
+// through (every record decoded to operands the core can index) or fail
+// as a FatalError that names a byte offset; never a crash or a hang.
+TEST(TraceIoMutator, EveryMutantReadsOrFailsAtAByteOffset)
+{
+    TempFile src;
+    {
+        TraceGenerator gen(findProfile("gzip"), 0);
+        TraceWriter writer(src.path);
+        for (int i = 0; i < 24; ++i)
+            writer.append(gen.next());
+    }
+    std::ifstream is(src.path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(is)),
+                            std::istreambuf_iterator<char>());
+    ASSERT_EQ(bytes.size(), 16u + 24 * 30);
+
+    std::vector<std::pair<std::string, std::string>> mutants;
+    XorShiftRng rng(0x74726163);
+    for (int i = 0; i < 200; ++i) {
+        std::string m = bytes;
+        if (i % 2 == 0) {
+            for (int flips = 1 + static_cast<int>(rng.below(3)); flips > 0;
+                 --flips)
+                m[rng.below(m.size())] ^=
+                    static_cast<char>(1u << rng.below(8));
+            mutants.emplace_back("bit flips " + std::to_string(i), m);
+        } else {
+            m.resize(rng.below(m.size()));
+            mutants.emplace_back("truncated to " + std::to_string(m.size()),
+                                 m);
+        }
+    }
+    const std::uint64_t records = ckpt::loadLe(bytes.data() + 8, 8);
+    for (unsigned k = 0; k < 64; ++k) {
+        for (const std::uint64_t count :
+             {std::uint64_t{1} << k, records | std::uint64_t{1} << k}) {
+            std::string m = bytes;
+            ckpt::storeLe(m.data() + 8, count, 8);
+            mutants.emplace_back("count " + std::to_string(count), m);
+        }
+    }
+
+    TempFile tmp;
+    int read = 0;
+    for (const auto &[label, m] : mutants) {
+        {
+            std::ofstream out(tmp.path, std::ios::binary | std::ios::trunc);
+            out << m;
+        }
+        try {
+            TraceReader reader(tmp.path, /*wrap=*/false);
+            for (std::uint64_t i = 0; i < reader.records(); ++i) {
+                const isa::MicroOp op = reader.next();
+                EXPECT_TRUE(validReg(op.src1) && validReg(op.src2) &&
+                            validReg(op.dst))
+                    << label << ": record " << i;
+            }
+            ++read;
+        } catch (const FatalError &e) {
+            // The offset must lie in the file: a decoder that reads past
+            // the end can still trip over a garbage byte out there.
+            const std::string msg = e.what();
+            const std::size_t at = msg.find("byte offset ");
+            if (at == std::string::npos)
+                ADD_FAILURE() << label << ": no byte offset: " << msg;
+            else
+                EXPECT_LE(std::stoull(msg.substr(at + 12)), m.size())
+                    << label << ": " << msg;
+        }
+    }
+    // Some bit flips land in fields any value of which is valid.
+    EXPECT_GT(read, 0);
 }
 
 // Locks the WSRSTRC1 file bytes for 64 generated gzip micro-ops; the hash
