@@ -44,7 +44,7 @@ main()
         for (const char *m :
              {"WSRS-RM-512", "WSRS-RC-512", "WSRS-DEP-512"}) {
             const sim::SimResults r = run(p.name.c_str(), m);
-            std::printf(" %10.3f %11.1f", r.ipc, r.unbalancingDegree);
+            std::printf(" %10.3f %11.1f", r.ipc, r.stats.unbalancingDegree());
         }
         std::printf("\n");
     }

@@ -61,7 +61,7 @@ main()
             for (const auto &p : preds) {
                 const sim::SimResults r = run(bench, machine, p.kind);
                 std::printf("  %10.3f %5.1f%%", r.ipc,
-                            100.0 * r.branchMispredictRate);
+                            100.0 * r.stats.mispredictRate());
             }
             std::printf("\n");
         }

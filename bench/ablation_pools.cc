@@ -50,13 +50,13 @@ main()
         for (unsigned c : counts) {
             const auto r = run(bench, sim::presetWriteSpec(c));
             std::printf("%9.3f/%8llu", r.ipc,
-                        (unsigned long long)r.stats.renameStallFreeReg);
+                        (unsigned long long)r.renameStalls.freeReg);
         }
         std::printf("\n%-16s", "WS by pool");
         for (unsigned c : counts) {
             const auto r = run(bench, sim::presetWriteSpecPools(c));
             std::printf("%9.3f/%8llu", r.ipc,
-                        (unsigned long long)r.stats.renameStallFreeReg);
+                        (unsigned long long)r.renameStalls.freeReg);
         }
         std::printf("\n");
     }

@@ -47,7 +47,8 @@ runGroup(const std::vector<workload::BenchmarkProfile> &profiles,
             if (!outcomes[i].ok)
                 fatal("%s on %s: %s", p.name.c_str(),
                       machines[m].c_str(), outcomes[i].error.c_str());
-            std::printf("%14.1f", outcomes[i].results.unbalancingDegree);
+            std::printf("%14.1f",
+                        outcomes[i].results.stats.unbalancingDegree());
         }
         std::printf("\n");
         std::fflush(stdout);

@@ -75,12 +75,12 @@ main(int argc, char **argv)
         const auto &s = r.stats;
         std::printf("%-9s %6.3f %7.2f %7.2f %7.2f %9llu %9llu %9llu %9llu "
                     "%7.2f\n",
-                    p.name.c_str(), r.ipc, 100 * r.branchMispredictRate,
+                    p.name.c_str(), r.ipc, 100 * s.mispredictRate(),
                     100 * r.l1MissRate, 100 * r.l2MissRate,
-                    (unsigned long long)s.renameStallFreeReg,
-                    (unsigned long long)s.renameStallWindow,
-                    (unsigned long long)s.renameStallRob,
-                    (unsigned long long)s.renameStallLsq,
+                    (unsigned long long)r.renameStalls.freeReg,
+                    (unsigned long long)r.renameStalls.window,
+                    (unsigned long long)r.renameStalls.rob,
+                    (unsigned long long)r.renameStalls.lsq,
                     100.0 * s.loadForwards / std::max<std::uint64_t>(1,
                         s.committed));
         const std::uint64_t tot = s.perCluster[0] + s.perCluster[1] +
@@ -92,7 +92,7 @@ main(int argc, char **argv)
                         100.0 * s.perCluster[1] / tot,
                         100.0 * s.perCluster[2] / tot,
                         100.0 * s.perCluster[3] / tot,
-                        r.unbalancingDegree);
+                        s.unbalancingDegree());
         }
     }
     return 0;

@@ -67,9 +67,9 @@ main()
         const sim::SimResults r = sim::runSimulation(p, cfg);
         std::printf("%-12s IPC %.3f | mispredict %.1f%% | L1 miss %.1f%% "
                     "| L2 miss %.1f%% | unbal %.1f%%\n",
-                    machine, r.ipc, 100 * r.branchMispredictRate,
+                    machine, r.ipc, 100 * r.stats.mispredictRate(),
                     100 * r.l1MissRate, 100 * r.l2MissRate,
-                    r.unbalancingDegree);
+                    r.stats.unbalancingDegree());
     }
 
     std::printf("\nLike mcf, a memory-bound kernel is insensitive to the "

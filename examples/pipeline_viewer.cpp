@@ -51,6 +51,8 @@ main(int argc, char **argv)
     const core::CoreStats &s = machine_core.stats();
     std::printf("\nmean issue width %.2f / 8, mean window occupancy "
                 "%.0f / 224\n",
-                s.meanIssueWidth(), s.meanWindowOccupancy());
+                s.meanIssueWidth(),
+                double(machine_core.pipeStats().windowOccupancySum()) /
+                    s.cycles);
     return 0;
 }

@@ -54,10 +54,10 @@ runOne(const char *label, const workload::BenchmarkProfile &p, bool big)
     const auto r = sim::runSimulation(p, cfg);
     std::printf("%-28s IPC %6.3f  stFree %8llu stWin %8llu stRob %8llu "
                 "stLsq %8llu\n",
-                label, r.ipc, (unsigned long long)r.stats.renameStallFreeReg,
-                (unsigned long long)r.stats.renameStallWindow,
-                (unsigned long long)r.stats.renameStallRob,
-                (unsigned long long)r.stats.renameStallLsq);
+                label, r.ipc, (unsigned long long)r.renameStalls.freeReg,
+                (unsigned long long)r.renameStalls.window,
+                (unsigned long long)r.renameStalls.rob,
+                (unsigned long long)r.renameStalls.lsq);
 }
 
 } // namespace

@@ -43,8 +43,8 @@ main(int argc, char **argv)
         const sim::SimResults r = sim::runSimulation(profile, cfg);
         std::printf("%-12s IPC %.3f | mispredict %.2f%% | L1 miss %.2f%% | "
                     "unbalancing %.1f%%\n",
-                    label, r.ipc, 100.0 * r.branchMispredictRate,
-                    100.0 * r.l1MissRate, r.unbalancingDegree);
+                    label, r.ipc, 100.0 * r.stats.mispredictRate(),
+                    100.0 * r.l1MissRate, r.stats.unbalancingDegree());
     }
 
     std::printf("\nThe WSRS machine sustains comparable IPC while its\n"

@@ -116,19 +116,22 @@ def main():
                f"--ckpt-load={os.path.join(tmp, 'absent.ckpt')}"], 2)
         # A checkpoint of another format version is refused by name:
         # there is no reader for old layouts.
-        old = os.path.join(tmp, "v1.ckpt")
+        old = os.path.join(tmp, "old.ckpt")
         subprocess.run([binary, "--bench=gzip", "--machine=RR-256", *TINY,
                         f"--ckpt-save={old}"], check=True,
                        stdout=subprocess.DEVNULL)
-        with open(old, "r+b") as f:
-            f.seek(8)  # the u32 version after the 8-byte magic
-            f.write((1).to_bytes(4, "little"))
-        r = probe("a version-1 checkpoint is an I/O error",
-                  [binary, "--bench=gzip", "--machine=RR-256", *TINY,
-                   f"--ckpt-load={old}"], 2)
-        if "version 1" not in r.stderr or "wsrs-ckpt-v2" not in r.stderr:
-            sys.exit("FAIL version-1 checkpoint: the message names neither "
-                     f"version 1 nor wsrs-ckpt-v2: {r.stderr.strip()}")
+        for version in (1, 2):
+            with open(old, "r+b") as f:
+                f.seek(8)  # the u32 version after the 8-byte magic
+                f.write(version.to_bytes(4, "little"))
+            r = probe(f"a version-{version} checkpoint is an I/O error",
+                      [binary, "--bench=gzip", "--machine=RR-256", *TINY,
+                       f"--ckpt-load={old}"], 2)
+            if (f"version {version}" not in r.stderr
+                    or "wsrs-ckpt-v3" not in r.stderr):
+                sys.exit(f"FAIL version-{version} checkpoint: the message "
+                         f"does not name both version {version} and "
+                         f"wsrs-ckpt-v3: {r.stderr.strip()}")
         # A document that never arrived is an I/O error, not a success.
         probe("unwritable --stats-json is an I/O error",
               [binary, "--bench=gzip", *TINY, "--stats-json=/dev/full"], 2)

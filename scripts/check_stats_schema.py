@@ -12,6 +12,9 @@ and then structurally checked:
     sum(issue_stall buckets) + overflow == cycles, and likewise for the
     rename and commit stall histograms (exactly one cause per stage per
     cycle), and the core's issue_width_hist counts every cycle once;
+  - the core's derived counters agree with the attribution they are
+    views of: each rename_stall_* counter equals its causes' rename_stall
+    buckets, and window_occupancy_sum equals sum(pipeline.occupancy_sum);
   - stall-cause legends match the histogram bucket counts;
   - histogram sample counts equal their bucket sums;
   - interval samples are monotone in cycle and respect the period;
@@ -67,7 +70,7 @@ def check_hist(h, where, expected_buckets=None):
     return total
 
 
-# Core counters that duplicate rename_stall buckets: each must equal the
+# Core counters derived from rename_stall buckets: each must equal the
 # sum of its causes' buckets.
 RENAME_STALL_COUNTERS = (
     ("rename_stall_rob", ("rob-full",)),
@@ -161,6 +164,13 @@ def check_stats_doc(doc, where):
         expect(got == want,
                f"{where}.core.counters.{counter} = {got} != "
                f"{' + '.join(causes)} rename_stall cycles {want}")
+    # The whole window's occupancy is the sum of the clusters': every ROB
+    # entry sits in exactly one cluster.
+    got = core["counters"]["window_occupancy_sum"]
+    want = sum(pipe["occupancy_sum"])
+    expect(got == want,
+           f"{where}.core.counters.window_occupancy_sum = {got} != "
+           f"sum(pipeline.occupancy_sum) {want}")
     width_cycles = sum(core["issue_width_hist"])
     expect(width_cycles == cycles,
            f"{where}.core.issue_width_hist: counts {width_cycles} cycles, "

@@ -1,6 +1,6 @@
 /**
  * @file
- * Versioned, CRC-checked binary checkpoint container (`wsrs-ckpt-v2`).
+ * Versioned, CRC-checked binary checkpoint container (`wsrs-ckpt-v3`).
  *
  * A checkpoint file is a header followed by named sections:
  *
@@ -39,11 +39,11 @@
 namespace wsrs::ckpt {
 
 /** Schema tag for the checkpoint container format. */
-inline constexpr const char *kFormatName = "wsrs-ckpt-v2";
+inline constexpr const char *kFormatName = "wsrs-ckpt-v3";
 /** Container file magic. */
 inline constexpr char kMagic[8] = {'W', 'S', 'R', 'S', 'C', 'K', 'P', '1'};
 /** Container format version; bump on any layout change. */
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /** Checkpoint kinds used by the simulator. */
 inline constexpr const char *kKindFullSim = "full-sim";

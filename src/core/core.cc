@@ -54,7 +54,7 @@ Core::Core(const CoreParams &params, workload::MicroOpSource &gen,
                : params_.numClusters),
       renamer_(prf_, params_.renameImpl, params_.fetchWidth,
                params_.recycleDelay),
-      alloc_(params_), lsq_(params_.lsqSize), rng_(params_.seed),
+      alloc_(params_), lsq_(params_.lsqSize),
       regWaiters_(params_.numPhysRegs), wakeWheel_(kWakeRing),
       prod_(params_.numPhysRegs), wbSlots_(params_.numClusters),
       obs_(params_.numClusters)
@@ -555,7 +555,6 @@ Core::issueStage()
     active_ |= issued_now > 0;
     ++stats_.issueWidthHist[std::min<std::size_t>(
         issued_now, stats_.issueWidthHist.size() - 1)];
-    stats_.windowOccupancySum += robTail_ - robHead_;
 }
 
 obs::IssueStall
@@ -829,24 +828,6 @@ Core::wantsMove(const isa::MicroOp &op, AllocDecision dec,
            renamer_.deadlocked(destSubset(op, dec.cluster));
 }
 
-std::uint64_t *
-Core::renameStallCounter(obs::RenameStall cause)
-{
-    switch (cause) {
-      case obs::RenameStall::RobFull:
-        return &stats_.renameStallRob;
-      case obs::RenameStall::LsqFull:
-        return &stats_.renameStallLsq;
-      case obs::RenameStall::ClusterWindowFull:
-        return &stats_.renameStallWindow;
-      case obs::RenameStall::SubsetFull:
-      case obs::RenameStall::PhysRegExhausted:
-        return &stats_.renameStallFreeReg;
-      default:
-        return nullptr;
-    }
-}
-
 void
 Core::renameStage()
 {
@@ -913,8 +894,6 @@ Core::renameStage()
         --fetchCount_;
         ++renamed;
     }
-    if (std::uint64_t *counter = renameStallCounter(cause))
-        ++*counter;
     active_ |= renamed > 0;
     obs_.recordRename(cause);
     renamer_.endCycle(now_);
@@ -1209,12 +1188,7 @@ Core::skipQuiescent(Cycle limit)
         issue[c] = issueStall(c);
     obs_.creditQuiescent(n, issue.data(), inflight_.data(), renames,
                          commitStall());
-    for (std::size_t k = 0; k < renames.size(); ++k)
-        if (std::uint64_t *counter =
-                renameStallCounter(static_cast<obs::RenameStall>(k)))
-            *counter += renames[k];
     stats_.issueWidthHist[0] += n;
-    stats_.windowOccupancySum += n * (robTail_ - robHead_);
     stats_.cycles += n;
     now_ += n;
 }
@@ -1251,6 +1225,7 @@ Core::resetStats()
 void
 Core::dumpStatsJson(JsonWriter &w) const
 {
+    const auto stalls = obs::groupRenameStalls(obs_.renameStall());
     w.beginObject()
         .field("machine", params_.name)
         .field("num_clusters", params_.numClusters)
@@ -1262,14 +1237,14 @@ Core::dumpStatsJson(JsonWriter &w) const
         .field("branches", stats_.branches)
         .field("mispredicts", stats_.mispredicts)
         .field("load_forwards", stats_.loadForwards)
-        .field("rename_stall_free_reg", stats_.renameStallFreeReg)
-        .field("rename_stall_window", stats_.renameStallWindow)
-        .field("rename_stall_rob", stats_.renameStallRob)
-        .field("rename_stall_lsq", stats_.renameStallLsq)
+        .field("rename_stall_free_reg", stalls.freeReg)
+        .field("rename_stall_window", stalls.window)
+        .field("rename_stall_rob", stalls.rob)
+        .field("rename_stall_lsq", stalls.lsq)
         .field("unbalanced_groups", stats_.unbalancedGroups)
         .field("total_groups", stats_.totalGroups)
         .field("value_mismatches", stats_.valueMismatches)
-        .field("window_occupancy_sum", stats_.windowOccupancySum)
+        .field("window_occupancy_sum", obs_.windowOccupancySum())
         .endObject()
         .field("issue_width_hist", stats_.issueWidthHist)
         .field("per_cluster_alloc", std::span(stats_.perCluster)
@@ -1320,7 +1295,6 @@ Core::transfer(Self &self, Io &io)
     ckpt::part(io, self.renamer_);
     ckpt::part(io, self.alloc_);
     ckpt::part(io, self.lsq_);
-    ckpt::rng(io, self.rng_);
     ckpt::part(io, self.oracle_);
 
     // ROB: live window only, re-assembled per entry in array-of-structs

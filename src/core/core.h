@@ -34,7 +34,6 @@
 
 #include "src/bpred/predictor.h"
 #include "src/ckpt/snapshotter.h"
-#include "src/common/rng.h"
 #include "src/obs/pipeline_stats.h"
 #include "src/obs/stage_profiler.h"
 #include "src/obs/trace_sink.h"
@@ -63,17 +62,12 @@ struct CoreStats
     std::uint64_t branches = 0;
     std::uint64_t mispredicts = 0;
     std::uint64_t loadForwards = 0;     ///< Loads served by the LSQ.
-    std::uint64_t renameStallFreeReg = 0;
-    std::uint64_t renameStallWindow = 0;
-    std::uint64_t renameStallRob = 0;
-    std::uint64_t renameStallLsq = 0;
     std::uint64_t unbalancedGroups = 0; ///< Figure-5 metric numerator.
     std::uint64_t totalGroups = 0;      ///< Figure-5 metric denominator.
     std::uint64_t valueMismatches = 0;  ///< Dataflow verification failures.
     std::array<std::uint64_t, kMaxClusters> perCluster{};
     /** Cycles by number of micro-ops issued that cycle (0..16+). */
     std::array<std::uint64_t, 17> issueWidthHist{};
-    std::uint64_t windowOccupancySum = 0;  ///< Summed over cycles.
 
     /**
      * The one field list of the core's checkpoint and the sweep journal:
@@ -89,10 +83,6 @@ struct CoreStats
         io.u64(s.branches);
         io.u64(s.mispredicts);
         io.u64(s.loadForwards);
-        io.u64(s.renameStallFreeReg);
-        io.u64(s.renameStallWindow);
-        io.u64(s.renameStallRob);
-        io.u64(s.renameStallLsq);
         io.u64(s.unbalancedGroups);
         io.u64(s.totalGroups);
         io.u64(s.valueMismatches);
@@ -100,7 +90,6 @@ struct CoreStats
             io.u64(v);
         for (auto &v : s.issueWidthHist)
             io.u64(v);
-        io.u64(s.windowOccupancySum);
     }
 
     double
@@ -112,12 +101,6 @@ struct CoreStats
             cyc += issueWidthHist[w];
         }
         return cyc ? double(issued) / cyc : 0.0;
-    }
-
-    double
-    meanWindowOccupancy() const
-    {
-        return cycles ? double(windowOccupancySum) / cycles : 0.0;
     }
 
     double ipc() const { return cycles ? double(committed) / cycles : 0.0; }
@@ -264,8 +247,6 @@ class Core
     /** A placement stall that move injection may try to break. */
     bool wantsMove(const isa::MicroOp &op, AllocDecision dec,
                    obs::RenameStall cause) const;
-    /** The CoreStats rename_stall_* counter @p cause bumps, if any. */
-    std::uint64_t *renameStallCounter(obs::RenameStall cause);
 
     // ---- quiescent-cycle skip ----
     /**
@@ -359,7 +340,6 @@ class Core
     Renamer renamer_;
     ClusterAllocator alloc_;
     LoadStoreQueue lsq_;
-    XorShiftRng rng_;
     workload::OracleExecutor oracle_;   ///< Used in verify mode.
 
     // ROB window: absolute numbers [robHead_, robTail_), at most

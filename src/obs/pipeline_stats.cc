@@ -36,6 +36,16 @@ renameStallName(RenameStall c)
     }
 }
 
+RenameStallGroups
+groupRenameStalls(
+    const std::array<std::uint64_t, std::size_t(RenameStall::kCount)> &n)
+{
+    const auto at = [&](RenameStall c) { return n[std::size_t(c)]; };
+    return {at(RenameStall::SubsetFull) + at(RenameStall::PhysRegExhausted),
+            at(RenameStall::ClusterWindowFull), at(RenameStall::RobFull),
+            at(RenameStall::LsqFull)};
+}
+
 const char *
 commitStallName(CommitStall c)
 {

@@ -62,6 +62,20 @@ enum class RenameStall : std::uint8_t {
     kCount
 };
 
+/** Rename-stage cycles grouped by the resource that ran out: the stats
+ *  document's `rename_stall_*` counters and the summaries' columns. */
+struct RenameStallGroups
+{
+    std::uint64_t freeReg = 0;  ///< SubsetFull + PhysRegExhausted.
+    std::uint64_t window = 0;   ///< ClusterWindowFull.
+    std::uint64_t rob = 0;      ///< RobFull.
+    std::uint64_t lsq = 0;      ///< LsqFull.
+};
+
+/** Group per-cause rename-stage cycle counts (indexed by RenameStall). */
+RenameStallGroups groupRenameStalls(
+    const std::array<std::uint64_t, std::size_t(RenameStall::kCount)> &n);
+
 /** Dominant commit-stage outcome of one cycle. */
 enum class CommitStall : std::uint8_t {
     Committed = 0,
@@ -216,6 +230,15 @@ class PipelineStats : public ckpt::Snapshotter
     /** Wake-ups of kWakeupBuckets cycles or more. */
     std::uint64_t wakeupOverflow() const { return wakeupOverflow_; }
     std::uint64_t occupancySum(unsigned c) const { return occupancySum_[c]; }
+    /** Σ occupancySum(c): every in-flight micro-op is in one cluster. */
+    std::uint64_t
+    windowOccupancySum() const
+    {
+        std::uint64_t sum = 0;
+        for (unsigned c = 0; c < numClusters_; ++c)
+            sum += occupancySum_[c];
+        return sum;
+    }
 
     /** Zero all measurements, keeping configuration (interval period). */
     void reset();

@@ -49,11 +49,13 @@ transferOutcome(Out &out, Io &io)
     io.str(r.machine);
     io.str(r.statsJson);
     io.d64(r.ipc);
-    io.d64(r.unbalancingDegree);
-    io.d64(r.branchMispredictRate);
     io.d64(r.l1MissRate);
     io.d64(r.l2MissRate);
     core::CoreStats::transfer(r.stats, io);
+    io.u64(r.renameStalls.freeReg);
+    io.u64(r.renameStalls.window);
+    io.u64(r.renameStalls.rob);
+    io.u64(r.renameStalls.lsq);
     io.u64(r.mem.dramRequests);
     io.u64(r.mem.dramRowHits);
     io.u64(r.mem.dramRowConflicts);

@@ -41,7 +41,7 @@ namespace wsrs::runner {
 inline constexpr char kJournalMagic[8] = {'W', 'S', 'R', 'S',
                                           'J', 'R', 'N', '1'};
 /** Journal format version; bump on any layout change. */
-inline constexpr std::uint32_t kJournalVersion = 2;
+inline constexpr std::uint32_t kJournalVersion = 3;
 
 /**
  * Identity hash of a sweep: every job's complete configuration (profile

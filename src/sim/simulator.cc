@@ -239,9 +239,8 @@ runSimulationImpl(const workload::BenchmarkProfile &profile,
     r.benchmark = profile.name;
     r.machine = config.core.name;
     r.stats = cs;
+    r.renameStalls = obs::groupRenameStalls(machine.pipeStats().renameStall());
     r.ipc = cs.ipc();
-    r.unbalancingDegree = cs.unbalancingDegree();
-    r.branchMispredictRate = cs.mispredictRate();
     const std::uint64_t acc = mem.accesses() - acc0;
     const std::uint64_t l1m = mem.l1Misses() - l1m0;
     const std::uint64_t l2m = mem.l2Misses() - l2m0;
@@ -271,8 +270,8 @@ runSimulationImpl(const workload::BenchmarkProfile &profile,
             .field("seed", config.seed)
             .key("metrics").beginObject()
             .field("ipc", r.ipc)
-            .field("unbalancing_degree", r.unbalancingDegree)
-            .field("branch_mispredict_rate", r.branchMispredictRate)
+            .field("unbalancing_degree", cs.unbalancingDegree())
+            .field("branch_mispredict_rate", cs.mispredictRate())
             .field("l1_miss_rate", r.l1MissRate)
             .field("l2_miss_rate", r.l2MissRate)
             .endObject()

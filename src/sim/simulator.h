@@ -80,10 +80,12 @@ struct SimResults
     std::string benchmark;
     std::string machine;
     core::CoreStats stats;
+    obs::RenameStallGroups renameStalls;  ///< Grouped rename stalls.
     MemBackendStats mem;
+    /** stats.ipc(). Kept as a field: its reader that cannot move is
+     *  ledger/ledger_bench.cc, which the benchmark freezes; make it a
+     *  method call in the next change to ledger/. */
     double ipc = 0;
-    double unbalancingDegree = 0;   ///< Figure-5 metric, percent.
-    double branchMispredictRate = 0;
     double l1MissRate = 0;          ///< Per measured access.
     double l2MissRate = 0;          ///< Per L1 miss.
     std::string timelineText;       ///< Rendered pipeline rows (if asked).

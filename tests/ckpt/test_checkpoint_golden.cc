@@ -216,13 +216,13 @@ TEST(WarmupSnapshot, IncompatibleWithVerifyDataflow)
     EXPECT_THROW(runSimulation(profile, bad), FatalError);
 }
 
-// Locks the wsrs-ckpt-v2 bytes of a gzip warm-up snapshot.
+// Locks the wsrs-ckpt-v3 bytes of a gzip warm-up snapshot.
 TEST(WarmupSnapshot, BlobBytesAreGolden)
 {
     const std::string blob = buildWarmupSnapshot(
         workload::findProfile("gzip"), smallConfig("WSRS-RC-512"));
     const std::uint64_t hash = test::fnv1a(blob);
-    EXPECT_EQ(hash, 0xd72855f306aa84f0ull) << std::hex << hash;
+    EXPECT_EQ(hash, 0xc647a086b265e64full) << std::hex << hash;
 
     // One row per other predictor kind, so each predictor's table layout
     // is locked too.
@@ -231,10 +231,10 @@ TEST(WarmupSnapshot, BlobBytesAreGolden)
         PredictorKind kind;
         std::uint64_t hash;
     } rows[] = {
-        {PredictorKind::Tournament, 0x4ec301d4cd1aa4b1ull},
-        {PredictorKind::Gshare, 0x210653da1fff6748ull},
-        {PredictorKind::Bimodal, 0x570656e94860520full},
-        {PredictorKind::Perfect, 0xf2817d81b0a4f831ull},
+        {PredictorKind::Tournament, 0xd5e8fe0ef498259aull},
+        {PredictorKind::Gshare, 0x0331343ab132930bull},
+        {PredictorKind::Bimodal, 0x22877ba726bd5dacull},
+        {PredictorKind::Perfect, 0x7dc70e880165eef6ull},
     };
     for (const auto &row : rows) {
         SimConfig cfg = smallConfig("WSRS-RC-512");
@@ -267,12 +267,12 @@ TEST(FullSimCheckpoint, FileBytesAreGolden)
         const char *mem = nullptr;  // findMemPreset label; default memory
         bool impl1 = false;         // Impl-1 renaming (OverPickRecycle)
     } cases[] = {
-        {"mcf", "WSRS-RC-512", 0x9d29084195da98f3ull},
-        {"gzip", "RR-256", 0xa5743fedb19d7d2full},
+        {"mcf", "WSRS-RC-512", 0x10da3fcf1f2d75a0ull},
+        {"gzip", "RR-256", 0x527af400d23ddbaaull},
         // DRAM banks, the completion FIFO and pending stall segments.
-        {"swim", "WSRS-RC-512", 0x6fef7555fb4df6eaull, "dram"},
+        {"swim", "WSRS-RC-512", 0x9fede0729ec2fc4full, "dram"},
         // The Impl-1 recycler and staged lists; no named preset uses it.
-        {"gzip", "WSRS-RC-512", 0xf474e80d90ca6696ull, nullptr, true},
+        {"gzip", "WSRS-RC-512", 0x34d078db03d2dc8dull, nullptr, true},
     };
     for (const auto &c : cases) {
         TempFile ckpt;
@@ -304,7 +304,7 @@ TEST(CoreSnapshot, BytesAreGolden)
     ckpt::Writer w;
     machine.snapshot(w);
     const std::uint64_t hash = test::fnv1a(w.buffer());
-    EXPECT_EQ(hash, 0xa6a7382a6300bed7ull) << std::hex << hash;
+    EXPECT_EQ(hash, 0x363fa8ff83f40119ull) << std::hex << hash;
 
     // A fresh core restores those bytes and saves them back unchanged.
     core::Core copy(findPreset("WSRS-RC-512"), gen, predictor, mem);

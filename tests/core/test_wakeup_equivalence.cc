@@ -60,10 +60,10 @@ TEST(WakeupEquivalence, MatchesSeedGoldenPerFigure4Preset)
         EXPECT_EQ(r.stats.cycles, g.cycles);
         EXPECT_EQ(r.stats.committed, g.committed);
         EXPECT_EQ(r.stats.loadForwards, g.loadForwards);
-        EXPECT_EQ(r.stats.renameStallFreeReg, g.stallFree);
-        EXPECT_EQ(r.stats.renameStallWindow, g.stallWindow);
-        EXPECT_EQ(r.stats.renameStallRob, g.stallRob);
-        EXPECT_EQ(r.stats.renameStallLsq, g.stallLsq);
+        EXPECT_EQ(r.renameStalls.freeReg, g.stallFree);
+        EXPECT_EQ(r.renameStalls.window, g.stallWindow);
+        EXPECT_EQ(r.renameStalls.rob, g.stallRob);
+        EXPECT_EQ(r.renameStalls.lsq, g.stallLsq);
         EXPECT_NEAR(r.ipc, double(g.committed) / g.cycles, 1e-12);
     }
 }

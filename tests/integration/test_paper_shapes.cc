@@ -78,8 +78,8 @@ TEST(PaperShapes, RegisterCount384To512HasMinorImpact)
 
 TEST(PaperShapes, RoundRobinPerfectlyBalanced)
 {
-    EXPECT_EQ(run("gzip", "RR-256").unbalancingDegree, 0.0);
-    EXPECT_EQ(run("swim", "RR-256").unbalancingDegree, 0.0);
+    EXPECT_EQ(run("gzip", "RR-256").stats.unbalancingDegree(), 0.0);
+    EXPECT_EQ(run("swim", "RR-256").stats.unbalancingDegree(), 0.0);
 }
 
 TEST(PaperShapes, RmMoreUnbalancedThanRc)
@@ -87,8 +87,8 @@ TEST(PaperShapes, RmMoreUnbalancedThanRc)
     // Figure 5: RM exhibits the highest unbalancing in most cases.
     double rc_sum = 0, rm_sum = 0;
     for (const char *bench : {"gzip", "mcf", "swim", "facerec"}) {
-        rc_sum += run(bench, "WSRS-RC-512").unbalancingDegree;
-        rm_sum += run(bench, "WSRS-RM-512").unbalancingDegree;
+        rc_sum += run(bench, "WSRS-RC-512").stats.unbalancingDegree();
+        rm_sum += run(bench, "WSRS-RM-512").stats.unbalancingDegree();
     }
     EXPECT_GT(rm_sum, rc_sum);
 }
@@ -96,8 +96,8 @@ TEST(PaperShapes, RmMoreUnbalancedThanRc)
 TEST(PaperShapes, HighIpcFpCodesAreHighlyUnbalanced)
 {
     // Figure 5: facerec/wupwise unbalancing approaches 100%.
-    EXPECT_GT(run("facerec", "WSRS-RM-512").unbalancingDegree, 80.0);
-    EXPECT_GT(run("facerec", "WSRS-RC-512").unbalancingDegree, 50.0);
+    EXPECT_GT(run("facerec", "WSRS-RM-512").stats.unbalancingDegree(), 80.0);
+    EXPECT_GT(run("facerec", "WSRS-RC-512").stats.unbalancingDegree(), 50.0);
 }
 
 TEST(PaperShapes, McfIsTheSlowestBenchmark)

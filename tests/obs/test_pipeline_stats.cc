@@ -69,6 +69,24 @@ TEST(PipelineStats, ExactlyOneCausePerStagePerCycle)
     EXPECT_EQ(bucketTotal(ps.commitStall()), 1000u);
     EXPECT_EQ(ps.occupancySum(0), 3000u);
     EXPECT_EQ(ps.occupancySum(3), 7000u);
+    EXPECT_EQ(ps.windowOccupancySum(), 11000u);
+}
+
+TEST(PipelineStats, RenameStallGroupsFollowTheResourceThatRanOut)
+{
+    // Cause k is counted 2^k times, so each group's sum names its causes.
+    PipelineStats::Counts<RenameStall> counts{};
+    for (std::size_t k = 0; k < counts.size(); ++k)
+        counts[k] = std::uint64_t{1} << k;
+    const auto bit = [](RenameStall c) {
+        return std::uint64_t{1} << static_cast<unsigned>(c);
+    };
+    const RenameStallGroups g = groupRenameStalls(counts);
+    EXPECT_EQ(g.freeReg, bit(RenameStall::SubsetFull) |
+                             bit(RenameStall::PhysRegExhausted));
+    EXPECT_EQ(g.window, bit(RenameStall::ClusterWindowFull));
+    EXPECT_EQ(g.rob, bit(RenameStall::RobFull));
+    EXPECT_EQ(g.lsq, bit(RenameStall::LsqFull));
 }
 
 TEST(PipelineStats, WakeupLatencyOverflowsPastTheTopBucket)

@@ -44,18 +44,16 @@ expectIdentical(const sim::SimResults &a, const sim::SimResults &b)
     EXPECT_EQ(a.machine, b.machine);
     EXPECT_EQ(a.stats.cycles, b.stats.cycles);
     EXPECT_EQ(a.stats.committed, b.stats.committed);
+    EXPECT_EQ(a.stats.branches, b.stats.branches);
     EXPECT_EQ(a.stats.mispredicts, b.stats.mispredicts);
     EXPECT_EQ(a.stats.loadForwards, b.stats.loadForwards);
     EXPECT_EQ(a.stats.unbalancedGroups, b.stats.unbalancedGroups);
-    EXPECT_EQ(a.stats.windowOccupancySum, b.stats.windowOccupancySum);
     EXPECT_EQ(a.stats.perCluster, b.stats.perCluster);
     EXPECT_EQ(a.stats.issueWidthHist, b.stats.issueWidthHist);
+    EXPECT_EQ(a.statsJson, b.statsJson);
     // Bit-identical, not merely approximately equal.
     EXPECT_EQ(std::memcmp(&a.ipc, &b.ipc, sizeof a.ipc), 0);
     EXPECT_EQ(std::memcmp(&a.l1MissRate, &b.l1MissRate, sizeof a.l1MissRate),
-              0);
-    EXPECT_EQ(std::memcmp(&a.branchMispredictRate, &b.branchMispredictRate,
-                          sizeof a.branchMispredictRate),
               0);
 }
 

@@ -67,22 +67,22 @@ printText(std::FILE *out, const sim::SimResults &r)
     std::fprintf(out, "committed uops       %llu\n",
                  (unsigned long long)r.stats.committed);
     std::fprintf(out, "branch mispredict    %.3f%%\n",
-                 100 * r.branchMispredictRate);
+                 100 * r.stats.mispredictRate());
     std::fprintf(out, "L1 miss rate         %.3f%%\n", 100 * r.l1MissRate);
     std::fprintf(out, "L2 miss rate         %.3f%% (of L1 misses)\n",
                  100 * r.l2MissRate);
     std::fprintf(out, "unbalancing degree   %.1f%%\n",
-                 r.unbalancingDegree);
+                 r.stats.unbalancingDegree());
     std::fprintf(out, "load forwards        %llu\n",
                  (unsigned long long)r.stats.loadForwards);
     std::fprintf(out, "injected moves       %llu\n",
                  (unsigned long long)r.stats.injectedMoves);
     std::fprintf(out, "rename stalls        freeReg=%llu window=%llu "
                  "rob=%llu lsq=%llu\n",
-                 (unsigned long long)r.stats.renameStallFreeReg,
-                 (unsigned long long)r.stats.renameStallWindow,
-                 (unsigned long long)r.stats.renameStallRob,
-                 (unsigned long long)r.stats.renameStallLsq);
+                 (unsigned long long)r.renameStalls.freeReg,
+                 (unsigned long long)r.renameStalls.window,
+                 (unsigned long long)r.renameStalls.rob,
+                 (unsigned long long)r.renameStalls.lsq);
     std::fprintf(out, "cluster shares       ");
     std::uint64_t tot = 0;
     for (unsigned c = 0; c < 4; ++c)
@@ -110,14 +110,14 @@ printCsv(std::FILE *out, const sim::SimResults &r)
                  r.benchmark.c_str(), r.machine.c_str(), r.ipc,
                  (unsigned long long)r.stats.cycles,
                  (unsigned long long)r.stats.committed,
-                 r.branchMispredictRate, r.l1MissRate, r.l2MissRate,
-                 r.unbalancingDegree,
+                 r.stats.mispredictRate(), r.l1MissRate, r.l2MissRate,
+                 r.stats.unbalancingDegree(),
                  (unsigned long long)r.stats.loadForwards,
                  (unsigned long long)r.stats.injectedMoves,
-                 (unsigned long long)r.stats.renameStallFreeReg,
-                 (unsigned long long)r.stats.renameStallWindow,
-                 (unsigned long long)r.stats.renameStallRob,
-                 (unsigned long long)r.stats.renameStallLsq);
+                 (unsigned long long)r.renameStalls.freeReg,
+                 (unsigned long long)r.renameStalls.window,
+                 (unsigned long long)r.renameStalls.rob,
+                 (unsigned long long)r.renameStalls.lsq);
 }
 
 } // namespace

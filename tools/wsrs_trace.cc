@@ -108,7 +108,7 @@ replay(const ArgParser &args)
                 in.c_str(), r.machine.c_str(), r.ipc,
                 (unsigned long long)r.stats.committed,
                 (unsigned long long)r.stats.cycles,
-                100.0 * r.branchMispredictRate);
+                100.0 * r.stats.mispredictRate());
     return 0;
 }
 
