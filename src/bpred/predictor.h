@@ -52,28 +52,33 @@ class BranchPredictor : public ckpt::Snapshotter
     virtual std::string name() const = 0;
 };
 
-/** Saturating n-bit counter helper. */
+/**
+ * Saturating @p Bits-bit counter in one byte. The width belongs to the
+ * counter's type, so a table of 64 K counters costs 64 KB.
+ */
+template <unsigned Bits>
 class SatCounter
 {
-  public:
-    explicit SatCounter(std::uint8_t bits = 2, std::uint8_t init = 0)
-        : max_(static_cast<std::uint8_t>((1u << bits) - 1)), value_(init)
-    {
-    }
+    static_assert(Bits >= 1 && Bits <= 8, "a counter fits one byte");
 
-    void increment() { if (value_ < max_) ++value_; }
+  public:
+    static constexpr std::uint8_t kMax =
+        static_cast<std::uint8_t>((1u << Bits) - 1);
+
+    explicit SatCounter(std::uint8_t init = 0) : value_(init) {}
+
+    void increment() { if (value_ < kMax) ++value_; }
     void decrement() { if (value_ > 0) --value_; }
     /** Train toward an outcome. */
     void train(bool taken) { taken ? increment() : decrement(); }
 
     /** Most-significant-bit "predict taken" reading. */
-    bool taken() const { return value_ > max_ / 2; }
+    bool taken() const { return value_ > kMax / 2; }
     std::uint8_t value() const { return value_; }
     /** Checkpoint restore: overwrite the count (clamped to the range). */
-    void set(std::uint8_t v) { value_ = v > max_ ? max_ : v; }
+    void set(std::uint8_t v) { value_ = v > kMax ? kMax : v; }
 
   private:
-    std::uint8_t max_;
     std::uint8_t value_;
 };
 

@@ -33,7 +33,7 @@ class BimodalPredictor : public BranchPredictor
     /** @param log_entries log2 of the table size. */
     explicit BimodalPredictor(unsigned log_entries = 14)
         : mask_((1u << log_entries) - 1),
-          table_(std::size_t{1} << log_entries, SatCounter(2, 1))
+          table_(std::size_t{1} << log_entries, SatCounter<2>(1))
     {
     }
 
@@ -62,7 +62,7 @@ class BimodalPredictor : public BranchPredictor
     std::size_t index(Addr pc) const { return (pc >> 2) & mask_; }
 
     std::size_t mask_;
-    std::vector<SatCounter> table_;
+    std::vector<SatCounter<2>> table_;
 };
 
 /** gshare: global history XOR PC indexing a 2-bit table. */
@@ -76,7 +76,7 @@ class GsharePredictor : public BranchPredictor
     explicit GsharePredictor(unsigned log_entries = 16,
                              unsigned hist_len = 14)
         : mask_((std::size_t{1} << log_entries) - 1), histLen_(hist_len),
-          table_(std::size_t{1} << log_entries, SatCounter(2, 1))
+          table_(std::size_t{1} << log_entries, SatCounter<2>(1))
     {
     }
 
@@ -114,7 +114,7 @@ class GsharePredictor : public BranchPredictor
     std::size_t mask_;
     unsigned histLen_;
     std::uint64_t history_ = 0;
-    std::vector<SatCounter> table_;
+    std::vector<SatCounter<2>> table_;
 };
 
 } // namespace wsrs::bpred

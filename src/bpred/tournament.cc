@@ -10,9 +10,9 @@ TournamentPredictor::TournamentPredictor()
 TournamentPredictor::TournamentPredictor(const Params &params)
     : params_(params),
       localHist_(std::size_t{1} << params.logLocalHist, 0),
-      localPht_(std::size_t{1} << params.logLocalPht, SatCounter(3, 3)),
-      global_(std::size_t{1} << params.logGlobal, SatCounter(2, 1)),
-      chooser_(std::size_t{1} << params.logChooser, SatCounter(2, 1))
+      localPht_(std::size_t{1} << params.logLocalPht, SatCounter<3>(3)),
+      global_(std::size_t{1} << params.logGlobal, SatCounter<2>(1)),
+      chooser_(std::size_t{1} << params.logChooser, SatCounter<2>(1))
 {
 }
 

@@ -56,9 +56,9 @@ class TournamentPredictor : public BranchPredictor
 
     Params params_;
     std::vector<std::uint16_t> localHist_;
-    std::vector<SatCounter> localPht_;   ///< 3-bit counters.
-    std::vector<SatCounter> global_;     ///< 2-bit counters.
-    std::vector<SatCounter> chooser_;    ///< 2-bit: taken() = use global.
+    std::vector<SatCounter<3>> localPht_;
+    std::vector<SatCounter<2>> global_;
+    std::vector<SatCounter<2>> chooser_; ///< taken() = use global.
     std::uint64_t history_ = 0;
 };
 

@@ -22,10 +22,10 @@ TwoBcGskew::TwoBcGskew() : TwoBcGskew(Params{}) {}
 TwoBcGskew::TwoBcGskew(const Params &params)
     : params_(params),
       mask_((std::size_t{1} << params.logEntries) - 1),
-      bim_(std::size_t{1} << params.logEntries, SatCounter(2, 1)),
-      g0_(std::size_t{1} << params.logEntries, SatCounter(2, 1)),
-      g1_(std::size_t{1} << params.logEntries, SatCounter(2, 1)),
-      meta_(std::size_t{1} << params.logEntries, SatCounter(2, 2))
+      bim_(std::size_t{1} << params.logEntries, SatCounter<2>(1)),
+      g0_(std::size_t{1} << params.logEntries, SatCounter<2>(1)),
+      g1_(std::size_t{1} << params.logEntries, SatCounter<2>(1)),
+      meta_(std::size_t{1} << params.logEntries, SatCounter<2>(2))
 {
 }
 

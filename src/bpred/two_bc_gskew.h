@@ -81,7 +81,7 @@ class TwoBcGskew : public BranchPredictor
 
     Params params_;
     std::size_t mask_;
-    std::vector<SatCounter> bim_, g0_, g1_, meta_;
+    std::vector<SatCounter<2>> bim_, g0_, g1_, meta_;
     std::uint64_t history_ = 0;
 };
 

@@ -31,7 +31,7 @@ ArgParser::parse(int argc, const char *const *argv)
         bool has_inline_value = false;
         if (eq != std::string::npos) {
             value = arg.substr(eq + 1);
-            arg = arg.substr(0, eq);
+            arg.resize(eq);
             has_inline_value = true;
         }
         const auto it = options_.find(arg);
@@ -41,7 +41,7 @@ ArgParser::parse(int argc, const char *const *argv)
         if (it->second.isFlag) {
             if (has_inline_value)
                 fatal("option --%s takes no value", arg.c_str());
-            values_[arg] = "1";
+            values_.insert_or_assign(arg, std::string("1"));
             continue;
         }
         if (!has_inline_value) {

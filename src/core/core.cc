@@ -70,6 +70,7 @@ Core::Core(const CoreParams &params, workload::MicroOpSource &gen,
     rob_.effAddr.assign(ring, 0);
     rob_.memOrdinal.assign(ring, 0);
     rob_.cold.assign(ring, RobCold{});
+    tokenNext_.assign(ring, kNoSlot);
 
     fetchMask_ = pow2AtLeast(std::max<std::size_t>(params_.fetchQueue, 1)) - 1;
     fetchBuf_.resize(fetchMask_ + 1);
@@ -197,6 +198,18 @@ Core::clearWaitClass(std::size_t i)
 }
 
 void
+Core::pushToken(TokenList &list, std::size_t i)
+{
+    const auto slot = static_cast<std::uint32_t>(i);
+    tokenNext_[slot] = kNoSlot;
+    if (list.empty())
+        list.head = slot;
+    else
+        tokenNext_[list.tail] = slot;
+    list.tail = slot;
+}
+
+void
 Core::scheduleWake(std::uint64_t rob_num, Cycle at)
 {
     WSRS_ASSERT(at > now_);
@@ -207,9 +220,9 @@ Core::scheduleWake(std::uint64_t rob_num, Cycle at)
     WakeBucket &b = wakeWheel_[at % kWakeRing];
     if (b.cycle != at) {
         b.cycle = at;
-        b.robs.clear();
+        b.tokens = {};
     }
-    b.robs.push_back(rob_num);
+    pushToken(b.tokens, robIx(rob_num));
 }
 
 void
@@ -230,12 +243,12 @@ Core::subscribeOrSchedule(std::uint64_t rob_num)
     // The single pending token is classified local/remote for stall
     // attribution; classification never feeds back into timing.
     if (pending(psrc1)) {
-        regWaiters_[psrc1].push_back(rob_num);
+        pushToken(regWaiters_[psrc1], i);
         setWaitClass(i, prod_[psrc1].cluster != cl ? 2 : 1);
         return;
     }
     if (pending(psrc2)) {
-        regWaiters_[psrc2].push_back(rob_num);
+        pushToken(regWaiters_[psrc2], i);
         setWaitClass(i, prod_[psrc2].cluster != cl ? 2 : 1);
         return;
     }
@@ -264,27 +277,27 @@ Core::subscribeOrSchedule(std::uint64_t rob_num)
 void
 Core::wakeDependants(PhysReg preg)
 {
-    auto &waiters = regWaiters_[preg];
+    const TokenList waiters = regWaiters_[preg];
     if (waiters.empty())
         return;
+    regWaiters_[preg] = {};
     const Producer &info = prod_[preg];
-    for (const std::uint64_t n : waiters) {
-        const std::size_t i = robIx(n);
+    // scheduleWake relinks each slot, so read its link first.
+    for (std::uint32_t i = waiters.head, next; i != kNoSlot; i = next) {
+        next = tokenNext_[i];
         const Cycle pen = ffPenalty(info.cluster, rob_.meta[i].cluster);
-        scheduleWake(n, std::max(now_ + 1, info.readyBase + pen));
+        scheduleWake(robNumOf(i), std::max(now_ + 1, info.readyBase + pen));
         // The token moves from subscription to the wheel: re-classify by
         // whether an intercluster hop delays this consumer.
         setWaitClass(i, pen > 0 ? 2 : 1);
     }
-    waiters.clear();
 }
 
 void
 Core::wakeOne(std::uint64_t rob_num)
 {
     active_ = true;
-    if (rob_num < robHead_)
-        return;  // Entry already retired (defensive; tokens are unique).
+    WSRS_ASSERT(rob_num >= robHead_ && rob_num < robTail_);
     const std::size_t i = robIx(rob_num);
     if (rob_.meta[i].state != static_cast<std::uint8_t>(InstState::Waiting))
         return;
@@ -300,12 +313,16 @@ Core::drainWakes()
 {
     WakeBucket &b = wakeWheel_[now_ % kWakeRing];
     if (b.cycle == now_) {
-        // wakeOne may scheduleWake again, but always at a cycle > now_,
-        // which (with the far-wake overflow) never lands in this bucket.
-        for (std::size_t i = 0; i < b.robs.size(); ++i)
-            wakeOne(b.robs[i]);
-        b.robs.clear();
+        // wakeOne may relink a slot, but always onto a register's list or
+        // a bucket for a cycle > now_ (with the far-wake overflow, never
+        // this one), so read each link before waking its slot.
+        const TokenList due = b.tokens;
+        b.tokens = {};
         b.cycle = kNeverCycle;
+        for (std::uint32_t i = due.head, next; i != kNoSlot; i = next) {
+            next = tokenNext_[i];
+            wakeOne(robNumOf(i));
+        }
     }
     if (!farWakes_.empty()) {
         std::size_t w = 0;
@@ -319,22 +336,57 @@ Core::drainWakes()
     }
 }
 
+std::uint8_t &
+Core::wbCount(ClusterId c, Cycle cycle)
+{
+    if (cycle - now_ >= kWbRing) {
+        for (WbFar &f : wbFar_)
+            if (f.cluster == c && f.cycle == cycle)
+                return f.count;
+        wbFar_.push_back({cycle, c, 0});
+        return wbFar_.back().count;
+    }
+    WbSlot &slot = wbSlots_[c][cycle % kWbRing];
+    if (slot.cycle != cycle) {
+        // Cycles at or past now_ + kWbRing wait in wbFar_, so the slot's
+        // previous cycle has passed: no live reservation is dropped.
+        WSRS_ASSERT(slot.cycle < now_ || slot.cycle == kNeverCycle ||
+                    slot.count == 0);
+        slot.cycle = cycle;
+        slot.count = 0;
+    }
+    return slot.count;
+}
+
 Cycle
 Core::reserveWriteback(ClusterId c, Cycle nominal)
 {
-    Cycle cycle = nominal;
-    for (;;) {
-        WbSlot &slot = wbSlots_[c][cycle % kWbRing];
-        if (slot.cycle != cycle) {
-            slot.cycle = cycle;
-            slot.count = 0;
-        }
-        if (slot.count < params_.writebackPerCluster) {
-            ++slot.count;
+    for (Cycle cycle = nominal;; ++cycle) {
+        std::uint8_t &count = wbCount(c, cycle);
+        if (count < params_.writebackPerCluster) {
+            ++count;
             return cycle;
         }
-        ++cycle;
     }
+}
+
+void
+Core::settleWritebacks()
+{
+    std::size_t w = 0;
+    for (const WbFar &f : wbFar_) {
+        if (f.cycle < now_)
+            continue;  // A quiescent skip passed it.
+        if (f.cycle - now_ >= kWbRing) {
+            wbFar_[w++] = f;
+            continue;
+        }
+        WbSlot &slot = wbSlots_[f.cluster][f.cycle % kWbRing];
+        WSRS_ASSERT(slot.cycle < now_ || slot.cycle == kNeverCycle ||
+                    slot.count == 0);
+        slot = {f.cycle, f.count};
+    }
+    wbFar_.resize(w);
 }
 
 void
@@ -1058,6 +1110,8 @@ Core::tick()
     obs_.endCycle(now_, stats_.committed, inflight_.data());
     ++now_;
     ++stats_.cycles;
+    if (!wbFar_.empty())
+        settleWritebacks();
 }
 
 void
@@ -1191,6 +1245,8 @@ Core::skipQuiescent(Cycle limit)
     stats_.issueWidthHist[0] += n;
     stats_.cycles += n;
     now_ += n;
+    if (!wbFar_.empty())
+        settleWritebacks();
 }
 
 Core::RegAccounting
@@ -1377,38 +1433,72 @@ Core::transfer(Self &self, Io &io)
                 io.u64(q[k]);
         }
     }
+    // Wake-up tokens: each list as a count and its ROB numbers in FIFO
+    // order. A load relinks every token, and rejects one outside the
+    // window or a slot already holding a token (each waiting micro-op
+    // holds one; a second link would corrupt both lists).
+    std::vector<bool> holdsToken;
+    if constexpr (Io::kLoading)
+        holdsToken.assign(self.robMask_ + 1, false);
+    const auto token = [&](std::uint64_t rob_num) {
+        ckpt::check(io, rob_num >= self.robHead_ && rob_num < self.robTail_,
+                    "wake-up token outside the ROB window");
+        const std::size_t i = self.robIx(rob_num);
+        ckpt::check(io, !holdsToken[i], "ROB slot holds two wake-up tokens");
+        holdsToken[i] = true;
+        return i;
+    };
+    const auto tokens = [&](auto &list) {
+        if constexpr (Io::kLoading) {
+            list = {};
+            const std::uint64_t n = ckpt::count(io, 0, 8);
+            for (std::uint64_t k = 0; k < n; ++k)
+                self.pushToken(list, token(io.u64()));
+        } else {
+            std::uint64_t n = 0;
+            for (std::uint32_t i = list.head; i != kNoSlot;
+                 i = self.tokenNext_[i])
+                ++n;
+            io.u64(n);
+            for (std::uint32_t i = list.head; i != kNoSlot;
+                 i = self.tokenNext_[i])
+                io.u64(self.robNumOf(i));
+        }
+    };
     ckpt::expect(io, self.regWaiters_.size(), 8,
                  "register-waiter table size mismatch");
     for (auto &waiters : self.regWaiters_)
-        ckpt::vec(io, waiters);
+        tokens(waiters);
 
     // Wake wheel: only buckets scheduled at or after `now_` are live
     // (scheduleWake lazily reclaims stale slots by overwriting them).
     if constexpr (Io::kLoading) {
-        for (WakeBucket &b : self.wakeWheel_) {
-            b.cycle = kNeverCycle;
-            b.robs.clear();
-        }
+        for (WakeBucket &b : self.wakeWheel_)
+            b = {};
         const std::uint64_t live = io.u64();
         for (std::uint64_t k = 0; k < live; ++k) {
             const Cycle cycle = io.u64();
             ckpt::check(io, cycle >= self.now_,
                         "wake-wheel bucket in the past");
+            ckpt::check(io, cycle - self.now_ < kWakeRing,
+                        "wake-wheel bucket beyond the wheel");
             WakeBucket &b = self.wakeWheel_[cycle % kWakeRing];
+            ckpt::check(io, b.cycle == kNeverCycle,
+                        "two wake-wheel buckets share a slot");
             b.cycle = cycle;
-            ckpt::vec(io, b.robs);
+            tokens(b.tokens);
         }
     } else {
         const auto isLive = [&](const WakeBucket &b) {
             return b.cycle != kNeverCycle && b.cycle >= self.now_ &&
-                   !b.robs.empty();
+                   !b.tokens.empty();
         };
         io.u64(std::count_if(self.wakeWheel_.begin(), self.wakeWheel_.end(),
                              isLive));
         for (const WakeBucket &b : self.wakeWheel_) {
             if (isLive(b)) {
                 io.u64(b.cycle);
-                ckpt::vec(io, b.robs);
+                tokens(b.tokens);
             }
         }
     }
@@ -1419,6 +1509,8 @@ Core::transfer(Self &self, Io &io)
     for (auto &[cycle, rob_num] : self.farWakes_) {
         io.u64(cycle);
         io.u64(rob_num);
+        if constexpr (Io::kLoading)
+            token(rob_num);
     }
 
     ckpt::expect(io, self.prod_.size(), 8, "producer table size mismatch");
@@ -1432,31 +1524,50 @@ Core::transfer(Self &self, Io &io)
     for (auto &c : self.fpDivBusyUntil_)
         io.u64(c);
 
-    // Write-back rings: only future reservations matter.
+    // Write-back reservations: only future ones matter. Each cluster's
+    // list holds its ring entries in slot order, then its wbFar_ entries.
     ckpt::expect(io, self.wbSlots_.size(), 8,
                  "write-back ring count mismatch");
-    for (auto &ring : self.wbSlots_) {
+    if constexpr (Io::kLoading)
+        self.wbFar_.clear();
+    for (ClusterId c = 0; c < self.wbSlots_.size(); ++c) {
+        auto &ring = self.wbSlots_[c];
         if constexpr (Io::kLoading) {
             ring.fill(WbSlot{});
-            const std::uint64_t active = io.u64();
+            const std::uint64_t active = ckpt::count(io, 0, 9, "write-back");
             for (std::uint64_t k = 0; k < active; ++k) {
                 const Cycle cycle = io.u64();
                 ckpt::check(io, cycle >= self.now_,
                             "write-back reservation in the past");
+                const std::uint8_t count = io.u8();
+                if (cycle - self.now_ >= kWbRing) {
+                    self.wbFar_.push_back({cycle, c, count});
+                    continue;
+                }
                 WbSlot &s = ring[cycle % kWbRing];
-                s.cycle = cycle;
-                io.u8(s.count);
+                ckpt::check(io, s.cycle == kNeverCycle,
+                            "two write-back reservations share a slot");
+                s = {cycle, count};
             }
         } else {
             const auto isActive = [&](const WbSlot &s) {
                 return s.cycle != kNeverCycle && s.cycle >= self.now_ &&
                        s.count > 0;
             };
-            io.u64(std::count_if(ring.begin(), ring.end(), isActive));
+            const auto far = [&](const WbFar &f) { return f.cluster == c; };
+            io.u64(std::count_if(ring.begin(), ring.end(), isActive) +
+                   std::count_if(self.wbFar_.begin(), self.wbFar_.end(),
+                                 far));
             for (const WbSlot &s : ring) {
                 if (isActive(s)) {
                     io.u64(s.cycle);
                     io.u8(s.count);
+                }
+            }
+            for (const WbFar &f : self.wbFar_) {
+                if (far(f)) {
+                    io.u64(f.cycle);
+                    io.u8(f.count);
                 }
             }
         }

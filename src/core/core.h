@@ -364,18 +364,40 @@ class Core
     std::array<std::size_t, kMaxClusters> readyHead_{};
     std::array<unsigned, kMaxClusters> inflight_{};
 
-    // Producer-subscription wake-up: per physical register, the waiting
-    // micro-ops (ROB numbers) to notify when its producer issues. Each
-    // waiting micro-op holds exactly one pending token: either one
-    // subscription on a not-yet-issued source, or one wake-wheel slot at
-    // the cycle its (bypass-adjusted) operands become ready.
-    std::vector<std::vector<std::uint64_t>> regWaiters_;
+    // Producer-subscription wake-up. Each waiting micro-op holds exactly
+    // one pending token: either one subscription on a not-yet-issued
+    // source (regWaiters_), or one wake-wheel slot at the cycle its
+    // (bypass-adjusted) operands become ready. A token is the micro-op's
+    // ROB ring slot, so every list is an intrusive FIFO threaded through
+    // one link per slot (tokenNext_) and nothing allocates per wake-up.
+
+    /** End of a token list. */
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+    /** FIFO of ROB ring slots linked through tokenNext_. */
+    struct TokenList
+    {
+        std::uint32_t head = kNoSlot;
+        std::uint32_t tail = kNoSlot;
+        bool empty() const { return head == kNoSlot; }
+    };
+    /** Append slot @p i to @p list (i must be on no other list). */
+    void pushToken(TokenList &list, std::size_t i);
+    /** The live ROB number held in ring slot @p i. */
+    std::uint64_t
+    robNumOf(std::size_t i) const
+    {
+        return robHead_ + ((i - robHead_) & robMask_);
+    }
+    /** Per ROB ring slot: the next slot on its token list. */
+    std::vector<std::uint32_t> tokenNext_;
+    /** Per physical register: micro-ops to notify when its producer issues. */
+    std::vector<TokenList> regWaiters_;
 
     /** Timing wheel bucket: micro-ops to re-evaluate at a given cycle. */
     struct WakeBucket
     {
         Cycle cycle = kNeverCycle;
-        std::vector<std::uint64_t> robs;
+        TokenList tokens;
     };
     static constexpr std::size_t kWakeRing = 4096;
     /** Dead ready-list prefix length that triggers a bulk trim. */
@@ -396,7 +418,9 @@ class Core
     std::array<Cycle, kMaxClusters> complexBusyUntil_{};
     std::array<Cycle, kMaxClusters> fpDivBusyUntil_{};
 
-    // Write-back port reservations: per cluster, ring of (cycle, count).
+    // Write-back port reservations: per cluster, a ring of (cycle, count)
+    // for the next kWbRing cycles; reservations further ahead wait in
+    // wbFar_ until the ring reaches them (settleWritebacks).
     struct WbSlot
     {
         Cycle cycle = kNeverCycle;
@@ -404,7 +428,19 @@ class Core
     };
     static constexpr std::size_t kWbRing = 1024;
     std::vector<std::array<WbSlot, kWbRing>> wbSlots_;
+    /** A reservation kWbRing or more cycles ahead (long memory latency). */
+    struct WbFar
+    {
+        Cycle cycle;
+        ClusterId cluster;
+        std::uint8_t count;
+    };
+    std::vector<WbFar> wbFar_;
     Cycle reserveWriteback(ClusterId c, Cycle nominal);
+    /** Write-backs reserved on cluster @p c at @p cycle (>= now_). */
+    std::uint8_t &wbCount(ClusterId c, Cycle cycle);
+    /** Move wbFar_ entries the ring now covers into it. */
+    void settleWritebacks();
 
     // Front end: fixed-capacity FIFO ring sized from params.fetchQueue.
     struct Fetched

@@ -163,7 +163,7 @@ TEST(Perfect, NeverCountsAsMispredicted)
 
 TEST(SatCounter, SaturatesBothEnds)
 {
-    SatCounter c(2, 0);
+    SatCounter<2> c(0);
     EXPECT_FALSE(c.taken());
     for (int i = 0; i < 10; ++i)
         c.increment();
@@ -176,12 +176,34 @@ TEST(SatCounter, SaturatesBothEnds)
 
 TEST(SatCounter, TrainMovesTowardOutcome)
 {
-    SatCounter c(2, 1);
+    SatCounter<2> c(1);
     c.train(true);
     EXPECT_EQ(c.value(), 2);
     c.train(false);
     c.train(false);
     EXPECT_EQ(c.value(), 0);
+}
+
+TEST(SatCounter, EachWidthIsOneByteAndSaturatesAtItsMaximum)
+{
+    static_assert(sizeof(SatCounter<2>) == 1);
+    static_assert(sizeof(SatCounter<3>) == 1);
+    SatCounter<3> c(3);
+    EXPECT_FALSE(c.taken());
+    c.increment();
+    EXPECT_TRUE(c.taken());
+    for (int i = 0; i < 10; ++i)
+        c.train(true);
+    EXPECT_EQ(c.value(), 7);
+    for (int i = 0; i < 10; ++i)
+        c.train(false);
+    EXPECT_EQ(c.value(), 0);
+    // A restored count is clamped to the counter's width.
+    c.set(200);
+    EXPECT_EQ(c.value(), 7);
+    SatCounter<2> d;
+    d.set(200);
+    EXPECT_EQ(d.value(), 3);
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <ostream>
 #include <string>
 
 #include "src/bpred/two_bc_gskew.h"
@@ -53,8 +54,21 @@ smallConfig(const std::string &machine, bool verify = false)
     return cfg;
 }
 
-class GoldenCheckpoint
-    : public ::testing::TestWithParam<std::tuple<const char *, const char *>>
+struct CkptRow
+{
+    const char *bench;
+    const char *machine;
+};
+
+// gtest would otherwise print the literals' addresses into every
+// discovered ctest name.
+void
+PrintTo(const CkptRow &row, std::ostream *os)
+{
+    *os << row.bench << "/" << row.machine;
+}
+
+class GoldenCheckpoint : public ::testing::TestWithParam<CkptRow>
 {
 };
 
@@ -87,11 +101,13 @@ TEST_P(GoldenCheckpoint, SaveRestoreContinueIsBitIdentical)
 
 INSTANTIATE_TEST_SUITE_P(
     ProfilesTimesMachines, GoldenCheckpoint,
-    ::testing::Combine(::testing::Values("gzip", "swim"),
-                       ::testing::Values("WSRS-RC-512", "RR-256")),
+    ::testing::Values(CkptRow{"gzip", "WSRS-RC-512"},
+                      CkptRow{"gzip", "RR-256"},
+                      CkptRow{"swim", "WSRS-RC-512"},
+                      CkptRow{"swim", "RR-256"}),
     [](const auto &info) {
-        std::string name = std::string(std::get<0>(info.param)) + "_" +
-                           std::get<1>(info.param);
+        std::string name = std::string(info.param.bench) + "_" +
+                           info.param.machine;
         for (char &c : name)
             if (c == '-')
                 c = '_';

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <vector>
 #include <unistd.h>
 
 #include "src/ckpt/io.h"
@@ -134,6 +135,118 @@ TEST(CheckpointMutator, EverySectionRestoresOrRaisesIoError)
                           EXPECT_EQ(defectOf(t.restore, m), "")
                               << t.section << ": " << label;
                       });
+    }
+}
+
+/**
+ * Offsets of every wake-up token (a u64 ROB number) in a core payload:
+ * the register-waiter lists, the wake-wheel buckets and the far wakes,
+ * found as the one span that parses as those lists between two u64
+ * copies of the register count.
+ */
+std::vector<std::size_t>
+tokenOffsets(const std::string &p, std::uint64_t num_regs)
+{
+    const auto at = [&](std::size_t pos) {
+        return pos + 8 <= p.size() ? ckpt::loadLe(p.data() + pos, 8)
+                                   : ~std::uint64_t{0};
+    };
+    for (std::size_t start = 0; start + 8 <= p.size(); ++start) {
+        if (at(start) != num_regs)
+            continue;
+        std::vector<std::size_t> tokens;
+        std::size_t pos = start + 8;
+        bool ok = true;
+        const auto list = [&] {
+            const std::uint64_t n = at(pos);
+            ok = ok && n <= 4096 && pos + 8 * (n + 1) <= p.size();
+            for (std::uint64_t k = 0; ok && k < n; ++k)
+                tokens.push_back(pos + 8 * (k + 1));
+            pos += ok ? 8 * (n + 1) : 0;
+        };
+        for (std::uint64_t r = 0; ok && r < num_regs; ++r)
+            list();
+        const std::uint64_t buckets = ok ? at(pos) : 0;
+        ok = ok && buckets <= 4096;
+        pos += 8;
+        for (std::uint64_t b = 0; ok && b < buckets; ++b) {
+            pos += 8;  // The bucket's cycle.
+            list();
+        }
+        const std::uint64_t far = ok ? at(pos) : 0;
+        ok = ok && far <= 4096;
+        for (std::uint64_t f = 0; ok && f < far; ++f)
+            tokens.push_back(pos + 16 * f + 16);
+        pos += 8 + 16 * far;
+        if (ok && at(pos) == num_regs)  // The producer table's size.
+            return tokens;
+    }
+    return {};
+}
+
+/** The IoError message @p restore raises on @p bytes ("" if none). */
+std::string
+ioErrorOf(const std::function<void(ckpt::Reader &)> &restore,
+          const std::string &bytes)
+{
+    ckpt::Reader r(bytes, "<core>");
+    try {
+        restore(r);
+    } catch (const IoError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+// The core's wake-up lists are intrusive: a token listed twice or naming
+// a micro-op outside the window would corrupt them, so a load rejects
+// either at its byte offset.
+TEST(CheckpointMutator, CoreRejectsDuplicateAndOutOfWindowWakeUpTokens)
+{
+    const core::CoreParams params = findPreset("WSRS-RC-512");
+    workload::TraceGenerator gen(workload::findProfile("mcf"), 1);
+    const auto bp = makePredictor(PredictorKind::TwoBcGskew);
+    StatGroup stats("mutator");
+    memory::MemoryHierarchy mem(findMemPreset("dram"), stats);
+    core::Core machine(params, gen, *bp, mem);
+    machine.run(3000);
+    ckpt::Writer w;
+    machine.snapshot(w);
+    const std::string payload = w.buffer();
+    const auto restore = [&](ckpt::Reader &r) {
+        core::Core(params, gen, *bp, mem).restore(r);
+    };
+    ASSERT_EQ(ioErrorOf(restore, payload), "");
+
+    const std::vector<std::size_t> tokens =
+        tokenOffsets(payload, params.numPhysRegs);
+    ASSERT_GE(tokens.size(), 2u);
+    const auto mutant = [&](std::size_t token, std::uint64_t value) {
+        std::string m = payload;
+        ckpt::storeLe(m.data() + token, value, 8);
+        return m;
+    };
+    const auto offsetOf = [](std::size_t token) {
+        return "at byte offset " + std::to_string(token + 8) + ")";
+    };
+    const std::uint64_t first = ckpt::loadLe(payload.data() + tokens[0], 8);
+    for (std::size_t k = 1; k < tokens.size(); ++k) {
+        const std::string e = ioErrorOf(restore, mutant(tokens[k], first));
+        EXPECT_NE(e.find("ROB slot holds two wake-up tokens"),
+                  std::string::npos) << "token " << k << ": " << e;
+        EXPECT_NE(e.find(offsetOf(tokens[k])), std::string::npos) << e;
+    }
+    const std::uint64_t window =
+        std::uint64_t{params.numClusters} * params.clusterWindow;
+    for (std::size_t k = 0; k < tokens.size(); ++k) {
+        const std::uint64_t n = ckpt::loadLe(payload.data() + tokens[k], 8);
+        for (const std::uint64_t outside : {n + window, n - window}) {
+            const std::string e =
+                ioErrorOf(restore, mutant(tokens[k], outside));
+            EXPECT_NE(e.find("wake-up token outside the ROB window"),
+                      std::string::npos) << "token " << k << ": " << e;
+            EXPECT_NE(e.find(offsetOf(tokens[k])), std::string::npos) << e;
+        }
     }
 }
 

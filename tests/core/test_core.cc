@@ -1,6 +1,8 @@
 /** @file End-to-end tests of the execution core on live traces. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <numeric>
 #include <sstream>
 
@@ -19,9 +21,10 @@ namespace {
 struct Rig
 {
     explicit Rig(const CoreParams &params,
-                 const std::string &bench = "gzip")
+                 const std::string &bench = "gzip",
+                 const memory::HierarchyParams &mem_params = {})
         : gen(workload::findProfile(bench), 7), stats("test"),
-          mem(memory::HierarchyParams{}, stats),
+          mem(mem_params, stats),
           core(params, gen, bp, mem)
     {
     }
@@ -176,6 +179,115 @@ TEST(Core, WritebackCapThrottlesThroughput)
         ipc_narrow = rig.core.stats().ipc();
     }
     EXPECT_LT(ipc_narrow, ipc_wide);
+}
+
+/** Counts results written back per (cluster, cycle). */
+class WritebackCounter : public obs::TraceSink
+{
+  public:
+    void
+    record(const obs::UopTrace &t) override
+    {
+        if (t.dstSubset != 0xff)
+            ++perCycle_[{t.cluster, t.completeCycle}];
+    }
+
+    unsigned
+    busiest() const
+    {
+        unsigned most = 0;
+        for (const auto &[key, n] : perCycle_)
+            most = std::max(most, n);
+        return most;
+    }
+
+  private:
+    std::map<std::pair<ClusterId, Cycle>, unsigned> perCycle_;
+};
+
+// A miss penalty past the 1024-cycle write-back ring must not drop the
+// reservations it shares ring slots with: no cluster may write back more
+// results in one cycle than it has ports.
+TEST(Core, WritebackReservationsPastTheRingAreKept)
+{
+    for (const Cycle penalty : {Cycle{1000}, Cycle{1500}}) {
+        memory::HierarchyParams mp;
+        mp.l2MissPenalty = penalty;
+        // One port per cluster: any dropped reservation double-books it.
+        CoreParams p = sim::presetWsrsRc(512);
+        p.writebackPerCluster = 1;
+        Rig rig(p, "mcf", mp);
+        WritebackCounter wb;
+        rig.core.attachTraceSink(&wb);
+        rig.core.run(80000);
+        EXPECT_LE(wb.busiest(), p.writebackPerCluster)
+            << "l2MissPenalty " << penalty;
+    }
+}
+
+// After @p lead committed micro-ops, save every @p step, @p points times,
+// in a run whose window is full of micro-ops waiting on memory (so the
+// wake-up lists are long): each snapshot must restore and save back byte
+// for byte, and a fresh machine restored from it must finish the run in
+// exactly the uninterrupted run's state.
+void
+expectSnapshotsRestoreAndContinue(const CoreParams &p,
+                                  const memory::HierarchyParams &mp,
+                                  std::uint64_t lead, int points,
+                                  std::uint64_t step)
+{
+    struct Saved
+    {
+        ckpt::Writer gen, bp, mem, core;
+    };
+    std::vector<Saved> saved(points);
+    Rig clean(p, "mcf", mp);
+    clean.core.run(lead);
+    for (Saved &s : saved) {
+        clean.core.run(step);
+        clean.gen.snapshot(s.gen);
+        clean.bp.snapshot(s.bp);
+        clean.mem.snapshot(s.mem);
+        clean.core.snapshot(s.core);
+    }
+    clean.core.run(step);
+    ckpt::Writer end;
+    clean.core.snapshot(end);
+
+    for (int k = 0; k < points; ++k) {
+        const Saved &s = saved[k];
+        Rig copy(p, "mcf", mp);
+        ckpt::Reader gr(s.gen.buffer(), "<gen>"), br(s.bp.buffer(), "<bp>"),
+            mr(s.mem.buffer(), "<mem>"), cr(s.core.buffer(), "<core>");
+        copy.gen.restore(gr);
+        copy.bp.restore(br);
+        copy.mem.restore(mr);
+        copy.core.restore(cr);
+        ckpt::Writer again;
+        copy.core.snapshot(again);
+        ASSERT_EQ(again.buffer(), s.core.buffer()) << "point " << k;
+        for (int rest = k + 1; rest <= points; ++rest)
+            copy.core.run(step);
+        EXPECT_EQ(copy.core.stats().cycles, clean.core.stats().cycles)
+            << "point " << k;
+        ckpt::Writer last;
+        copy.core.snapshot(last);
+        EXPECT_EQ(last.buffer(), end.buffer()) << "point " << k;
+    }
+}
+
+TEST(Core, SnapshotsAtThirtyPointsRestoreAndContinueExactly)
+{
+    expectSnapshotsRestoreAndContinue(sim::presetWsrsRc(512),
+                                      sim::findMemPreset("dram"), 0, 30, 700);
+    // A 1500-cycle miss keeps write-back reservations past the 1024-cycle
+    // ring for a few hundred cycles after it issues, and with one port per
+    // cluster a restore that lost one would double-book it.
+    CoreParams one_port = sim::presetWsrsRc(512);
+    one_port.writebackPerCluster = 1;
+    memory::HierarchyParams slow;
+    slow.l2MissPenalty = 1500;
+    expectSnapshotsRestoreAndContinue(one_port, slow, 0, 60, 50);
 }
 
 TEST(Core, ResetStatsKeepsMachineState)
