@@ -103,6 +103,19 @@ def main():
         for flag in RETIRED:
             probe(f"retired --{flag.split('=')[0]} is an unknown option",
                   [binary, "--bench=gzip", *TINY, f"--{flag}"], 1)
+        # 256 registers over WSP's four FU pools is 64 per pool, fewer
+        # than the 80 logical registers: refused up front instead of
+        # deadlocking until the commit watchdog fires.
+        r = probe("WSP with pool subsets below 80 registers is a config "
+                  "error",
+                  [binary, "--bench=crafty", "--machine=WSP-512",
+                   "--set-regs=256", *TINY], 1)
+        if "64 registers per FU pool" not in r.stderr:
+            sys.exit(f"FAIL WSP --set-regs=256: the message does not name "
+                     f"the 64-register pools: {r.stderr.strip()}")
+        probe("WSP with 80-register pool subsets runs",
+              [binary, "--bench=crafty", "--machine=WSP-512",
+               "--set-regs=320", *TINY], 0)
 
         # Class 2: I/O / corruption errors.
         garbage = os.path.join(tmp, "garbage.ckpt")

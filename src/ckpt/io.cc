@@ -109,11 +109,7 @@ Reader::d64()
 std::string
 Reader::str()
 {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string s(data_.substr(pos_, n));
-    pos_ += n;
-    return s;
+    return std::string(view(u32()));
 }
 
 void
@@ -122,6 +118,15 @@ Reader::bytes(void *p, std::size_t n)
     need(n);
     std::memcpy(p, data_.data() + pos_, n);
     pos_ += n;
+}
+
+std::string_view
+Reader::view(std::size_t n)
+{
+    need(n);
+    const std::string_view v = data_.substr(pos_, n);
+    pos_ += n;
+    return v;
 }
 
 void
@@ -187,15 +192,29 @@ CheckpointWriter::finish()
         fatalIo("error writing checkpoint '%s'", path_.c_str());
 }
 
+CheckpointReader::CheckpointReader(std::string_view bytes, std::string origin)
+    : origin_(std::move(origin))
+{
+    parse(bytes);
+}
+
 CheckpointReader::CheckpointReader(std::istream &is, std::string origin)
     : origin_(std::move(origin))
 {
-    std::string data((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-    if (!is.eof() && !is)
+    if (const std::streamsize avail = is.rdbuf()->in_avail(); avail > 0)
+        owned_.reserve(static_cast<std::size_t>(avail));
+    char chunk[1 << 16];
+    while (is.read(chunk, sizeof(chunk)) || is.gcount() > 0)
+        owned_.append(chunk, static_cast<std::size_t>(is.gcount()));
+    if (!is.eof())
         fatalIo("error reading checkpoint '%s'", origin_.c_str());
+    parse(owned_);
+}
 
-    Reader r(data, "checkpoint '" + origin_ + "'");
+void
+CheckpointReader::parse(std::string_view bytes)
+{
+    Reader r(bytes, "checkpoint '" + origin_ + "'");
     char magic[sizeof(kMagic)];
     if (r.remaining() < sizeof(kMagic))
         r.fail("file too small to be a checkpoint");
@@ -220,25 +239,23 @@ CheckpointReader::CheckpointReader(std::istream &is, std::string origin)
             break;
         if (std::memcmp(marker, kSectionMarker, 4) != 0)
             r.fail("corrupt section marker");
-        std::string name = r.str();
+        const std::string_view name = r.view(r.u32());
         const std::uint64_t len = r.u64();
         const std::uint32_t wantCrc = r.u32();
         if (r.remaining() < len)
-            r.fail("truncated section '" + name + "': " +
+            r.fail("truncated section '" + std::string(name) + "': " +
                    std::to_string(len) + " payload bytes declared, " +
                    std::to_string(r.remaining()) + " remain");
         const std::uint64_t payloadOffset = r.offset();
-        std::string payload(len, '\0');
-        r.bytes(payload.data(), len);
+        const std::string_view payload = r.view(len);
         const std::uint32_t gotCrc = crc32(payload.data(), payload.size());
         if (gotCrc != wantCrc)
-            fatalIo("checkpoint '%s': section '%s' CRC mismatch "
+            fatalIo("checkpoint '%s': section '%.*s' CRC mismatch "
                   "(stored %08x, computed %08x, payload at byte offset %llu)",
-                  origin_.c_str(), name.c_str(), wantCrc, gotCrc,
+                  origin_.c_str(), static_cast<int>(name.size()), name.data(),
+                  wantCrc, gotCrc,
                   static_cast<unsigned long long>(payloadOffset));
-        if (!sections_.emplace(std::move(name),
-                               Section{std::move(payload), payloadOffset})
-                 .second)
+        if (!sections_.emplace(name, Section{payload, payloadOffset}).second)
             r.fail("duplicate section");
     }
     const std::uint32_t count = r.u32();

@@ -144,6 +144,8 @@ class Reader
     bool b() { return u8() != 0; }
     std::string str();
     void bytes(void *p, std::size_t n);
+    /** The next @p n bytes, in place (a view of the reader's data). */
+    std::string_view view(std::size_t n);
     /** The @p n-byte little-endian integer at the cursor. */
     std::uint64_t getLe(int n);
 
@@ -378,13 +380,24 @@ class CheckpointWriter
  * Parses and integrity-checks a whole checkpoint up front, then hands out
  * per-section Readers. Any structural damage (bad magic, version skew,
  * truncation, CRC mismatch, missing trailer) is a fatal error naming the
- * byte offset of the damage.
+ * byte offset of the damage. Parsing copies nothing: sections are views
+ * of the checkpoint's bytes.
  */
 class CheckpointReader
 {
   public:
-    /** @param origin name used in diagnostics (usually the file path). */
+    /**
+     * Parse @p bytes in place; @p bytes must outlive the reader and every
+     * section Reader it hands out.
+     * @param origin name used in diagnostics (usually the file path).
+     */
+    CheckpointReader(std::string_view bytes, std::string origin);
+    /** Read all of @p is into a buffer the reader owns, then parse it. */
     CheckpointReader(std::istream &is, std::string origin);
+
+    // Sections view the parsed bytes, which may be owned_.
+    CheckpointReader(const CheckpointReader &) = delete;
+    CheckpointReader &operator=(const CheckpointReader &) = delete;
 
     const std::string &kind() const { return kind_; }
     std::uint64_t metaHash() const { return metaHash_; }
@@ -398,12 +411,15 @@ class CheckpointReader
     void expect(std::string_view kind, std::uint64_t metaHash) const;
 
   private:
+    void parse(std::string_view bytes);
+
     struct Section
     {
-        std::string payload;
+        std::string_view payload;
         std::uint64_t fileOffset;  // offset of payload[0] in the file
     };
 
+    std::string owned_;  // the stream constructor's bytes
     std::string origin_;
     std::string kind_;
     std::uint64_t metaHash_ = 0;

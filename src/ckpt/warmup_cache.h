@@ -11,10 +11,17 @@
  * finishes, so no work is duplicated inside a process. Keys are
  * warmupKeyHash values, which already bind a blob to the profile, seed,
  * warm-up length, memory geometry and predictor.
+ *
+ * A blob lives only as long as requests for it are still coming: a caller
+ * that knows its requests up front declares them with expect(), and the
+ * cache drops its reference right after the last declared one, so the
+ * blob is freed as soon as the requesters release theirs. A key with no
+ * declared requests stays resident for the cache's lifetime.
  */
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -34,11 +41,19 @@ class WarmupCache
     enum class Source { Memory, Built };
 
     /**
+     * Declare @p n more requests for @p key. After the last declared
+     * request returns, the cache holds no reference to the key's blob; a
+     * request beyond the declared ones builds the blob again.
+     */
+    void expect(std::uint64_t key, std::uint64_t n = 1);
+
+    /**
      * Return the blob for @p key from memory, or invoke @p build (at
-     * most once per key) to produce it. Exceptions from @p build
-     * propagate to the caller that ran it; the slot is left empty so a
-     * later call retries. @p source, when given, receives where the blob
-     * came from.
+     * most once per key while the blob is held) to produce it. Every call
+     * consumes one declared request, even one whose build throws.
+     * Exceptions from @p build propagate to the caller that ran it; the
+     * slot is left empty so a later call retries. @p source, when given,
+     * receives where the blob came from.
      */
     std::shared_ptr<const std::string>
     getOrBuild(std::uint64_t key, const Builder &build,
@@ -48,15 +63,24 @@ class WarmupCache
     std::uint64_t hits() const { return hits_.load(); }
     /** Requests that had to run the builder. */
     std::uint64_t misses() const { return misses_.load(); }
+    /** Keys the cache still references (declared requests pending, or
+     *  none declared). */
+    std::size_t held() const;
 
   private:
     struct Slot
     {
         std::mutex mu;
         std::shared_ptr<const std::string> blob;
+        /** Declared requests not yet made (0: none declared); guarded
+         *  by mapMu_. */
+        std::uint64_t expected = 0;
     };
 
-    std::mutex mapMu_;
+    /** The slot for @p key, created on first use; mapMu_ held. */
+    std::shared_ptr<Slot> &slotLocked(std::uint64_t key);
+
+    mutable std::mutex mapMu_;
     std::map<std::uint64_t, std::shared_ptr<Slot>> slots_;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};

@@ -75,7 +75,8 @@ Core::Core(const CoreParams &params, workload::MicroOpSource &gen,
     fetchMask_ = pow2AtLeast(std::max<std::size_t>(params_.fetchQueue, 1)) - 1;
     fetchBuf_.resize(fetchMask_ + 1);
 
-    renamer_.initMapping(&workload::initRegValue);
+    renamer_.initMapping(params_.verifyDataflow ? &workload::initRegValue
+                                                : nullptr);
 }
 
 void
@@ -456,18 +457,13 @@ Core::tryIssue(std::uint64_t rob_num)
     if (isa::isMemOp(cls) && !lsq_.addrComputed(rob_.memOrdinal[i]))
         return false;
 
-    const PhysReg psrc1 = rob_.meta[i].psrc1;
-    const PhysReg psrc2 = rob_.meta[i].psrc2;
-    const std::uint64_t s1 = psrc1 != kNoPhysReg ? prf_.value(psrc1) : 0;
-
     Cycle eff_lat = isa::opLatency(cls);
-    std::uint64_t result = 0;
+    std::uint64_t mem_val = 0;
 
     if (cls == isa::OpClass::Load) {
         const Addr effAddr = rob_.effAddr[i];
         const ForwardProbe probe =
             lsq_.probeForward(rob_.memOrdinal[i], effAddr);
-        std::uint64_t mem_val;
         if (probe.conflict) {
             if (!probe.dataReady)
                 return false;  // Conflicting store data still in flight.
@@ -478,27 +474,16 @@ Core::tryIssue(std::uint64_t rob_num)
         } else {
             const memory::TimedAccess ta = mem_.access(effAddr, false, now_);
             eff_lat = ta.latency;
-            mem_val = committedMem_.load(effAddr);
+            if (params_.verifyDataflow)
+                mem_val = committedMem_.load(effAddr);
         }
-        result = workload::execValue(cls, rob_.pc[i],
-                                     flags & kFlagCommutative, s1, 0,
-                                     mem_val);
     } else if (cls == isa::OpClass::Store) {
         mem_.access(rob_.effAddr[i], true, now_);
-        if (psrc2 == kNoPhysReg || prod_[psrc2].readyBase != kNeverCycle) {
-            const std::uint64_t s2 =
-                psrc2 != kNoPhysReg ? prf_.value(psrc2) : 0;
-            lsq_.setStoreData(rob_.memOrdinal[i],
-                              workload::storeValue(rob_.pc[i], s1, s2));
-        } else {
+        const PhysReg psrc2 = rob_.meta[i].psrc2;
+        if (psrc2 == kNoPhysReg || prod_[psrc2].readyBase != kNeverCycle)
+            lsq_.setStoreData(rob_.memOrdinal[i], storeDataValue(i));
+        else
             pendingStoreData_.push_back(rob_num);
-        }
-    } else if (flags & kFlagInjectedMove) {
-        result = s1;
-    } else if (flags & kFlagHasDest) {
-        const std::uint64_t s2 = psrc2 != kNoPhysReg ? prf_.value(psrc2) : 0;
-        result = workload::execValue(cls, rob_.pc[i],
-                                     flags & kFlagCommutative, s1, s2, 0);
     }
 
     // Non-pipelined long-latency units.
@@ -514,9 +499,12 @@ Core::tryIssue(std::uint64_t rob_num)
         const Cycle nominal = now_ + params_.regReadStages + eff_lat;
         const Cycle actual = reserveWriteback(c, nominal);
         eff_lat += actual - nominal;
-        rob_.cold[i].result = result;
         const PhysReg pdst = rob_.meta[i].pdst;
-        prf_.setValue(pdst, result);
+        if (params_.verifyDataflow) {
+            const std::uint64_t result = resultValue(i, mem_val);
+            rob_.cold[i].result = result;
+            prf_.setValue(pdst, result);
+        }
         prod_[pdst].readyBase = now_ + eff_lat;
         prod_[pdst].cluster = c;
         // Result broadcast: move exact dependants onto the wake wheel at
@@ -663,19 +651,45 @@ Core::captureStoreData()
         if (n < robHead_)
             continue;  // Already captured at commit.
         const std::size_t i = robIx(n);
-        const PhysReg psrc1 = rob_.meta[i].psrc1;
         const PhysReg psrc2 = rob_.meta[i].psrc2;
         if (psrc2 != kNoPhysReg && prod_[psrc2].readyBase == kNeverCycle) {
             pendingStoreData_[w++] = n;
             continue;
         }
-        const std::uint64_t s1 = psrc1 != kNoPhysReg ? prf_.value(psrc1) : 0;
-        const std::uint64_t s2 = psrc2 != kNoPhysReg ? prf_.value(psrc2) : 0;
-        lsq_.setStoreData(rob_.memOrdinal[i],
-                          workload::storeValue(rob_.pc[i], s1, s2));
+        lsq_.setStoreData(rob_.memOrdinal[i], storeDataValue(i));
         active_ = true;
     }
     pendingStoreData_.resize(w);
+}
+
+std::uint64_t
+Core::operandValue(PhysReg p) const
+{
+    return p != kNoPhysReg ? prf_.value(p) : 0;
+}
+
+std::uint64_t
+Core::storeDataValue(std::size_t i) const
+{
+    if (!params_.verifyDataflow)
+        return 0;
+    return workload::storeValue(rob_.pc[i], operandValue(rob_.meta[i].psrc1),
+                                operandValue(rob_.meta[i].psrc2));
+}
+
+std::uint64_t
+Core::resultValue(std::size_t i, std::uint64_t mem_val) const
+{
+    const std::uint8_t flags = rob_.meta[i].flags;
+    const isa::OpClass cls = rob_.meta[i].cls;
+    const std::uint64_t s1 = operandValue(rob_.meta[i].psrc1);
+    if (cls == isa::OpClass::Load)
+        return workload::execValue(cls, rob_.pc[i], flags & kFlagCommutative,
+                                   s1, 0, mem_val);
+    if (flags & kFlagInjectedMove)
+        return s1;
+    return workload::execValue(cls, rob_.pc[i], flags & kFlagCommutative, s1,
+                               operandValue(rob_.meta[i].psrc2), 0);
 }
 
 void
@@ -998,19 +1012,15 @@ Core::commitStage()
         RobCold &cold = rob_.cold[i];
 
         if (cls == isa::OpClass::Store) {
-            const std::uint64_t mo = rob_.memOrdinal[i];
-            if (!lsq_.storeDataReady(mo)) {
-                // Producer committed earlier, so the value is available.
-                const PhysReg psrc1 = rob_.meta[i].psrc1;
-                const PhysReg psrc2 = rob_.meta[i].psrc2;
-                const std::uint64_t s1 =
-                    psrc1 != kNoPhysReg ? prf_.value(psrc1) : 0;
-                const std::uint64_t s2 =
-                    psrc2 != kNoPhysReg ? prf_.value(psrc2) : 0;
-                lsq_.setStoreData(mo,
-                                  workload::storeValue(rob_.pc[i], s1, s2));
+            if (params_.verifyDataflow) {
+                // Data not captured yet: its producer committed earlier,
+                // so the value is available now.
+                const std::uint64_t mo = rob_.memOrdinal[i];
+                committedMem_.store(rob_.effAddr[i],
+                                    lsq_.storeDataReady(mo)
+                                        ? lsq_.storeData(mo)
+                                        : storeDataValue(i));
             }
-            committedMem_.store(rob_.effAddr[i], lsq_.storeData(mo));
             lsq_.popFront();
         } else if (cls == isa::OpClass::Load) {
             lsq_.popFront();

@@ -162,6 +162,8 @@ class Core
     const PhysRegFile &regFile() const { return prf_; }
     const Renamer &renamer() const { return renamer_; }
     Cycle now() const { return now_; }
+    /** Write-back reservations too far ahead for the ring (see wbFar_). */
+    std::size_t writebackOverflow() const { return wbFar_.size(); }
 
     // ---- observability (src/obs) ----
 
@@ -218,6 +220,13 @@ class Core
     bool srcReady(std::size_t i) const;
     Cycle ffPenalty(ClusterId producer, ClusterId consumer) const;
     bool tryIssue(std::uint64_t rob_num);
+
+    // ---- dataflow values (verify mode only; see CoreParams) ----
+    std::uint64_t operandValue(PhysReg p) const;
+    /** Store data of entry @p i; 0 unless verifyDataflow. */
+    std::uint64_t storeDataValue(std::size_t i) const;
+    /** Value entry @p i writes; @p mem_val is a load's memory value. */
+    std::uint64_t resultValue(std::size_t i, std::uint64_t mem_val) const;
     void assertWsrsConstraints(std::size_t i) const;
 
     // ---- event-driven wake-up ----
@@ -462,7 +471,8 @@ class Core
     // producer had not issued yet.
     std::vector<std::uint64_t> pendingStoreData_;
 
-    // Committed memory image (dataflow values); probed once per load.
+    // Committed memory image (dataflow values); probed once per load
+    // under verifyDataflow and empty otherwise.
     workload::MemoryImage committedMem_;
 
     // Figure-5 unbalancing metric state.

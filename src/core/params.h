@@ -85,7 +85,10 @@ struct CoreParams
 
     bool commutativeFus = false;   ///< FUs execute both operand orders (RC).
     bool sharedComplexUnit = false;///< Mul/div shared by adjacent clusters.
-    bool verifyDataflow = false;   ///< Commit-time oracle value checking.
+    /** Commit-time oracle value checking. Also the one switch for the
+     *  dataflow values (register results, store data, the committed
+     *  memory image): without it the core computes and keeps none. */
+    bool verifyDataflow = false;
     DeadlockPolicy deadlockPolicy = DeadlockPolicy::MoveInjection;
     /** Realistic front end: stop fetching after a taken branch each cycle
      *  (the paper idealizes this away; ablation knob). */

@@ -27,7 +27,8 @@ Renamer::initMapping(std::uint64_t (*init_value)(LogReg))
         const PhysReg p = prf_.allocate(s);
         map_[r] = p;
         ++archCount_[s];
-        prf_.setValue(p, init_value(static_cast<LogReg>(r)));
+        if (init_value)
+            prf_.setValue(p, init_value(static_cast<LogReg>(r)));
     }
 }
 

@@ -53,7 +53,8 @@ class Renamer : public ckpt::Snapshotter
      * Establish the initial logical-to-physical mapping, distributing the
      * architectural registers round-robin over the subsets.
      *
-     * @param init_value initial dataflow value for logical register r.
+     * @param init_value initial dataflow value for logical register r, or
+     *        nullptr to leave the registers' values at 0 (no value datapath).
      */
     void initMapping(std::uint64_t (*init_value)(LogReg));
 

@@ -39,6 +39,12 @@ RunnerMetrics::RunnerMetrics(obs::MetricsRegistry &r)
 {
 }
 
+bool
+usesWarmupBlob(const SweepJob &job, const JobContext &ctx)
+{
+    return ctx.reuseWarmup && job.config.warmupUops > 0;
+}
+
 SweepOutcome
 executeJob(const SweepJob &job, const JobContext &ctx,
            const JobTelemetry &tele)
@@ -49,7 +55,7 @@ executeJob(const SweepJob &job, const JobContext &ctx,
     try {
         sim::SimConfig cfg = job.config;
         std::shared_ptr<const std::string> blob;
-        if (ctx.reuseWarmup && cfg.warmupUops > 0) {
+        if (usesWarmupBlob(job, ctx)) {
             if (!ctx.warmups)
                 fatal("executeJob: reuseWarmup requires a warm-up cache");
             // One functional warm-up per key serves every machine config

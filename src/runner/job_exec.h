@@ -77,6 +77,9 @@ struct JobTelemetry
     std::uint64_t worker = 0;  ///< Worker id (0 = local).
 };
 
+/** Whether executeJob(@p job, @p ctx) restores a cached warm-up blob. */
+bool usesWarmupBlob(const SweepJob &job, const JobContext &ctx);
+
 /**
  * Run one job to completion. Exceptions (FatalError and friends) are
  * captured into the outcome's error field; the call itself only throws on

@@ -8,6 +8,7 @@
 #include "src/runner/job_exec.h"
 #include "src/runner/sweep_merge.h"
 #include "src/sim/presets.h"
+#include "src/sim/warmup.h"
 
 namespace wsrs::runner {
 
@@ -94,6 +95,12 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
     ctx.spans = options_.spans;
 
     const std::vector<std::uint64_t> &pending = merge.pending();
+    // Each warm-up blob is freed once the last pending job needing it has
+    // restored from it; recovered jobs request none.
+    for (const std::uint64_t i : pending)
+        if (usesWarmupBlob(jobs[i], ctx))
+            warmups.expect(
+                sim::warmupKeyHash(jobs[i].profile, jobs[i].config));
     std::atomic<std::size_t> next{0};
     const auto worker = [&]() {
         for (;;) {
@@ -118,6 +125,7 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
     }
     telemetry_.warmupHits = warmups.hits();
     telemetry_.warmupMisses = warmups.misses();
+    telemetry_.warmupHeld = warmups.held();
     return merge.take();
 }
 

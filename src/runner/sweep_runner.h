@@ -109,6 +109,9 @@ class SweepRunner
         bool warmupReuse = false;      ///< Options::reuseWarmup was on.
         std::uint64_t warmupHits = 0;  ///< Warm-up snapshot cache hits.
         std::uint64_t warmupMisses = 0;///< ... and builds.
+        /** Warm-up keys still cached when the sweep ended; 0 when every
+         *  blob was released after the last job that needed it. */
+        std::size_t warmupHeld = 0;
     };
 
     SweepRunner();

@@ -219,8 +219,7 @@ restoreWarmupSnapshot(const std::string &blob, const std::string &origin,
                       const SimConfig &config, memory::MemoryHierarchy &mem,
                       bpred::BranchPredictor &predictor)
 {
-    std::istringstream is(blob, std::ios::binary);
-    ckpt::CheckpointReader cr(is, origin);
+    const ckpt::CheckpointReader cr(blob, origin);
     cr.expect(ckpt::kKindWarmup, warmupKeyHash(profile, config));
     ckpt::section(cr, "memory", mem);
     ckpt::section(cr, "bpred", predictor);

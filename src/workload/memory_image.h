@@ -3,10 +3,12 @@
  * Sparse architectural memory image shared by the core and the oracle.
  *
  * Both keep the dataflow value of every double-word a run has stored to;
- * every other address reads as memInitValue(). Host memory grows with the
- * simulated pages a run stores to: a 4 KiB page (512 double-word values
- * plus a 512-bit presence mask) is allocated on its first store and found
- * through a small page-number index. Keys are exact addresses, as the
+ * every other address reads as memInitValue(). Only a run with
+ * CoreParams::verifyDataflow fills either: without it the core keeps no
+ * dataflow values and its committed image stays empty. Host memory grows
+ * with the simulated pages a run stores to: a 4 KiB page (512 double-word
+ * values plus a 512-bit presence mask) is allocated on its first store and
+ * found through a small page-number index. Keys are exact addresses, as the
  * dataflow semantics require: a store or load at an address that is not
  * 8-byte aligned (possible in external trace files) touches only its own
  * key, kept in a side map that generated traces never fill.

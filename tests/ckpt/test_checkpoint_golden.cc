@@ -270,9 +270,10 @@ slurp(const std::string &path)
     return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
-// Locks the bytes of a full-sim checkpoint file, which carry the core's
-// committed-memory image: mcf's stores at the warm-up boundary already
-// span about 150 4 KiB pages, gzip's about 10.
+// Locks the bytes of a full-sim checkpoint file. Without verifyDataflow
+// the core keeps no dataflow values, so its committed-memory image is
+// empty and its value fields are 0; the verify row carries them: mcf's
+// stores at the warm-up boundary already span about 150 4 KiB pages.
 TEST(FullSimCheckpoint, FileBytesAreGolden)
 {
     const struct
@@ -282,17 +283,20 @@ TEST(FullSimCheckpoint, FileBytesAreGolden)
         std::uint64_t hash;
         const char *mem = nullptr;  // findMemPreset label; default memory
         bool impl1 = false;         // Impl-1 renaming (OverPickRecycle)
+        bool verify = false;        // CoreParams::verifyDataflow
     } cases[] = {
-        {"mcf", "WSRS-RC-512", 0x10da3fcf1f2d75a0ull},
-        {"gzip", "RR-256", 0x527af400d23ddbaaull},
+        {"mcf", "WSRS-RC-512", 0x0617ad7428c9e162ull},
+        {"gzip", "RR-256", 0x819fbc0e3e81f612ull},
         // DRAM banks, the completion FIFO and pending stall segments.
-        {"swim", "WSRS-RC-512", 0x9fede0729ec2fc4full, "dram"},
+        {"swim", "WSRS-RC-512", 0x9877c63ffaa78b43ull, "dram"},
         // The Impl-1 recycler and staged lists; no named preset uses it.
-        {"gzip", "WSRS-RC-512", 0x34d078db03d2dc8dull, nullptr, true},
+        {"gzip", "WSRS-RC-512", 0x041a3fa9a5df926eull, nullptr, true},
+        // Dataflow values: the committed image, PRF, results, store data.
+        {"mcf", "WSRS-RC-512", 0xc17f6348b4a1f49eull, nullptr, false, true},
     };
     for (const auto &c : cases) {
         TempFile ckpt;
-        SimConfig cfg = smallConfig(c.machine);
+        SimConfig cfg = smallConfig(c.machine, c.verify);
         if (c.mem)
             cfg.mem = findMemPreset(c.mem);
         if (c.impl1)
@@ -320,7 +324,7 @@ TEST(CoreSnapshot, BytesAreGolden)
     ckpt::Writer w;
     machine.snapshot(w);
     const std::uint64_t hash = test::fnv1a(w.buffer());
-    EXPECT_EQ(hash, 0x363fa8ff83f40119ull) << std::hex << hash;
+    EXPECT_EQ(hash, 0x13ee160ba333b9e4ull) << std::hex << hash;
 
     // A fresh core restores those bytes and saves them back unchanged.
     core::Core copy(findPreset("WSRS-RC-512"), gen, predictor, mem);

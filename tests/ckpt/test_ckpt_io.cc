@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/ckpt/io.h"
-#include "src/ckpt/warmup_cache.h"
 #include "src/common/log.h"
 
 namespace wsrs::ckpt {
@@ -135,21 +134,71 @@ TEST(CkptIo, ContainerRoundTrip)
     EXPECT_EQ(v, (std::vector<std::uint64_t>{1, 2, 3, 5, 8, 13}));
 }
 
+/**
+ * The error of parsing @p bytes through the stream constructor and
+ * through the in-place one; both must fail, with the same message (so the
+ * same byte offset), which is returned.
+ */
+std::string
+parseError(const std::string &bytes, const std::string &origin)
+{
+    std::string from_stream, in_place;
+    try {
+        std::istringstream is(bytes, std::ios::binary);
+        CheckpointReader cr(is, origin);
+    } catch (const FatalError &e) {
+        from_stream = e.what();
+    }
+    try {
+        CheckpointReader cr(std::string_view(bytes), origin);
+    } catch (const FatalError &e) {
+        in_place = e.what();
+    }
+    EXPECT_FALSE(from_stream.empty()) << "the stream constructor accepted it";
+    EXPECT_EQ(in_place, from_stream);
+    return in_place;
+}
+
+/** True if @p msg names byte offset @p at. */
+bool
+namesOffset(const std::string &msg, std::size_t at)
+{
+    return msg.find("byte offset " + std::to_string(at) + ")") !=
+           std::string::npos;
+}
+
+// Byte offsets in makeCheckpoint's output: the header is magic (8),
+// version (4), meta hash (8) and the kind string (4 + 8 for "full-sim");
+// section "alpha" has its frame at 32 and its payload at 57.
+constexpr std::size_t kVersionAt = 8;
+constexpr std::size_t kAlphaFrameAt = 32;
+constexpr std::size_t kAlphaPayloadAt = kAlphaFrameAt + 4 + 4 + 5 + 8 + 4;
+
+TEST(CkptIo, InPlaceParseMatchesTheStream)
+{
+    const std::string bytes = makeCheckpoint(kKindFullSim, 7);
+    const CheckpointReader cr(std::string_view(bytes), "<view>");
+    EXPECT_EQ(cr.kind(), kKindFullSim);
+    EXPECT_EQ(cr.metaHash(), 7u);
+    EXPECT_EQ(cr.sectionCount(), 2u);
+    Reader a = cr.section("alpha");
+    EXPECT_EQ(a.offset(), kAlphaPayloadAt);
+    EXPECT_EQ(a.u8(), 0xabu);
+    Reader b = cr.section("beta");
+    std::vector<std::uint64_t> v;
+    readVecExact(b, v, 6, "fib");
+    EXPECT_EQ(v, (std::vector<std::uint64_t>{1, 2, 3, 5, 8, 13}));
+}
+
 TEST(CkptIo, DetectsSingleBitCorruption)
 {
     std::string bytes = makeCheckpoint(kKindFullSim, 1);
-    // Flip one bit inside the first section's payload (past the header and
-    // the section frame; the header is 8+4+8+4+len("full-sim") bytes).
+    // Flip one bit inside the first section's payload.
     bytes[60] = static_cast<char>(bytes[60] ^ 0x10);
-    std::istringstream is(bytes, std::ios::binary);
-    try {
-        CheckpointReader cr(is, "corrupt.ckpt");
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("corrupt.ckpt"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("CRC"), std::string::npos) << msg;
-    }
+    const std::string msg = parseError(bytes, "corrupt.ckpt");
+    EXPECT_NE(msg.find("corrupt.ckpt"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("CRC"), std::string::npos) << msg;
+    EXPECT_TRUE(namesOffset(msg, kAlphaPayloadAt)) << msg;
 }
 
 TEST(CkptIo, DetectsTruncation)
@@ -158,10 +207,15 @@ TEST(CkptIo, DetectsTruncation)
     for (const std::size_t keep :
          {std::size_t{4}, std::size_t{20}, bytes.size() / 2,
           bytes.size() - 3}) {
-        std::istringstream is(bytes.substr(0, keep), std::ios::binary);
-        EXPECT_THROW(CheckpointReader cr(is, "trunc.ckpt"), FatalError)
-            << "kept " << keep << " of " << bytes.size() << " bytes";
+        const std::string msg = parseError(bytes.substr(0, keep), "trunc.ckpt");
+        EXPECT_NE(msg.find("trunc"), std::string::npos)
+            << "kept " << keep << " of " << bytes.size() << " bytes: " << msg;
     }
+    // A cut inside alpha's payload is reported where the payload starts.
+    const std::string msg = parseError(bytes.substr(0, 60), "trunc.ckpt");
+    EXPECT_NE(msg.find("truncated section 'alpha'"), std::string::npos)
+        << msg;
+    EXPECT_TRUE(namesOffset(msg, kAlphaPayloadAt)) << msg;
 }
 
 TEST(CkptIo, DetectsBadMagicAndVersionSkew)
@@ -169,13 +223,35 @@ TEST(CkptIo, DetectsBadMagicAndVersionSkew)
     std::string bytes = makeCheckpoint(kKindFullSim, 1);
     std::string bad = bytes;
     bad[0] = 'X';
-    std::istringstream is1(bad, std::ios::binary);
-    EXPECT_THROW(CheckpointReader cr(is1, "x"), FatalError);
+    EXPECT_NE(parseError(bad, "x").find("bad magic"), std::string::npos);
 
     std::string skew = bytes;
-    skew[8] = static_cast<char>(kFormatVersion + 1);  // version u32 LSB
-    std::istringstream is2(skew, std::ios::binary);
-    EXPECT_THROW(CheckpointReader cr(is2, "x"), FatalError);
+    skew[kVersionAt] = static_cast<char>(kFormatVersion + 1);  // u32 LSB
+    EXPECT_NE(parseError(skew, "x").find("format version " +
+                                         std::to_string(kFormatVersion + 1)),
+              std::string::npos);
+}
+
+TEST(CkptIo, DetectsDuplicateSectionAndTrailerCount)
+{
+    std::ostringstream os(std::ios::binary);
+    CheckpointWriter cw(os, "<test>", kKindFullSim, 1);
+    Writer w;
+    w.u32(5);
+    cw.section("alpha", w);
+    cw.section("alpha", w);
+    cw.finish();
+    // The duplicate is reported just past its payload.
+    const std::size_t second_end = kAlphaFrameAt + 2 * (4 + 4 + 5 + 8 + 4 + 4);
+    const std::string dup = parseError(os.str(), "dup.ckpt");
+    EXPECT_NE(dup.find("duplicate section"), std::string::npos) << dup;
+    EXPECT_TRUE(namesOffset(dup, second_end)) << dup;
+
+    std::string bytes = makeCheckpoint(kKindFullSim, 1);
+    bytes[bytes.size() - 4] = 3;  // trailer count u32 LSB: 2 -> 3
+    EXPECT_NE(parseError(bytes, "count.ckpt")
+                  .find("trailer declares 3 sections, found 2"),
+              std::string::npos);
 }
 
 TEST(CkptIo, ExpectRejectsKindAndMetaMismatch)
@@ -187,51 +263,6 @@ TEST(CkptIo, ExpectRejectsKindAndMetaMismatch)
     EXPECT_THROW(cr.expect(kKindWarmup, 43), FatalError);
     cr.expect(kKindWarmup, 42);  // matching pair passes
     EXPECT_THROW((void)cr.section("missing"), FatalError);
-}
-
-TEST(WarmupCache, BuildsOncePerKeyAndCountsHits)
-{
-    WarmupCache cache;
-    int builds = 0;
-    const auto build = [&] {
-        ++builds;
-        return std::string("blob");
-    };
-    const auto a = cache.getOrBuild(1, build);
-    const auto b = cache.getOrBuild(1, build);
-    const auto c = cache.getOrBuild(2, build);
-    EXPECT_EQ(*a, "blob");
-    EXPECT_EQ(a.get(), b.get());
-    EXPECT_NE(a.get(), c.get());
-    EXPECT_EQ(builds, 2);
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.misses(), 2u);
-}
-
-TEST(WarmupCache, BuilderFailureLeavesSlotRetryable)
-{
-    WarmupCache cache;
-    EXPECT_THROW(cache.getOrBuild(
-                     9, [&]() -> std::string { fatal("builder exploded"); }),
-                 FatalError);
-    const auto ok = cache.getOrBuild(9, [] { return std::string("second"); });
-    EXPECT_EQ(*ok, "second");
-}
-
-TEST(WarmupCache, ReportsWhetherMemoryOrBuilderAnswered)
-{
-    WarmupCache cache;
-    const auto builder = [] { return std::string("source"); };
-    using Source = WarmupCache::Source;
-    Source source = Source::Memory;
-    cache.getOrBuild(5, builder, &source);
-    EXPECT_EQ(source, Source::Built);
-    EXPECT_EQ(*cache.getOrBuild(5, builder, &source), "source");
-    EXPECT_EQ(source, Source::Memory);
-    cache.getOrBuild(6, builder, &source);
-    EXPECT_EQ(source, Source::Built);
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.misses(), 2u);
 }
 
 } // namespace

@@ -14,6 +14,8 @@
 
 #include "src/common/args.h"
 #include "src/common/log.h"
+#include "src/core/cluster_alloc.h"
+#include "src/isa/micro_op.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/span_log.h"
 #include "src/runner/sweep_report.h"
@@ -120,6 +122,27 @@ printCsv(std::FILE *out, const sim::SimResults &r)
                  (unsigned long long)r.renameStalls.lsq);
 }
 
+/**
+ * Refuse a --set-regs count that leaves a pool-specialized register file
+ * (WSP) fewer registers per FU pool than there are logical registers:
+ * injected moves drain into the simple-ALU pool's subset only, so such a
+ * machine deadlocks under MoveInjection, and only the commit watchdog
+ * would stop it, hundreds of thousands of cycles later.
+ */
+void
+checkPoolSubsets(const core::CoreParams &p)
+{
+    const unsigned per_pool = p.numPhysRegs / core::kNumFuPools;
+    if (p.mode == core::RegFileMode::WriteSpecPools &&
+        p.deadlockPolicy == core::DeadlockPolicy::MoveInjection &&
+        per_pool < isa::kNumLogRegs)
+        fatal("--set-regs=%u leaves %s %u registers per FU pool, fewer "
+              "than the %u logical registers, so its injected moves "
+              "deadlock; use --set-regs=%u or more",
+              p.numPhysRegs, p.name.c_str(), per_pool, isa::kNumLogRegs,
+              isa::kNumLogRegs * core::kNumFuPools);
+}
+
 } // namespace
 
 int
@@ -139,7 +162,8 @@ main(int argc, char **argv)
                    "memory backend preset: constant | dram | dram-closed "
                    "(default constant; see docs/memory.md)");
     args.addOption("ff-scope", "intra | adjacent | complete");
-    args.addOption("set-regs", "override physical register count");
+    args.addOption("set-regs", "override physical register count (WSP "
+                               "machines need 80 per FU pool)");
     args.addOption("set-window", "override per-cluster window");
     args.addOption("set-lsq", "override LSQ size");
     args.addOption("set-issue", "override per-cluster issue width");
@@ -209,9 +233,11 @@ main(int argc, char **argv)
                 cfg.mem = sim::findMemPreset(args.get("mem-model"));
             if (args.has("ff-scope"))
                 cfg.core.ffScope = ffScopeFromName(args.get("ff-scope"));
-            if (args.has("set-regs"))
+            if (args.has("set-regs")) {
                 cfg.core.numPhysRegs =
                     unsigned(args.getUint("set-regs", 0));
+                checkPoolSubsets(cfg.core);
+            }
             if (args.has("set-window"))
                 cfg.core.clusterWindow =
                     unsigned(args.getUint("set-window", 0));
