@@ -26,10 +26,10 @@ namespace {
 double
 run(const char *bench, const char *machine)
 {
-    sim::SimConfig cfg = sim::applyEnvOverrides(sim::SimConfig{});
+    sim::SimConfig cfg;
     cfg.core = sim::findPreset(machine);
-    cfg.warmupUops = std::min<std::uint64_t>(cfg.warmupUops, 150000);
-    cfg.measureUops = std::min<std::uint64_t>(cfg.measureUops, 250000);
+    cfg.warmupUops = 150000;
+    cfg.measureUops = 250000;
     return sim::runSimulation(workload::findProfile(bench), cfg).ipc;
 }
 

@@ -36,7 +36,7 @@ ipcWithFpClass(bool divides)
     p.fracBranch = 0.05;
     (divides ? p.fracFpDiv : p.fracFpAdd) = 0.35;
     p.workingSetBytes = 128 << 10;
-    sim::SimConfig cfg = sim::applyEnvOverrides(sim::SimConfig{});
+    sim::SimConfig cfg;
     cfg.core = sim::findPreset("RR-256");
     cfg.warmupUops = 20000;
     cfg.measureUops = 60000;

@@ -116,6 +116,33 @@ def main():
         probe("WSP with 80-register pool subsets runs",
               [binary, "--bench=crafty", "--machine=WSP-512",
                "--set-regs=320", *TINY], 0)
+        # A space spec sets every point's machine: an infeasible point
+        # stops the sweep before any job runs, and so does a flag that
+        # would override the spec.
+        infeasible = os.path.join(tmp, "infeasible.json")
+        with open(infeasible, "w") as f:
+            json.dump({"schema": "wsrs-space-v1", "workloads": ["gzip"],
+                       "axes": [{"param": "core.num_clusters",
+                                 "values": [4, 2]}]}, f)
+        r = probe("--space with an infeasible point is a config error",
+                  [binary, "--all", f"--space={infeasible}", *TINY], 1)
+        if ("WSRS-RC-512/num_clusters=2" not in r.stderr
+                or "WSRS requires 4 clusters" not in r.stderr):
+            sys.exit(f"FAIL infeasible --space: the message does not name "
+                     f"the point and its reason: {r.stderr.strip()}")
+        feasible = os.path.join(tmp, "feasible.json")
+        with open(feasible, "w") as f:
+            json.dump({"schema": "wsrs-space-v1", "workloads": ["gzip"],
+                       "axes": [{"param": "machine",
+                                 "values": ["RR-256"]}]}, f)
+        probe("--space runs its points", [binary, "--all",
+                                          f"--space={feasible}", *TINY], 0)
+        r = probe("--space with --machine is a config error",
+                  [binary, "--all", f"--space={feasible}",
+                   "--machine=RR-256", *TINY], 1)
+        if "drop --machine" not in r.stderr:
+            sys.exit(f"FAIL --space --machine: the message does not name "
+                     f"--machine: {r.stderr.strip()}")
 
         # Class 2: I/O / corruption errors.
         garbage = os.path.join(tmp, "garbage.ckpt")

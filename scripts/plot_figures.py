@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
-"""Plot Figures 4 and 5 from the bench harness outputs.
+"""Plot Figures 4 and 5 from a wsrs-sim sweep report.
 
 Usage:
-    ./build/bench/figure4_ipc          > fig4.txt
-    ./build/bench/figure5_unbalancing  > fig5.txt
-    python3 scripts/plot_figures.py fig4.txt fig5.txt
+    ./build/tools/wsrs-sim --all --stats-json=sweep.json
+    python3 scripts/plot_figures.py sweep.json
 
-Also accepts a machine-readable sweep report (wsrs-sim --all
---stats-json=sweep.json): the IPC matrix is rebuilt from the
-wsrs-sweep-report-v1 JSON instead of a printed table.
+The wsrs-sweep-report-v1 document holds every job's stats: Figure 4 is
+the IPC matrix, Figure 5 the unbalancing degree of the same jobs. A
+`--space` sweep plots the same way, one bar per point label.
 
 Produces grouped bar charts (matplotlib, if installed) mirroring the
-paper's presentation: one panel for the integer benchmarks, one for the
-floating-point benchmarks, one bar per machine configuration. Falls back
-to an ASCII rendering when matplotlib is unavailable.
+paper's presentation: one panel per figure, one bar per machine
+configuration and benchmark. Falls back to an ASCII rendering when
+matplotlib is unavailable.
 
 A wsrs-explore-v1 design-space report (wsrs-explore --out=report.json)
 gets an IPC-vs-area Pareto scatter instead: the estimated frontier as a
@@ -21,13 +20,13 @@ connected staircase, confirmed points overlaid with their measured IPC.
 """
 
 import json
-import re
 import sys
 
 
 def parse_sweep_report(path):
-    """Build the same (machines, {bench: values}) groups from a
-    wsrs-sweep-report-v1 JSON; returns None if the file is not one."""
+    """(title, machines, {bench: values}) for Figure 4 (IPC) and Figure 5
+    (unbalancing degree) from a wsrs-sweep-report-v1 JSON; None if the
+    file is not one."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -36,17 +35,23 @@ def parse_sweep_report(path):
     if not isinstance(doc, dict) or \
             doc.get("schema") != "wsrs-sweep-report-v1":
         return None
-    machines, rows = [], {}
-    for job in doc["jobs"]:
-        if not job["ok"]:
-            continue
-        if job["machine"] not in machines:
-            machines.append(job["machine"])
-        rows.setdefault(job["benchmark"], {})[job["machine"]] = \
-            job["stats"]["metrics"]["ipc"]
-    table = {bench: [by.get(m, 0.0) for m in machines]
-             for bench, by in rows.items()}
-    return [(machines, table)] if table else []
+    groups = []
+    for title, metric in (("Figure 4: IPC", "ipc"),
+                          ("Figure 5: unbalancing degree (%)",
+                           "unbalancing_degree")):
+        machines, rows = [], {}
+        for job in doc["jobs"]:
+            if not job["ok"]:
+                continue
+            if job["machine"] not in machines:
+                machines.append(job["machine"])
+            rows.setdefault(job["benchmark"], {})[job["machine"]] = \
+                job["stats"]["metrics"][metric]
+        table = {bench: [by.get(m, 0.0) for m in machines]
+                 for bench, by in rows.items()}
+        if table:
+            groups.append((title, machines, table))
+    return groups
 
 
 def parse_explore_report(path):
@@ -110,33 +115,6 @@ def pareto_scatter(path, pts):
             print(f"  {name:>8} area {a:6.3f} ipc {e:6.3f} |{bar}{meas}")
 
 
-def parse_table(path):
-    """Parse a bench table: header row of machine names, then rows of
-    'bench  v1 v2 ...'. Returns (machines, {bench: [values]}) per group."""
-    groups = []
-    machines, rows = None, {}
-    for line in open(path):
-        line = line.rstrip()
-        m = re.match(r"bench\s+(.*)", line)
-        if m:
-            if machines and rows:
-                groups.append((machines, rows))
-            machines = m.group(1).split()
-            rows = {}
-            continue
-        if machines is None:
-            continue
-        parts = line.split()
-        if len(parts) == len(machines) + 1:
-            try:
-                rows[parts[0]] = [float(x) for x in parts[1:]]
-            except ValueError:
-                pass
-    if machines and rows:
-        groups.append((machines, rows))
-    return groups
-
-
 def ascii_plot(machines, rows, title, scale):
     print(f"\n{title}")
     width = 46
@@ -161,9 +139,10 @@ def main():
             continue
         groups = parse_sweep_report(path)
         if groups is None:
-            groups = parse_table(path)
+            print(f"{path}: neither a sweep report nor an explore report")
+            continue
         if not groups:
-            print(f"{path}: no tables found")
+            print(f"{path}: no completed jobs")
             continue
         try:
             import matplotlib
@@ -175,7 +154,7 @@ def main():
                                      figsize=(7 * len(groups), 4))
             if len(groups) == 1:
                 axes = [axes]
-            for ax, (machines, rows) in zip(axes, groups):
+            for ax, (title, machines, rows) in zip(axes, groups):
                 benches = list(rows)
                 n = len(machines)
                 for i, machine in enumerate(machines):
@@ -185,16 +164,16 @@ def main():
                 ax.set_xticks([j + 0.5 - 1 / (n + 1) / 2
                                for j in range(len(benches))])
                 ax.set_xticklabels(benches, rotation=45, ha="right")
+                ax.set_title(title)
                 ax.legend(fontsize=7)
             out = path.rsplit(".", 1)[0] + ".png"
             fig.tight_layout()
             fig.savefig(out, dpi=150)
             print(f"wrote {out}")
         except ImportError:
-            scale = max(max(v) for _, rows in groups
-                        for v in rows.values()) or 1.0
-            for i, (machines, rows) in enumerate(groups):
-                ascii_plot(machines, rows, f"{path} group {i}", scale)
+            for title, machines, rows in groups:
+                scale = max(max(v) for v in rows.values()) or 1.0
+                ascii_plot(machines, rows, f"{path}: {title}", scale)
     return 0
 
 

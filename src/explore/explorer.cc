@@ -318,6 +318,7 @@ explore(const SpaceSpec &spec, const AnalyticModel &model,
             cfg.core = pt.core;
             cfg.core.name = pointName(idx);
             cfg.mem = pt.mem;
+            cfg.predictor = pt.predictor;
             cfg.measureUops = options.confirmMeasureUops;
             cfg.warmupUops = options.confirmWarmupUops;
             configs.push_back(std::move(cfg));

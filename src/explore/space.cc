@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <sstream>
 
 #include "src/common/json.h"
@@ -60,6 +61,11 @@ enum Field : unsigned {
     kDramTCas,
     kDramBurstCycles,
     kDramWindowDepth,
+    // Appended after the explorer's original catalog.
+    kMachine,
+    kFetchBreakOnTaken,
+    kReplacement,
+    kBpredKind,
     kNumFields
 };
 
@@ -83,6 +89,8 @@ constexpr const char *kRenameNames[] = {"impl1", "impl2", nullptr};
 constexpr const char *kFfNames[] = {"intra", "pair", "complete", nullptr};
 constexpr const char *kMemModelNames[] = {"constant", "dram", "dram-closed",
                                           nullptr};
+constexpr const char *kReplacementNames[] = {"lru", "tree-plru", "random",
+                                             nullptr};
 
 constexpr CatalogEntry kCatalog[] = {
     {"core.num_clusters", kNumClusters, false, nullptr, kCoreSide},
@@ -125,6 +133,12 @@ constexpr CatalogEntry kCatalog[] = {
     {"mem.dram_t_cas", kDramTCas, false, nullptr, kMemSide},
     {"mem.dram_burst_cycles", kDramBurstCycles, false, nullptr, kMemSide},
     {"mem.dram_window_depth", kDramWindowDepth, false, nullptr, kMemSide},
+    // A preset label; its values are resolved by sim::findPreset.
+    {"machine", kMachine, true, nullptr, kCoreSide},
+    {"core.fetch_break_on_taken", kFetchBreakOnTaken, false, nullptr,
+     kCoreSide},
+    {"mem.replacement", kReplacement, true, kReplacementNames, kMemSide},
+    {"bpred.kind", kBpredKind, true, sim::kPredictorNames, kCoreSide},
 };
 
 const CatalogEntry *
@@ -137,14 +151,12 @@ findCatalog(const std::string &name)
 }
 
 unsigned
-mapEnum(const CatalogEntry &entry, const std::string &value,
-        const std::string &what)
+mapEnum(const CatalogEntry &entry, const std::string &value)
 {
     for (unsigned i = 0; entry.enumNames[i] != nullptr; ++i)
         if (value == entry.enumNames[i])
             return i;
-    fatal("%s: axis '%s' has no value '%s'", what.c_str(), entry.name,
-          value.c_str());
+    fatal("axis '%s' has no value '%s'", entry.name, value.c_str());
 }
 
 /** Apply one numeric axis value to the point. */
@@ -190,6 +202,7 @@ applyNumeric(ConfigPoint &pt, Field field, double v)
     case kDramTCas: pt.mem.dram.tCas = u(); break;
     case kDramBurstCycles: pt.mem.dram.burstCycles = u(); break;
     case kDramWindowDepth: pt.mem.dram.windowDepth = u(); break;
+    case kFetchBreakOnTaken: pt.core.fetchBreakOnTaken = u() != 0; break;
     default: WSRS_PANIC("numeric apply on enum field");
     }
 }
@@ -215,6 +228,18 @@ applyEnum(ConfigPoint &pt, Field field, unsigned ord)
         pt.mem.model = ord == 0 ? memory::MemModel::Constant
                                 : memory::MemModel::Dram;
         pt.mem.dram.closedPage = ord == 2;
+        break;
+    case kReplacement: {
+        constexpr memory::ReplacementPolicy kPolicies[] = {
+            memory::ReplacementPolicy::Lru,
+            memory::ReplacementPolicy::TreePlru,
+            memory::ReplacementPolicy::Random};
+        pt.mem.l1.replacement = kPolicies[ord];
+        pt.mem.l2.replacement = kPolicies[ord];
+        break;
+    }
+    case kBpredKind:
+        pt.predictor = static_cast<sim::PredictorKind>(ord);
         break;
     default: WSRS_PANIC("enum apply on numeric field");
     }
@@ -253,14 +278,88 @@ SpaceSpec::totalPoints() const
     return total;
 }
 
-SpaceSpec
-parseSpaceSpec(std::string_view text, const std::string &what)
+namespace {
+
+/** A numeric axis value every field's unsigned cast takes exactly. */
+double
+checkedValue(const AxisSpec &axis, double v)
 {
-    const JsonValue doc = parseJson(text, what);
+    if (!(v >= 0 && v < 4294967296.0) || v != std::floor(v))
+        fatal("axis '%s' value %g is not an integer in [0, 2^32)",
+              axis.param.c_str(), v);
+    if (axis.field == kFetchBreakOnTaken && v > 1)
+        fatal("axis '%s' takes 0 or 1, not %g", axis.param.c_str(), v);
+    return v;
+}
+
+AxisSpec
+parseAxis(const JsonValue &axisDoc)
+{
+    AxisSpec axis;
+    axis.param = axisDoc.getString("param", "");
+    const CatalogEntry *entry = findCatalog(axis.param);
+    if (entry == nullptr)
+        fatal("unknown axis parameter '%s' (see wsrs-explore "
+              "--list-params)",
+              axis.param.c_str());
+    axis.field = entry->field;
+    axis.isEnum = entry->isEnum;
+    axis.memorySide = entry->side == kMemSide;
+
+    if (axisDoc.has("values")) {
+        for (const auto &v : axisDoc.get("values").asArray()) {
+            if (entry->field == kMachine) {
+                axis.ordinals.push_back(
+                    static_cast<unsigned>(axis.machines.size()));
+                axis.machines.push_back(sim::findPreset(v.asString()));
+                axis.labels.push_back(v.asString());
+            } else if (entry->isEnum) {
+                axis.labels.push_back(v.asString());
+                axis.ordinals.push_back(mapEnum(*entry, v.asString()));
+            } else {
+                axis.numeric.push_back(checkedValue(axis, v.asDouble()));
+            }
+        }
+    } else if (axisDoc.has("from")) {
+        if (entry->isEnum)
+            fatal("axis '%s' is enum-valued and cannot use a range",
+                  axis.param.c_str());
+        const double from = axisDoc.get("from").asDouble();
+        const double to = axisDoc.get("to").asDouble();
+        const double step =
+            axisDoc.has("step") ? axisDoc.get("step").asDouble() : 1.0;
+        if (step <= 0 || to < from)
+            fatal("axis '%s' has an empty or descending range",
+                  axis.param.c_str());
+        // Count before expanding, so a huge range fails here instead
+        // of filling memory. The size guard also ends a range whose
+        // step is lost to rounding (the check below then rejects it).
+        const double count = std::floor((to - from) / step) + 1;
+        if (!std::isfinite(count) || count > double(kMaxAxisValues))
+            fatal("axis '%s' has more than %zu values", axis.param.c_str(),
+                  kMaxAxisValues);
+        for (double v = from;
+             v <= to + 1e-9 && axis.numeric.size() <= kMaxAxisValues;
+             v += step)
+            axis.numeric.push_back(checkedValue(axis, v));
+    } else {
+        fatal("axis '%s' needs 'values' or 'from'/'to'",
+              axis.param.c_str());
+    }
+    if (axis.size() == 0)
+        fatal("axis '%s' has no values", axis.param.c_str());
+    if (axis.size() > kMaxAxisValues)
+        fatal("axis '%s' has more than %zu values", axis.param.c_str(),
+              kMaxAxisValues);
+    return axis;
+}
+
+SpaceSpec
+specFromJson(const JsonValue &doc)
+{
     const std::string schema = doc.getString("schema", "");
     if (schema != kSpaceSchema)
-        fatal("%s: schema '%s' is not %s", what.c_str(), schema.c_str(),
-              kSpaceSchema);
+        fatal("schema '%s' is not %s", schema.c_str(), kSpaceSchema);
 
     SpaceSpec spec;
     spec.baseMachineLabel = "WSRS-RC-512";
@@ -284,75 +383,57 @@ parseSpaceSpec(std::string_view text, const std::string &what)
             spec.workloads.push_back(p.name);
     }
     if (spec.workloads.empty())
-        fatal("%s: empty workloads list", what.c_str());
+        fatal("empty workloads list");
 
     if (!doc.has("axes"))
-        fatal("%s: missing 'axes'", what.c_str());
+        fatal("missing 'axes'");
+    std::uint64_t total = 1;
+    bool machineAxis = false, modeAxis = false;
     for (const auto &axisDoc : doc.get("axes").asArray()) {
-        AxisSpec axis;
-        axis.param = axisDoc.getString("param", "");
-        const CatalogEntry *entry = findCatalog(axis.param);
-        if (entry == nullptr)
-            fatal("%s: unknown axis parameter '%s' (see wsrs-explore "
-                  "--list-params)",
-                  what.c_str(), axis.param.c_str());
-        axis.field = entry->field;
-        axis.isEnum = entry->isEnum;
-        axis.memorySide = entry->side == kMemSide;
-
-        if (axisDoc.has("values")) {
-            for (const auto &v : axisDoc.get("values").asArray()) {
-                if (entry->isEnum) {
-                    axis.labels.push_back(v.asString());
-                    axis.ordinals.push_back(
-                        mapEnum(*entry, v.asString(), what));
-                } else {
-                    axis.numeric.push_back(v.asDouble());
-                }
-            }
-        } else if (axisDoc.has("from")) {
-            if (entry->isEnum)
-                fatal("%s: axis '%s' is enum-valued and cannot use a "
-                      "range",
-                      what.c_str(), axis.param.c_str());
-            const double from = axisDoc.get("from").asDouble();
-            const double to = axisDoc.get("to").asDouble();
-            const double step = axisDoc.has("step")
-                                    ? axisDoc.get("step").asDouble()
-                                    : 1.0;
-            if (step <= 0 || to < from)
-                fatal("%s: axis '%s' has an empty or descending range",
-                      what.c_str(), axis.param.c_str());
-            // Count before expanding, so a huge range fails here instead
-            // of filling memory. The size guard also ends a range whose
-            // step is lost to rounding (the check below then rejects it).
-            const double count = std::floor((to - from) / step) + 1;
-            if (!std::isfinite(count) || count > double(kMaxAxisValues))
-                fatal("%s: axis '%s' has more than %zu values",
-                      what.c_str(), axis.param.c_str(), kMaxAxisValues);
-            for (double v = from;
-                 v <= to + 1e-9 && axis.numeric.size() <= kMaxAxisValues;
-                 v += step)
-                axis.numeric.push_back(v);
-        } else {
-            fatal("%s: axis '%s' needs 'values' or 'from'/'to'",
-                  what.c_str(), axis.param.c_str());
-        }
-        if (axis.size() == 0)
-            fatal("%s: axis '%s' has no values", what.c_str(),
-                  axis.param.c_str());
-        if (axis.size() > kMaxAxisValues)
-            fatal("%s: axis '%s' has more than %zu values", what.c_str(),
-                  axis.param.c_str(), kMaxAxisValues);
+        AxisSpec axis = parseAxis(axisDoc);
         for (const auto &other : spec.axes)
             if (other.field == axis.field)
-                fatal("%s: axis '%s' appears twice", what.c_str(),
-                      axis.param.c_str());
+                fatal("axis '%s' appears twice", axis.param.c_str());
+        // The explorer counts points in a u64.
+        if (total > UINT64_MAX / axis.size())
+            fatal("the axes span more than 2^64 points");
+        total *= axis.size();
+        machineAxis |= axis.field == kMachine;
+        modeAxis |= axis.field == kMode;
         spec.axes.push_back(std::move(axis));
     }
     if (spec.axes.empty())
-        fatal("%s: no axes", what.c_str());
+        fatal("no axes");
+    if (machineAxis && modeAxis)
+        fatal("axes 'machine' and 'core.mode' both set the register-file "
+              "mode; keep one");
     return spec;
+}
+
+} // namespace
+
+SpaceSpec
+parseSpaceSpec(std::string_view text, const std::string &what)
+{
+    const JsonValue doc = parseJson(text, what);
+    // Every rejection below, including a JSON member of the wrong type
+    // or an unknown preset, workload or memory model, names the document.
+    try {
+        return specFromJson(doc);
+    } catch (const FatalError &e) {
+        fatal("%s: %s", what.c_str(), e.what());
+    }
+}
+
+SpaceSpec
+loadSpaceSpec(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    if (!is)
+        fatalIo("cannot read space file '%s'", path.c_str());
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    return parseSpaceSpec(buf.str(), path);
 }
 
 void
@@ -370,13 +451,19 @@ decodePoint(const SpaceSpec &spec, std::uint64_t index,
 ConfigPoint
 materializePoint(const SpaceSpec &spec, const std::uint32_t *digits)
 {
-    // Resolve the machine shell: mode/policy/impl/regs axes re-derive the
+    // Resolve the machine shell: mode/policy/impl axes re-derive the
     // paper's pipeline-depth rules through presetForMode; everything else
-    // starts from the base machine.
-    core::RegFileMode mode = spec.baseCore.mode;
-    core::AllocPolicy policy = spec.baseCore.policy;
-    core::RenameImpl impl = spec.baseCore.renameImpl;
-    unsigned regs = spec.baseCore.numPhysRegs;
+    // starts from the point's machine (a `machine` axis or the base).
+    const core::CoreParams *machine = &spec.baseCore;
+    for (std::size_t i = 0; i < spec.axes.size(); ++i) {
+        const AxisSpec &axis = spec.axes[i];
+        if (axis.field == kMachine)
+            machine = &axis.machines[axis.ordinals[digits[i]]];
+    }
+    core::RegFileMode mode = machine->mode;
+    core::AllocPolicy policy = machine->policy;
+    core::RenameImpl impl = machine->renameImpl;
+    unsigned regs = machine->numPhysRegs;
     bool reshell = false;
     for (std::size_t i = 0; i < spec.axes.size(); ++i) {
         const AxisSpec &axis = spec.axes[i];
@@ -405,14 +492,14 @@ materializePoint(const SpaceSpec &spec, const std::uint32_t *digits)
     if (reshell)
         pt.core = sim::presetForMode(mode, policy, regs, impl);
     else
-        pt.core = spec.baseCore;
+        pt.core = *machine;
     pt.core.numPhysRegs = regs;
 
     for (std::size_t i = 0; i < spec.axes.size(); ++i) {
         const AxisSpec &axis = spec.axes[i];
         const Field field = static_cast<Field>(axis.field);
         if (field == kMode || field == kPolicy || field == kRenameImpl ||
-            field == kNumPhysRegs)
+            field == kNumPhysRegs || field == kMachine)
             continue;  // already folded into the shell
         if (axis.isEnum)
             applyEnum(pt, field, axis.ordinals[digits[i]]);
@@ -442,6 +529,12 @@ materializePoint(const SpaceSpec &spec, const std::uint32_t *digits)
         return reject("registers not divisible into subsets");
     if (pt.core.numPhysRegs < isa::kNumLogRegs + subsets)
         return reject("too few physical registers");
+    // Injected moves drain into one FU pool's subset only, so such a
+    // machine deadlocks (wsrs-sim refuses the same --set-regs value).
+    if (pt.core.mode == core::RegFileMode::WriteSpecPools &&
+        pt.core.deadlockPolicy == core::DeadlockPolicy::MoveInjection &&
+        pt.core.numPhysRegs / subsets < isa::kNumLogRegs)
+        return reject("fewer registers per FU pool than logical registers");
     return pt;
 }
 
@@ -453,6 +546,30 @@ pointName(std::uint64_t index)
     std::string name = "x";
     name += std::to_string(index);
     return name;
+}
+
+std::string
+pointLabel(const SpaceSpec &spec, const std::uint32_t *digits)
+{
+    std::string machine = spec.baseMachineLabel;
+    std::string rest;
+    for (std::size_t i = 0; i < spec.axes.size(); ++i) {
+        const AxisSpec &axis = spec.axes[i];
+        const std::string value =
+            axis.isEnum ? axis.labels[digits[i]]
+                        : std::to_string(static_cast<std::uint64_t>(
+                              axis.numeric[digits[i]]));
+        if (axis.field == kMachine) {
+            machine = value;
+            continue;
+        }
+        const std::string_view param = axis.param;
+        rest += '/';
+        rest += param.substr(param.rfind("core.", 0) == 0 ? 5 : 0);
+        rest += '=';
+        rest += value;
+    }
+    return machine + rest;
 }
 
 std::string

@@ -25,14 +25,17 @@
  * the index, which is what makes the explorer's parallel sweep and its
  * reports byte-stable across thread counts.
  *
- * Materialization starts from the base machine; when a mode / policy /
- * rename-impl / register-count axis is present, the point's core instead
- * starts from sim::presetForMode (so pipeline depths follow the paper's
- * mode rules) before the remaining axes are applied. Points the simulator
+ * Materialization starts from the base machine, or from the point's
+ * value of a `machine` axis (a preset label); when a mode / policy /
+ * rename-impl axis is present, the point's core instead starts from
+ * sim::presetForMode (so pipeline depths follow the paper's mode rules,
+ * with that machine's mode, policy, impl and register count as the
+ * defaults) before the remaining axes are applied. Points the simulator
  * would reject (WSRS cluster geometry, subset divisibility, register
- * backing) are flagged infeasible rather than silently skipped, keeping
- * the axis-coverage accounting exact. Supported parameters are listed in
- * docs/explorer.md and by `wsrs-explore --list-params`.
+ * backing, FU-pool subsets that would deadlock) are flagged infeasible
+ * rather than silently skipped, keeping the axis-coverage accounting
+ * exact. Supported parameters are listed in docs/explorer.md and by
+ * `wsrs-explore --list-params`.
  */
 #pragma once
 
@@ -43,6 +46,7 @@
 
 #include "src/core/params.h"
 #include "src/memory/hierarchy.h"
+#include "src/sim/simulator.h"
 
 namespace wsrs::explore {
 
@@ -66,6 +70,8 @@ struct AxisSpec
     std::vector<double> numeric;     ///< Values of a numeric axis.
     std::vector<unsigned> ordinals;  ///< Mapped values of an enum axis.
     std::vector<std::string> labels; ///< Enum spellings, for reports.
+    /** Resolved presets of a `machine` axis, indexed by ordinal. */
+    std::vector<core::CoreParams> machines;
 
     std::size_t size() const
     {
@@ -92,16 +98,23 @@ struct ConfigPoint
 {
     core::CoreParams core;
     memory::HierarchyParams mem;
+    sim::PredictorKind predictor = sim::PredictorKind::TwoBcGskew;
     bool feasible = true;
     const char *whyInfeasible = nullptr; ///< Static string when !feasible.
 };
 
 /**
  * Parse and validate a wsrs-space-v1 document. @p what names the
- * document in error messages. @throws wsrs::FatalError on malformed
- * JSON, unknown parameters, empty axes or unknown workloads.
+ * document in error messages. @throws wsrs::FatalError, its message
+ * starting with @p what, on malformed JSON, unknown parameters or
+ * presets, empty or oversized axes, values that are not integers in
+ * [0, 2^32), or unknown workloads.
  */
 SpaceSpec parseSpaceSpec(std::string_view text, const std::string &what);
+
+/** Read and parse the wsrs-space-v1 file at @p path.
+ *  @throws wsrs::IoError when it cannot be read. */
+SpaceSpec loadSpaceSpec(const std::string &path);
 
 /** Decode flat @p index into per-axis value indices (row-major, first
  *  axis outermost). @p digits must hold spec.axes.size() entries. */
@@ -115,6 +128,12 @@ ConfigPoint materializePoint(const SpaceSpec &spec,
 
 /** Deterministic display name of a point ("x<index>"). */
 std::string pointName(std::uint64_t index);
+
+/** Deterministic label of a point built from its axis values: the
+ *  machine (base or `machine` axis), then "/param=value" per other axis
+ *  with any "core." prefix dropped, e.g.
+ *  "WSRS-RC-512/rename_impl=impl2/num_phys_regs=320". */
+std::string pointLabel(const SpaceSpec &spec, const std::uint32_t *digits);
 
 /** The point's axis assignments as a JSON object ("param": value). */
 std::string pointConfigJson(const SpaceSpec &spec,

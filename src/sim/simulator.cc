@@ -1,8 +1,6 @@
 #include "simulator.h"
 
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <memory>
@@ -85,36 +83,6 @@ loadFullCheckpoint(const std::string &path, std::uint64_t meta_hash,
     cr.expect(ckpt::kKindFullSim, meta_hash);
     fullSimSections(cr, source_snap, predictor, mem, machine);
 }
-
-/** Parse a strictly-decimal environment value; fatal on malformed input. */
-std::uint64_t
-parseEnvUint(const char *name, const char *value)
-{
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(value, &end, 10);
-    // strtoull silently accepts whitespace, signs and trailing garbage
-    // (and returns 0 for pure garbage); require a plain digit string.
-    if (value[0] < '0' || value[0] > '9' || end == value ||
-        *end != '\0' || errno == ERANGE)
-        fatal("malformed %s='%s' (expected a non-negative integer)",
-              name, value);
-    return v;
-}
-
-} // namespace
-
-SimConfig
-applyEnvOverrides(SimConfig config)
-{
-    if (const char *s = std::getenv("WSRS_MEASURE_UOPS"))
-        config.measureUops = parseEnvUint("WSRS_MEASURE_UOPS", s);
-    if (const char *s = std::getenv("WSRS_WARMUP_UOPS"))
-        config.warmupUops = parseEnvUint("WSRS_WARMUP_UOPS", s);
-    return config;
-}
-
-namespace {
 
 /**
  * Shared simulation body. @p source_snap is the checkpointable view of

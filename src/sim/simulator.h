@@ -28,6 +28,11 @@ enum class PredictorKind : std::uint8_t {
     Perfect,
 };
 
+/** Spellings of each PredictorKind in enum order (`wsrs-sim --predictor`,
+ *  the `bpred.kind` space axis), nullptr-terminated. */
+inline constexpr const char *kPredictorNames[] = {
+    "2bc-gskew", "tournament", "gshare", "bimodal", "perfect", nullptr};
+
 /** Full experiment description. */
 struct SimConfig
 {
@@ -114,12 +119,6 @@ SimResults runSimulation(const workload::BenchmarkProfile &profile,
 SimResults runSimulation(const workload::BenchmarkProfile &profile,
                          const SimConfig &config,
                          workload::MicroOpSource &source);
-
-/**
- * Override measured/warm-up slice lengths from the environment
- * (WSRS_MEASURE_UOPS / WSRS_WARMUP_UOPS), for quick bench runs.
- */
-SimConfig applyEnvOverrides(SimConfig config);
 
 /** Construct the branch predictor a SimConfig names. */
 std::unique_ptr<bpred::BranchPredictor> makePredictor(PredictorKind kind);

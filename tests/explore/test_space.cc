@@ -2,8 +2,10 @@
  * @file
  * Tests of the wsrs-space-v1 parser and the streaming point codec:
  * row-major index decoding, base-preset materialization, feasibility
- * flagging, the parse-time validation errors, and each axis's
- * core-side / memory-side classification.
+ * flagging, the parse-time validation errors, each axis's
+ * core-side / memory-side classification, and the ablation axes
+ * (machine, fetch break, replacement, predictor) against the machines
+ * the sweeps built by hand before them.
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +15,8 @@
 #include "src/common/log.h"
 #include "src/explore/space.h"
 #include "src/sim/presets.h"
+#include "src/sim/warmup.h"
+#include "src/workload/profiles.h"
 #include "tests/support/json_error.h"
 
 namespace wsrs::explore {
@@ -181,7 +185,9 @@ TEST(SpaceCodec, MemorySideAxesFeedOnlyTheMemoryTerms)
     const std::map<std::string, std::string> enumValue = {
         {"core.mode", "\"ws\""},         {"core.policy", "\"rr\""},
         {"core.rename_impl", "\"impl1\""}, {"core.ff_scope", "\"intra\""},
-        {"mem.model", "\"dram\""}};
+        {"mem.model", "\"dram\""},       {"machine", "\"RR-256\""},
+        {"mem.replacement", "\"random\""}, {"bpred.kind", "\"gshare\""},
+        {"core.fetch_break_on_taken", "1"}};
     for (const std::string &param : supportedParams()) {
         const auto e = enumValue.find(param);
         const std::string value = e == enumValue.end() ? "4" : e->second;
@@ -194,6 +200,224 @@ TEST(SpaceCodec, MemorySideAxesFeedOnlyTheMemoryTerms)
             param.rfind("mem.", 0) == 0 && param != "mem.l1_latency";
         EXPECT_EQ(spec.axes[0].memorySide, memorySide) << param;
     }
+}
+
+/** Parse a spec over gzip with @p axes and materialize point @p index. */
+ConfigPoint
+pointOf(const std::string &axes, std::uint64_t index, SpaceSpec *out = nullptr)
+{
+    const SpaceSpec spec = parseSpaceSpec(
+        R"({"schema": "wsrs-space-v1", "workloads": ["gzip"], "axes": [)" +
+            axes + "]}",
+        "test");
+    std::vector<std::uint32_t> digits(spec.axes.size());
+    decodePoint(spec, index, digits.data());
+    if (out != nullptr)
+        *out = spec;
+    return materializePoint(spec, digits.data());
+}
+
+/** @p a equals @p b in every field but the name. */
+void
+expectSameMachine(const core::CoreParams &a, const core::CoreParams &b)
+{
+#define WSRS_SAME(f) EXPECT_EQ(a.f, b.f) << #f << " of " << b.name
+    WSRS_SAME(numClusters);
+    WSRS_SAME(fetchWidth);
+    WSRS_SAME(commitWidth);
+    WSRS_SAME(issuePerCluster);
+    WSRS_SAME(lsusPerCluster);
+    WSRS_SAME(fpusPerCluster);
+    WSRS_SAME(alusPerCluster);
+    WSRS_SAME(clusterWindow);
+    WSRS_SAME(lsqSize);
+    WSRS_SAME(fetchQueue);
+    WSRS_SAME(agenWidth);
+    WSRS_SAME(numPhysRegs);
+    WSRS_SAME(mode);
+    WSRS_SAME(policy);
+    WSRS_SAME(renameImpl);
+    WSRS_SAME(ffScope);
+    WSRS_SAME(frontEndDepth);
+    WSRS_SAME(regReadStages);
+    WSRS_SAME(recycleDelay);
+    WSRS_SAME(writebackPerCluster);
+    WSRS_SAME(commutativeFus);
+    WSRS_SAME(sharedComplexUnit);
+    WSRS_SAME(verifyDataflow);
+    WSRS_SAME(deadlockPolicy);
+    WSRS_SAME(fetchBreakOnTaken);
+    WSRS_SAME(seed);
+#undef WSRS_SAME
+}
+
+TEST(SpaceAblationAxes, MachineWithRenameImplAndRegsIsThePreset)
+{
+    // Ablation A1's Impl-2 machine at 320 registers, rebuilt through
+    // presetForMode from the machine's mode and policy.
+    SpaceSpec spec;
+    const ConfigPoint pt = pointOf(
+        R"({"param": "machine", "values": ["WSRS-RC-512"]},
+           {"param": "core.rename_impl", "values": ["impl1", "impl2"]},
+           {"param": "core.num_phys_regs", "values": [384, 320]})",
+        3, &spec);
+    ASSERT_TRUE(pt.feasible);
+    expectSameMachine(pt.core,
+                      sim::presetWsrsRc(320, core::RenameImpl::ExactCount));
+    const std::uint32_t impl1[] = {0, 0, 0};
+    expectSameMachine(
+        materializePoint(spec, impl1).core,
+        sim::presetWsrsRc(384, core::RenameImpl::OverPickRecycle));
+    const std::uint32_t digits[] = {0, 1, 1};
+    EXPECT_EQ(pointLabel(spec, digits),
+              "WSRS-RC-512/rename_impl=impl2/num_phys_regs=320");
+}
+
+TEST(SpaceAblationAxes, MachineWithRegsIsThePresetAtThatCount)
+{
+    // Ablations A3 and A7: a preset resized without a reshell.
+    const std::string axes =
+        R"({"param": "machine", "values": ["WSP-512", "WSRR-512", "RR-256"]},
+           {"param": "core.num_phys_regs", "values": [640]})";
+    expectSameMachine(pointOf(axes, 0).core,
+                      sim::presetWriteSpecPools(640));
+    expectSameMachine(pointOf(axes, 1).core, sim::presetWriteSpec(640));
+    expectSameMachine(pointOf(axes, 2).core, sim::presetConventional(640));
+
+    // 256 registers over WSP's four FU pools is 64 per pool, fewer than
+    // the 80 logical registers: its injected moves would deadlock.
+    const std::string pools =
+        R"({"param": "machine", "values": ["WSP-512"]},
+           {"param": "core.num_phys_regs", "values": [256, 320]})";
+    EXPECT_FALSE(pointOf(pools, 0).feasible);
+    EXPECT_TRUE(pointOf(pools, 1).feasible);
+}
+
+TEST(SpaceAblationAxes, FetchBreakReplacementAndPredictor)
+{
+    const std::string axes =
+        R"({"param": "machine", "values": ["RR-256"]},
+           {"param": "core.fetch_break_on_taken", "values": [0, 1]},
+           {"param": "mem.replacement",
+            "values": ["lru", "tree-plru", "random"]},
+           {"param": "bpred.kind", "values": ["2bc-gskew", "gshare"]})";
+    // Digits {0, 1, 1, 1}: index 1*6 + 1*2 + 1.
+    const ConfigPoint pt = pointOf(axes, 9);
+    core::CoreParams rr = sim::findPreset("RR-256");
+    rr.fetchBreakOnTaken = true;
+    expectSameMachine(pt.core, rr);
+    EXPECT_EQ(pt.mem.l1.replacement, memory::ReplacementPolicy::TreePlru);
+    EXPECT_EQ(pt.mem.l2.replacement, memory::ReplacementPolicy::TreePlru);
+    EXPECT_EQ(pt.predictor, sim::PredictorKind::Gshare);
+    // Index 4: digits {0, 0, 2, 0}.
+    const ConfigPoint random = pointOf(axes, 4);
+    EXPECT_FALSE(random.core.fetchBreakOnTaken);
+    EXPECT_EQ(random.mem.l1.replacement, memory::ReplacementPolicy::Random);
+    EXPECT_EQ(random.mem.l2.replacement, memory::ReplacementPolicy::Random);
+    EXPECT_EQ(random.predictor, sim::PredictorKind::TwoBcGskew);
+    // Every --predictor spelling is a bpred.kind value, in enum order.
+    const ConfigPoint perfect =
+        pointOf(R"({"param": "bpred.kind", "values": ["perfect"]})", 0);
+    EXPECT_EQ(perfect.predictor, sim::PredictorKind::Perfect);
+}
+
+TEST(SpaceAblationAxes, WarmupKeySeparatesPredictorAndReplacement)
+{
+    // --reuse-warmup shares one warm-up blob per key: points trained
+    // under another predictor or replacement policy must not share it.
+    const workload::BenchmarkProfile &gzip = workload::findProfile("gzip");
+    const auto key = [&](const std::string &axes, std::uint64_t index) {
+        const ConfigPoint pt = pointOf(axes, index);
+        sim::SimConfig cfg;
+        cfg.core = pt.core;
+        cfg.mem = pt.mem;
+        cfg.predictor = pt.predictor;
+        return sim::warmupKeyHash(gzip, cfg);
+    };
+    const std::string bpred =
+        R"({"param": "bpred.kind", "values": ["gshare", "bimodal"]})";
+    EXPECT_NE(key(bpred, 0), key(bpred, 1));
+    const std::string repl =
+        R"({"param": "mem.replacement", "values": ["lru", "random"]})";
+    EXPECT_NE(key(repl, 0), key(repl, 1));
+    // The machine alone never splits the key: that is what reuse shares.
+    const std::string machine =
+        R"({"param": "machine", "values": ["RR-256", "WSRS-RC-512"]})";
+    EXPECT_EQ(key(machine, 0), key(machine, 1));
+}
+
+TEST(SpaceAblationAxes, RejectsMisusedAxes)
+{
+    const auto error = [](const std::string &axes) {
+        try {
+            pointOf(axes, 0);
+        } catch (const FatalError &e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    const auto expectError = [&](const std::string &axes,
+                                 const std::string &needle) {
+        const std::string what = error(axes);
+        EXPECT_EQ(what.rfind("test: ", 0), 0u) << what;
+        EXPECT_NE(what.find(needle), std::string::npos) << what;
+    };
+    expectError(R"({"param": "machine", "values": ["RR-256"]},
+                   {"param": "core.mode", "values": ["ws"]})",
+                "both set the register-file mode");
+    expectError(R"({"param": "machine", "values": ["NO-SUCH"]})",
+                "unknown machine preset 'NO-SUCH'");
+    expectError(R"({"param": "core.fetch_break_on_taken", "values": [2]})",
+                "takes 0 or 1");
+    expectError(R"({"param": "mem.replacement", "values": ["fifo"]})",
+                "has no value 'fifo'");
+    expectError(R"({"param": "bpred.kind", "values": ["oracle"]})",
+                "has no value 'oracle'");
+    for (const char *value : {"-1", "2.5", "4294967296", "1e300"})
+        expectError(R"({"param": "core.num_phys_regs", "values": [)" +
+                        std::string(value) + "]}",
+                    "is not an integer in [0, 2^32)");
+}
+
+TEST(SpaceSpecParse, EveryRejectionNamesTheDocument)
+{
+    // Wrong member types and unknown names come from the JSON accessors
+    // and the preset/profile lookups; the parser locates each of them.
+    for (const char *text : {
+             R"({"schema": 7, "axes": []})",
+             R"([1, 2])",
+             R"({"schema": "wsrs-space-v1", "base": {"machine": 4},
+                 "axes": [{"param": "core.fetch_width", "values": [8]}]})",
+             R"({"schema": "wsrs-space-v1", "base": {"mem": "sram"},
+                 "axes": [{"param": "core.fetch_width", "values": [8]}]})",
+             R"({"schema": "wsrs-space-v1", "workloads": ["nonesuch"],
+                 "axes": [{"param": "core.fetch_width", "values": [8]}]})",
+             R"({"schema": "wsrs-space-v1", "axes": {}})",
+             R"({"schema": "wsrs-space-v1", "axes": [7]})",
+             R"({"schema": "wsrs-space-v1",
+                 "axes": [{"param": "core.fetch_width", "values": ["8"]}]})",
+         }) {
+        try {
+            parseSpaceSpec(text, "doc.json");
+            ADD_FAILURE() << "accepted " << text;
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()).rfind("doc.json: ", 0), 0u)
+                << e.what();
+        }
+    }
+}
+
+TEST(SpaceSpecParse, RejectsSpacesPastTheU64PointCount)
+{
+    // Six axes of 4096 values are 2^72 points.
+    std::string axes;
+    for (const char *param :
+         {"core.num_clusters", "core.fetch_width", "core.commit_width",
+          "core.issue_per_cluster", "core.lsus_per_cluster",
+          "core.fpus_per_cluster"})
+        axes += std::string(axes.empty() ? "" : ", ") + R"({"param": ")" +
+                param + R"(", "from": 1, "to": 4096})";
+    EXPECT_THROW(pointOf(axes, 0), FatalError);
 }
 
 } // namespace

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "src/common/log.h"
 #include "src/sim/presets.h"
@@ -218,35 +217,6 @@ TEST(Simulator, TimelineTextIsGolden)
         const std::uint64_t hash = test::fnv1a(text);
         EXPECT_EQ(hash, c.hash)
             << c.bench << " on " << c.machine << ": " << std::hex << hash;
-    }
-}
-
-TEST(Simulator, EnvOverridesApply)
-{
-    ::setenv("WSRS_MEASURE_UOPS", "1234", 1);
-    ::setenv("WSRS_WARMUP_UOPS", "55", 1);
-    const SimConfig cfg = applyEnvOverrides(SimConfig{});
-    EXPECT_EQ(cfg.measureUops, 1234u);
-    EXPECT_EQ(cfg.warmupUops, 55u);
-    ::unsetenv("WSRS_MEASURE_UOPS");
-    ::unsetenv("WSRS_WARMUP_UOPS");
-}
-
-TEST(Simulator, MalformedEnvOverridesAreFatal)
-{
-    // Historically these fell back to strtoull's garbage-tolerant parse:
-    // "12k" silently became 12 and "junk" became 0. They must fail loudly.
-    for (const char *bad : {"junk", "12k", "-5", " 7", "", "9999999999"
-                                                         "9999999999"}) {
-        ::setenv("WSRS_MEASURE_UOPS", bad, 1);
-        EXPECT_THROW(applyEnvOverrides(SimConfig{}), FatalError)
-            << "value '" << bad << "'";
-        ::unsetenv("WSRS_MEASURE_UOPS");
-
-        ::setenv("WSRS_WARMUP_UOPS", bad, 1);
-        EXPECT_THROW(applyEnvOverrides(SimConfig{}), FatalError)
-            << "value '" << bad << "'";
-        ::unsetenv("WSRS_WARMUP_UOPS");
     }
 }
 

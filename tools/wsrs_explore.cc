@@ -11,9 +11,7 @@
  *   wsrs-explore --list-params              # supported axis parameters
  */
 #include <cstdio>
-#include <fstream>
 #include <ostream>
-#include <sstream>
 #include <string>
 
 #include "src/common/args.h"
@@ -25,21 +23,6 @@
 #include "src/obs/metrics_registry.h"
 
 using namespace wsrs;
-
-namespace {
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        fatalIo("cannot read space file '%s'", path.c_str());
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return buf.str();
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -112,9 +95,8 @@ main(int argc, char **argv)
         if (!args.has("space"))
             fatal("--space is required (or use --calibrate/--list-params)");
 
-        const std::string spec_path = args.get("space");
         const explore::SpaceSpec spec =
-            explore::parseSpaceSpec(readFile(spec_path), spec_path);
+            explore::loadSpaceSpec(args.get("space"));
 
         explore::ExplorerOptions opt;
         opt.threads = unsigned(args.getUint("threads", 1));

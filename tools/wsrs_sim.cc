@@ -5,6 +5,7 @@
  *
  *   wsrs_sim --bench=gzip --machine=WSRS-RC-512 --uops=1000000
  *   wsrs_sim --all --csv > results.csv
+ *   wsrs_sim --all --space=bench/specs/a1_renaming.json --csv
  *   wsrs_sim --bench=swim --machine=RR-256 --set-window=128 --stats-json=-
  */
 #include <cstdio>
@@ -15,6 +16,7 @@
 #include "src/common/args.h"
 #include "src/common/log.h"
 #include "src/core/cluster_alloc.h"
+#include "src/explore/space.h"
 #include "src/isa/micro_op.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/span_log.h"
@@ -31,16 +33,9 @@ namespace {
 sim::PredictorKind
 predictorFromName(const std::string &name)
 {
-    if (name == "2bc-gskew")
-        return sim::PredictorKind::TwoBcGskew;
-    if (name == "tournament")
-        return sim::PredictorKind::Tournament;
-    if (name == "gshare")
-        return sim::PredictorKind::Gshare;
-    if (name == "bimodal")
-        return sim::PredictorKind::Bimodal;
-    if (name == "perfect")
-        return sim::PredictorKind::Perfect;
+    for (unsigned i = 0; sim::kPredictorNames[i] != nullptr; ++i)
+        if (name == sim::kPredictorNames[i])
+            return static_cast<sim::PredictorKind>(i);
     fatal("unknown predictor '%s' (2bc-gskew|tournament|gshare|bimodal|perfect)",
           name.c_str());
 }
@@ -143,6 +138,40 @@ checkPoolSubsets(const core::CoreParams &p)
               isa::kNumLogRegs * core::kNumFuPools);
 }
 
+/**
+ * One sweep job per (workload, point) of @p spec, workload outermost,
+ * each named by its point label. @p configure applies the run-length
+ * and observation flags. Any infeasible point stops the sweep before
+ * a job runs.
+ */
+template <typename Configure>
+std::vector<runner::SweepJob>
+spaceJobs(const explore::SpaceSpec &spec, const std::string &path,
+          Configure &&configure)
+{
+    std::vector<std::uint32_t> digits(spec.axes.size());
+    std::vector<sim::SimConfig> points;
+    for (std::uint64_t i = 0; i < spec.totalPoints(); ++i) {
+        explore::decodePoint(spec, i, digits.data());
+        const explore::ConfigPoint pt =
+            explore::materializePoint(spec, digits.data());
+        const std::string label = explore::pointLabel(spec, digits.data());
+        if (!pt.feasible)
+            fatal("%s: point %s is infeasible: %s", path.c_str(),
+                  label.c_str(), pt.whyInfeasible);
+        sim::SimConfig cfg = configure(pt.core);
+        cfg.core.name = label;
+        cfg.mem = pt.mem;
+        cfg.predictor = pt.predictor;
+        points.push_back(std::move(cfg));
+    }
+    std::vector<runner::SweepJob> jobs;
+    for (const std::string &w : spec.workloads)
+        for (const sim::SimConfig &cfg : points)
+            jobs.push_back({workload::findProfile(w), cfg});
+    return jobs;
+}
+
 } // namespace
 
 int
@@ -170,6 +199,10 @@ main(int argc, char **argv)
     args.addOption("verify", "enable commit-time oracle checking", true);
     args.addOption("timeline", "print the last N committed micro-ops");
     args.addOption("all", "run all benchmarks x Figure-4 machines", true);
+    args.addOption("space",
+                   "with --all: run every point of a wsrs-space-v1 spec "
+                   "on each of its workloads instead (the spec sets the "
+                   "machine, memory and predictor)");
     args.addOption("jobs",
                    "worker threads for --all (0 = all cores, 1 = serial)");
     args.addOption("csv", "emit one CSV row per run", true);
@@ -218,9 +251,9 @@ main(int argc, char **argv)
             return 0;
         }
 
-        auto configure = [&](const std::string &machine) {
+        auto configure = [&](core::CoreParams machine) {
             sim::SimConfig cfg;
-            cfg.core = sim::findPreset(machine);
+            cfg.core = std::move(machine);
             cfg.measureUops = args.getUint("uops", 1000000);
             cfg.warmupUops = args.getUint("warmup", 400000);
             cfg.seed = args.getUint("seed", 0);
@@ -274,14 +307,26 @@ main(int argc, char **argv)
             if (args.has("resume") && !args.has("resume-journal"))
                 fatal("--resume needs --resume-journal=FILE to know which "
                       "journal to resume from");
-            // The full Figure-4/5 matrix runs on the sweep runner: one job
-            // per {benchmark, machine}, each streaming its own trace,
-            // results printed in submission order as the completed prefix
-            // grows.
+            // The full Figure-4/5 matrix, or a space spec's points, runs
+            // on the sweep runner: one job per {benchmark, machine}, each
+            // streaming its own trace, results printed in submission
+            // order as the completed prefix grows.
             std::vector<runner::SweepJob> jobs;
-            for (const auto &p : workload::allProfiles())
-                for (const std::string &m : sim::figure4Presets())
-                    jobs.push_back({p, configure(m)});
+            if (args.has("space")) {
+                for (const char *flag :
+                     {"machine", "mem-model", "predictor", "ff-scope",
+                      "set-regs", "set-window", "set-lsq", "set-issue"})
+                    if (args.has(flag))
+                        fatal("--space sets the machine, memory model and "
+                              "predictor of every point; drop --%s",
+                              flag);
+                jobs = spaceJobs(explore::loadSpaceSpec(args.get("space")),
+                                 args.get("space"), configure);
+            } else {
+                for (const auto &p : workload::allProfiles())
+                    for (const std::string &m : sim::figure4Presets())
+                        jobs.push_back({p, configure(sim::findPreset(m))});
+            }
 
             if (args.has("csv"))
                 printCsvHeader(text);
@@ -360,10 +405,12 @@ main(int argc, char **argv)
         if (args.has("spans-out"))
             fatal("--spans-out records a sweep timeline; combine it with "
                   "--all");
+        if (args.has("space"))
+            fatal("--space describes a sweep; combine it with --all");
 
         const std::string bench = args.get("bench", "gzip");
         const std::string machine = args.get("machine", "RR-256");
-        sim::SimConfig cfg = configure(machine);
+        sim::SimConfig cfg = configure(sim::findPreset(machine));
         cfg.tracePipePath = args.get("trace-pipe", "");
         cfg.tracePipeBinPath = args.get("trace-pipe-bin", "");
         cfg.checkpointSavePath = args.get("ckpt-save", "");
